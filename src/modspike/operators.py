@@ -13,8 +13,16 @@ the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so `poisson_solve` inverts it
 spectrally up to floating point. The solution is gauged to mean zero; the
 constant is resolved downstream by congruence snapping.
 
-All functions are pure, operate on (H, W) or (H, W, C) rasters in float64,
-process channels independently, and are deterministic for a fixed input.
+All functions are pure, operate on (H, W) or (H, W, C) rasters, process
+channels independently, and are deterministic for a fixed input. Float
+input is computed in float64. `gradient`, `divergence` and `laplacian` keep
+integer input in integers: a signed type of at least 32 bits (the input's
+own type when it is already that; unsigned types go one size up, and
+uint64 falls back to float64). The results equal the float64 results
+exactly as long as the differences fit the type: for int32 input, keep
+magnitudes below 2^29. `lar` keeps integer input in integers when the
+modulus is a power of two, which every `ModuloFrame` modulus is; any other
+modulus takes the float64 path. `poisson_solve` always works in float64.
 
 A key arithmetic fact used throughout: the least absolute remainder of a
 sum depends only on the residues of its terms, so wrapping an integer
@@ -48,8 +56,18 @@ class LaplacianField:
     lap: np.ndarray
 
 
-def _as_float_raster(img) -> np.ndarray:
-    arr = np.asarray(img, dtype=np.float64)
+def _work_dtype(*arrays: np.ndarray) -> np.dtype:
+    """Signed integer type of at least 32 bits for all-integer input, else
+    float64."""
+    dtype = np.result_type(*arrays)
+    if np.issubdtype(dtype, np.integer):
+        return np.promote_types(dtype, np.int32)
+    return np.dtype(np.float64)
+
+
+def _as_raster(img, dtype=None) -> np.ndarray:
+    arr = np.asarray(img)
+    arr = arr.astype(dtype or _work_dtype(arr), copy=False)
     if arr.ndim not in (2, 3):
         raise ValueError(f"expected a (H, W) or (H, W, C) raster, got shape {arr.shape}")
     return arr
@@ -57,7 +75,7 @@ def _as_float_raster(img) -> np.ndarray:
 
 def gradient(img) -> GradientField:
     """Forward differences along width (gx) and height (gy)."""
-    arr = _as_float_raster(img)
+    arr = _as_raster(img)
     gx = np.zeros_like(arr)
     gy = np.zeros_like(arr)
     gx[:, :-1] = arr[:, 1:] - arr[:, :-1]
@@ -70,8 +88,11 @@ def divergence(gf: GradientField) -> np.ndarray:
 
     divergence(gradient(x)) equals the 5-point Neumann Laplacian of x.
     """
-    gx = np.asarray(gf.gx, dtype=np.float64)
-    gy = np.asarray(gf.gy, dtype=np.float64)
+    gx = np.asarray(gf.gx)
+    gy = np.asarray(gf.gy)
+    dtype = _work_dtype(gx, gy)
+    gx = gx.astype(dtype, copy=False)
+    gy = gy.astype(dtype, copy=False)
     if gx.shape != gy.shape:
         raise ValueError(f"gradient components disagree: {gx.shape} vs {gy.shape}")
     div = np.zeros_like(gx)
@@ -92,11 +113,20 @@ def lar(values, modulus: float):
     [-modulus/2, modulus/2).
 
     Depends only on the residue class mod `modulus`, and is exact for
-    integer-valued float64 input.
+    integer-valued float64 input. Integer input with an integer power-of-two
+    modulus stays integer: ((x + m/2) & (m - 1)) - m/2 in two's complement.
     """
     if not modulus > 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if (np.issubdtype(arr.dtype, np.integer) and isinstance(modulus, (int, np.integer))
+            and modulus & (modulus - 1) == 0):
+        half = int(modulus) // 2
+        out = np.add(arr, half, dtype=_work_dtype(arr))
+        out &= int(modulus) - 1
+        out -= half
+        return out
+    arr = arr.astype(np.float64, copy=False)
     half = modulus / 2.0
     return np.mod(arr + half, modulus) - half
 
@@ -117,7 +147,7 @@ def poisson_solve(rhs) -> np.ndarray:
     (the constant mode is gauged out). Solved by diagonalizing the 5-point
     Neumann Laplacian in the type-II cosine basis.
     """
-    arr = _as_float_raster(rhs)
+    arr = _as_raster(rhs, np.float64)
     h, w = arr.shape[:2]
     if h * w == 1:
         return np.zeros_like(arr)

@@ -4,28 +4,33 @@ used to reason about wrapped measurements.
 `unwrap_poisson` recovers the scene from a wrapped frame in three steps,
 per channel:
 
-  1. centered gradient: lar(gradient(frame), 2^N) — identical to the
-     centered gradient of the unwrapped scene wherever neighboring-pixel
-     differences stay within half a period (the Itoh condition);
-  2. least-squares integration: poisson_solve(divergence(.)) gives a
-     mean-zero estimate of the scene up to an additive constant;
+  1. centered gradient: lar(gradient(frame), 2^N), in int32 — identical
+     to the centered gradient of the unwrapped scene wherever
+     neighboring-pixel differences stay within half a period (the Itoh
+     condition); its divergence is an int32 field too;
+  2. least-squares integration: poisson_solve(divergence(.)), the one
+     float64 step, gives a mean-zero estimate of the scene up to an
+     additive constant;
   3. congruence snapping: an exhaustive search over the 2^N unit offsets
      picks the constant whose shifted estimate best agrees with the
      observation modulo 2^N, the per-pixel wrap counts are rounded out
      (ties away from zero), and the map is re-based so its minimum is
      zero — anchoring the scene to the base band under the assumption
-     that at least one pixel never wrapped.
+     that at least one pixel never wrapped. The scene values, its
+     gradient and its Laplacian are int64.
 
-The output is exactly congruent to the input by construction, so the
-zeroth-order residual (mean centered remainder of hdr - frame) is zero.
-Because congruence also forces the *wrapped* gradients of output and
-input to agree bit-exactly, a wrapped-both-sides comparison carries no
-information about reconstruction quality; the first/second-order
-residuals therefore compare the reconstruction's plain gradient and
-Laplacian against the centered measurements lar(grad frame) and
-lar(lap frame). Under the half-period condition these are literal zeros
-for integer scenes; measurement fields with curl (half-period
-violations) leave a nonzero mismatch and clear `converged`.
+The reconstruction is congruent to the input by construction; the
+zeroth-order residual (mean centered remainder of hdr - frame) checks
+that the float32 samples actually returned still are, which fails only
+once counts pass 2^24. Because congruence also forces the *wrapped*
+gradients of output and input to agree bit-exactly, a wrapped-both-sides
+comparison carries no information about reconstruction quality; the
+first/second-order residuals therefore compare the reconstruction's plain
+gradient and Laplacian against the centered measurements lar(grad frame)
+and lar(lap frame). Under the half-period condition these are literal
+zeros for integer scenes; measurement fields with curl (half-period
+violations) leave a nonzero mismatch and clear `converged`. All three
+residuals are computed in integers.
 
 Also here: the literal wrapped-domain consistency residuals for scoring
 arbitrary candidate reconstructions, the sinusoidal embedding of the
@@ -34,6 +39,7 @@ wrap phase, and the invertible mu-law tone map.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +71,10 @@ class ConsistencyResiduals:
 class UnwrapResult:
     """Reconstruction plus per-pixel wrap counts and consistency report.
 
-    hdr = frame + rollover_map * 2^N holds elementwise, exactly.
+    hdr = frame + rollover_map * 2^N holds elementwise, exactly, whenever
+    float32 stores those counts exactly, which every count below 2^24 is.
+    Past that hdr holds the nearest float32 values, and residuals.l_mod
+    reports the samples no longer congruent to the frame.
     """
 
     hdr: HdrImage
@@ -76,6 +85,29 @@ class UnwrapResult:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _circulant(v: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) matrix whose row c is v[(j + c) mod n] over j."""
+    out = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v[:-1]]), v.size).copy()
+    out.setflags(write=False)
+    return out
+
+
+def _offset_kernels(modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """|lar(b)| and the sign of lar(b) for every residue b in [0, modulus)."""
+    b = np.arange(modulus)
+    return (np.where(b < modulus // 2, b, modulus - b).astype(np.float64),
+            np.where(b < modulus // 2, 1.0, -1.0))
+
+
+@functools.cache
+def _offset_matrices(modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Circulant matrices of both offset kernels. Built on first use of a
+    modulus and kept; only the power-of-two moduli up to 2048 get here, so
+    at most 11 entries, 2 * 32 MiB at m = 2048."""
+    kernel, sign = _offset_kernels(modulus)
+    return _circulant(kernel), _circulant(sign)
 
 
 def _offset_objective(diff: np.ndarray, modulus: int) -> np.ndarray:
@@ -91,12 +123,10 @@ def _offset_objective(diff: np.ndarray, modulus: int) -> np.ndarray:
     frac = e - bins
     hist = np.bincount(bins, minlength=modulus).astype(np.float64)
     fsum = np.bincount(bins, weights=frac, minlength=modulus)
-    b = np.arange(modulus)
-    kernel = np.where(b < modulus // 2, b, modulus - b).astype(np.float64)
-    sign = np.where(b < modulus // 2, 1.0, -1.0)
     if modulus <= 2048:
-        idx = (np.arange(modulus)[:, None] + b[None, :]) % modulus  # [c, j] -> (j+c) mod m
-        return kernel[idx] @ hist + sign[idx] @ fsum
+        kernel, sign = _offset_matrices(modulus)
+        return kernel @ hist + sign @ fsum
+    kernel, sign = _offset_kernels(modulus)
     spec_h = np.fft.rfft(hist)
     spec_f = np.fft.rfft(fsum)
     return (np.fft.irfft(np.conj(spec_h) * np.fft.rfft(kernel), n=modulus)
@@ -117,37 +147,44 @@ def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResul
     """Recover the scene congruent to `frame` via least-squares integration
     of the centered wrapped gradient plus congruence snapping."""
     modulus = frame.modulus
-    obs = frame.values()
+    obs = frame.data.astype(np.int32)
     gf = gradient(obs)
     centered = GradientField(gx=lar(gf.gx, modulus), gy=lar(gf.gy, modulus))
-    estimate = poisson_solve(divergence(centered))
+    div = divergence(centered)
+    estimate = poisson_solve(div)
     rollover = np.empty(obs.shape, dtype=np.int32)
     for c in range(obs.shape[2]):
         rollover[:, :, c] = _snap_channel(estimate[:, :, c], obs[:, :, c], modulus)
-    hdr_values = obs + rollover.astype(np.float64) * modulus
+    hdr_values = obs + rollover.astype(np.int64) * modulus
     hdr = HdrImage(data=hdr_values.astype(np.float32))
-    residuals = _reconstruction_residuals(hdr_values, obs, centered, modulus)
+    residuals = _reconstruction_residuals(hdr, hdr_values, obs, centered, div, modulus)
     return UnwrapResult(hdr=hdr, rollover_map=rollover, residuals=residuals,
                         converged=residuals.max() < tol)
 
 
-def _reconstruction_residuals(hdr_values: np.ndarray, obs: np.ndarray,
-                              centered: GradientField, modulus: int) -> ConsistencyResiduals:
+def _mean_abs(*parts: np.ndarray) -> float:
+    """Mean absolute value over integer arrays of one size, summed exactly."""
+    return float(sum(int(np.abs(p).sum()) for p in parts)) / (len(parts) * parts[0].size)
+
+
+def _reconstruction_residuals(hdr: HdrImage, hdr_values: np.ndarray, obs: np.ndarray,
+                              centered: GradientField, div: np.ndarray,
+                              modulus: int) -> ConsistencyResiduals:
     """Quality report for a congruence-snapped reconstruction.
 
-    Congruence makes the wrapped gradients of hdr and frame identical by
-    construction, so the informative first/second-order checks compare the
+    The zeroth-order check reads the stored float32 samples, so counts
+    that float32 rounds off the congruence class show up there. Congruence
+    makes the wrapped gradients of hdr and frame identical by construction,
+    so the informative first/second-order checks compare the
     reconstruction's plain differential fields against the centered
     measurements; they vanish exactly when the measurement field was
     integrable (half-period condition) and stay nonzero when it carried
-    curl.
+    curl. lar(div) is lar(laplacian(frame)): the two are congruent.
     """
-    l_mod = float(np.mean(np.abs(lar(hdr_values - obs, modulus))))
+    l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - obs, modulus))
     gh = gradient(hdr_values)
-    l_grad = float(np.mean(np.abs(np.stack([gh.gx - centered.gx,
-                                            gh.gy - centered.gy]))))
-    l_lap = float(np.mean(np.abs(laplacian(hdr_values).lap
-                                 - lar(laplacian(obs).lap, modulus))))
+    l_grad = _mean_abs(gh.gx - centered.gx, gh.gy - centered.gy)
+    l_lap = _mean_abs(divergence(gh) - lar(div, modulus))
     return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
 
 

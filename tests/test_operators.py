@@ -179,6 +179,54 @@ def test_poisson_of_wrapped_laplacian_bit_identical(img):
     assert np.array_equal(a, b)
 
 
+# ------------------------------------------------------- integer rasters
+
+@settings(max_examples=60, deadline=None)
+@given(int_rasters, st.sampled_from([np.int32, np.int64, np.uint16]),
+       st.booleans())
+def test_integer_operators_stay_integer_and_match_float(img, dtype, three_channels):
+    if three_channels:
+        img = np.stack([img, img[::-1], img[:, ::-1]], axis=-1)
+    ints, floats = img.astype(dtype), img.astype(np.float64)
+    gi, gf = gradient(ints), gradient(floats)
+    pairs = ((gi.gx, gf.gx), (gi.gy, gf.gy), (divergence(gi), divergence(gf)),
+             (laplacian(ints).lap, laplacian(floats).lap))
+    for got, want in pairs:
+        assert np.issubdtype(got.dtype, np.signedinteger)
+        assert got.dtype.itemsize >= 4
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays(st.sampled_from([np.int32, np.int64, np.uint16]),
+              array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+              elements=st.integers(0, 2 ** 15)),
+       st.integers(0, 16), st.integers(-2 ** 30, 2 ** 30))
+def test_integer_lar_power_of_two_matches_float(values, bits, shift):
+    modulus = 1 << bits
+    if values.dtype != np.uint16:
+        values = values + values.dtype.type(shift // 2)
+    got = lar(values, modulus)
+    assert np.issubdtype(got.dtype, np.signedinteger)
+    assert np.array_equal(got, lar(values.astype(np.float64), modulus))
+
+
+def test_float_input_keeps_float64_path():
+    rng = np.random.default_rng(16)
+    x = (rng.normal(size=(5, 6, 3)) * 300).astype(np.float32)
+    gf = gradient(x)
+    assert gf.gx.dtype == gf.gy.dtype == np.float64
+    assert divergence(gf).dtype == np.float64
+    assert laplacian(x).lap.dtype == np.float64
+    x64 = x.astype(np.float64)
+    assert np.array_equal(lar(x, 256), np.mod(x64 + 128.0, 256) - 128.0)
+    ints = np.arange(-50, 50).reshape(10, 10)
+    for modulus in (100, 256.0):  # not a power of two, or not an integer
+        out = lar(ints, modulus)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.mod(ints + modulus / 2.0, modulus) - modulus / 2.0)
+
+
 # ----------------------------------------------------------- poisson solve
 
 def test_poisson_zero_rhs():

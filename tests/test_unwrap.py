@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import reference_unwrap
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import modspike
 from modspike import (HdrImage, ModuloFrame, consistency_residuals,
                       cyclic_encode, gradient, lar, mu_law, mu_law_inverse,
                       unwrap_poisson)
@@ -162,6 +168,91 @@ def test_offset_search_matches_exhaustive_scan():
                          for c in range(modulus)])
         assert np.allclose(got, scan, rtol=0, atol=1e-6 * diff.size * modulus)
         assert got.argmin() == scan.argmin()
+
+
+def test_unwrap_reports_counts_float32_cannot_hold():
+    # a 16-bit strip climbing past 2^24 counts unwraps exactly, but the
+    # float32 samples returned round 270 of them off the frame's residue
+    # class; the zeroth-order residual must see what is returned
+    img = 30011 * np.arange(1100, dtype=np.int64)[None, :]  # peak ~3.3e7
+    frame = wrap_frame(img, bit_depth=16)
+    result = unwrap_poisson(frame)
+    assert np.array_equal(result.rollover_map[0, :, 0], img[0] // 65536)
+    assert np.array_equal(result.hdr.data[0, :, 0], img[0].astype(np.float32))
+    stored = result.hdr.data[0, :, 0].astype(np.int64)
+    assert np.count_nonzero((stored - img[0]) % 65536) == 270
+    assert result.residuals.l_mod > 0
+    assert not result.converged
+
+
+def _parity_scene(seed, bit_depth, shape, channels, smooth):
+    """Integer scene below 2^24 counts: a separable sum of random walks
+    with steps within a quarter period, or uniform noise far beyond it."""
+    rng = np.random.default_rng(seed)
+    modulus = 1 << bit_depth
+    h, w = shape
+    if not smooth:
+        return rng.integers(0, min(2 ** 24, 64 * modulus), size=(h, w, channels))
+    step = modulus // 4
+    rows = np.cumsum(rng.integers(-step, step + 1, size=(h, 1, channels)), axis=0)
+    cols = np.cumsum(rng.integers(-step, step + 1, size=(1, w, channels)), axis=1)
+    img = rows + cols
+    return np.minimum(img - img.min(axis=(0, 1), keepdims=True), 2 ** 24 - 1)
+
+
+_sides = st.integers(2, 40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       bit_depth=st.integers(1, 16),
+       shape=st.one_of(st.just((1, 1)), st.tuples(st.just(1), _sides),
+                       st.tuples(_sides, st.just(1)), st.tuples(_sides, _sides)),
+       channels=st.sampled_from([1, 3]),
+       smooth=st.booleans())
+@example(seed=1, bit_depth=11, shape=(17, 23), channels=3, smooth=True)  # dense offset search
+@example(seed=2, bit_depth=11, shape=(9, 31), channels=1, smooth=False)
+@example(seed=3, bit_depth=12, shape=(23, 17), channels=3, smooth=True)  # FFT offset search
+@example(seed=4, bit_depth=12, shape=(1, 40), channels=1, smooth=False)
+@example(seed=5, bit_depth=16, shape=(40, 1), channels=3, smooth=True)
+@example(seed=6, bit_depth=1, shape=(1, 1), channels=1, smooth=True)
+def test_unwrap_matches_float_reference(seed, bit_depth, shape, channels, smooth):
+    img = _parity_scene(seed, bit_depth, shape, channels, smooth)
+    frame = wrap_frame(img, bit_depth)
+    want = reference_unwrap.unwrap_poisson(frame)
+    got = unwrap_poisson(frame)
+    assert got.hdr.data.tobytes() == want.hdr.data.tobytes()
+    assert got.rollover_map.dtype == want.rollover_map.dtype == np.int32
+    assert np.array_equal(got.rollover_map, want.rollover_map)
+    assert got.residuals.as_tuple() == want.residuals.as_tuple()
+    assert got.converged == want.converged
+
+
+def test_offset_matrices_built_lazily_and_read_only():
+    from modspike.unwrap import _offset_matrices
+    src = str(Path(modspike.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import modspike, modspike.unwrap as u; "
+                               "print(u._offset_matrices.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "0"
+    for matrix in _offset_matrices(256):
+        assert matrix.shape == (256, 256)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+
+def test_cached_offset_objective_equals_per_call_gathers():
+    from modspike.unwrap import _offset_objective
+    rng = np.random.default_rng(15)
+    for bit_depth in range(1, 12):
+        modulus = 1 << bit_depth
+        diff = rng.normal(scale=5 * modulus, size=(11, 13))
+        assert np.array_equal(_offset_objective(diff, modulus),
+                              reference_unwrap.offset_objective(diff, modulus))
 
 
 # ------------------------------------------------------ consistency_residuals
