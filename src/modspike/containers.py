@@ -16,7 +16,9 @@ artifact gets a purpose-built little-endian container:
                               + frame_count:u32
                               + frames as u8 when bit_depth <= 8, else u16
 
-Every writer/reader pair is a bijection on valid values.
+Every writer/reader pair is a bijection on valid values. A writer checks
+every header field against its struct range before it opens the file, so
+a value the container cannot hold raises FormatError and leaves no file.
 """
 
 from __future__ import annotations
@@ -78,13 +80,32 @@ def _open(path) -> _Reader:
     return _Reader(path, Path(path).read_bytes())
 
 
+def _pack_header(path, magic: bytes, height, width, channels, *fields) -> bytes:
+    """The common header followed by `fields`, each a (name, struct code,
+    value) triple. Every value is checked against its code's range before
+    anything touches the file, so a writer either writes a valid container
+    or raises FormatError and leaves no file behind."""
+    named = (("height", "I", height), ("width", "I", width),
+             ("channels", "I", channels)) + fields
+    for name, code, value in named:
+        try:
+            struct.pack("<" + code, value)
+        except (struct.error, OverflowError):
+            raise FormatError(
+                f"{path}: {name}={value!r} does not fit the container's "
+                f"'{code}' header field") from None
+    return (_HEADER.pack(magic, VERSION, height, width, channels)
+            + struct.pack("<" + "".join(code for _, code, _ in fields),
+                          *(value for _, _, value in fields)))
+
+
 def write_hdr(path, image: HdrImage) -> None:
     dtype = _DTYPE_U16 if image.data.dtype == np.uint16 else _DTYPE_F32
+    header = _pack_header(path, MAGIC_HDR, image.height, image.width, image.channels,
+                          ("dtype", "B", dtype))
     payload = image.data.astype("<u2" if dtype == _DTYPE_U16 else "<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_HDR, VERSION, image.height, image.width,
-                              image.channels))
-        fh.write(struct.pack("<B", dtype))
+        fh.write(header)
         fh.write(payload)
 
 
@@ -105,10 +126,11 @@ def read_hdr(path) -> HdrImage:
 
 
 def write_spikes(path, stream: SpikeStream) -> None:
+    header = _pack_header(path, MAGIC_SPIKES, stream.height, stream.width, stream.channels,
+                          ("frame_count", "I", stream.frame_count),
+                          ("readout_rate_hz", "I", stream.readout_rate_hz))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_SPIKES, VERSION, stream.height, stream.width,
-                              stream.channels))
-        fh.write(struct.pack("<II", stream.frame_count, stream.readout_rate_hz))
+        fh.write(header)
         fh.write(stream.packed.tobytes())
 
 
@@ -129,11 +151,13 @@ def write_modulo(path, seq: ModuloSequence) -> None:
         raise FormatError(f"{path}: refusing to write an empty modulo sequence")
     first = seq.frames[0]
     wide = first.bit_depth > 8
+    header = _pack_header(path, MAGIC_MODULO, first.height, first.width, first.channels,
+                          ("bit_depth", "B", first.bit_depth), ("window", "H", seq.window),
+                          ("stride", "H", seq.stride), ("gain", "f", seq.gain),
+                          ("source_rate_hz", "I", seq.source_rate_hz),
+                          ("frame_count", "I", len(seq.frames)))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_MODULO, VERSION, first.height, first.width,
-                              first.channels))
-        fh.write(struct.pack("<BHHfII", first.bit_depth, seq.window, seq.stride,
-                             seq.gain, seq.source_rate_hz, len(seq.frames)))
+        fh.write(header)
         for frame in seq.frames:
             fh.write(frame.data.astype("<u2" if wide else "u1").tobytes())
 

@@ -76,25 +76,36 @@ def frame_capacity(source_frames: int, window: int, stride: int) -> int:
     return (source_frames - window) // stride + 1
 
 
-def window_sums(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
-    """Raw windowed integrals: sums[i] = sum of U_k for k in the i-th query
-    window, shape (frames, H, W, C) float64."""
+def _per_window(clip: IrradianceClip, spec: QuerySpec, dtype, finish) -> np.ndarray:
+    """finish(float64 sum of U_k over the i-th query window) for every
+    window, stacked into a (frames, H, W, C) array of `dtype`.
+
+    Each window is reduced on its own, plane by plane in index order, with
+    float64 accumulation; that is the rounding of an axis-0 sum over a
+    float64 copy of the window, without copying the clip.
+    """
     k_total = clip.micro_intervals
     if spec.window > k_total:
         raise ValidationError(
             f"QuerySpec.window: window {spec.window} exceeds clip micro-intervals {k_total}")
     count = frame_capacity(k_total, spec.window, spec.stride)
-    u = clip.u.astype(np.float64)
-    out = np.empty((count,) + u.shape[1:], dtype=np.float64)
+    out = np.empty((count,) + clip.u.shape[1:], dtype=dtype)
     for i in range(count):
         start = i * spec.stride
-        out[i] = u[start:start + spec.window].sum(axis=0)
+        out[i] = finish(clip.u[start:start + spec.window].sum(axis=0, dtype=np.float64))
     return out
+
+
+def window_sums(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
+    """Raw windowed integrals: sums[i] = sum of U_k for k in the i-th query
+    window, shape (frames, H, W, C) float64."""
+    return _per_window(clip, spec, np.float64, lambda total: total)
 
 
 def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
     """Pre-wrap digital counts floor(gain * windowed integral), int64."""
-    return np.floor(spec.digital_gain * window_sums(clip, spec)).astype(np.int64)
+    return _per_window(clip, spec, np.int64,
+                       lambda total: np.floor(spec.digital_gain * total))
 
 
 def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,

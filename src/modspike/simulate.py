@@ -23,6 +23,11 @@ different wrap states. `mosaic_sample` applies that layout to a full-
 resolution clip, producing a half-resolution 3-channel clip.
 
 Simulation is deterministic for a fixed (clip, config, seed).
+
+A clip's `u` need not hold K separate planes: a static scene is one
+read-only plane broadcast over K with a stride-0 leading axis, so its
+memory does not grow with the capture length. Every function here
+accepts either form.
 """
 
 from __future__ import annotations
@@ -35,9 +40,26 @@ from scipy import ndimage
 from .types import HdrImage, SensorConfig, SpikeStream, ValidationError
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """True when nothing can write to `arr`'s memory through numpy: it and
+    every array it views are read-only, down to one that owns its data."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
 @dataclass(frozen=True)
 class IrradianceClip:
-    """Per-micro-interval irradiance integrals, shape (K, H, W, C)."""
+    """Per-micro-interval irradiance integrals, shape (K, H, W, C).
+
+    `u` may be a stride-0 broadcast over K (a static scene: one plane
+    repeated K times). An array that is read-only all the way down its
+    `.base` chain is kept as given, without a copy and without forcing
+    contiguity; any other input is copied once, so later writes by the
+    caller never reach the clip.
+    """
 
     u: np.ndarray  # (K, H, W, C) float32, read-only, nonnegative
 
@@ -49,13 +71,15 @@ class IrradianceClip:
             raise ValidationError("IrradianceClip.u: need at least one micro-interval")
         if u.shape[3] not in (1, 3):
             raise ValidationError(f"IrradianceClip.u: channels must be 1 or 3, got {u.shape[3]}")
-        if u.size and float(u.min()) < 0:
+        # a broadcast axis repeats one sample: check it once
+        distinct = u[tuple(slice(0, 1) if step == 0 else slice(None) for step in u.strides)]
+        if u.size and float(distinct.min()) < 0:
             raise ValidationError("IrradianceClip.u: integrals must be nonnegative")
-        out = np.ascontiguousarray(u)
-        if out is self.u:
-            out = out.copy()
-        out.setflags(write=False)
-        object.__setattr__(self, "u", out)
+        if not _frozen(u):
+            out = np.ascontiguousarray(u)
+            u = out.copy() if out is self.u else out
+            u.setflags(write=False)
+        object.__setattr__(self, "u", u)
 
     @property
     def micro_intervals(self) -> int:
@@ -132,21 +156,22 @@ def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> Irradi
     """Build the per-interval integrals of a moving scene.
 
     Interval k holds warp(base, motion at k/(K-1)) * (T/K); identity motion
-    yields K identical planes equal to base * T/K.
+    yields the single plane base * T/K broadcast over K (stride-0 `u`).
     """
     k_total = cfg.micro_intervals
     dt = cfg.total_time_s / k_total
     base_arr = base.values()
     if motion.is_identity:
-        u = np.broadcast_to((base_arr * dt).astype(np.float32),
-                            (k_total,) + base_arr.shape)
-        return IrradianceClip(u=u.copy())
+        plane = (base_arr * dt).astype(np.float32)
+        plane.setflags(write=False)
+        return IrradianceClip(u=np.broadcast_to(plane, (k_total,) + plane.shape))
     u = np.empty((k_total,) + base_arr.shape, dtype=np.float32)
     for k in range(k_total):
         frac = k / (k_total - 1) if k_total > 1 else 0.0
         for c in range(base_arr.shape[2]):
             warped = _warp(base_arr[:, :, c], motion, frac)
             u[k, :, :, c] = np.maximum(warped, 0.0) * dt
+    u.setflags(write=False)
     return IrradianceClip(u=u)
 
 
@@ -156,6 +181,14 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     The clip's K micro-intervals must split evenly over the R readout
     intervals implied by the config. With `shot_noise` the per-interval
     drive is a Poisson draw with mean gain*U_k, seeded by `rng_seed`.
+
+    Reset-by-subtraction takes `floor_divide(acc, threshold)` quanta out of
+    each accumulator. While every accumulator lies in [0, 2*threshold), that
+    quotient is 0 below the threshold and exactly 1 at or above it (fmod is
+    exact there), so a compare and a subtraction give the same bits at a
+    fraction of the cost; any other step (an accumulator at or above
+    2*threshold, a negative one left by a huge quotient, NaN) runs the
+    division itself.
     """
     r_frames = cfg.readout_frames
     k_total = clip.micro_intervals
@@ -169,23 +202,29 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     q = float(cfg.conversion_gain)
     shape = (clip.height, clip.width, clip.channels)
     acc = np.zeros(shape, dtype=np.float64)
+    drive = np.empty(shape, dtype=np.float64)
+    hit = np.empty(shape, dtype=bool)
     bits = np.zeros((r_frames,) + shape, dtype=np.uint8)
+    nonnegative = True  # no accumulator below zero
     for r in range(r_frames):
-        fired = np.zeros(shape, dtype=bool)
+        fired = bits[r].view(bool)
         for j in range(sub):
-            drive = q * clip.u[r * sub + j].astype(np.float64)
+            np.multiply(clip.u[r * sub + j], q, out=drive, dtype=np.float64)
             if cfg.shot_noise:
-                drive = rng.poisson(drive).astype(np.float64)
+                drive[...] = rng.poisson(drive)
             acc += drive
             if cfg.reset_to_zero:
-                hit = acc >= eta
+                np.greater_equal(acc, eta, out=hit)
                 acc[hit] = 0.0
-                fired |= hit
+            elif nonnegative and acc.max() < 2 * eta:
+                np.greater_equal(acc, eta, out=hit)
+                acc -= np.multiply(hit, eta, out=drive)
             else:
                 n = np.floor_divide(acc, eta)
                 acc -= n * eta
-                fired |= n > 0
-        bits[r] = fired
+                np.greater(n, 0, out=hit)
+                nonnegative = not acc.min() < 0
+            fired |= hit
     return SpikeStream.from_bits(bits, readout_rate_hz=int(round(cfg.readout_rate_hz)))
 
 
@@ -193,15 +232,20 @@ def mosaic_sample(full: IrradianceClip, layout: MosaicLayout = MosaicLayout()) -
     """Sample a full-resolution clip through the 2x2 macro-pixel layout.
 
     Output channel c takes, in every block, the single pixel under filter
-    c; the unused position is dropped. Shape becomes (K, H/2, W/2, 3).
+    c; the unused position is dropped. Shape becomes (K, H/2, W/2, 3). A
+    static clip (stride-0 `u`) is sampled once and stays one plane.
     """
     if full.height % 2 or full.width % 2:
         raise ValidationError(
             f"IrradianceClip: mosaic sampling needs even dimensions, got "
             f"{full.height}x{full.width}")
-    out = np.empty((full.micro_intervals, full.height // 2, full.width // 2, 3),
-                   dtype=np.float32)
+    static = full.u.strides[0] == 0
+    src = full.u[:1] if static else full.u
+    out = np.empty((src.shape[0], full.height // 2, full.width // 2, 3), dtype=np.float32)
     for c, pos in enumerate((layout.red, layout.green, layout.blue)):
         src_c = c if full.channels == 3 else 0
-        out[:, :, :, c] = full.u[:, pos[0]::2, pos[1]::2, src_c]
+        out[:, :, :, c] = src[:, pos[0]::2, pos[1]::2, src_c]
+    out.setflags(write=False)
+    if static:
+        out = np.broadcast_to(out, (full.micro_intervals,) + out.shape[1:])
     return IrradianceClip(u=out)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from modspike import (EncoderConfig, FormatError, HdrImage, ModuloFrame,
                       ModuloSequence, SpikeStream, encode_stream, read_hdr,
-                      read_modulo, read_spikes, write_hdr, write_modulo,
-                      write_spikes)
+                      plane_bytes, read_modulo, read_spikes, write_hdr,
+                      write_modulo, write_spikes)
 
 
 # ------------------------------------------------------------------- LHDR
@@ -161,3 +161,55 @@ def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
         read_spikes(path)
     with pytest.raises(FormatError, match="bad magic"):
         read_hdr(path)
+
+
+# ------------------------------------------------------- writer header range
+
+def _modulo_with(**fields):
+    frame = ModuloFrame(data=np.zeros((2, 3), dtype=np.uint16), bit_depth=8)
+    base = dict(frames=(frame,), window=4, stride=4, gain=1.0, source_rate_hz=20000)
+    return ModuloSequence(**{**base, **fields})
+
+
+def _spikes_with(frame_count=2, readout_rate_hz=20000, height=2, width=3):
+    packed = np.zeros((frame_count, 1, plane_bytes(height, width)), dtype=np.uint8)
+    return SpikeStream(height=height, width=width, channels=1, frame_count=frame_count,
+                       readout_rate_hz=readout_rate_hz, packed=packed)
+
+
+@pytest.mark.parametrize("write, value, field", [
+    (write_modulo, _modulo_with(window=70000), "window"),
+    (write_modulo, _modulo_with(window=70000, stride=70000), "window"),
+    (write_modulo, _modulo_with(source_rate_hz=-5), "source_rate_hz"),
+    (write_modulo, _modulo_with(source_rate_hz=1 << 32), "source_rate_hz"),
+    (write_modulo, _modulo_with(gain=1e39), "gain"),
+    (write_spikes, _spikes_with(readout_rate_hz=1 << 32), "readout_rate_hz"),
+    (write_spikes, _spikes_with(readout_rate_hz=20000.5), "readout_rate_hz"),
+    # zero-width rasters hold no samples, so a 2^32 row count costs nothing
+    (write_spikes, _spikes_with(frame_count=1 << 32, width=0), "frame_count"),
+    (write_spikes, _spikes_with(height=1 << 32, width=0), "height"),
+    (write_hdr, HdrImage(data=np.zeros((1 << 32, 0, 1), dtype=np.float32)), "height"),
+])
+def test_writer_rejects_unrepresentable_header_and_leaves_no_file(tmp_path, write, value,
+                                                                  field):
+    path = tmp_path / "out.bin"
+    with pytest.raises(FormatError, match=field):
+        write(path, value)
+    assert not path.exists()
+
+
+def test_writer_header_check_keeps_an_existing_file(tmp_path):
+    path = tmp_path / "m.modq"
+    write_modulo(path, _modulo_with())
+    before = path.read_bytes()
+    with pytest.raises(FormatError):
+        write_modulo(path, _modulo_with(window=70000))
+    assert path.read_bytes() == before
+
+
+def test_writer_limits_are_inclusive(tmp_path):
+    seq = _modulo_with(window=65535, stride=65535, source_rate_hz=(1 << 32) - 1)
+    path = tmp_path / "edge.modq"
+    write_modulo(path, seq)
+    back = read_modulo(path)
+    assert (back.window, back.stride, back.source_rate_hz) == (65535, 65535, (1 << 32) - 1)
