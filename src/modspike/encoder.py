@@ -11,11 +11,13 @@ Two routes produce wrapped frames:
 
   * `encode_stream` / `ChunkedEncoder` — the hardware-domain counterpart:
     per pixel, frame j = mod(floor(gain * spike count over window), 2^N).
-    The implementation keeps a ring of the last `window` bit-packed
-    planes and a per-pixel running count, adding each entering plane and
-    subtracting the leaving one, so each output frame costs O(pixels)
-    regardless of window length. Output is bit-identical to recounting
-    every window from scratch.
+    The implementation keeps an unpacked ring of the last `window` planes
+    and a per-pixel running count in the narrowest unsigned type that
+    holds `window`, adding each entering plane and subtracting the
+    leaving one, so the cost is O(pixels) per spike frame for any window.
+    Each output frame is one lookup in a table of the wrapped code for
+    every count 0..window. Output is bit-identical to recounting every
+    window from scratch.
 
 Partial trailing windows are never emitted. For a stream of R frames the
 output holds floor((R - window)/stride) + 1 frames, at an effective rate
@@ -24,7 +26,6 @@ of readout_rate/stride.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,6 +141,17 @@ def readout_window(start_micro: int, length_micro: int, micro_count: int,
     return range(first, last + 1)
 
 
+def _as_bits(chunk: np.ndarray) -> np.ndarray:
+    """`chunk` as uint8, after checking that every sample is 0 or 1."""
+    if chunk.dtype == np.uint8:
+        valid = chunk.size == 0 or chunk.max() <= 1
+    else:
+        valid = ((chunk == 0) | (chunk == 1)).all()
+    if not valid:
+        raise ValidationError("chunk: samples must be 0 or 1")
+    return chunk.astype(np.uint8, copy=False)
+
+
 class ChunkedEncoder:
     """Incremental sliding-window modulo encoder.
 
@@ -148,15 +160,31 @@ class ChunkedEncoder:
     each wrapped frame as soon as the last spike frame of its window has
     been consumed. The concatenated emissions are bit-identical to
     encoding the whole stream at once.
+
+    State is a ring of the last `window` spike planes, unpacked and in
+    (C, H, W) layout, and a per-pixel count in the narrowest unsigned type
+    that holds `window`. A chunk is consumed in blocks that end where a
+    window closes: each block's planes are added to the counts and the
+    planes they overwrite in the ring are subtracted, so the cost is
+    O(pixels) per spike frame for any window. The counts are exact,
+    because the true count lies in [0, window]. A table built once maps
+    each count to its wrapped code, mod(floor(gain * count), 2^N).
     """
 
     def __init__(self, height: int, width: int, channels: int,
                  cfg: EncoderConfig, source_rate_hz: int = 0):
+        for name, size in (("height", height), ("width", width)):
+            if not size >= 1:
+                raise ValidationError(f"ChunkedEncoder.{name}: must be >= 1, got {size}")
+        if channels not in (1, 3):
+            raise ValidationError(f"ChunkedEncoder.channels: must be 1 or 3, got {channels}")
         self._shape = (height, width, channels)
         self._cfg = cfg
         self._source_rate_hz = source_rate_hz
-        self._counts = np.zeros(self._shape, dtype=np.int32)
-        self._ring: deque[np.ndarray] = deque()  # packed planes, oldest first
+        self._ring = np.zeros((cfg.window, channels, height, width), dtype=np.uint8)
+        self._counts = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
+        pre = np.floor(cfg.gain * np.arange(cfg.window + 1, dtype=np.float64))
+        self._wrap = np.mod(pre, cfg.modulus).astype(np.uint16)
         self._consumed = 0
         self._emitted: list[ModuloFrame] = []
 
@@ -164,19 +192,30 @@ class ChunkedEncoder:
     def frames_consumed(self) -> int:
         return self._consumed
 
-    def _pack(self, frame_bits: np.ndarray) -> np.ndarray:
-        flat = np.transpose(frame_bits, (2, 0, 1)).reshape(self._shape[2], -1)
-        return np.packbits(flat, axis=-1, bitorder="little")
+    def _next_close(self) -> int:
+        """1-based index of the next spike frame that closes a window."""
+        window, stride = self._cfg.window, self._cfg.stride
+        if self._consumed < window:
+            return window
+        return self._consumed + stride - (self._consumed - window) % stride
 
-    def _unpack(self, packed: np.ndarray) -> np.ndarray:
-        h, w, c = self._shape
-        flat = np.unpackbits(packed, axis=-1, count=h * w, bitorder="little")
-        return np.transpose(flat.reshape(c, h, w), (1, 2, 0))
+    def _consume(self, block: np.ndarray) -> None:
+        """Add a (n, C, H, W) block of at most `window` planes to the ring."""
+        counts, ring = self._counts, self._ring
+        first = self._consumed % len(ring)
+        split = min(len(block), len(ring) - first)
+        for slots, planes in ((slice(first, first + split), block[:split]),
+                              (slice(0, len(block) - split), block[split:])):
+            if len(planes):
+                counts -= ring[slots].sum(0, dtype=counts.dtype)
+                counts += planes.sum(0, dtype=counts.dtype)
+                ring[slots] = planes
+        self._consumed += len(block)
 
     def push(self, chunk: np.ndarray, start_frame: int | None = None) -> list[ModuloFrame]:
         """Consume a (frames, H, W, C) chunk of {0,1} samples; return the
         wrapped frames completed by it."""
-        chunk = np.asarray(chunk, dtype=np.uint8)
+        chunk = np.asarray(chunk)
         if chunk.ndim != 4 or chunk.shape[1:] != self._shape:
             raise ValidationError(
                 f"chunk: expected shape (n, {self._shape[0]}, {self._shape[1]}, "
@@ -185,19 +224,17 @@ class ChunkedEncoder:
             raise ValidationError(
                 f"chunk: out-of-order chunk (starts at frame {start_frame}, "
                 f"expected {self._consumed + 1})")
-        cfg = self._cfg
+        planes = np.moveaxis(_as_bits(chunk), 3, 1)
         out: list[ModuloFrame] = []
-        for frame_bits in chunk:
-            if len(self._ring) == cfg.window:
-                self._counts -= self._unpack(self._ring.popleft())
-            self._ring.append(self._pack(frame_bits))
-            self._counts += frame_bits
-            self._consumed += 1
-            r = self._consumed
-            if r >= cfg.window and (r - cfg.window) % cfg.stride == 0:
-                pre = np.floor(cfg.gain * self._counts.astype(np.float64))
-                wrapped = np.mod(pre, cfg.modulus).astype(np.uint16)
-                frame = ModuloFrame(data=wrapped, bit_depth=cfg.bit_depth)
+        start = 0
+        while start < len(planes):
+            close = self._next_close()
+            stop = min(len(planes), start + close - self._consumed)
+            self._consume(planes[start:stop])
+            start = stop
+            if self._consumed == close:
+                frame = ModuloFrame(data=np.moveaxis(np.take(self._wrap, self._counts), 0, 2),
+                                    bit_depth=self._cfg.bit_depth)
                 out.append(frame)
                 self._emitted.append(frame)
         return out
@@ -219,6 +256,8 @@ def encode_stream(stream: SpikeStream, cfg: EncoderConfig,
     Frames are unpacked in bounded slices so memory stays O(window), not
     O(stream length).
     """
+    if unpack_step < 1:
+        raise ValidationError(f"unpack_step: must be >= 1, got {unpack_step}")
     if stream.frame_count < cfg.window:
         raise ValidationError(
             f"SpikeStream.frame_count: {stream.frame_count} frames is shorter "
@@ -237,7 +276,7 @@ def encode_streaming_chunked(chunks: Iterable[np.ndarray] | Sequence[np.ndarray]
     chunks; equivalent bit-for-bit to `encode_stream` on the concatenation."""
     enc: ChunkedEncoder | None = None
     for chunk in chunks:
-        chunk = np.asarray(chunk, dtype=np.uint8)
+        chunk = np.asarray(chunk)
         if chunk.ndim != 4:
             raise ValidationError(f"chunk: expected (n, H, W, C), got shape {chunk.shape}")
         if enc is None:

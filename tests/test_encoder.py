@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip,
@@ -133,6 +133,13 @@ def test_encode_stream_bounded_unpack_matches_default():
         assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("step", [0, -5])
+def test_encode_stream_rejects_unpack_step_below_1(step):
+    stream = random_stream(np.random.default_rng(3), frames=30)
+    with pytest.raises(ValidationError, match="unpack_step"):
+        encode_stream(stream, EncoderConfig(window=25, stride=20), unpack_step=step)
+
+
 def test_encode_rejects_short_stream():
     stream = SpikeStream.from_bits(np.zeros((10, 2, 2, 1), dtype=np.uint8),
                                    readout_rate_hz=100)
@@ -212,6 +219,88 @@ def test_out_of_order_chunk_rejected():
     enc.push(chunk, start_frame=1)
     with pytest.raises(ValidationError, match="out-of-order"):
         enc.push(chunk, start_frame=9)
+
+
+@pytest.mark.parametrize("field, dims", [
+    ("height", (0, 4, 1)), ("height", (-1, 4, 1)), ("width", (4, 0, 3)),
+    ("width", (4, -3, 3)), ("channels", (4, 4, 2)), ("channels", (4, 4, 0)),
+])
+def test_chunked_encoder_rejects_bad_geometry(field, dims):
+    with pytest.raises(ValidationError, match=f"ChunkedEncoder.{field}"):
+        ChunkedEncoder(*dims, EncoderConfig(window=4, stride=2))
+
+
+@pytest.mark.parametrize("bad", [
+    np.full((3, 2, 2, 1), 2, dtype=np.uint8),
+    np.full((3, 2, 2, 1), -1, dtype=np.int8),
+    np.full((3, 2, 2, 1), 256, dtype=np.int64),
+    np.full((3, 2, 2, 1), 0.5),
+    np.full((3, 2, 2, 1), np.nan),
+])
+def test_push_rejects_samples_other_than_0_1(bad):
+    cfg = EncoderConfig(window=2, stride=1, gain=1.0, bit_depth=8)
+    enc = ChunkedEncoder(2, 2, 1, cfg)
+    with pytest.raises(ValidationError, match="samples must be 0 or 1"):
+        enc.push(bad)
+    assert enc.frames_consumed == 0
+    with pytest.raises(ValidationError, match="samples must be 0 or 1"):
+        encode_streaming_chunked([bad], cfg)
+
+
+@st.composite
+def window_and_stride(draw):
+    window = draw(st.integers(1, 300))
+    return window, draw(st.integers(1, window))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=window_and_stride(), bit_depth=st.integers(1, 16),
+       gain=st.one_of(st.sampled_from([0.1, 1.0, 2.5, 15.0, 9000.0, 1e300]),
+                      st.floats(1e-3, 1e300)),
+       channels=st.sampled_from([1, 3]), h=st.integers(1, 3), w=st.integers(1, 3),
+       extra=st.integers(0, 120), density=st.sampled_from([0.05, 0.5, 0.95, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1), cuts=st.lists(st.integers(0, 10 ** 6), max_size=8),
+       per_frame=st.booleans(), contiguous=st.booleans(),
+       dtype=st.sampled_from([np.uint8, np.bool_, np.int64, np.float32]))
+@example(geometry=(255, 1), bit_depth=8, gain=1.0, channels=3, h=2, w=3, extra=30,
+         density=1.0, seed=1, cuts=[100], per_frame=False, contiguous=False,
+         dtype=np.uint8)
+@example(geometry=(256, 7), bit_depth=9, gain=2.0, channels=1, h=3, w=2, extra=60,
+         density=0.95, seed=2, cuts=[], per_frame=True, contiguous=True,
+         dtype=np.bool_)
+@example(geometry=(256, 256), bit_depth=16, gain=1e300, channels=3, h=1, w=1, extra=300,
+         density=1.0, seed=3, cuts=[17, 400], per_frame=False, contiguous=False,
+         dtype=np.uint8)
+@example(geometry=(50, 10), bit_depth=12, gain=2.3, channels=3, h=2, w=2, extra=40,
+         density=1.0, seed=5, cuts=[33], per_frame=False, contiguous=True,
+         dtype=np.uint8)  # 2.3 * 50 needs f64
+@example(geometry=(65536, 5000), bit_depth=16, gain=1.0, channels=1, h=1, w=1,
+         extra=10000, density=0.95, seed=4, cuts=[30000], per_frame=False, contiguous=False,
+         dtype=np.uint8)
+def test_chunked_encoder_matches_naive_recount(geometry, bit_depth, gain, channels, h, w,
+                                               extra, density, seed, cuts, per_frame,
+                                               contiguous, dtype):
+    window, stride = geometry
+    cfg = EncoderConfig(window=window, stride=stride, gain=gain, bit_depth=bit_depth)
+    total = window + extra
+    rng = np.random.default_rng(seed)
+    raw = (rng.random((total, h, w, channels)) < density).astype(np.uint8)
+    bits = SpikeStream.from_bits(raw, readout_rate_hz=20000).bits()
+    if contiguous:
+        bits = np.ascontiguousarray(bits)
+    bits = bits.astype(dtype, copy=False)
+    bounds = list(range(total + 1)) if per_frame else (
+        [0] + sorted(c % (total + 1) for c in cuts) + [total])
+    enc = ChunkedEncoder(h, w, channels, cfg)
+    emitted = []
+    for a, b in zip(bounds, bounds[1:]):
+        emitted += enc.push(bits[a:b], start_frame=a + 1)
+    oracle = naive_encode(raw, cfg)
+    assert len(emitted) == len(oracle) == frame_capacity(total, window, stride)
+    for frame, ref in zip(emitted, oracle):
+        assert frame.data.dtype == np.uint16 and frame.data.flags.c_contiguous
+        assert np.array_equal(frame.data, ref)
+    assert enc.sequence().frames == tuple(emitted)
 
 
 @settings(max_examples=40, deadline=None)
