@@ -19,8 +19,7 @@ from .operators import (GradientField, LaplacianField, divergence, gradient,
 from .simulate import (IrradianceClip, MosaicLayout, Motion, integrate_and_fire,
                        mosaic_sample, synthesize_clip)
 from .types import (EncoderConfig, HdrImage, ModuloFrame, QuerySpec,
-                    SensorConfig, SpikeStream, ValidationError, plane_bytes,
-                    validate)
+                    SensorConfig, SpikeStream, ValidationError, plane_bytes)
 from .unwrap import (ConsistencyResiduals, UnwrapResult, consistency_residuals,
                      cyclic_encode, mu_law, mu_law_inverse, unwrap_poisson)
 
@@ -72,7 +71,6 @@ __all__ = [
     "ssim_linear",
     "synthesize_clip",
     "unwrap_poisson",
-    "validate",
     "window_sums",
     "write_hdr",
     "write_modulo",

@@ -173,7 +173,7 @@ def read_modulo(path) -> ModuloSequence:
     for _ in range(frame_count):
         raw = r.take(height * width * channels * item)
         data = np.frombuffer(raw, dtype="<u2" if wide else "u1")
-        frames.append(ModuloFrame(data=data.reshape(height, width, channels).astype(np.uint16),
+        frames.append(ModuloFrame(data=data.reshape(height, width, channels),
                                   bit_depth=bit_depth))
     r.finish()
     return ModuloSequence(frames=tuple(frames), window=window, stride=stride,

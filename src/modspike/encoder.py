@@ -33,7 +33,10 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream,
-                    ValidationError)
+                    ValidationError, check_bit_depth, check_bits, check_dims,
+                    check_geometry, check_ndim, check_positive, check_stride)
+
+UNPACK_STEP = 512  # spike frames unpacked per push by encode_stream
 
 
 @dataclass(frozen=True)
@@ -47,19 +50,13 @@ class ModuloSequence:
     source_rate_hz: int = 0  # 0 when the source rate is not meaningful
 
     def __post_init__(self):
-        if not 1 <= self.stride <= self.window:
-            raise ValidationError(
-                f"ModuloSequence.stride: need 1 <= stride <= window, got "
-                f"stride={self.stride} window={self.window}")
-        if not self.gain > 0:
-            raise ValidationError(f"ModuloSequence.gain: must be positive, got {self.gain}")
+        check_stride(self.stride, self.window, "ModuloSequence")
+        check_positive(self.gain, "ModuloSequence.gain")
         frames = tuple(self.frames)
-        if frames:
-            first = frames[0]
-            for f in frames[1:]:
-                if (f.height, f.width, f.channels, f.bit_depth) != (
-                        first.height, first.width, first.channels, first.bit_depth):
-                    raise ValidationError("ModuloSequence.frames: mixed dimensions or bit depth")
+        for f in frames[1:]:
+            check_dims(f.data.shape + (f.bit_depth,),
+                       frames[0].data.shape + (frames[0].bit_depth,),
+                       "ModuloSequence.frames (H, W, C, bit_depth)")
         object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
@@ -72,6 +69,7 @@ class ModuloSequence:
 
 def frame_capacity(source_frames: int, window: int, stride: int) -> int:
     """Number of complete windows in a source of `source_frames` frames."""
+    check_positive(stride, "stride")
     if source_frames < window:
         return 0
     return (source_frames - window) // stride + 1
@@ -114,13 +112,10 @@ def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,
     """Wrapped frames from the ideal representation: each window's digital
     count modulo 2^bit_depth. `micro_rate_hz` (micro-intervals per second)
     is recorded as the source rate when known."""
-    if not 1 <= bit_depth <= 16:
-        raise ValidationError(f"bit_depth: must be in 1..16, got {bit_depth}")
+    check_bit_depth(bit_depth, "bit_depth")
     counts = ideal_window_counts(clip, spec)
     modulus = 1 << bit_depth
-    frames = tuple(ModuloFrame(data=np.mod(c, modulus).astype(np.uint16),
-                               bit_depth=bit_depth)
-                   for c in counts)
+    frames = tuple(ModuloFrame(data=np.mod(c, modulus), bit_depth=bit_depth) for c in counts)
     return ModuloSequence(frames=frames, window=spec.window, stride=spec.stride,
                           gain=spec.digital_gain, source_rate_hz=micro_rate_hz)
 
@@ -130,6 +125,8 @@ def readout_window(start_micro: int, length_micro: int, micro_count: int,
     """1-based readout frame indices whose intervals tile the query window
     starting at micro-interval `start_micro` (1-based) of length
     `length_micro`. Requires micro_count divisible by frame_count."""
+    check_positive(frame_count, "frame_count")
+    check_positive(micro_count, "micro_count")
     if micro_count % frame_count != 0:
         raise ValidationError(
             f"micro_count: {micro_count} not divisible by frame_count {frame_count}")
@@ -139,17 +136,6 @@ def readout_window(start_micro: int, length_micro: int, micro_count: int,
     first = lo // per_frame + 1
     last = hi // per_frame
     return range(first, last + 1)
-
-
-def _as_bits(chunk: np.ndarray) -> np.ndarray:
-    """`chunk` as uint8, after checking that every sample is 0 or 1."""
-    if chunk.dtype == np.uint8:
-        valid = chunk.size == 0 or chunk.max() <= 1
-    else:
-        valid = ((chunk == 0) | (chunk == 1)).all()
-    if not valid:
-        raise ValidationError("chunk: samples must be 0 or 1")
-    return chunk.astype(np.uint8, copy=False)
 
 
 class ChunkedEncoder:
@@ -173,11 +159,10 @@ class ChunkedEncoder:
 
     def __init__(self, height: int, width: int, channels: int,
                  cfg: EncoderConfig, source_rate_hz: int = 0):
-        for name, size in (("height", height), ("width", width)):
-            if not size >= 1:
-                raise ValidationError(f"ChunkedEncoder.{name}: must be >= 1, got {size}")
-        if channels not in (1, 3):
-            raise ValidationError(f"ChunkedEncoder.channels: must be 1 or 3, got {channels}")
+        check_geometry(height, width, channels, "ChunkedEncoder")
+        # values may hold no samples, but an encoder needs at least one pixel
+        check_positive(height, "ChunkedEncoder.height")
+        check_positive(width, "ChunkedEncoder.width")
         self._shape = (height, width, channels)
         self._cfg = cfg
         self._source_rate_hz = source_rate_hz
@@ -216,15 +201,12 @@ class ChunkedEncoder:
         """Consume a (frames, H, W, C) chunk of {0,1} samples; return the
         wrapped frames completed by it."""
         chunk = np.asarray(chunk)
-        if chunk.ndim != 4 or chunk.shape[1:] != self._shape:
-            raise ValidationError(
-                f"chunk: expected shape (n, {self._shape[0]}, {self._shape[1]}, "
-                f"{self._shape[2]}), got {chunk.shape}")
+        check_dims(chunk.shape[1:], self._shape, "chunk (H, W, C)")
         if start_frame is not None and start_frame != self._consumed + 1:
             raise ValidationError(
                 f"chunk: out-of-order chunk (starts at frame {start_frame}, "
                 f"expected {self._consumed + 1})")
-        planes = np.moveaxis(_as_bits(chunk), 3, 1)
+        planes = np.moveaxis(check_bits(chunk, "chunk"), 3, 1)
         out: list[ModuloFrame] = []
         start = 0
         while start < len(planes):
@@ -249,23 +231,16 @@ class ChunkedEncoder:
                               source_rate_hz=self._source_rate_hz)
 
 
-def encode_stream(stream: SpikeStream, cfg: EncoderConfig,
-                  unpack_step: int = 512) -> ModuloSequence:
+def encode_stream(stream: SpikeStream, cfg: EncoderConfig) -> ModuloSequence:
     """Encode a complete spike stream into wrapped frames.
 
-    Frames are unpacked in bounded slices so memory stays O(window), not
-    O(stream length).
+    Frames are unpacked UNPACK_STEP at a time, so memory stays bounded by
+    the step and the window, not by the stream length.
     """
-    if unpack_step < 1:
-        raise ValidationError(f"unpack_step: must be >= 1, got {unpack_step}")
-    if stream.frame_count < cfg.window:
-        raise ValidationError(
-            f"SpikeStream.frame_count: {stream.frame_count} frames is shorter "
-            f"than window {cfg.window}")
     enc = ChunkedEncoder(stream.height, stream.width, stream.channels, cfg,
                          source_rate_hz=stream.readout_rate_hz)
-    for start in range(0, stream.frame_count, unpack_step):
-        enc.push(stream.bits(start, min(start + unpack_step, stream.frame_count)))
+    for start in range(0, stream.frame_count, UNPACK_STEP):
+        enc.push(stream.bits(start, start + UNPACK_STEP))
     return enc.sequence()
 
 
@@ -277,9 +252,8 @@ def encode_streaming_chunked(chunks: Iterable[np.ndarray] | Sequence[np.ndarray]
     enc: ChunkedEncoder | None = None
     for chunk in chunks:
         chunk = np.asarray(chunk)
-        if chunk.ndim != 4:
-            raise ValidationError(f"chunk: expected (n, H, W, C), got shape {chunk.shape}")
         if enc is None:
+            check_ndim(chunk, (4,), "chunk")
             enc = ChunkedEncoder(chunk.shape[1], chunk.shape[2], chunk.shape[3],
                                  cfg, source_rate_hz=source_rate_hz)
         enc.push(chunk)

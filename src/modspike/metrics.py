@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .types import HdrImage, ValidationError
+from .types import HdrImage, ValidationError, check_dims, check_positive
 from .unwrap import DEFAULT_MU, DEFAULT_PEAK, mu_law
 
 SSIM_WINDOW = 11
@@ -27,17 +27,10 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _check_pair(a: HdrImage, b: HdrImage):
-    if a.data.shape != b.data.shape:
-        raise ValidationError(
-            f"HdrImage: dimension mismatch {a.data.shape} vs {b.data.shape}")
-
-
 def psnr_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """10*log10(peak^2 / MSE); +inf when the images are identical."""
-    _check_pair(a, b)
-    if not peak > 0:
-        raise ValidationError(f"peak: must be positive, got {peak}")
+    check_dims(a.data.shape, b.data.shape, "HdrImage")
+    check_positive(peak, "peak")
     mse = float(np.mean((a.values() - b.values()) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -61,9 +54,8 @@ def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """Mean structural similarity over an 11x11 Gaussian window (sigma 1.5,
     stability constants 0.01/0.03 of peak), channels averaged."""
-    _check_pair(a, b)
-    if not peak > 0:
-        raise ValidationError(f"peak: must be positive, got {peak}")
+    check_dims(a.data.shape, b.data.shape, "HdrImage")
+    check_positive(peak, "peak")
     if a.height < SSIM_WINDOW or a.width < SSIM_WINDOW:
         raise ValidationError(
             f"HdrImage: SSIM needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got "
@@ -123,8 +115,7 @@ def bandwidth_report(height: int, width: int, channels: int, readout_rate_hz: in
     for name, v in (("height", height), ("width", width), ("channels", channels),
                     ("readout_rate_hz", readout_rate_hz), ("bit_depth", bit_depth),
                     ("stride", stride)):
-        if v <= 0:
-            raise ValidationError(f"{name}: must be positive, got {v}")
+        check_positive(v, name)
     if mosaic and (height % 2 or width % 2):
         raise ValidationError(
             f"height/width: mosaic needs even dimensions, got {height}x{width}")

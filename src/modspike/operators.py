@@ -33,11 +33,12 @@ first- and second-order measurements of the unwrapped scene.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dctn, idctn
+
+from .types import check_dims, check_ndim, check_positive
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,8 @@ def _work_dtype(*arrays: np.ndarray) -> np.dtype:
 
 def _as_raster(img, dtype=None) -> np.ndarray:
     arr = np.asarray(img)
-    arr = arr.astype(dtype or _work_dtype(arr), copy=False)
-    if arr.ndim not in (2, 3):
-        raise ValueError(f"expected a (H, W) or (H, W, C) raster, got shape {arr.shape}")
-    return arr
+    check_ndim(arr, (2, 3), "raster")
+    return arr.astype(dtype or _work_dtype(arr), copy=False)
 
 
 def gradient(img) -> GradientField:
@@ -90,11 +89,11 @@ def divergence(gf: GradientField) -> np.ndarray:
     """
     gx = np.asarray(gf.gx)
     gy = np.asarray(gf.gy)
+    check_dims(gx.shape, gy.shape, "GradientField gx, gy")
+    check_ndim(gx, (2, 3), "GradientField")
     dtype = _work_dtype(gx, gy)
     gx = gx.astype(dtype, copy=False)
     gy = gy.astype(dtype, copy=False)
-    if gx.shape != gy.shape:
-        raise ValueError(f"gradient components disagree: {gx.shape} vs {gy.shape}")
     div = np.zeros_like(gx)
     div[:, 0] += gx[:, 0]
     div[:, 1:] += gx[:, 1:] - gx[:, :-1]
@@ -116,8 +115,7 @@ def lar(values, modulus: float):
     integer-valued float64 input. Integer input with an integer power-of-two
     modulus stays integer: ((x + m/2) & (m - 1)) - m/2 in two's complement.
     """
-    if not modulus > 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    check_positive(modulus, "modulus")
     arr = np.asarray(values)
     if (np.issubdtype(arr.dtype, np.integer) and isinstance(modulus, (int, np.integer))
             and modulus & (modulus - 1) == 0):
@@ -129,14 +127,6 @@ def lar(values, modulus: float):
     arr = arr.astype(np.float64, copy=False)
     half = modulus / 2.0
     return np.mod(arr + half, modulus) - half
-
-
-def _fft_workers() -> int:
-    # MODSPIKE_THREADS caps transform workers; output is deterministic either way
-    try:
-        return max(1, int(os.environ.get("MODSPIKE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def poisson_solve(rhs) -> np.ndarray:
@@ -152,7 +142,7 @@ def poisson_solve(rhs) -> np.ndarray:
     if h * w == 1:
         return np.zeros_like(arr)
     compat = arr - arr.mean(axis=(0, 1), keepdims=True)
-    spec = dctn(compat, type=2, norm="ortho", axes=(0, 1), workers=_fft_workers())
+    spec = dctn(compat, type=2, norm="ortho", axes=(0, 1))
     lam_y = 2.0 * np.cos(np.pi * np.arange(h) / h) - 2.0
     lam_x = 2.0 * np.cos(np.pi * np.arange(w) / w) - 2.0
     lam = lam_y[:, None] + lam_x[None, :]
@@ -161,4 +151,4 @@ def poisson_solve(rhs) -> np.ndarray:
         lam = lam[:, :, None]
     spec = spec / lam
     spec[0, 0] = 0.0
-    return idctn(spec, type=2, norm="ortho", axes=(0, 1), workers=_fft_workers())
+    return idctn(spec, type=2, norm="ortho", axes=(0, 1))

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .types import HdrImage, SensorConfig, SpikeStream, ValidationError
+from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze,
+                    check_geometry, check_ndim, check_positive)
 
 
 def _frozen(arr: np.ndarray) -> bool:
@@ -55,8 +56,8 @@ class IrradianceClip:
     """Per-micro-interval irradiance integrals, shape (K, H, W, C).
 
     `u` may be a stride-0 broadcast over K (a static scene: one plane
-    repeated K times). An array that is read-only all the way down its
-    `.base` chain is kept as given, without a copy and without forcing
+    repeated K times). A float32 array that is read-only all the way down
+    its `.base` chain is kept as given, without a copy and without forcing
     contiguity; any other input is copied once, so later writes by the
     caller never reach the clip.
     """
@@ -64,21 +65,16 @@ class IrradianceClip:
     u: np.ndarray  # (K, H, W, C) float32, read-only, nonnegative
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float32)
-        if u.ndim != 4:
-            raise ValidationError(f"IrradianceClip.u: expected (K, H, W, C), got shape {u.shape}")
-        if u.shape[0] < 1:
-            raise ValidationError("IrradianceClip.u: need at least one micro-interval")
-        if u.shape[3] not in (1, 3):
-            raise ValidationError(f"IrradianceClip.u: channels must be 1 or 3, got {u.shape[3]}")
+        u = self.u
+        if not (_frozen(u) and u.dtype == np.float32):
+            u = _freeze(u, np.float32)
+        check_ndim(u, (4,), "IrradianceClip.u")
+        check_positive(u.shape[0], "IrradianceClip.micro_intervals")
+        check_geometry(*u.shape[1:], "IrradianceClip")
         # a broadcast axis repeats one sample: check it once
         distinct = u[tuple(slice(0, 1) if step == 0 else slice(None) for step in u.strides)]
         if u.size and float(distinct.min()) < 0:
             raise ValidationError("IrradianceClip.u: integrals must be nonnegative")
-        if not _frozen(u):
-            out = np.ascontiguousarray(u)
-            u = out.copy() if out is self.u else out
-            u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
     @property

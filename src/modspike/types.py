@@ -24,22 +24,72 @@ class ValidationError(ValueError):
     """An invariant of a value type does not hold; names the failing field."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr:
-        out = arr.copy()
+# Field checkers: each invariant shared across the package is checked here,
+# once, and raises ValidationError naming the field.
+
+def check_positive(value, name: str) -> None:
+    if not value > 0:
+        raise ValidationError(f"{name}: must be positive, got {value}")
+
+
+def check_bit_depth(bit_depth: int, name: str) -> None:
+    if not 1 <= bit_depth <= 16:
+        raise ValidationError(f"{name}: must be in 1..16, got {bit_depth}")
+
+
+def check_stride(stride: int, window: int, owner: str) -> None:
+    if not stride >= 1:
+        raise ValidationError(f"{owner}.stride: must be >= 1, got {stride}")
+    if not stride <= window:
+        raise ValidationError(f"{owner}.stride: stride exceeds window ({stride} > {window})")
+
+
+def check_geometry(height: int, width: int, channels: int, owner: str) -> None:
+    """Sizes are nonnegative and channels are 1 or 3. A zero size is a valid
+    value that holds no samples; the containers round-trip it."""
+    for name, size in (("height", height), ("width", width)):
+        if not size >= 0:
+            raise ValidationError(f"{owner}.{name}: must be >= 0, got {size}")
+    if channels not in (1, 3):
+        raise ValidationError(f"{owner}.channels: must be 1 or 3, got {channels}")
+
+
+def check_ndim(arr: np.ndarray, ndims: tuple[int, ...], name: str) -> None:
+    if arr.ndim not in ndims:
+        raise ValidationError(
+            f"{name}: expected {' or '.join(map(str, ndims))} axes, got shape {arr.shape}")
+
+
+def check_dims(got: tuple, want: tuple, name: str) -> None:
+    if got != want:
+        raise ValidationError(f"{name}: mixed dimensions, {got} mismatches {want}")
+
+
+def check_bits(samples: np.ndarray, name: str) -> np.ndarray:
+    """`samples` as uint8, after checking that every sample is 0 or 1; uint8
+    input is returned as is, after one pass."""
+    if samples.dtype == np.uint8:
+        valid = samples.size == 0 or samples.max() <= 1
+    else:
+        valid = ((samples == 0) | (samples == 1)).all()
+    if not valid:
+        raise ValidationError(f"{name}: samples must be 0 or 1")
+    return samples.astype(np.uint8, copy=False)
+
+
+def _freeze(data, dtype) -> np.ndarray:
+    """A read-only, C-contiguous copy of `data` as `dtype`, made in one pass."""
+    out = np.array(data, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
 
-def _as_raster(data: np.ndarray, name: str) -> np.ndarray:
+def _as_raster(data, owner: str) -> np.ndarray:
     data = np.asarray(data)
+    check_ndim(data, (2, 3), f"{owner}.data")
     if data.ndim == 2:
         data = data[:, :, None]
-    if data.ndim != 3:
-        raise ValidationError(f"{name}: expected a (H, W) or (H, W, C) array, got shape {data.shape}")
-    if data.shape[2] not in (1, 3):
-        raise ValidationError(f"{name}: channels must be 1 or 3, got {data.shape[2]}")
+    check_geometry(*data.shape, owner)
     return data
 
 
@@ -54,17 +104,14 @@ class HdrImage:
     data: np.ndarray  # (H, W, C), float32 or uint16, read-only
 
     def __post_init__(self):
-        data = _as_raster(self.data, "HdrImage.data")
-        if data.dtype == np.uint16:
-            pass
-        elif data.dtype != np.float32:
-            data = data.astype(np.float32)
+        data = _as_raster(self.data, "HdrImage")
+        data = _freeze(data, np.uint16 if data.dtype == np.uint16 else np.float32)
         if data.dtype == np.float32:
             if not np.all(np.isfinite(data)):
                 raise ValidationError("HdrImage.data: samples must be finite")
             if np.any(data < 0):
                 raise ValidationError("HdrImage.data: samples must be nonnegative")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", data)
 
     @property
     def height(self) -> int:
@@ -94,16 +141,15 @@ class ModuloFrame:
     bit_depth: int
 
     def __post_init__(self):
-        if not 1 <= self.bit_depth <= 16:
-            raise ValidationError(f"ModuloFrame.bit_depth: must be in 1..16, got {self.bit_depth}")
-        data = _as_raster(self.data, "ModuloFrame.data")
+        check_bit_depth(self.bit_depth, "ModuloFrame.bit_depth")
+        data = _as_raster(self.data, "ModuloFrame")
         if not np.issubdtype(data.dtype, np.integer):
             raise ValidationError("ModuloFrame.data: samples must be integers")
-        if np.any(data < 0) or np.any(data >= (1 << self.bit_depth)):
+        if data.size and (data.min() < 0 or data.max() >= 1 << self.bit_depth):
             raise ValidationError(
                 f"ModuloFrame.data: samples must lie in [0, 2^{self.bit_depth})"
             )
-        object.__setattr__(self, "data", _freeze(data.astype(np.uint16)))
+        object.__setattr__(self, "data", _freeze(data, np.uint16))
 
     @property
     def height(self) -> int:
@@ -146,32 +192,23 @@ class SpikeStream:
     packed: np.ndarray  # (R, C, plane_bytes) uint8, read-only
 
     def __post_init__(self):
-        if self.frame_count < 1:
-            raise ValidationError(f"SpikeStream.frame_count: must be >= 1, got {self.frame_count}")
-        if self.readout_rate_hz <= 0:
-            raise ValidationError(
-                f"SpikeStream.readout_rate_hz: must be positive, got {self.readout_rate_hz}"
-            )
-        if self.channels not in (1, 3):
-            raise ValidationError(f"SpikeStream.channels: must be 1 or 3, got {self.channels}")
-        packed = np.asarray(self.packed, dtype=np.uint8)
-        want = (self.frame_count, self.channels, plane_bytes(self.height, self.width))
-        if packed.shape != want:
-            raise ValidationError(
-                f"SpikeStream.packed: expected shape {want}, got {packed.shape}"
-            )
-        object.__setattr__(self, "packed", _freeze(packed))
+        check_positive(self.frame_count, "SpikeStream.frame_count")
+        check_positive(self.readout_rate_hz, "SpikeStream.readout_rate_hz")
+        check_geometry(self.height, self.width, self.channels, "SpikeStream")
+        packed = _freeze(self.packed, np.uint8)
+        check_dims(packed.shape,
+                   (self.frame_count, self.channels, plane_bytes(self.height, self.width)),
+                   "SpikeStream.packed")
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray, readout_rate_hz: int) -> "SpikeStream":
         """Pack a (frame_count, H, W, C) array of {0,1} samples."""
         bits = np.asarray(bits)
-        if bits.ndim != 4:
-            raise ValidationError(f"SpikeStream bits: expected (R, H, W, C), got shape {bits.shape}")
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
-            raise ValidationError("SpikeStream bits: samples must be 0 or 1")
+        check_ndim(bits, (4,), "SpikeStream bits")
         r, h, w, c = bits.shape
-        flat = np.transpose(bits.astype(np.uint8), (0, 3, 1, 2)).reshape(r, c, h * w)
+        bits = check_bits(bits, "SpikeStream bits")
+        flat = np.transpose(bits, (0, 3, 1, 2)).reshape(r, c, h * w)
         packed = np.packbits(flat, axis=-1, bitorder="little")
         return cls(height=h, width=w, channels=c, frame_count=r,
                    readout_rate_hz=readout_rate_hz, packed=packed)
@@ -207,7 +244,23 @@ class SensorConfig:
     reset_to_zero: bool = False     # default is reset-by-subtraction
 
     def __post_init__(self):
-        validate(self)
+        for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
+                     "micro_intervals"):
+            check_positive(getattr(self, name), f"SensorConfig.{name}")
+        r_exact = self.readout_rate_hz * self.total_time_s
+        r = round(r_exact)
+        if r < 1 or not math.isclose(r_exact, r, rel_tol=0, abs_tol=1e-6):
+            raise ValidationError(
+                "SensorConfig.readout_rate_hz*total_time_s: readout frame count "
+                f"must be a positive integer, got {r_exact}")
+        if self.micro_intervals < r:
+            raise ValidationError(
+                f"SensorConfig.micro_intervals: must be >= readout frame count {r}, "
+                f"got {self.micro_intervals}")
+        if self.micro_intervals % r != 0:
+            raise ValidationError(
+                f"SensorConfig.micro_intervals: must be divisible by readout frame "
+                f"count {r}, got {self.micro_intervals}")
 
     @property
     def readout_frames(self) -> int:
@@ -225,7 +278,9 @@ class EncoderConfig:
     bit_depth: int = 8
 
     def __post_init__(self):
-        validate(self)
+        check_stride(self.stride, self.window, "EncoderConfig")
+        check_positive(self.gain, "EncoderConfig.gain")
+        check_bit_depth(self.bit_depth, "EncoderConfig.bit_depth")
 
     @property
     def modulus(self) -> int:
@@ -245,56 +300,6 @@ class QuerySpec:
     digital_gain: float = 1.0
 
     def __post_init__(self):
-        validate(self)
+        check_stride(self.stride, self.window, "QuerySpec")
+        check_positive(self.digital_gain, "QuerySpec.digital_gain")
 
-
-def _positive(value, name: str):
-    if not value > 0:
-        raise ValidationError(f"{name}: must be positive, got {value}")
-
-
-def validate(config) -> None:
-    """Check every invariant of a config value; raise ValidationError naming
-    the failing field."""
-    if isinstance(config, SensorConfig):
-        if not config.threshold > 0:
-            raise ValidationError(f"SensorConfig.threshold: must be positive, got {config.threshold}")
-        _positive(config.conversion_gain, "SensorConfig.conversion_gain")
-        _positive(config.readout_rate_hz, "SensorConfig.readout_rate_hz")
-        _positive(config.total_time_s, "SensorConfig.total_time_s")
-        if config.micro_intervals < 1:
-            raise ValidationError(
-                f"SensorConfig.micro_intervals: must be >= 1, got {config.micro_intervals}")
-        r_exact = config.readout_rate_hz * config.total_time_s
-        r = round(r_exact)
-        if r < 1 or not math.isclose(r_exact, r, rel_tol=0, abs_tol=1e-6):
-            raise ValidationError(
-                "SensorConfig.readout_rate_hz*total_time_s: readout frame count "
-                f"must be a positive integer, got {r_exact}")
-        if config.micro_intervals < r:
-            raise ValidationError(
-                f"SensorConfig.micro_intervals: must be >= readout frame count {r}, "
-                f"got {config.micro_intervals}")
-        if config.micro_intervals % r != 0:
-            raise ValidationError(
-                f"SensorConfig.micro_intervals: must be divisible by readout frame "
-                f"count {r}, got {config.micro_intervals}")
-    elif isinstance(config, EncoderConfig):
-        if config.stride < 1:
-            raise ValidationError(f"EncoderConfig.stride: must be >= 1, got {config.stride}")
-        if config.stride > config.window:
-            raise ValidationError(
-                f"EncoderConfig.stride: stride exceeds window ({config.stride} > {config.window})")
-        _positive(config.gain, "EncoderConfig.gain")
-        if not 1 <= config.bit_depth <= 16:
-            raise ValidationError(
-                f"EncoderConfig.bit_depth: must be in 1..16, got {config.bit_depth}")
-    elif isinstance(config, QuerySpec):
-        if config.stride < 1:
-            raise ValidationError(f"QuerySpec.stride: must be >= 1, got {config.stride}")
-        if config.stride > config.window:
-            raise ValidationError(
-                f"QuerySpec.stride: stride exceeds window ({config.stride} > {config.window})")
-        _positive(config.digital_gain, "QuerySpec.digital_gain")
-    else:
-        raise TypeError(f"validate: unsupported type {type(config).__name__}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import GradientField, divergence, gradient, laplacian, lar, poisson_solve
-from .types import HdrImage, ModuloFrame, ValidationError
+from .types import HdrImage, ModuloFrame, check_bit_depth, check_dims, check_positive
 
 RESIDUAL_TOL = 1e-6
 DEFAULT_MU = 5000.0
@@ -156,7 +156,7 @@ def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResul
     for c in range(obs.shape[2]):
         rollover[:, :, c] = _snap_channel(estimate[:, :, c], obs[:, :, c], modulus)
     hdr_values = obs + rollover.astype(np.int64) * modulus
-    hdr = HdrImage(data=hdr_values.astype(np.float32))
+    hdr = HdrImage(data=hdr_values)
     residuals = _reconstruction_residuals(hdr, hdr_values, obs, centered, div, modulus)
     return UnwrapResult(hdr=hdr, rollover_map=rollover, residuals=residuals,
                         converged=residuals.max() < tol)
@@ -192,9 +192,7 @@ def consistency_residuals(hdr: HdrImage, frame: ModuloFrame) -> ConsistencyResid
     """Mean absolute wrapped disagreement between a reconstruction and the
     observation at zeroth (value), first (gradient) and second (Laplacian)
     order. Invariant under shifting hdr by any multiple of 2^N."""
-    if (hdr.height, hdr.width, hdr.channels) != (frame.height, frame.width, frame.channels):
-        raise ValidationError(
-            f"HdrImage: dimensions {hdr.data.shape} do not match frame {frame.data.shape}")
+    check_dims(hdr.data.shape, frame.data.shape, "HdrImage, ModuloFrame")
     modulus = frame.modulus
     a = hdr.values()
     b = frame.values()
@@ -210,8 +208,7 @@ def consistency_residuals(hdr: HdrImage, frame: ModuloFrame) -> ConsistencyResid
 def cyclic_encode(hdr: HdrImage, bit_depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Sinusoidal embedding of the wrap phase: (sin 2*pi*phi, cos 2*pi*phi)
     with phi = mod(hdr, 2^N) / 2^N. Periodic in steps of 2^N by construction."""
-    if not 1 <= bit_depth <= 16:
-        raise ValidationError(f"bit_depth: must be in 1..16, got {bit_depth}")
+    check_bit_depth(bit_depth, "bit_depth")
     modulus = 1 << bit_depth
     phase = np.mod(hdr.values(), modulus) / modulus
     return np.sin(2.0 * np.pi * phase), np.cos(2.0 * np.pi * phase)
@@ -220,23 +217,18 @@ def cyclic_encode(hdr: HdrImage, bit_depth: int) -> tuple[np.ndarray, np.ndarray
 def mu_law(hdr: HdrImage, mu: float = DEFAULT_MU, peak: float = DEFAULT_PEAK) -> HdrImage:
     """Logarithmic tone map log(1 + mu*x)/log(1 + mu) of the peak-normalized
     image."""
-    if not mu > 0:
-        raise ValidationError(f"mu: must be positive, got {mu}")
-    if not peak > 0:
-        raise ValidationError(f"peak: must be positive, got {peak}")
+    check_positive(mu, "mu")
+    check_positive(peak, "peak")
     x = hdr.values() / peak
-    mapped = np.log1p(mu * x) / np.log1p(mu)
-    return HdrImage(data=mapped.astype(np.float32))
+    return HdrImage(data=np.log1p(mu * x) / np.log1p(mu))
 
 
 def mu_law_inverse(mapped: HdrImage, mu: float = DEFAULT_MU,
                    peak: float = DEFAULT_PEAK) -> HdrImage:
     """Exact algebraic inverse of `mu_law`: x = (exp(y*log(1+mu)) - 1)/mu,
     then denormalize by peak."""
-    if not mu > 0:
-        raise ValidationError(f"mu: must be positive, got {mu}")
-    if not peak > 0:
-        raise ValidationError(f"peak: must be positive, got {peak}")
+    check_positive(mu, "mu")
+    check_positive(peak, "peak")
     y = mapped.values()
     x = np.expm1(y * np.log1p(mu)) / mu
-    return HdrImage(data=(x * peak).astype(np.float32))
+    return HdrImage(data=x * peak)

@@ -122,24 +122,6 @@ def test_encode_matches_naive_recount():
         assert np.array_equal(frame.data, ref)
 
 
-def test_encode_stream_bounded_unpack_matches_default():
-    rng = np.random.default_rng(14)
-    cfg = EncoderConfig(window=25, stride=20)
-    stream = random_stream(rng, frames=90, c=3)
-    whole = encode_stream(stream, cfg)
-    sliced = encode_stream(stream, cfg, unpack_step=7)  # slices cut windows
-    assert len(whole) == len(sliced)
-    for a, b in zip(whole.frames, sliced.frames):
-        assert np.array_equal(a.data, b.data)
-
-
-@pytest.mark.parametrize("step", [0, -5])
-def test_encode_stream_rejects_unpack_step_below_1(step):
-    stream = random_stream(np.random.default_rng(3), frames=30)
-    with pytest.raises(ValidationError, match="unpack_step"):
-        encode_stream(stream, EncoderConfig(window=25, stride=20), unpack_step=step)
-
-
 def test_encode_rejects_short_stream():
     stream = SpikeStream.from_bits(np.zeros((10, 2, 2, 1), dtype=np.uint8),
                                    readout_rate_hz=100)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from modspike import (EncoderConfig, HdrImage, ModuloFrame, QuerySpec,
-                      SensorConfig, SpikeStream, ValidationError, validate)
+from modspike import (EncoderConfig, GradientField, HdrImage, IrradianceClip,
+                      ModuloFrame, ModuloSequence, QuerySpec, SensorConfig,
+                      SpikeStream, ValidationError, cyclic_encode, divergence,
+                      frame_capacity, gradient, lar, mu_law_inverse, poisson_solve,
+                      query_ideal, readout_window)
 
 
 def test_hdr_image_basic():
@@ -70,13 +73,6 @@ def test_frozen_buffers_reject_writes():
         frame.data[0, 0, 0] = 1
 
 
-def test_validate_recheck_catches_tampering():
-    cfg = EncoderConfig()
-    object.__setattr__(cfg, "stride", 99)
-    with pytest.raises(ValidationError, match="stride exceeds window"):
-        validate(cfg)
-
-
 def test_spike_stream_rejects_nonbinary():
     with pytest.raises(ValidationError, match="0 or 1"):
         SpikeStream.from_bits(np.full((1, 2, 2, 1), 2, dtype=np.uint8),
@@ -85,7 +81,6 @@ def test_spike_stream_rejects_nonbinary():
 
 def test_encoder_config_default_regime_is_valid():
     cfg = EncoderConfig(window=25, stride=20, gain=15.0, bit_depth=8)
-    validate(cfg)
     assert cfg.modulus == 256
 
 
@@ -114,6 +109,35 @@ def test_query_spec_bounds():
         QuerySpec(window=10, stride=11)
 
 
-def test_validate_rejects_unknown_type():
-    with pytest.raises(TypeError):
-        validate(object())
+_IMG = HdrImage(data=np.ones((2, 2), dtype=np.float32))
+_CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
+
+
+@pytest.mark.parametrize("fn, bad, field", [
+    (gradient, (np.zeros(5),), "raster"),
+    (poisson_solve, (np.zeros(5),), "raster"),
+    (divergence, (GradientField(gx=np.zeros(5), gy=np.zeros(5)),), "GradientField"),
+    (divergence, (GradientField(gx=np.zeros((2, 2)), gy=np.zeros((3, 2))),), "GradientField"),
+    (lar, (np.zeros(3), 0), "modulus"),
+    (cyclic_encode, (_IMG, 0), "bit_depth"),
+    (cyclic_encode, (_IMG, 17), "bit_depth"),
+    (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), -1), "bit_depth"),
+    (mu_law_inverse, (_IMG, 0), "mu"),
+    (SpikeStream.from_bits, (np.full((1, 2, 2, 1), 0.5), 100), "0 or 1"),
+    (SpikeStream.from_bits, (np.full((1, 2, 2, 1), 0.999), 100), "0 or 1"),
+    (SpikeStream.from_bits, (np.full((1, 2, 2, 1), np.nan), 100), "0 or 1"),
+    (SpikeStream, (-1, 5, 1, 2, 100, np.zeros((2, 1, 0), dtype=np.uint8)), "SpikeStream.height"),
+    (SpikeStream, (5, -1, 1, 2, 100, np.zeros((2, 1, 0), dtype=np.uint8)), "SpikeStream.width"),
+    (ModuloSequence, ((), 4, 0, 1.0), "ModuloSequence.stride"),
+    (frame_capacity, (10, 5, 0), "stride"),
+    (readout_window, (1, 2, 10, 0), "frame_count"),
+    (readout_window, (1, 2, 0, 5), "micro_count"),
+], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
+        "lar-modulus-0", "cyclic_encode-bits-0", "cyclic_encode-bits-17",
+        "query_ideal-bits-neg", "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999",
+        "from_bits-nan", "spike_stream-height-neg", "spike_stream-width-neg",
+        "modulo_sequence-stride-0", "frame_capacity-stride-0", "readout_window-frames-0",
+        "readout_window-micro-0"])
+def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
+    with pytest.raises(ValidationError, match=field):
+        fn(*bad)
