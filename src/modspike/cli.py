@@ -62,7 +62,10 @@ def _parse_sensor_config(text: str | None, seed: int | None = None) -> SensorCon
             key, value = (s.strip() for s in pair.split("=", 1))
             if key not in _SENSOR_KEYS:
                 raise ValidationError(f"config: unknown key {key!r}")
-            fields[key] = _SENSOR_KEYS[key](value)
+            try:
+                fields[key] = _SENSOR_KEYS[key](value)
+            except ValueError:
+                raise ValidationError(f"config: {key}: cannot parse {value!r}") from None
     if seed is not None:
         fields["rng_seed"] = seed
     return SensorConfig(**fields)
@@ -78,13 +81,16 @@ def _parse_motion(text: str) -> Motion:
     for part in text.split("+"):
         kind, _, args = part.partition(":")
         kind = kind.strip().lower()
-        if kind == "translate":
-            dx, dy = (float(v) for v in args.split(","))
-            translate = (dx, dy)
-        elif kind == "rotate":
-            rotate = float(args)
-        else:
+        if kind not in ("translate", "rotate"):
             raise ValidationError(f"motion: unknown component {part!r}")
+        try:
+            if kind == "translate":
+                dx, dy = (float(v) for v in args.split(","))
+                translate = (dx, dy)
+            else:
+                rotate = float(args)
+        except ValueError:
+            raise ValidationError(f"motion: cannot parse component {part!r}") from None
     return Motion(translate_px=translate, rotate_deg=rotate)
 
 

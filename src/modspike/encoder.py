@@ -154,7 +154,8 @@ class ChunkedEncoder:
     planes they overwrite in the ring are subtracted, so the cost is
     O(pixels) per spike frame for any window. The counts are exact,
     because the true count lies in [0, window]. A table built once maps
-    each count to its wrapped code, mod(floor(gain * count), 2^N).
+    each count to its wrapped code, mod(floor(gain * count), 2^N). Every
+    emitted frame carries the config in `counted_by`.
     """
 
     def __init__(self, height: int, width: int, channels: int,
@@ -168,8 +169,7 @@ class ChunkedEncoder:
         self._source_rate_hz = source_rate_hz
         self._ring = np.zeros((cfg.window, channels, height, width), dtype=np.uint8)
         self._counts = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
-        pre = np.floor(cfg.gain * np.arange(cfg.window + 1, dtype=np.float64))
-        self._wrap = np.mod(pre, cfg.modulus).astype(np.uint16)
+        self._wrap = np.mod(cfg.prewrap_values(), cfg.modulus).astype(np.uint16)
         self._consumed = 0
         self._emitted: list[ModuloFrame] = []
 
@@ -216,7 +216,7 @@ class ChunkedEncoder:
             start = stop
             if self._consumed == close:
                 frame = ModuloFrame(data=np.moveaxis(np.take(self._wrap, self._counts), 0, 2),
-                                    bit_depth=self._cfg.bit_depth)
+                                    bit_depth=self._cfg.bit_depth, counted_by=self._cfg)
                 out.append(frame)
                 self._emitted.append(frame)
         return out

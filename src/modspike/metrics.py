@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
-from .types import HdrImage, ValidationError, check_dims, check_positive
+from .types import HdrImage, ValidationError, check_dims, check_positive, check_samples
 from .unwrap import DEFAULT_MU, DEFAULT_PEAK, mu_law
 
 SSIM_WINDOW = 11
@@ -30,6 +29,7 @@ SSIM_K2 = 0.03
 def psnr_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """10*log10(peak^2 / MSE); +inf when the images are identical."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
+    check_samples(a.data, "HdrImage")
     check_positive(peak, "peak")
     mse = float(np.mean((a.values() - b.values()) ** 2))
     if mse == 0.0:
@@ -45,6 +45,8 @@ def _ssim_kernel() -> np.ndarray:
 
 
 def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    from scipy.ndimage import correlate1d
+
     half = len(kernel) // 2
     out = correlate1d(plane, kernel, axis=0, mode="constant")
     out = correlate1d(out, kernel, axis=1, mode="constant")
@@ -53,8 +55,10 @@ def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """Mean structural similarity over an 11x11 Gaussian window (sigma 1.5,
-    stability constants 0.01/0.03 of peak), channels averaged."""
+    stability constants 0.01/0.03 of peak), channels averaged. scipy.ndimage
+    is imported on the first call."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
+    check_samples(a.data, "HdrImage")
     check_positive(peak, "peak")
     if a.height < SSIM_WINDOW or a.width < SSIM_WINDOW:
         raise ValidationError(

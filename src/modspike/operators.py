@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .types import check_dims, check_ndim, check_positive
 
@@ -95,9 +94,9 @@ def divergence(gf: GradientField) -> np.ndarray:
     gx = gx.astype(dtype, copy=False)
     gy = gy.astype(dtype, copy=False)
     div = np.zeros_like(gx)
-    div[:, 0] += gx[:, 0]
+    div[:, :1] += gx[:, :1]  # slices, not indices: a zero-size raster has no row 0
     div[:, 1:] += gx[:, 1:] - gx[:, :-1]
-    div[0, :] += gy[0, :]
+    div[:1, :] += gy[:1, :]
     div[1:, :] += gy[1:, :] - gy[:-1, :]
     return div
 
@@ -135,11 +134,14 @@ def poisson_solve(rhs) -> np.ndarray:
     The right-hand side is projected onto the compatible subspace by
     removing its per-channel mean; the returned x has mean exactly zero
     (the constant mode is gauged out). Solved by diagonalizing the 5-point
-    Neumann Laplacian in the type-II cosine basis.
+    Neumann Laplacian in the type-II cosine basis. scipy.fft is imported
+    on the first call.
     """
+    from scipy.fft import dctn, idctn
+
     arr = _as_raster(rhs, np.float64)
     h, w = arr.shape[:2]
-    if h * w == 1:
+    if h * w <= 1:
         return np.zeros_like(arr)
     compat = arr - arr.mean(axis=(0, 1), keepdims=True)
     spec = dctn(compat, type=2, norm="ortho", axes=(0, 1))

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze,
                     check_geometry, check_ndim, check_positive)
@@ -134,7 +133,10 @@ class Motion:
 
 def _warp(plane: np.ndarray, motion: Motion, frac: float) -> np.ndarray:
     """Bilinear global-affine warp of one channel plane by `frac` of the
-    total motion; borders replicate the nearest sample."""
+    total motion; borders replicate the nearest sample. scipy.ndimage is
+    imported on the first warp."""
+    from scipy import ndimage
+
     h, w = plane.shape
     dy = motion.translate_px[1] * frac
     dx = motion.translate_px[0] * frac

@@ -60,6 +60,12 @@ def check_ndim(arr: np.ndarray, ndims: tuple[int, ...], name: str) -> None:
             f"{name}: expected {' or '.join(map(str, ndims))} axes, got shape {arr.shape}")
 
 
+def check_samples(arr: np.ndarray, name: str) -> None:
+    """A statistic over `arr` needs at least one sample."""
+    if arr.size == 0:
+        raise ValidationError(f"{name}: no samples, shape {arr.shape}")
+
+
 def check_dims(got: tuple, want: tuple, name: str) -> None:
     if got != want:
         raise ValidationError(f"{name}: mixed dimensions, {got} mismatches {want}")
@@ -135,13 +141,28 @@ class ModuloFrame:
     """N-bit wrapped observation: every sample lives in [0, 2^N).
 
     Samples are held as uint16 regardless of N; on-disk width follows N.
+    `counted_by` is the config of the spike encoder that counted the frame,
+    and only `ChunkedEncoder` sets it. Each sample is then
+    mod(floor(gain * count), 2^N) for a count in 0..window, which lets
+    `unwrap_poisson` decode the frame by table lookup. The containers do
+    not store it, so a frame read from a file has none.
     """
 
     data: np.ndarray  # (H, W, C) uint16, read-only
     bit_depth: int
+    counted_by: EncoderConfig | None = None
 
     def __post_init__(self):
         check_bit_depth(self.bit_depth, "ModuloFrame.bit_depth")
+        if self.counted_by is not None:
+            if not isinstance(self.counted_by, EncoderConfig):
+                raise ValidationError(
+                    "ModuloFrame.counted_by: must be an EncoderConfig or None, got "
+                    f"{type(self.counted_by).__name__}")
+            if self.counted_by.bit_depth != self.bit_depth:
+                raise ValidationError(
+                    f"ModuloFrame.counted_by.bit_depth: {self.counted_by.bit_depth} "
+                    f"differs from the frame's {self.bit_depth}")
         data = _as_raster(self.data, "ModuloFrame")
         if not np.issubdtype(data.dtype, np.integer):
             raise ValidationError("ModuloFrame.data: samples must be integers")
@@ -285,6 +306,11 @@ class EncoderConfig:
     @property
     def modulus(self) -> int:
         return 1 << self.bit_depth
+
+    def prewrap_values(self) -> np.ndarray:
+        """floor(gain * count) for every count 0..window, float64: the
+        values an encoder with this config wraps."""
+        return np.floor(self.gain * np.arange(self.window + 1, dtype=np.float64))
 
 
 @dataclass(frozen=True)

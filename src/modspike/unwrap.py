@@ -1,8 +1,14 @@
 """Iteration-free unwrapping of modulo frames, plus the numeric primitives
 used to reason about wrapped measurements.
 
-`unwrap_poisson` recovers the scene from a wrapped frame in three steps,
-per channel:
+`unwrap_poisson` has two decoders. A frame counted by a spike encoder
+(`ModuloFrame.counted_by`) can only hold the codes of floor(gain * c) for
+counts c in 0..window. When those window + 1 values have distinct codes
+mod 2^N, the lattice decoder reads each pixel's value from a code -> value
+table: exact for any scene, with no half-period condition. Every other
+frame (no provenance, codes that do not identify values, or a code the
+encoder cannot produce) goes through the Poisson decoder, which recovers
+the scene in three steps, per channel:
 
   1. centered gradient: lar(gradient(frame), 2^N), in int32 — identical
      to the centered gradient of the unwrapped scene wherever
@@ -19,18 +25,23 @@ per channel:
      that at least one pixel never wrapped. The scene values, its
      gradient and its Laplacian are int64.
 
-The reconstruction is congruent to the input by construction; the
-zeroth-order residual (mean centered remainder of hdr - frame) checks
-that the float32 samples actually returned still are, which fails only
-once counts pass 2^24. Because congruence also forces the *wrapped*
-gradients of output and input to agree bit-exactly, a wrapped-both-sides
-comparison carries no information about reconstruction quality; the
-first/second-order residuals therefore compare the reconstruction's plain
-gradient and Laplacian against the centered measurements lar(grad frame)
-and lar(lap frame). Under the half-period condition these are literal
+Both decoders share the residual report below. The reconstruction is
+congruent to the input by construction; the zeroth-order residual (mean
+centered remainder of hdr - frame) checks that the float32 samples
+actually returned still are, which fails only once counts pass 2^24.
+Because congruence also forces the *wrapped* gradients of output and
+input to agree bit-exactly, a wrapped-both-sides comparison carries no
+information about reconstruction quality; the first/second-order
+residuals therefore compare the reconstruction's plain gradient and
+Laplacian against the centered measurements lar(grad frame) and
+lar(lap frame). Under the half-period condition these are literal
 zeros for integer scenes; measurement fields with curl (half-period
 violations) leave a nonzero mismatch and clear `converged`. All three
-residuals are computed in integers.
+residuals are computed in integers. They certify consistency with the
+observation and with the half-period model, not correctness: a straight
+edge that breaks the half-period condition leaves a curl-free field, so
+the Poisson decoder can be off by 2^N on one side and still converge,
+while the exact lattice decode of that scene does not converge.
 
 Also here: the literal wrapped-domain consistency residuals for scoring
 arbitrary candidate reconstructions, the sinusoidal embedding of the
@@ -45,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import GradientField, divergence, gradient, laplacian, lar, poisson_solve
-from .types import HdrImage, ModuloFrame, check_bit_depth, check_dims, check_positive
+from .types import (EncoderConfig, HdrImage, ModuloFrame, check_bit_depth, check_dims,
+                    check_positive)
 
 RESIDUAL_TOL = 1e-6
 DEFAULT_MU = 5000.0
@@ -75,12 +87,19 @@ class UnwrapResult:
     float32 stores those counts exactly, which every count below 2^24 is.
     Past that hdr holds the nearest float32 values, and residuals.l_mod
     reports the samples no longer congruent to the frame.
+
+    `converged` means every residual is below tolerance: the result is
+    consistent with the observation and with the half-period model. It
+    does not certify correctness. `decoder` names the path that ran,
+    "lattice" (table lookup on an encoder-counted frame, exact) or
+    "poisson".
     """
 
     hdr: HdrImage
     rollover_map: np.ndarray  # (H, W, C) int32, >= 0
     residuals: ConsistencyResiduals
     converged: bool
+    decoder: str = "poisson"
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -139,32 +158,80 @@ def _snap_channel(estimate: np.ndarray, observed: np.ndarray, modulus: int) -> n
     diff = estimate - observed
     offset = int(np.argmin(_offset_objective(diff, modulus)))  # first minimum: smallest c
     rollover = _round_half_away((diff + offset) / modulus).astype(np.int64)
-    rollover -= rollover.min()  # base-band anchor; also enforces >= 0
+    if rollover.size:
+        rollover -= rollover.min()  # base-band anchor; also enforces >= 0
     return rollover
 
 
+@functools.lru_cache(maxsize=32)
+def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
+    """Read-only code -> pre-wrap value table of an encoder config, int64,
+    with -1 at codes no count produces; None when codes do not identify
+    values.
+
+    The values are `cfg.prewrap_values()`, the expression the encoder wraps.
+    The table is built only when their codes mod 2^N are distinct and the
+    largest value's wrap count fits the int32 rollover map. Built on first
+    use of a config and kept; at most 32 entries of 2^N * 8 bytes.
+    """
+    values = cfg.prewrap_values()
+    if not values[-1] < 2.0 ** (31 + cfg.bit_depth):  # values rise with the count
+        return None
+    table = np.full(cfg.modulus, -1, dtype=np.int64)
+    table[np.mod(values, cfg.modulus).astype(np.int64)] = values
+    if np.count_nonzero(table >= 0) < values.size:
+        return None
+    table.setflags(write=False)
+    return table
+
+
+def _lattice_decode(frame: ModuloFrame) -> np.ndarray | None:
+    """The int64 pre-wrap values of an encoder-counted frame, or None when
+    the frame has no provenance, its config's codes do not identify values,
+    or it holds a code the encoder cannot produce."""
+    if frame.counted_by is None:
+        return None
+    table = _lattice_table(frame.counted_by)
+    if table is None:
+        return None
+    values = np.take(table, frame.data)
+    if values.size and values.min() < 0:
+        return None
+    return values
+
+
 def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResult:
-    """Recover the scene congruent to `frame` via least-squares integration
-    of the centered wrapped gradient plus congruence snapping."""
+    """Recover the scene congruent to `frame`: by table lookup for an
+    encoder-counted frame whose codes identify its values, else via
+    least-squares integration of the centered wrapped gradient plus
+    congruence snapping."""
     modulus = frame.modulus
     obs = frame.data.astype(np.int32)
     gf = gradient(obs)
     centered = GradientField(gx=lar(gf.gx, modulus), gy=lar(gf.gy, modulus))
     div = divergence(centered)
-    estimate = poisson_solve(div)
-    rollover = np.empty(obs.shape, dtype=np.int32)
-    for c in range(obs.shape[2]):
-        rollover[:, :, c] = _snap_channel(estimate[:, :, c], obs[:, :, c], modulus)
-    hdr_values = obs + rollover.astype(np.int64) * modulus
+    hdr_values = _lattice_decode(frame)
+    if hdr_values is not None:
+        decoder = "lattice"
+        rollover = (hdr_values >> frame.bit_depth).astype(np.int32)
+    else:
+        decoder = "poisson"
+        estimate = poisson_solve(div)
+        rollover = np.empty(obs.shape, dtype=np.int32)
+        for c in range(obs.shape[2]):
+            rollover[:, :, c] = _snap_channel(estimate[:, :, c], obs[:, :, c], modulus)
+        hdr_values = obs + rollover.astype(np.int64) * modulus
     hdr = HdrImage(data=hdr_values)
     residuals = _reconstruction_residuals(hdr, hdr_values, obs, centered, div, modulus)
     return UnwrapResult(hdr=hdr, rollover_map=rollover, residuals=residuals,
-                        converged=residuals.max() < tol)
+                        converged=residuals.max() < tol, decoder=decoder)
 
 
 def _mean_abs(*parts: np.ndarray) -> float:
-    """Mean absolute value over integer arrays of one size, summed exactly."""
-    return float(sum(int(np.abs(p).sum()) for p in parts)) / (len(parts) * parts[0].size)
+    """Mean absolute value over integer arrays of one size, summed exactly;
+    0 when they hold no samples."""
+    n = len(parts) * parts[0].size
+    return float(sum(int(np.abs(p).sum()) for p in parts)) / n if n else 0.0
 
 
 def _reconstruction_residuals(hdr: HdrImage, hdr_values: np.ndarray, obs: np.ndarray,

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+import reference_unwrap
 
-from modspike import HdrImage, read_hdr, read_modulo, read_spikes, write_hdr
+from modspike import (EncoderConfig, HdrImage, encode_stream, read_hdr, read_modulo,
+                      read_spikes, unwrap_poisson, write_hdr)
 from modspike.cli import main
 
 
@@ -106,6 +108,21 @@ def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--config", "threshold=abc", "threshold"),
+    ("--config", "micro_intervals=1.5", "micro_intervals"),
+    ("--motion", "translate:1", "translate:1"),
+    ("--motion", "rotate:x", "rotate:x"),
+])
+def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag, value, named):
+    out = tmp_path / "x.spkb"
+    code, _, err = run_cli(capsys, "simulate", "--scene", str(small_scene), flag, value,
+                           "--out", str(out))
+    assert code == 1
+    assert err.startswith("modspike: error:") and named in err
+    assert not out.exists()
+
+
 def test_encode_short_stream_fails_with_stderr(capsys, tmp_path, small_scene):
     spikes = tmp_path / "short.spkb"
     config = "threshold=0.02,readout_rate_hz=200,total_time_s=0.05,micro_intervals=10"
@@ -159,6 +176,44 @@ def test_pipeline_synthetic_scene_unwraps_exactly(capsys, tmp_path):
     recon = read_hdr(out_dir / "recon_0000.lhdr")
     truth = read_hdr(out_dir / "truth_0000.lhdr")
     assert recon.data.shape == truth.data.shape
+
+
+def test_pipeline_step_edge_decodes_exactly_on_the_count_lattice(capsys, tmp_path):
+    # 200 + 800*[x >= 32] + 3y: the straight edge breaks the half-period
+    # condition but leaves a curl-free gradient field, so every residual
+    # of the Poisson decoder is zero while half the pixels are off by 2^N.
+    # The encoder's frames carry their config and decode by table lookup.
+    yy, xx = np.mgrid[0:64, 0:64]
+    scene = tmp_path / "step.lhdr"
+    write_hdr(scene, HdrImage(data=(200 + 800 * (xx >= 32) + 3 * yy).astype(np.float32)))
+    out_dir = tmp_path / "step"
+    code, out, _ = run_cli(capsys, "pipeline", "--out-dir", str(out_dir),
+                           "--scene", str(scene))  # K = R = 1000, W25/P20/gain 15/8-bit
+    assert code == 0
+    stream = read_spikes(out_dir / "spikes.spkb")
+    counted = encode_stream(stream, EncoderConfig(window=25, stride=20, gain=15.0,
+                                                  bit_depth=8))
+    stored = read_modulo(out_dir / "modulo.modq")  # MODQ keeps no provenance
+    bits = stream.bits()
+    assert len(counted) == len(stored) == 49
+    for i, (frame, plain) in enumerate(zip(counted.frames, stored.frames)):
+        want = np.floor(15.0 * bits[20 * i:20 * i + 25].sum(axis=0, dtype=np.int64))
+        got = unwrap_poisson(frame)
+        assert got.decoder == "lattice"
+        assert np.array_equal(got.hdr.data, want)
+        assert read_hdr(out_dir / f"recon_{i:04d}.lhdr").data.tobytes() == got.hdr.data.tobytes()
+        # exact, yet not converged: the scene itself breaks the half-period model
+        assert not got.converged
+        # the same codes without provenance keep the Poisson answer, which
+        # converges and is wrong: the documented limitation
+        assert plain.counted_by is None and np.array_equal(plain.data, frame.data)
+        poisson = unwrap_poisson(plain)
+        assert poisson.decoder == "poisson" and poisson.converged
+        today = reference_unwrap.unwrap_poisson(plain)
+        assert poisson.hdr.data.tobytes() == today.hdr.data.tobytes()
+        off = poisson.hdr.values() - want
+        assert np.count_nonzero(off) == 2048 and set(np.unique(off)) == {0.0, -256.0}
+    assert parse_kv(out)["converged"] == "0"
 
 
 def test_pipeline_mosaic_mode(capsys, tmp_path):

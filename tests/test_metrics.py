@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from modspike import (HdrImage, bandwidth_report, mu_law, psnr_linear, psnr_mu,
-                      ssim_linear)
+from modspike import (HdrImage, ValidationError, bandwidth_report, mu_law, psnr_linear,
+                      psnr_mu, ssim_linear)
 
 
 def img(arr):
@@ -108,6 +109,18 @@ def test_ssim_brightness_shift_scores_below_identity():
 def test_ssim_rejects_small_images():
     with pytest.raises(Exception, match="11"):
         ssim_linear(img(np.zeros((8, 8))), img(np.zeros((8, 8))), 1.0)
+
+
+@pytest.mark.parametrize("metric", [psnr_linear, ssim_linear, psnr_mu])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
+def test_metrics_reject_images_without_samples(metric, shape):
+    # zero-size rasters are valid values, but a statistic over none of
+    # their samples is not: no nan, no RuntimeWarning
+    empty = img(np.zeros(shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="no samples"):
+            metric(empty, empty, 1.0)
 
 
 def test_ssim_range():

@@ -132,12 +132,15 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (frame_capacity, (10, 5, 0), "stride"),
     (readout_window, (1, 2, 10, 0), "frame_count"),
     (readout_window, (1, 2, 0, 5), "micro_count"),
+    (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, EncoderConfig(bit_depth=12)),
+     "counted_by.bit_depth"),
+    (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, "W25/P20"), "counted_by"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "cyclic_encode-bits-0", "cyclic_encode-bits-17",
         "query_ideal-bits-neg", "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999",
         "from_bits-nan", "spike_stream-height-neg", "spike_stream-width-neg",
         "modulo_sequence-stride-0", "frame_capacity-stride-0", "readout_window-frames-0",
-        "readout_window-micro-0"])
+        "readout_window-micro-0", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)

@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modspike
-from modspike import (HdrImage, ModuloFrame, consistency_residuals,
-                      cyclic_encode, gradient, lar, mu_law, mu_law_inverse,
-                      unwrap_poisson)
+from modspike import (ChunkedEncoder, EncoderConfig, HdrImage, ModuloFrame,
+                      consistency_residuals, cyclic_encode, gradient, lar, mu_law,
+                      mu_law_inverse, unwrap_poisson)
 
 
 def wrap_frame(img, bit_depth=8):
@@ -228,16 +228,21 @@ def test_unwrap_matches_float_reference(seed, bit_depth, shape, channels, smooth
     assert got.converged == want.converged
 
 
-def test_offset_matrices_built_lazily_and_read_only():
-    from modspike.unwrap import _offset_matrices
+def run_fresh(code):
+    """stdout of `code` run in a fresh interpreter that imports this modspike."""
     src = str(Path(modspike.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import modspike, modspike.unwrap as u; "
-                               "print(u._offset_matrices.cache_info().currsize)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "0"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return proc.stdout.strip()
+
+
+def test_offset_matrices_built_lazily_and_read_only():
+    from modspike.unwrap import _offset_matrices
+    assert run_fresh("import modspike, modspike.unwrap as u; "
+                     "print(u._offset_matrices.cache_info().currsize, "
+                     "u._lattice_table.cache_info().currsize)") == "0 0"
     for matrix in _offset_matrices(256):
         assert matrix.shape == (256, 256)
         assert not matrix.flags.writeable
@@ -253,6 +258,121 @@ def test_cached_offset_objective_equals_per_call_gathers():
         diff = rng.normal(scale=5 * modulus, size=(11, 13))
         assert np.array_equal(_offset_objective(diff, modulus),
                               reference_unwrap.offset_objective(diff, modulus))
+
+
+def test_import_modspike_leaves_scipy_unloaded():
+    # scipy.fft serves only poisson_solve and scipy.ndimage only motion
+    # warps and SSIM; `modspike encode` needs neither
+    assert run_fresh("import sys, modspike, modspike.cli; "
+                     "print(sorted(m for m in ('scipy.fft', 'scipy.ndimage') "
+                     "if m in sys.modules))") == "[]"
+
+
+@pytest.mark.parametrize("counted_by", [None, EncoderConfig(window=25, stride=20)])
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
+def test_unwrap_zero_size_frame(counted_by, shape):
+    frame = ModuloFrame(np.zeros(shape, np.uint16), 8, counted_by=counted_by)
+    result = unwrap_poisson(frame)
+    assert result.decoder == ("poisson" if counted_by is None else "lattice")
+    want = shape if len(shape) == 3 else shape + (1,)
+    assert result.hdr.data.shape == result.rollover_map.shape == want
+    assert result.rollover_map.dtype == np.int32
+    assert result.residuals.as_tuple() == (0.0, 0.0, 0.0) and result.converged
+
+
+# ------------------------------------------------------------ lattice decoder
+
+def recount(bits, cfg):
+    """floor(gain * count) of every window, recounted from scratch."""
+    return [np.floor(cfg.gain * bits[j:j + cfg.window].sum(axis=0, dtype=np.int64))
+            for j in range(0, len(bits) - cfg.window + 1, cfg.stride)]
+
+
+def lattice_decodes(cfg):
+    """Whether codes identify values: distinct codes for every count, and
+    wrap counts that fit the int32 rollover map."""
+    values = np.floor(cfg.gain * np.arange(cfg.window + 1, dtype=np.float64))
+    return (values[-1] < 2.0 ** (31 + cfg.bit_depth)
+            and np.unique(np.mod(values, cfg.modulus)).size == values.size)
+
+
+def assert_same_result(got, want):
+    assert got.hdr.data.tobytes() == want.hdr.data.tobytes()
+    assert got.rollover_map.dtype == want.rollover_map.dtype == np.int32
+    assert np.array_equal(got.rollover_map, want.rollover_map)
+    assert got.residuals.as_tuple() == want.residuals.as_tuple()
+    assert got.converged == want.converged and got.decoder == want.decoder
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), window=st.integers(1, 300), data=st.data(),
+       bit_depth=st.integers(1, 16), channels=st.sampled_from([1, 3]),
+       gain=st.one_of(st.sampled_from([15.0, 160.0, 16.0, 0.1, 1e300, 1.0]),
+                      st.floats(0.5, 5000.0)))
+@example(seed=0, window=25, data=None, bit_depth=8, channels=3, gain=15.0)  # capture_static
+@example(seed=1, window=50, data=None, bit_depth=12, channels=1, gain=160.0)  # capture_motion
+@example(seed=2, window=25, data=None, bit_depth=8, channels=1, gain=16.0)  # 16c: not injective
+@example(seed=3, window=300, data=None, bit_depth=16, channels=1, gain=0.1)
+@example(seed=4, window=300, data=None, bit_depth=16, channels=1, gain=1e300)
+@example(seed=5, window=1, data=None, bit_depth=1, channels=1, gain=1.0)
+@example(seed=6, window=3, data=None, bit_depth=8, channels=1, gain=2.0 ** 30 + 1)  # > 2^24
+@example(seed=7, window=200, data=None, bit_depth=16, channels=1, gain=2.0 ** 40 + 1)  # > 2^47
+def test_lattice_decode_matches_recount(seed, window, data, bit_depth, channels, gain):
+    rng = np.random.default_rng(seed)
+    if data is None:  # explicit examples: fixed geometry and stride
+        stride, (h, w), extra = max(1, window * 4 // 5), (6, 5), 2
+    else:
+        stride = data.draw(st.integers(1, window))
+        h, w = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        extra = data.draw(st.integers(0, 2))
+    cfg = EncoderConfig(window=window, stride=stride, gain=gain, bit_depth=bit_depth)
+    # a random, non-smooth count field: each pixel fires at its own density
+    density = rng.uniform(0.0, 1.0, size=(h, w, channels))
+    bits = (rng.uniform(size=(window + extra * stride, h, w, channels)) < density)
+    bits = bits.astype(np.uint8)
+    frames = ChunkedEncoder(h, w, channels, cfg).push(bits)
+    wants = recount(bits, cfg)
+    assert len(frames) == len(wants) == extra + 1
+    for frame, want in zip(frames, wants):
+        assert frame.counted_by == cfg
+        got = unwrap_poisson(frame)
+        plain = unwrap_poisson(ModuloFrame(frame.data, bit_depth))
+        assert plain.decoder == "poisson"
+        if not lattice_decodes(cfg):
+            assert_same_result(got, plain)
+            continue
+        want = want.astype(np.int64)
+        assert got.decoder == "lattice"
+        assert np.array_equal(got.hdr.data, want.astype(np.float32))
+        assert np.array_equal(got.rollover_map, want >> bit_depth)
+        image = np.mod(np.floor(gain * np.arange(window + 1)), cfg.modulus)
+        off_image = np.setdiff1d(np.arange(cfg.modulus), image)
+        if off_image.size:  # one code no count produces: back to Poisson
+            codes = frame.data.copy()
+            codes.flat[rng.integers(codes.size)] = off_image[rng.integers(off_image.size)]
+            stray = ModuloFrame(codes, bit_depth, counted_by=cfg)
+            assert_same_result(unwrap_poisson(stray),
+                               unwrap_poisson(ModuloFrame(codes, bit_depth)))
+
+
+def test_lattice_table_is_cached_read_only_and_skips_collisions():
+    from modspike.unwrap import _lattice_table
+    table = _lattice_table(EncoderConfig(window=25, stride=20, gain=15.0, bit_depth=8))
+    assert _lattice_table(EncoderConfig(window=25, stride=20, gain=15.0)) is table
+    assert not table.flags.writeable
+    assert np.count_nonzero(table >= 0) == 26 and table[15 * 17 % 256] == 15 * 17
+    assert _lattice_table(EncoderConfig(window=25, stride=20, gain=16.0)) is None
+    assert _lattice_table(EncoderConfig(window=300, stride=1, gain=1e300,
+                                        bit_depth=16)) is None
+
+
+def test_frame_without_provenance_never_takes_the_lattice():
+    # codes inside the encoder's image are not evidence of provenance: a
+    # hand-built or file-read frame always goes through the Poisson decoder
+    data = np.mod(15 * np.arange(12).reshape(3, 4), 256).astype(np.uint16)
+    assert unwrap_poisson(ModuloFrame(data, 8)).decoder == "poisson"
+    cfg = EncoderConfig(window=25, stride=20)
+    assert unwrap_poisson(ModuloFrame(data, 8, counted_by=cfg)).decoder == "lattice"
 
 
 # ------------------------------------------------------ consistency_residuals
