@@ -44,19 +44,34 @@ def _ssim_kernel() -> np.ndarray:
     return g / g.sum()
 
 
-def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    from scipy.ndimage import correlate1d
-
+def _correlate_valid(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate `x` with the odd, symmetric `kernel` along `axis`, keeping
+    only the centers whose window lies inside `x`. Sums in the order
+    SciPy's `ndimage.correlate1d` uses for a symmetric kernel of half-width h,
+    x[c]*k[h] + sum over j = h..1 of (x[c-j] + x[c+j])*k[h-j], so every
+    value is bit-identical to it."""
     half = len(kernel) // 2
-    out = correlate1d(plane, kernel, axis=0, mode="constant")
-    out = correlate1d(out, kernel, axis=1, mode="constant")
-    return out[half:-half, half:-half]  # full-support windows only
+    n = x.shape[axis]
+
+    def tap(j):  # the sample j away from each kept center
+        return x[(slice(None),) * axis + (slice(half + j, n - half + j),)]
+
+    out = tap(0) * kernel[half]
+    for j in range(half, 0, -1):
+        out += (tap(-j) + tap(j)) * kernel[half - j]
+    return out
+
+
+def _windowed_mean(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Kernel-weighted mean of every full-support window of `plane`."""
+    return _correlate_valid(_correlate_valid(plane, kernel, 0), kernel, 1)
 
 
 def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """Mean structural similarity over an 11x11 Gaussian window (sigma 1.5,
-    stability constants 0.01/0.03 of peak), channels averaged. scipy.ndimage
-    is imported on the first call."""
+    stability constants 0.01/0.03 of peak), channels averaged. The windowed
+    means are computed with numpy alone, bit-identical to SciPy's
+    `ndimage.correlate1d`."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
     check_samples(a.data, "HdrImage")
     check_positive(peak, "peak")

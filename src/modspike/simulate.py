@@ -32,12 +32,13 @@ accepts either form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze,
-                    check_geometry, check_ndim, check_positive)
+                    check_finite, check_geometry, check_ndim, check_positive)
 
 
 def _frozen(arr: np.ndarray) -> bool:
@@ -61,7 +62,7 @@ class IrradianceClip:
     caller never reach the clip.
     """
 
-    u: np.ndarray  # (K, H, W, C) float32, read-only, nonnegative
+    u: np.ndarray  # (K, H, W, C) float32, read-only, finite, nonnegative
 
     def __post_init__(self):
         u = self.u
@@ -72,8 +73,8 @@ class IrradianceClip:
         check_geometry(*u.shape[1:], "IrradianceClip")
         # a broadcast axis repeats one sample: check it once
         distinct = u[tuple(slice(0, 1) if step == 0 else slice(None) for step in u.strides)]
-        if u.size and float(distinct.min()) < 0:
-            raise ValidationError("IrradianceClip.u: integrals must be nonnegative")
+        if u.size and not 0 <= float(distinct.min()) <= float(distinct.max()) < math.inf:
+            raise ValidationError("IrradianceClip.u: integrals must be finite and nonnegative")
         object.__setattr__(self, "u", u)
 
     @property
@@ -126,18 +127,31 @@ class Motion:
     translate_px: tuple[float, float] = (0.0, 0.0)
     rotate_deg: float = 0.0
 
+    def __post_init__(self):
+        if np.shape(self.translate_px) != (2,):
+            raise ValidationError(
+                f"Motion.translate_px: expected 2 components (dx, dy), got {self.translate_px!r}")
+        translate = tuple(self.translate_px)
+        for value in translate:
+            check_finite(value, "Motion.translate_px")
+        check_finite(self.rotate_deg, "Motion.rotate_deg")
+        object.__setattr__(self, "translate_px", translate)
+
     @property
     def is_identity(self) -> bool:
         return self.translate_px == (0.0, 0.0) and self.rotate_deg == 0.0
 
 
-def _warp(plane: np.ndarray, motion: Motion, frac: float) -> np.ndarray:
-    """Bilinear global-affine warp of one channel plane by `frac` of the
-    total motion; borders replicate the nearest sample. scipy.ndimage is
-    imported on the first warp."""
-    from scipy import ndimage
+# Planes are warped in blocks of about this many output samples, so each
+# float64 temporary of a block stays near 256 KiB, cache-sized, whatever
+# the clip length or resolution.
+_WARP_BLOCK_SAMPLES = 2 ** 15
 
-    h, w = plane.shape
+
+def _inverse_map(motion: Motion, frac: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and offset that take an output pixel (y, x) to its source
+    position at `frac` of the total motion, from scalar expressions per
+    plane: vectorizing them over planes could change their roundings."""
     dy = motion.translate_px[1] * frac
     dx = motion.translate_px[0] * frac
     theta = np.deg2rad(motion.rotate_deg * frac)
@@ -146,15 +160,86 @@ def _warp(plane: np.ndarray, motion: Motion, frac: float) -> np.ndarray:
     # inverse map: input = R(-theta) @ (output - center - shift) + center
     inv = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
     shift = np.array([dy, dx])
-    offset = center - inv @ (center + shift)
-    return ndimage.affine_transform(plane, inv, offset=offset, order=1, mode="nearest")
+    return inv, center - inv @ (center + shift)
+
+
+def _source_axis(coord: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split source coordinates along an axis of `n` samples into the index
+    of the sample at or below each, clamped to [-1, n-1], and the linear
+    weights of it and of the next sample; `coord` is overwritten.
+
+    The weights come from the unclamped coordinate; clamping the indices
+    makes the borders replicate the nearest sample. A floor beyond the
+    int64 range casts as a C cast does on the host (index -1 on x86-64),
+    so the result matches scipy there too.
+    """
+    floor = np.floor(coord)
+    w0 = np.subtract(1.0, np.subtract(coord, floor, out=coord), out=coord)
+    with np.errstate(invalid="ignore"):
+        index = floor.astype(np.intp)
+    np.clip(index, -1, n - 1, out=index)
+    return index, w0, np.subtract(1.0, w0, out=floor)
+
+
+def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> None:
+    """Write plane k of a moving scene into `out[k]`: the bilinear warp of
+    the (H, W, C) float64 `base` by the motion at k/(K-1), times `dt`.
+
+    Each warped sample is the float64 value SciPy's
+    `ndimage.affine_transform(order=1, mode="nearest")` gives, from the
+    same operations in the same order, so the clip is bit-identical to
+    warping each plane and channel with it. A block of planes shares its
+    gather indices and weights across channels.
+    """
+    k_total = out.shape[0]
+    h, w, channels = base.shape
+    if not base.size:
+        return
+    mats, offsets = map(np.array, zip(*(
+        _inverse_map(motion, k / (k_total - 1) if k_total > 1 else 0.0, h, w)
+        for k in range(k_total))))
+    # An edge-replicated border lets the clamped indices -1..n-1 and their
+    # +1 neighbours address the padded plane directly. Adding 0.0 turns
+    # -0.0 samples into +0.0, as the interpolation sum (which starts at
+    # +0.0) does; with nonnegative samples and weights the sum then needs
+    # no clamp at 0. Channels are gathered from contiguous planes.
+    padded = np.pad(base, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    planes = np.ascontiguousarray(np.moveaxis(padded, 2, 0)).reshape(channels, -1)
+    planes += 0.0
+    row = w + 2
+    yy, xx = (a.astype(np.float64) for a in np.divmod(np.arange(h * w), w))
+    block = max(1, _WARP_BLOCK_SAMPLES // (h * w))
+    for k0 in range(0, k_total, block):
+        m = mats[k0:k0 + block, :, :, None]
+        off = offsets[k0:k0 + block, :, None]
+        # source coordinates (offset + y*m0) + x*m1
+        iy, wy0, wy1 = _source_axis(off[:, 0] + yy * m[:, 0, 0] + xx * m[:, 0, 1], h)
+        ix, wx0, wx1 = _source_axis(off[:, 1] + yy * m[:, 1, 0] + xx * m[:, 1, 1], w)
+        idx = (iy + 1) * row + (ix + 1)  # flat index into a padded plane
+        for c, plane in enumerate(planes):
+            # ((p00*wy0)*wx0 + (p01*wy0)*wx1) + (p10*wy1)*wx0 + (p11*wy1)*wx1
+            t = np.take(plane, idx)
+            t *= wy0
+            t *= wx0
+            for shift, wy, wx in ((1, wy0, wx1), (row, wy1, wx0), (row + 1, wy1, wx1)):
+                part = np.take(plane[shift:], idx)
+                part *= wy
+                part *= wx
+                t += part
+            t *= dt
+            out[k0:k0 + block, :, :, c] = t.reshape(len(m), h, w)
 
 
 def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> IrradianceClip:
     """Build the per-interval integrals of a moving scene.
 
-    Interval k holds warp(base, motion at k/(K-1)) * (T/K); identity motion
-    yields the single plane base * T/K broadcast over K (stride-0 `u`).
+    Interval k holds warp(base, motion at k/(K-1)) * (T/K) as float32. The
+    warp is bilinear and global-affine, and its borders replicate the
+    nearest sample. It is computed with numpy alone, a block of planes at
+    a time, bit-identical to SciPy's
+    `ndimage.affine_transform(order=1, mode="nearest")` on the float64
+    base. Identity motion yields the single plane base * T/K broadcast
+    over K (stride-0 `u`).
     """
     k_total = cfg.micro_intervals
     dt = cfg.total_time_s / k_total
@@ -164,11 +249,7 @@ def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> Irradi
         plane.setflags(write=False)
         return IrradianceClip(u=np.broadcast_to(plane, (k_total,) + plane.shape))
     u = np.empty((k_total,) + base_arr.shape, dtype=np.float32)
-    for k in range(k_total):
-        frac = k / (k_total - 1) if k_total > 1 else 0.0
-        for c in range(base_arr.shape[2]):
-            warped = _warp(base_arr[:, :, c], motion, frac)
-            u[k, :, :, c] = np.maximum(warped, 0.0) * dt
+    _warp_clip(base_arr, motion, dt, u)
     u.setflags(write=False)
     return IrradianceClip(u=u)
 

@@ -28,8 +28,14 @@ class ValidationError(ValueError):
 # once, and raises ValidationError naming the field.
 
 def check_positive(value, name: str) -> None:
-    if not value > 0:
-        raise ValidationError(f"{name}: must be positive, got {value}")
+    """0 < value < inf; exact for ints of any size, and NaN fails."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name}: must be positive and finite, got {value}")
+
+
+def check_finite(value, name: str) -> None:
+    if not -math.inf < value < math.inf:
+        raise ValidationError(f"{name}: must be finite, got {value}")
 
 
 def check_bit_depth(bit_depth: int, name: str) -> None:

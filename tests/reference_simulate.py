@@ -1,16 +1,51 @@
 """Reference front end: the integrate-and-fire loop and windowed sums as
-they ran before the simulator reused its buffers.
+they ran before the simulator reused its buffers, and the moving-scene
+synthesis as it ran on scipy.ndimage.
 
 `integrate_and_fire` divides every accumulator by the threshold with
 `np.floor_divide` at every micro-interval; `window_sums` reduces each
-window of a float64 copy of the whole clip. The library must reproduce
-both bit for bit.
+window of a float64 copy of the whole clip; `synthesize_clip` warps each
+plane and channel with `ndimage.affine_transform`. The library must
+reproduce all three bit for bit.
 """
 
 import numpy as np
+from scipy import ndimage
 
-from modspike import IrradianceClip, QuerySpec, SensorConfig, SpikeStream, ValidationError
+from modspike import (HdrImage, IrradianceClip, Motion, QuerySpec, SensorConfig,
+                      SpikeStream, ValidationError)
 from modspike.encoder import frame_capacity
+
+
+def _warp(plane: np.ndarray, motion: Motion, frac: float) -> np.ndarray:
+    """Bilinear global-affine warp of one channel plane by `frac` of the
+    total motion; borders replicate the nearest sample."""
+    h, w = plane.shape
+    dy = motion.translate_px[1] * frac
+    dx = motion.translate_px[0] * frac
+    theta = np.deg2rad(motion.rotate_deg * frac)
+    center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    # inverse map: input = R(-theta) @ (output - center - shift) + center
+    inv = np.array([[cos_t, sin_t], [-sin_t, cos_t]])
+    shift = np.array([dy, dx])
+    offset = center - inv @ (center + shift)
+    return ndimage.affine_transform(plane, inv, offset=offset, order=1, mode="nearest")
+
+
+def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> IrradianceClip:
+    """The moving-scene path only: one warp per micro-interval and channel."""
+    k_total = cfg.micro_intervals
+    dt = cfg.total_time_s / k_total
+    base_arr = base.values()
+    u = np.empty((k_total,) + base_arr.shape, dtype=np.float32)
+    for k in range(k_total):
+        frac = k / (k_total - 1) if k_total > 1 else 0.0
+        for c in range(base_arr.shape[2]):
+            warped = _warp(base_arr[:, :, c], motion, frac)
+            u[k, :, :, c] = np.maximum(warped, 0.0) * dt
+    u.setflags(write=False)
+    return IrradianceClip(u=u)
 
 
 def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:

@@ -113,6 +113,8 @@ def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
     ("--config", "micro_intervals=1.5", "micro_intervals"),
     ("--motion", "translate:1", "translate:1"),
     ("--motion", "rotate:x", "rotate:x"),
+    ("--motion", "translate:nan,0", "translate_px"),
+    ("--motion", "rotate:inf", "rotate_deg"),
 ])
 def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag, value, named):
     out = tmp_path / "x.spkb"

@@ -3,9 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 
 from modspike import (HdrImage, ValidationError, bandwidth_report, mu_law, psnr_linear,
                       psnr_mu, ssim_linear)
+from modspike.metrics import _ssim_kernel, _windowed_mean
 
 
 def img(arr):
@@ -90,6 +94,22 @@ def test_ssim_matches_direct_window_oracle():
     # oracle scores the stored (float32-rounded) samples
     expected = ssim_oracle(a.values()[:, :, 0], b.values()[:, :, 0], 1.0)
     assert math.isclose(got, expected, rel_tol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(11, 90), w=st.integers(11, 90),
+       decades=st.integers(1, 30), transposed=st.booleans())
+def test_windowed_mean_matches_scipy_correlate1d(seed, h, w, decades, transposed):
+    rng = np.random.default_rng(seed)
+    plane = rng.uniform(0, 1, (h, w)) * 10.0 ** rng.integers(-decades, 1, (h, w))
+    if transposed:  # a strided view, as a channel of an (H, W, C) image is
+        plane = plane.T
+    kernel = _ssim_kernel()
+    want = correlate1d(correlate1d(plane, kernel, axis=0, mode="constant"),
+                       kernel, axis=1, mode="constant")[5:-5, 5:-5]
+    got = _windowed_mean(plane, kernel)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_ssim_inverted_checkerboard_strongly_negative():

@@ -1,15 +1,16 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import reference_simulate
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modspike import (HdrImage, IrradianceClip, MosaicLayout, Motion, QuerySpec,
                       SensorConfig, ValidationError, ideal_window_counts,
                       integrate_and_fire, mosaic_sample, query_ideal,
-                      readout_window, synthesize_clip, window_sums)
+                      readout_window, simulate, synthesize_clip, window_sums)
 
 
 def _clip_from_planes(planes):
@@ -244,6 +245,18 @@ def test_irradiance_clip_rejects_negative_integrals():
         IrradianceClip(u=np.full((2, 2, 2, 1), -1.0, dtype=np.float32))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("static", [False, True])
+def test_irradiance_clip_rejects_nonfinite_integrals(bad, static):
+    u = np.full((1 if static else 3, 2, 2, 1), 0.5, dtype=np.float32)
+    u[-1, 1, 0, 0] = bad
+    if static:
+        u.setflags(write=False)
+        u = np.broadcast_to(u, (3, 2, 2, 1))
+    with pytest.raises(ValidationError, match="IrradianceClip.u: integrals must be finite"):
+        IrradianceClip(u=u)
+
+
 def test_mosaic_layout_rejects_clashing_positions():
     with pytest.raises(ValidationError, match="distinct"):
         MosaicLayout(red=(0, 0), green=(0, 0), blue=(1, 0))
@@ -308,14 +321,19 @@ def test_integrate_and_fire_matches_reference_after_negative_residual():
     assert want.bits()[1:, 0, 0, 0].any()
 
 
-def test_integrate_and_fire_nan_input_matches_reference():
+def test_integrate_and_fire_nan_accumulator_matches_reference():
+    # clips are finite, but a huge integral times a huge gain is an
+    # infinite drive, and floor_divide turns that accumulator into NaN
     u = np.full((12, 2, 2, 1), 0.4, dtype=np.float32)
-    u[3, 1, 1, 0] = np.nan
+    u[3, 1, 1, 0] = 3e38
     clip = IrradianceClip(u=u)
-    cfg = SensorConfig(threshold=1.0, readout_rate_hz=12, total_time_s=1.0,
-                       micro_intervals=12)
-    got = integrate_and_fire(clip, cfg)
-    assert got.packed.tobytes() == reference_simulate.integrate_and_fire(clip, cfg).packed.tobytes()
+    cfg = SensorConfig(threshold=1e300, conversion_gain=1e300, readout_rate_hz=12,
+                       total_time_s=1.0, micro_intervals=12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = integrate_and_fire(clip, cfg)
+        want = reference_simulate.integrate_and_fire(clip, cfg)
+    assert got.packed.tobytes() == want.packed.tobytes()
+    assert not want.bits()[4:, 1, 1, 0].any() and want.bits()[2:, 0, 0, 0].any()
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,6 +360,91 @@ def test_window_sums_match_reference(seed, window_stride, h, w, c, extra, static
     assert len(seq) == len(counts)
     for frame, count in zip(seq.frames, counts):
         assert np.array_equal(frame.data, np.mod(count, 256))
+
+
+# one component: small, fractional, past the border of any test plane,
+# or so large that the source coordinate leaves the int64 range
+_MOTION_PX = st.one_of(st.floats(-3.0, 3.0), st.floats(-40.0, 40.0),
+                       st.sampled_from([0.0, 1e6, -1e6, 1e300, -1e300]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 9), w=st.integers(1, 9),
+       c=st.sampled_from([1, 3]), k=st.integers(1, 40),
+       dx=_MOTION_PX, dy=_MOTION_PX, rotate=st.floats(-800.0, 800.0),
+       decades=st.integers(1, 34), zeros=st.booleans(),
+       block_samples=st.sampled_from([None, 1, 9, 50]))
+# shapes 1x1, 1xN and Nx1; K = 1
+@example(seed=1, h=1, w=1, c=1, k=5, dx=0.7, dy=-0.2, rotate=30.0, decades=1, zeros=False,
+         block_samples=None)
+@example(seed=2, h=1, w=7, c=3, k=1, dx=2.5, dy=1.0, rotate=0.0, decades=4, zeros=True,
+         block_samples=None)
+@example(seed=3, h=6, w=1, c=1, k=9, dx=0.0, dy=3.5, rotate=-370.0, decades=34, zeros=False,
+         block_samples=None)
+# every coordinate out of range, in int64 and past it
+@example(seed=4, h=5, w=4, c=3, k=7, dx=1e6, dy=-1e6, rotate=45.0, decades=34, zeros=True,
+         block_samples=None)
+@example(seed=5, h=4, w=6, c=1, k=6, dx=1e300, dy=-1e300, rotate=0.0, decades=8, zeros=False,
+         block_samples=None)
+# 128^2 planes with the library's block size: the last block holds one plane
+@example(seed=6, h=128, w=128, c=1, k=13, dx=2.0, dy=1.0, rotate=1.0, decades=4, zeros=False,
+         block_samples=None)
+def test_moving_clip_matches_reference(seed, h, w, c, k, dx, dy, rotate, decades, zeros,
+                                       block_samples):
+    rng = np.random.default_rng(seed)
+    # up to 1e30, spread over `decades` decades; `zeros` adds -0.0 and 0.0
+    data = rng.uniform(0, 1, (h, w, c)) * 10.0 ** rng.integers(31 - decades, 31, (h, w, c))
+    if zeros:
+        data[rng.uniform(size=data.shape) < 0.3] = -0.0
+        data[rng.uniform(size=data.shape) < 0.1] = 0.0
+    base = HdrImage(data=data.astype(np.float32))
+    motion = Motion(translate_px=(dx, dy), rotate_deg=rotate)
+    assume(not motion.is_identity)  # the static path broadcasts one plane, unwarped
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=k)
+    samples = simulate._WARP_BLOCK_SAMPLES if block_samples is None else block_samples
+    planes = np.empty((k, h, w, c))
+    with mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", samples):
+        got = synthesize_clip(base, motion, cfg)
+        simulate._warp_clip(base.values(), motion, 1.0, planes)
+    want = reference_simulate.synthesize_clip(base, motion, cfg)
+    assert got.u.shape == want.u.shape
+    assert got.u.tobytes() == want.u.tobytes()
+    # the float64 warp matches too: the float32 store would hide most
+    # changes to its rounding order
+    for i in range(k):
+        for j in range(c):
+            plane = reference_simulate._warp(base.values()[:, :, j], motion,
+                                             i / (k - 1) if k > 1 else 0.0)
+            assert planes[i, :, :, j].tobytes() == np.maximum(plane, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
+def test_moving_clip_of_zero_size_scene(shape):
+    cfg = SensorConfig(readout_rate_hz=5, total_time_s=1.0, micro_intervals=10)
+    clip = synthesize_clip(HdrImage(data=np.zeros(shape, np.float32)),
+                           Motion(translate_px=(1.0, 0.5), rotate_deg=3.0), cfg)
+    assert clip.u.shape == (10,) + shape[:2] + (shape[2] if len(shape) == 3 else 1,)
+
+
+def _warp_peak_above_clip(k):
+    scene = HdrImage(data=np.random.default_rng(0).uniform(0, 900, (256, 256))
+                     .astype(np.float32))
+    cfg = SensorConfig(readout_rate_hz=k, total_time_s=1.0, micro_intervals=k)
+    tracemalloc.start()
+    try:
+        clip = synthesize_clip(scene, Motion(translate_px=(3.0, -2.0), rotate_deg=5.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - clip.u.nbytes
+
+
+def test_warp_memory_does_not_grow_with_clip_length():
+    # the warp works a block of planes at a time: past the clip itself its
+    # memory is set by the plane size, not by K
+    plane_bytes = 256 * 256 * 4
+    short, long = _warp_peak_above_clip(4), _warp_peak_above_clip(32)
+    assert long < short + plane_bytes, (short, long)
 
 
 # -------------------------------------------- IrradianceClip memory and ownership

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from modspike import (EncoderConfig, GradientField, HdrImage, IrradianceClip,
-                      ModuloFrame, ModuloSequence, QuerySpec, SensorConfig,
+                      ModuloFrame, ModuloSequence, Motion, QuerySpec, SensorConfig,
                       SpikeStream, ValidationError, cyclic_encode, divergence,
                       frame_capacity, gradient, lar, mu_law_inverse, poisson_solve,
                       query_ideal, readout_window)
@@ -135,12 +137,36 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, EncoderConfig(bit_depth=12)),
      "counted_by.bit_depth"),
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, "W25/P20"), "counted_by"),
+    (EncoderConfig, (25, 20, math.inf), "EncoderConfig.gain"),
+    (SensorConfig, (math.inf,), "SensorConfig.threshold"),
+    (SensorConfig, (1.0, math.inf), "SensorConfig.conversion_gain"),
+    (SensorConfig, (1.0, 1.0, math.inf), "SensorConfig.readout_rate_hz"),
+    (SensorConfig, (1.0, 1.0, 20_000.0, math.inf), "SensorConfig.total_time_s"),
+    (Motion, ((math.nan, 0.0),), "Motion.translate_px"),
+    (Motion, ((0.0, -math.inf),), "Motion.translate_px"),
+    (Motion, ((1.0,),), "Motion.translate_px"),
+    (Motion, ((1.0, 2.0, 3.0),), "Motion.translate_px"),
+    (Motion, ((0.0, 0.0), math.inf), "Motion.rotate_deg"),
+    (Motion, ((0.0, 0.0), math.nan), "Motion.rotate_deg"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "cyclic_encode-bits-0", "cyclic_encode-bits-17",
         "query_ideal-bits-neg", "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999",
         "from_bits-nan", "spike_stream-height-neg", "spike_stream-width-neg",
         "modulo_sequence-stride-0", "frame_capacity-stride-0", "readout_window-frames-0",
-        "readout_window-micro-0", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type"])
+        "readout_window-micro-0", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type",
+        "encoder_config-gain-inf", "sensor_config-threshold-inf",
+        "sensor_config-conversion-gain-inf", "sensor_config-readout-rate-inf",
+        "sensor_config-total-time-inf", "motion-translate-nan", "motion-translate-neg-inf",
+        "motion-translate-1-component", "motion-translate-3-components", "motion-rotate-inf",
+        "motion-rotate-nan"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
+
+
+def test_positive_fields_accept_huge_ints_and_finite_motion():
+    # the upper bound compares exactly: no float conversion of 10**400
+    assert SpikeStream(1, 1, 1, 10, 10**400, np.zeros((10, 1, 1), np.uint8))
+    motion = Motion(translate_px=[1e300, -1e300], rotate_deg=-1e6)
+    assert motion.translate_px == (1e300, -1e300) and not motion.is_identity
+    assert Motion(translate_px=np.zeros(2)).is_identity

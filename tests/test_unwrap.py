@@ -261,11 +261,24 @@ def test_cached_offset_objective_equals_per_call_gathers():
 
 
 def test_import_modspike_leaves_scipy_unloaded():
-    # scipy.fft serves only poisson_solve and scipy.ndimage only motion
-    # warps and SSIM; `modspike encode` needs neither
+    # scipy.fft serves only poisson_solve, and the library never imports
+    # scipy.ndimage; `modspike encode` needs neither
     assert run_fresh("import sys, modspike, modspike.cli; "
                      "print(sorted(m for m in ('scipy.fft', 'scipy.ndimage') "
                      "if m in sys.modules))") == "[]"
+
+
+def test_moving_capture_pass_loads_no_scipy(tmp_path):
+    # motion warps and SSIM are numpy-only, and encoder-counted frames
+    # decode on the count lattice without a Poisson solve
+    code = ("import contextlib, io, sys, modspike.cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    modspike.cli.main(['pipeline', '--out-dir', {str(tmp_path)!r}, "
+            "'--height', '24', '--width', '24', '--motion', 'translate:2,1+rotate:3'])\n"
+            "print('frame_0_ssim_linear=' in out.getvalue(), "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh(code) == "True []"
 
 
 @pytest.mark.parametrize("counted_by", [None, EncoderConfig(window=25, stride=20)])
