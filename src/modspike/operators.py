@@ -13,6 +13,16 @@ the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so `poisson_solve` inverts it
 spectrally up to floating point. The solution is gauged to mean zero; the
 constant is resolved downstream by congruence snapping.
 
+`poisson_solve` first projects its right-hand side onto the compatible
+subspace by removing each channel's mean, taken over axes (0, 1) of the
+caller's (H, W[, C]) layout. The unwrapper's solve skips that projection
+and transforms a channel-first (C, H, W) array instead: its right-hand
+side is the divergence of an integer gradient field, which sums to
+exactly 0 per channel by telescoping, so the mean it would subtract is
+exactly 0.0. Both layouts give the same bytes; a float right-hand side
+keeps the projection, because taking its mean in another order can
+change the solution's last bits.
+
 All functions are pure, operate on (H, W) or (H, W, C) rasters, process
 channels independently, and are deterministic for a fixed input. Float
 input is computed in float64. `gradient`, `divergence` and `laplacian` keep
@@ -137,20 +147,30 @@ def poisson_solve(rhs) -> np.ndarray:
     Neumann Laplacian in the type-II cosine basis. scipy.fft is imported
     on the first call.
     """
+    arr = _as_raster(rhs, np.float64)
+    if arr.shape[0] * arr.shape[1] <= 1:
+        return np.zeros_like(arr)
+    return _cosine_solve(arr - arr.mean(axis=(0, 1), keepdims=True), (0, 1))
+
+
+def _cosine_solve(compat: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
+    """The mean-zero x with laplacian(x) = compat over the (rows, columns)
+    `axes` of a float64 array that already sums to zero over them, channel
+    by channel: `poisson_solve`'s projected rhs, or the unwrapper's
+    integer divergence, which needs no projection. Solved in place:
+    `compat` is overwritten and returned.
+    """
     from scipy.fft import dctn, idctn
 
-    arr = _as_raster(rhs, np.float64)
-    h, w = arr.shape[:2]
+    h, w = compat.shape[axes[0]], compat.shape[axes[1]]
     if h * w <= 1:
-        return np.zeros_like(arr)
-    compat = arr - arr.mean(axis=(0, 1), keepdims=True)
-    spec = dctn(compat, type=2, norm="ortho", axes=(0, 1))
+        compat.fill(0.0)
+        return compat
+    spec = dctn(compat, type=2, norm="ortho", axes=axes, overwrite_x=True)
     lam_y = 2.0 * np.cos(np.pi * np.arange(h) / h) - 2.0
     lam_x = 2.0 * np.cos(np.pi * np.arange(w) / w) - 2.0
     lam = lam_y[:, None] + lam_x[None, :]
     lam[0, 0] = 1.0  # placeholder; the DC mode is zeroed below
-    if arr.ndim == 3:
-        lam = lam[:, :, None]
-    spec = spec / lam
-    spec[0, 0] = 0.0
-    return idctn(spec, type=2, norm="ortho", axes=(0, 1))
+    spec /= lam.reshape(lam.shape + (1,) * (spec.ndim - 1 - axes[1]))
+    spec[(slice(None),) * axes[0] + (0, 0)] = 0.0
+    return idctn(spec, type=2, norm="ortho", axes=axes, overwrite_x=True)

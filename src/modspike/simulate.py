@@ -195,9 +195,14 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
     h, w, channels = base.shape
     if not base.size:
         return
-    mats, offsets = map(np.array, zip(*(
-        _inverse_map(motion, k / (k_total - 1) if k_total > 1 else 0.0, h, w)
-        for k in range(k_total))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats, offsets = map(np.array, zip(*(
+            _inverse_map(motion, k / (k_total - 1) if k_total > 1 else 0.0, h, w)
+            for k in range(k_total))))
+    if not np.isfinite(offsets).all():
+        raise ValidationError(
+            f"Motion.translate_px: {motion.translate_px} rotated by up to "
+            f"{motion.rotate_deg} degrees overflows the warp's float64 source coordinates")
     # An edge-replicated border lets the clamped indices -1..n-1 and their
     # +1 neighbours address the padded plane directly. Adding 0.0 turns
     # -0.0 samples into +0.0, as the interpolation sum (which starts at

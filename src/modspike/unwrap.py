@@ -8,40 +8,50 @@ mod 2^N, the lattice decoder reads each pixel's value from a code -> value
 table: exact for any scene, with no half-period condition. Every other
 frame (no provenance, codes that do not identify values, or a code the
 encoder cannot produce) goes through the Poisson decoder, which recovers
-the scene in three steps, per channel:
+the scene in three steps:
 
   1. centered gradient: lar(gradient(frame), 2^N), in int32 — identical
      to the centered gradient of the unwrapped scene wherever
      neighboring-pixel differences stay within half a period (the Itoh
      condition); its divergence is an int32 field too;
-  2. least-squares integration: poisson_solve(divergence(.)), the one
-     float64 step, gives a mean-zero estimate of the scene up to an
-     additive constant;
+  2. least-squares integration: the cosine-basis Poisson solve of that
+     divergence, the one float64 step, gives a mean-zero estimate of the
+     scene up to an additive constant per channel;
   3. congruence snapping: an exhaustive search over the 2^N unit offsets
      picks the constant whose shifted estimate best agrees with the
      observation modulo 2^N, the per-pixel wrap counts are rounded out
      (ties away from zero), and the map is re-based so its minimum is
      zero — anchoring the scene to the base band under the assumption
-     that at least one pixel never wrapped. The scene values, its
-     gradient and its Laplacian are int64.
+     that at least one pixel never wrapped.
 
-Both decoders share the residual report below. The reconstruction is
-congruent to the input by construction; the zeroth-order residual (mean
-centered remainder of hdr - frame) checks that the float32 samples
-actually returned still are, which fails only once counts pass 2^24.
-Because congruence also forces the *wrapped* gradients of output and
-input to agree bit-exactly, a wrapped-both-sides comparison carries no
-information about reconstruction quality; the first/second-order
-residuals therefore compare the reconstruction's plain gradient and
-Laplacian against the centered measurements lar(grad frame) and
-lar(lap frame). Under the half-period condition these are literal
+Both decoders work on one channel-first (C, H, W) int32 copy of the
+frame, so each step is a few contiguous passes over all channels, most
+in place. The snap is channel-batched except for the offset search, which
+runs per plane: its residues come from x - m*floor(x/m), equal to np.mod
+bit for bit at a fraction of its cost. The output is byte-identical to
+the per-channel float64 decoder in tests/reference_unwrap.py.
+
+Both decoders share the front end and the residual report below. The
+reconstruction is congruent to the input by construction; the
+zeroth-order residual (mean centered remainder of hdr - frame) checks
+that the float32 samples actually returned still are, which fails only
+once counts pass 2^24. Because congruence also forces the *wrapped*
+gradients of output and input to agree bit-exactly, a wrapped-both-sides
+comparison carries no information about reconstruction quality; the
+first/second-order residuals therefore compare the reconstruction's plain
+gradient and Laplacian against the centered measurements lar(grad frame)
+and lar(lap frame). Under the half-period condition these are literal
 zeros for integer scenes; measurement fields with curl (half-period
 violations) leave a nonzero mismatch and clear `converged`. All three
-residuals are computed in integers. They certify consistency with the
-observation and with the half-period model, not correctness: a straight
-edge that breaks the half-period condition leaves a curl-free field, so
-the Poisson decoder can be off by 2^N on one side and still converge,
-while the exact lattice decode of that scene does not converge.
+residuals are computed in integers, the first/second-order ones from the
+wrap counts: with hdr = frame + 2^N * rollover, each mismatch is 2^N
+times a small integer field built from the rollover map and the wrap
+indicators the front end split off, so no int64 copy of the scene is
+made. They certify consistency with the observation and with the
+half-period model, not correctness: a straight edge that breaks the
+half-period condition leaves a curl-free field, so the Poisson decoder
+can be off by 2^N on one side and still converge, while the exact
+lattice decode of that scene does not converge.
 
 Also here: the literal wrapped-domain consistency residuals for scoring
 arbitrary candidate reconstructions, the sinusoidal embedding of the
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import GradientField, divergence, gradient, laplacian, lar, poisson_solve
+from .operators import _cosine_solve, gradient, laplacian, lar
 from .types import (EncoderConfig, HdrImage, ModuloFrame, check_bit_depth, check_dims,
                     check_positive)
 
@@ -102,10 +112,6 @@ class UnwrapResult:
     decoder: str = "poisson"
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def _circulant(v: np.ndarray) -> np.ndarray:
     """Read-only (n, n) matrix whose row c is v[(j + c) mod n] over j."""
     out = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v[:-1]]), v.size).copy()
@@ -129,19 +135,40 @@ def _offset_matrices(modulus: int) -> tuple[np.ndarray, np.ndarray]:
     return _circulant(kernel), _circulant(sign)
 
 
+def _floor_mod(x: np.ndarray, modulus: int) -> np.ndarray:
+    """np.mod(x, modulus) bit for bit, for float64 x and a power-of-two
+    modulus, as x - modulus * floor(x / modulus): four vectorized passes
+    instead of np.mod's fmod call per element (about 27 ns each).
+
+    Dividing and multiplying by a power of two are exact, so the one
+    rounding is that of the final sum, which np.mod's fmod-then-add
+    rounds the same way. The exception is a negative subnormal x whose
+    quotient underflows to -0.0: the identity leaves x, np.mod gives
+    the modulus.
+    """
+    e = x / modulus
+    np.floor(e, out=e)
+    e *= -modulus
+    e += x
+    if e.size and e.min() < 0:
+        e[e < 0] = modulus
+    return e
+
+
 def _offset_objective(diff: np.ndarray, modulus: int) -> np.ndarray:
     """Objective(c) = sum_p |lar(diff_p + c, modulus)| for every integer
-    offset c in [0, modulus).
+    offset c in [0, modulus), for a power-of-two modulus.
 
     Computed exactly from a residue histogram: splitting each residue into
     integer bin and fractional part makes the objective a circular
     cross-correlation of the histogram with the centered-distance kernel.
     """
-    e = np.mod(diff.ravel(), modulus)
-    bins = np.minimum(np.floor(e).astype(np.int64), modulus - 1)
-    frac = e - bins
+    e = _floor_mod(diff.ravel(), modulus)
+    bins = e.astype(np.intp)  # e >= 0: truncation is floor
+    np.minimum(bins, modulus - 1, out=bins)  # e may round up to the modulus
+    e -= bins
     hist = np.bincount(bins, minlength=modulus).astype(np.float64)
-    fsum = np.bincount(bins, weights=frac, minlength=modulus)
+    fsum = np.bincount(bins, weights=e, minlength=modulus)
     if modulus <= 2048:
         kernel, sign = _offset_matrices(modulus)
         return kernel @ hist + sign @ fsum
@@ -152,14 +179,24 @@ def _offset_objective(diff: np.ndarray, modulus: int) -> np.ndarray:
             + np.fft.irfft(np.conj(spec_f) * np.fft.rfft(sign), n=modulus))
 
 
-def _snap_channel(estimate: np.ndarray, observed: np.ndarray, modulus: int) -> np.ndarray:
-    """Wrap counts for one channel: align the mean-zero estimate with the
-    observation and round out the per-pixel multiples of the modulus."""
-    diff = estimate - observed
-    offset = int(np.argmin(_offset_objective(diff, modulus)))  # first minimum: smallest c
-    rollover = _round_half_away((diff + offset) / modulus).astype(np.int64)
+def _snap(estimate: np.ndarray, obs: np.ndarray, modulus: int) -> np.ndarray:
+    """(C, H, W) int32 wrap counts: align each channel's mean-zero estimate
+    with the observation at the offset that minimizes its objective (first
+    minimum: smallest offset), round out the per-pixel multiples of the
+    modulus (ties away from zero) and re-base each channel's map to a
+    minimum of zero. Consumes `estimate`."""
+    diff = estimate
+    diff -= obs
+    offsets = [np.argmin(_offset_objective(d, modulus)) for d in diff]
+    diff += np.array(offsets, dtype=np.float64)[:, None, None]
+    diff /= modulus
+    negative = diff < 0
+    np.abs(diff, out=diff)
+    diff += 0.5
+    rollover = diff.astype(np.int32)  # truncation is floor here
+    np.negative(rollover, out=rollover, where=negative)
     if rollover.size:
-        rollover -= rollover.min()  # base-band anchor; also enforces >= 0
+        rollover -= rollover.min(axis=(1, 2), keepdims=True)  # base-band anchor; also >= 0
     return rollover
 
 
@@ -185,19 +222,60 @@ def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
     return table
 
 
-def _lattice_decode(frame: ModuloFrame) -> np.ndarray | None:
-    """The int64 pre-wrap values of an encoder-counted frame, or None when
-    the frame has no provenance, its config's codes do not identify values,
-    or it holds a code the encoder cannot produce."""
+def _lattice_rollover(frame: ModuloFrame, codes: np.ndarray) -> np.ndarray | None:
+    """The (C, H, W) int32 wrap counts of an encoder-counted frame, read
+    from its channel-first int32 `codes`, or None when the frame has no
+    provenance, its config's codes do not identify values, or it holds a
+    code the encoder cannot produce."""
     if frame.counted_by is None:
         return None
     table = _lattice_table(frame.counted_by)
     if table is None:
         return None
-    values = np.take(table, frame.data)
+    values = np.take(table, codes)
     if values.size and values.min() < 0:
         return None
-    return values
+    values >>= frame.bit_depth
+    return values.astype(np.int32)
+
+
+def _forward_differences(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`gradient` of a channel-first (C, H, W) signed integer array, in its
+    own type: forward differences along W and H, zero on the last column
+    and row."""
+    gx = np.zeros_like(a)
+    gy = np.zeros_like(a)
+    np.subtract(a[:, :, 1:], a[:, :, :-1], out=gx[:, :, :-1])
+    np.subtract(a[:, 1:], a[:, :-1], out=gy[:, :-1])
+    return gx, gy
+
+
+def _divergence(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """`divergence` of a channel-first integer field, written over gx."""
+    np.subtract(gx[:, :, 1:], gx[:, :, :-1], out=gx[:, :, 1:])  # numpy buffers the overlap
+    gx += gy
+    gx[:, 1:] -= gy[:, :-1]
+    return gx
+
+
+def _wrap_split(values: np.ndarray, modulus: int) -> np.ndarray:
+    """Replace integer `values` by lar(values, modulus) in place and return
+    their wrap indicators (values - lar(values)) / modulus as int8."""
+    values += modulus // 2
+    wraps = np.right_shift(values, modulus.bit_length() - 1,
+                           out=np.empty(values.shape, np.int8))
+    values &= modulus - 1
+    values -= modulus // 2
+    return wraps
+
+
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """C-contiguous (H, W, C) copy of a (C, H, W) array, one plane at a
+    time: several times faster than numpy's transposing copy."""
+    out = np.empty(a.shape[1:] + a.shape[:1], a.dtype)
+    for c, plane in enumerate(a):
+        out[:, :, c] = plane
+    return out
 
 
 def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResult:
@@ -206,53 +284,66 @@ def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResul
     least-squares integration of the centered wrapped gradient plus
     congruence snapping."""
     modulus = frame.modulus
-    obs = frame.data.astype(np.int32)
-    gf = gradient(obs)
-    centered = GradientField(gx=lar(gf.gx, modulus), gy=lar(gf.gy, modulus))
-    div = divergence(centered)
-    hdr_values = _lattice_decode(frame)
-    if hdr_values is not None:
+    obs = np.ascontiguousarray(frame.data.transpose(2, 0, 1), dtype=np.int32)  # (C, H, W)
+    gx, gy = _forward_differences(obs)
+    wraps = (_wrap_split(gx, modulus), _wrap_split(gy, modulus))
+    div = _divergence(gx, gy)
+    del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
+    rollover = _lattice_rollover(frame, obs)
+    if rollover is not None:
         decoder = "lattice"
-        rollover = (hdr_values >> frame.bit_depth).astype(np.int32)
     else:
         decoder = "poisson"
-        estimate = poisson_solve(div)
-        rollover = np.empty(obs.shape, dtype=np.int32)
-        for c in range(obs.shape[2]):
-            rollover[:, :, c] = _snap_channel(estimate[:, :, c], obs[:, :, c], modulus)
-        hdr_values = obs + rollover.astype(np.int64) * modulus
+        rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
+    div_wraps = _wrap_split(div, modulus)
+    del div, obs
+    top = int(rollover.max()) if rollover.size else 0
+    rollover_map = _channels_last(rollover)
+    hdr_values = np.multiply(rollover_map, modulus,
+                             dtype=np.int32 if (top + 1) * modulus <= 2 ** 31 else np.int64)
+    hdr_values += frame.data
     hdr = HdrImage(data=hdr_values)
-    residuals = _reconstruction_residuals(hdr, hdr_values, obs, centered, div, modulus)
-    return UnwrapResult(hdr=hdr, rollover_map=rollover, residuals=residuals,
+    del hdr_values
+    residuals = _reconstruction_residuals(hdr, frame, rollover, top, wraps, div_wraps)
+    return UnwrapResult(hdr=hdr, rollover_map=rollover_map, residuals=residuals,
                         converged=residuals.max() < tol, decoder=decoder)
 
 
-def _mean_abs(*parts: np.ndarray) -> float:
-    """Mean absolute value over integer arrays of one size, summed exactly;
-    0 when they hold no samples."""
+def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
+    """Mean absolute value of `scale` times integer arrays of one size,
+    summed exactly; 0 when they hold no samples."""
     n = len(parts) * parts[0].size
-    return float(sum(int(np.abs(p).sum()) for p in parts)) / n if n else 0.0
+    return float(scale * sum(int(np.abs(p).sum()) for p in parts)) / n if n else 0.0
 
 
-def _reconstruction_residuals(hdr: HdrImage, hdr_values: np.ndarray, obs: np.ndarray,
-                              centered: GradientField, div: np.ndarray,
-                              modulus: int) -> ConsistencyResiduals:
-    """Quality report for a congruence-snapped reconstruction.
+def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.ndarray,
+                              top: int, wraps: tuple[np.ndarray, np.ndarray],
+                              div_wraps: np.ndarray) -> ConsistencyResiduals:
+    """Quality report for a congruence-snapped reconstruction, from its
+    channel-first wrap counts (see the module docstring).
 
-    The zeroth-order check reads the stored float32 samples, so counts
-    that float32 rounds off the congruence class show up there. Congruence
-    makes the wrapped gradients of hdr and frame identical by construction,
-    so the informative first/second-order checks compare the
-    reconstruction's plain differential fields against the centered
-    measurements; they vanish exactly when the measurement field was
-    integrable (half-period condition) and stay nonzero when it carried
-    curl. lar(div) is lar(laplacian(frame)): the two are congruent.
+    The zeroth-order check reads the stored float32 samples; below 2^24
+    every count is stored exactly and the check is 0. With hdr = frame +
+    m * rollover and gradient(frame) = centered + m * wraps, the other two
+    mismatches are m times small integer fields: gradient(hdr) - centered
+    = m * (gradient(rollover) + wraps), and divergence(gradient(hdr)) -
+    lar(div) = m * (divergence of that field + div_wraps), with div_wraps
+    = (div - lar(div)) / m. lar(div) is lar(laplacian(frame)): the two
+    are congruent.
     """
-    l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - obs, modulus))
-    gh = gradient(hdr_values)
-    l_grad = _mean_abs(gh.gx - centered.gx, gh.gy - centered.gy)
-    l_lap = _mean_abs(divergence(gh) - lar(div, modulus))
-    return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
+    modulus = frame.modulus
+    l_mod = 0.0
+    if (top + 1) * modulus > 2 ** 24:
+        l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
+    if top >= 2 ** 28:  # int32 differences of differences could overflow
+        rollover = rollover.astype(np.int64)
+    gx, gy = _forward_differences(rollover)
+    gx += wraps[0]
+    gy += wraps[1]
+    l_grad = _mean_abs(gx, gy, scale=modulus)
+    lap = _divergence(gx, gy)
+    lap += div_wraps
+    return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=_mean_abs(lap, scale=modulus))
 
 
 def consistency_residuals(hdr: HdrImage, frame: ModuloFrame) -> ConsistencyResiduals:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import reference_unwrap
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.ndimage import gaussian_filter
@@ -273,3 +274,30 @@ def test_poisson_channels_independent():
     joint = poisson_solve(rhs)
     for c in range(3):
         assert np.allclose(joint[:, :, c], poisson_solve(rhs[:, :, c]), atol=1e-12)
+
+
+_solve_sides = st.integers(2, 200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.one_of(st.tuples(st.just(1), _solve_sides), st.tuples(_solve_sides, st.just(1)),
+                       st.tuples(_solve_sides, _solve_sides)),
+       channels=st.sampled_from([None, 1, 3]),
+       mean=st.floats(-1e6, 1e6), scale=st.floats(1e-3, 1e6))
+@example(seed=0, shape=(200, 200), channels=3, mean=1234.5678, scale=1e3)
+@example(seed=1, shape=(1, 200), channels=None, mean=-0.1, scale=1.0)
+@example(seed=2, shape=(200, 1), channels=1, mean=1e6, scale=1e-3)
+@example(seed=3, shape=(160, 160), channels=3, mean=0.0, scale=50.0)
+def test_poisson_solve_matches_frozen_reference(seed, shape, channels, mean, scale):
+    # byte parity of the public solver with its frozen copy: the mean is
+    # taken over (H, W) of the caller's layout, each channel its own
+    rng = np.random.default_rng(seed)
+    full = shape if channels is None else shape + (channels,)
+    rhs = rng.normal(0.0, scale, full) + mean * rng.uniform(0.5, 1.5, full[2:])
+    before = rhs.copy()
+    got = poisson_solve(rhs)
+    want = reference_unwrap.poisson_solve(rhs)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert rhs.tobytes() == before.tobytes()  # the in-place solve works on a copy

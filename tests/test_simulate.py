@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -424,6 +425,24 @@ def test_moving_clip_of_zero_size_scene(shape):
     clip = synthesize_clip(HdrImage(data=np.zeros(shape, np.float32)),
                            Motion(translate_px=(1.0, 0.5), rotate_deg=3.0), cfg)
     assert clip.u.shape == (10,) + shape[:2] + (shape[2] if len(shape) == 3 else 1,)
+
+
+@pytest.mark.parametrize("translate, rotate", [((1.7e308, 1.7e308), 45.0),
+                                                ((1.7e308, -1.7e308), -45.0),
+                                                ((-1.7e308, 1.7e308), 135.0)])
+def test_overflowing_motion_is_rejected_by_name(translate, rotate):
+    # finite components whose rotated translation overflows float64 in the
+    # inverse map: the error names the motion, not the clip, and no
+    # RuntimeWarning escapes on the way
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=5)
+    scene = HdrImage(data=np.ones((4, 4), np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"Motion\.translate_px"):
+            synthesize_clip(scene, Motion(translate_px=translate, rotate_deg=rotate), cfg)
+        # unrotated, the same translation maps finitely and still warps
+        clip = synthesize_clip(scene, Motion(translate_px=translate), cfg)
+    assert np.isfinite(clip.u).all()
 
 
 def _warp_peak_above_clip(k):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -168,6 +169,66 @@ def test_offset_search_matches_exhaustive_scan():
                          for c in range(modulus)])
         assert np.allclose(got, scan, rtol=0, atol=1e-6 * diff.size * modulus)
         assert got.argmin() == scan.argmin()
+
+
+def test_floor_mod_equals_np_mod_bit_for_bit():
+    # the snap's residues come from x - m*floor(x/m), not np.mod; every
+    # value np.mod can see must give the same bits, signed zeros and the
+    # negative subnormals whose quotient underflows to -0.0 included
+    from modspike.unwrap import _floor_mod
+    rng = np.random.default_rng(17)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
+                        np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny,
+                        1e-20, -1e-20, 0.5, -0.5, 2.0 ** 70, -2.0 ** 70])
+    # random magnitudes from the subnormals up to 2^70, both signs
+    spread = np.ldexp(rng.uniform(0.5, 1.0, 4000), rng.integers(-1074, 71, 4000))
+    spread *= rng.choice([-1.0, 1.0], spread.size)
+    for bits in range(1, 17):
+        modulus = 1 << bits
+        multiples = modulus * np.concatenate([np.arange(-4.0, 5.0), [1e3, -1e3],
+                                              np.ldexp(1.0, np.arange(10, 71 - bits, 10)),
+                                              -np.ldexp(1.0, np.arange(10, 71 - bits, 10))])
+        sides = [multiples, np.nextafter(multiples, np.inf), np.nextafter(multiples, -np.inf),
+                 multiples + 0.5, multiples - 0.5, multiples + modulus / 2]
+        x = np.concatenate([special, spread] + sides)
+        got = _floor_mod(x, modulus)
+        assert np.array_equal(got.view(np.int64), np.mod(x, modulus).view(np.int64)), modulus
+
+
+def test_snap_rounds_ties_away_from_zero_like_the_reference():
+    # a fifth of the pixels sit exactly halfway between two wrap counts, on
+    # both sides of zero: the channel-batched snap rounds them away from
+    # zero, as the per-channel float reference does
+    from modspike.unwrap import _snap
+    modulus = 256
+    rng = np.random.default_rng(23)
+    obs = rng.integers(0, modulus, size=(3, 9, 11)).astype(np.int32)
+    halves = 0.5 * (rng.uniform(size=obs.shape) < 0.2)
+    estimate = obs + modulus * (rng.integers(-5, 6, size=obs.shape) + halves)
+    want = np.stack([reference_unwrap.snap_channel(estimate[c], obs[c], modulus)
+                     for c in range(3)])
+    got = _snap(estimate.copy(), obs, modulus)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+def test_poisson_decoder_warm_memory_peak(scene_maker):
+    # a 160^2 x 3 8-bit frame without provenance, as `modspike unwrap`
+    # reads it from MODQ: past the first call (caches built), the decoder's
+    # peak stays within 6.8 MB, about 11 float64 rasters of the frame
+    rng = np.random.default_rng(21)
+    img = np.stack([scene_maker(rng, 160, 160, peak=4095) for _ in range(3)], axis=2)
+    frame = wrap_frame(img)
+    unwrap_poisson(frame)
+    tracemalloc.start()
+    try:
+        result = unwrap_poisson(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.decoder == "poisson" and np.array_equal(result.hdr.values(), img)
+    assert result.rollover_map.flags.c_contiguous and result.rollover_map.shape == img.shape
+    assert peak <= 6.8e6
 
 
 def test_unwrap_reports_counts_float32_cannot_hold():
