@@ -9,9 +9,7 @@ bandwidth accounting, and bit-exact container formats with a CLI driver.
 from .containers import (FormatError, read_hdr, read_modulo, read_spikes,
                          write_hdr, write_modulo, write_spikes)
 from .encoder import (ChunkedEncoder, ModuloSequence, encode_stream,
-                      encode_streaming_chunked, frame_capacity,
-                      ideal_window_counts, query_ideal, readout_window,
-                      window_sums)
+                      frame_capacity, ideal_window_counts, query_ideal)
 from .metrics import (BandwidthReport, bandwidth_report, psnr_linear, psnr_mu,
                       ssim_linear)
 from .operators import (GradientField, LaplacianField, divergence, gradient,
@@ -20,8 +18,8 @@ from .simulate import (IrradianceClip, MosaicLayout, Motion, integrate_and_fire,
                        mosaic_sample, synthesize_clip)
 from .types import (EncoderConfig, HdrImage, ModuloFrame, QuerySpec,
                     SensorConfig, SpikeStream, ValidationError, plane_bytes)
-from .unwrap import (ConsistencyResiduals, UnwrapResult, consistency_residuals,
-                     cyclic_encode, mu_law, mu_law_inverse, unwrap_poisson)
+from .unwrap import (ConsistencyResiduals, UnwrapResult, mu_law, mu_law_inverse,
+                     unwrap_poisson)
 
 __version__ = "0.1.0"
 
@@ -45,11 +43,8 @@ __all__ = [
     "UnwrapResult",
     "ValidationError",
     "bandwidth_report",
-    "consistency_residuals",
-    "cyclic_encode",
     "divergence",
     "encode_stream",
-    "encode_streaming_chunked",
     "frame_capacity",
     "gradient",
     "ideal_window_counts",
@@ -67,11 +62,9 @@ __all__ = [
     "read_hdr",
     "read_modulo",
     "read_spikes",
-    "readout_window",
     "ssim_linear",
     "synthesize_clip",
     "unwrap_poisson",
-    "window_sums",
     "write_hdr",
     "write_modulo",
     "write_spikes",

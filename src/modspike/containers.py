@@ -89,11 +89,14 @@ def _pack_header(path, magic: bytes, height, width, channels, *fields) -> bytes:
              ("channels", "I", channels)) + fields
     for name, code, value in named:
         try:
-            struct.pack("<" + code, value)
+            (stored,) = struct.unpack("<" + code, struct.pack("<" + code, value))
         except (struct.error, OverflowError):
+            stored = None
+        # an f32 field rounds a nonzero value of at most 2^-150 to 0
+        if stored is None or (value != 0 and stored == 0):
             raise FormatError(
                 f"{path}: {name}={value!r} does not fit the container's "
-                f"'{code}' header field") from None
+                f"'{code}' header field")
     return (_HEADER.pack(magic, VERSION, height, width, channels)
             + struct.pack("<" + "".join(code for _, code, _ in fields),
                           *(value for _, _, value in fields)))

@@ -27,14 +27,13 @@ of readout_rate/stride.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream,
                     ValidationError, check_bit_depth, check_bits, check_dims,
-                    check_geometry, check_ndim, check_positive, check_stride)
+                    check_geometry, check_positive, check_stride)
 
 UNPACK_STEP = 512  # spike frames unpacked per push by encode_stream
 
@@ -69,15 +68,15 @@ class ModuloSequence:
 
 def frame_capacity(source_frames: int, window: int, stride: int) -> int:
     """Number of complete windows in a source of `source_frames` frames."""
-    check_positive(stride, "stride")
+    check_stride(stride, window, "frame_capacity")
     if source_frames < window:
         return 0
     return (source_frames - window) // stride + 1
 
 
-def _per_window(clip: IrradianceClip, spec: QuerySpec, dtype, finish) -> np.ndarray:
-    """finish(float64 sum of U_k over the i-th query window) for every
-    window, stacked into a (frames, H, W, C) array of `dtype`.
+def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
+    """Pre-wrap digital counts floor(gain * windowed integral), stacked into
+    a (frames, H, W, C) int64 array.
 
     Each window is reduced on its own, plane by plane in index order, with
     float64 accumulation; that is the rounding of an axis-0 sum over a
@@ -88,23 +87,12 @@ def _per_window(clip: IrradianceClip, spec: QuerySpec, dtype, finish) -> np.ndar
         raise ValidationError(
             f"QuerySpec.window: window {spec.window} exceeds clip micro-intervals {k_total}")
     count = frame_capacity(k_total, spec.window, spec.stride)
-    out = np.empty((count,) + clip.u.shape[1:], dtype=dtype)
+    out = np.empty((count,) + clip.u.shape[1:], dtype=np.int64)
     for i in range(count):
         start = i * spec.stride
-        out[i] = finish(clip.u[start:start + spec.window].sum(axis=0, dtype=np.float64))
+        total = clip.u[start:start + spec.window].sum(axis=0, dtype=np.float64)
+        out[i] = np.floor(spec.digital_gain * total)
     return out
-
-
-def window_sums(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
-    """Raw windowed integrals: sums[i] = sum of U_k for k in the i-th query
-    window, shape (frames, H, W, C) float64."""
-    return _per_window(clip, spec, np.float64, lambda total: total)
-
-
-def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
-    """Pre-wrap digital counts floor(gain * windowed integral), int64."""
-    return _per_window(clip, spec, np.int64,
-                       lambda total: np.floor(spec.digital_gain * total))
 
 
 def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,
@@ -118,24 +106,6 @@ def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,
     frames = tuple(ModuloFrame(data=np.mod(c, modulus), bit_depth=bit_depth) for c in counts)
     return ModuloSequence(frames=frames, window=spec.window, stride=spec.stride,
                           gain=spec.digital_gain, source_rate_hz=micro_rate_hz)
-
-
-def readout_window(start_micro: int, length_micro: int, micro_count: int,
-                   frame_count: int) -> range:
-    """1-based readout frame indices whose intervals tile the query window
-    starting at micro-interval `start_micro` (1-based) of length
-    `length_micro`. Requires micro_count divisible by frame_count."""
-    check_positive(frame_count, "frame_count")
-    check_positive(micro_count, "micro_count")
-    if micro_count % frame_count != 0:
-        raise ValidationError(
-            f"micro_count: {micro_count} not divisible by frame_count {frame_count}")
-    per_frame = micro_count // frame_count
-    lo = start_micro - 1
-    hi = start_micro + length_micro - 1
-    first = lo // per_frame + 1
-    last = hi // per_frame
-    return range(first, last + 1)
 
 
 class ChunkedEncoder:
@@ -241,22 +211,4 @@ def encode_stream(stream: SpikeStream, cfg: EncoderConfig) -> ModuloSequence:
                          source_rate_hz=stream.readout_rate_hz)
     for start in range(0, stream.frame_count, UNPACK_STEP):
         enc.push(stream.bits(start, start + UNPACK_STEP))
-    return enc.sequence()
-
-
-def encode_streaming_chunked(chunks: Iterable[np.ndarray] | Sequence[np.ndarray],
-                             cfg: EncoderConfig,
-                             source_rate_hz: int = 0) -> ModuloSequence:
-    """Encode spike frames arriving as an in-order iterable of (n, H, W, C)
-    chunks; equivalent bit-for-bit to `encode_stream` on the concatenation."""
-    enc: ChunkedEncoder | None = None
-    for chunk in chunks:
-        chunk = np.asarray(chunk)
-        if enc is None:
-            check_ndim(chunk, (4,), "chunk")
-            enc = ChunkedEncoder(chunk.shape[1], chunk.shape[2], chunk.shape[3],
-                                 cfg, source_rate_hz=source_rate_hz)
-        enc.push(chunk)
-    if enc is None:
-        raise ValidationError("chunks: no chunks supplied")
     return enc.sequence()

@@ -53,9 +53,7 @@ half-period condition leaves a curl-free field, so the Poisson decoder
 can be off by 2^N on one side and still converge, while the exact
 lattice decode of that scene does not converge.
 
-Also here: the literal wrapped-domain consistency residuals for scoring
-arbitrary candidate reconstructions, the sinusoidal embedding of the
-wrap phase, and the invertible mu-law tone map.
+Also here: the invertible mu-law tone map.
 """
 
 from __future__ import annotations
@@ -65,9 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _cosine_solve, gradient, laplacian, lar
-from .types import (EncoderConfig, HdrImage, ModuloFrame, check_bit_depth, check_dims,
-                    check_positive)
+from .operators import _cosine_solve, lar
+from .types import EncoderConfig, HdrImage, ModuloFrame, check_positive
 
 RESIDUAL_TOL = 1e-6
 DEFAULT_MU = 5000.0
@@ -344,32 +341,6 @@ def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.nd
     lap = _divergence(gx, gy)
     lap += div_wraps
     return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=_mean_abs(lap, scale=modulus))
-
-
-def consistency_residuals(hdr: HdrImage, frame: ModuloFrame) -> ConsistencyResiduals:
-    """Mean absolute wrapped disagreement between a reconstruction and the
-    observation at zeroth (value), first (gradient) and second (Laplacian)
-    order. Invariant under shifting hdr by any multiple of 2^N."""
-    check_dims(hdr.data.shape, frame.data.shape, "HdrImage, ModuloFrame")
-    modulus = frame.modulus
-    a = hdr.values()
-    b = frame.values()
-    l_mod = float(np.mean(np.abs(lar(a - b, modulus))))
-    ga, gb = gradient(a), gradient(b)
-    l_grad = float(np.mean(np.abs(np.stack([lar(ga.gx, modulus) - lar(gb.gx, modulus),
-                                            lar(ga.gy, modulus) - lar(gb.gy, modulus)]))))
-    l_lap = float(np.mean(np.abs(lar(laplacian(a).lap, modulus)
-                                 - lar(laplacian(b).lap, modulus))))
-    return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
-
-
-def cyclic_encode(hdr: HdrImage, bit_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sinusoidal embedding of the wrap phase: (sin 2*pi*phi, cos 2*pi*phi)
-    with phi = mod(hdr, 2^N) / 2^N. Periodic in steps of 2^N by construction."""
-    check_bit_depth(bit_depth, "bit_depth")
-    modulus = 1 << bit_depth
-    phase = np.mod(hdr.values(), modulus) / modulus
-    return np.sin(2.0 * np.pi * phase), np.cos(2.0 * np.pi * phase)
 
 
 def mu_law(hdr: HdrImage, mu: float = DEFAULT_MU, peak: float = DEFAULT_PEAK) -> HdrImage:

@@ -7,9 +7,9 @@ import time
 
 import numpy as np
 
-from modspike import (EncoderConfig, HdrImage, IrradianceClip, ModuloFrame,
-                      QuerySpec, SensorConfig, SpikeStream, encode_stream,
-                      encode_streaming_chunked, frame_capacity, gradient,
+from modspike import (ChunkedEncoder, EncoderConfig, HdrImage, IrradianceClip,
+                      ModuloFrame, QuerySpec, SensorConfig, SpikeStream,
+                      encode_stream, frame_capacity, gradient,
                       ideal_window_counts, integrate_and_fire, laplacian, lar,
                       mu_law, mu_law_inverse, bandwidth_report, poisson_solve,
                       psnr_linear, psnr_mu, query_ideal, ssim_linear,
@@ -168,8 +168,10 @@ def test_criterion_7_streaming_equivalence():
         stream = SpikeStream.from_bits(bits, readout_rate_hz=20000)
         cuts = np.sort(rng.integers(0, total + 1, size=int(rng.integers(0, 6))))
         bounds = [0] + list(cuts) + [total]
-        chunks = [bits[a:b] for a, b in zip(bounds, bounds[1:])]
-        split = encode_streaming_chunked(chunks, cfg)
+        enc = ChunkedEncoder(3, 3, 1, cfg)
+        for a, b in zip(bounds, bounds[1:]):
+            enc.push(bits[a:b])
+        split = enc.sequence()
         whole = encode_stream(stream, cfg)
         assert len(split) == len(whole)
         for a, b in zip(whole.frames, split.frames):

@@ -246,15 +246,16 @@ def test_entry_point_runs_as_module(tmp_path):
     assert proc.stderr == ""
 
 
-def test_encode_unrepresentable_gain_fails_cleanly(capsys, tmp_path, small_scene):
+# a float32 header field cannot hold 1e39, and 1e-50 would read back as 0
+@pytest.mark.parametrize("gain", ["1e39", "1e-50"])
+def test_encode_unrepresentable_gain_fails_cleanly(capsys, tmp_path, small_scene, gain):
     spikes = tmp_path / "s.spkb"
     config = "threshold=0.02,readout_rate_hz=1000,total_time_s=0.05,micro_intervals=50"
     assert run_cli(capsys, "simulate", "--scene", str(small_scene), "--config", config,
                    "--out", str(spikes))[0] == 0
     modq = tmp_path / "s.modq"
-    # a float32 header field cannot hold 1e39
     code, out, err = run_cli(capsys, "encode", "--in", str(spikes), "--window", "25",
-                             "--stride", "20", "--gain", "1e39", "--out", str(modq))
+                             "--stride", "20", "--gain", gain, "--out", str(modq))
     assert code == 1
     assert err.startswith("modspike: error:") and "gain" in err
     assert not modq.exists()

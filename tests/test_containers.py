@@ -189,6 +189,7 @@ def _spikes_with(frame_count=2, readout_rate_hz=20000, height=2, width=3):
     (write_spikes, _spikes_with(frame_count=1 << 32, width=0), "frame_count"),
     (write_spikes, _spikes_with(height=1 << 32, width=0), "height"),
     (write_hdr, HdrImage(data=np.zeros((1 << 32, 0, 1), dtype=np.float32)), "height"),
+    (write_modulo, _modulo_with(gain=1e-50), "gain"),  # packs as f32 0.0
 ])
 def test_writer_rejects_unrepresentable_header_and_leaves_no_file(tmp_path, write, value,
                                                                   field):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip,
                       ModuloSequence, QuerySpec, SpikeStream, ValidationError,
-                      encode_stream, encode_streaming_chunked, frame_capacity,
-                      query_ideal)
+                      encode_stream, frame_capacity, query_ideal)
 
 
 def naive_encode(bits, cfg):
@@ -153,8 +152,11 @@ def test_two_chunk_split_equals_single_shot():
     stream = random_stream(rng, frames=70)
     bits = stream.bits()
     whole = encode_stream(stream, cfg)
-    split = encode_streaming_chunked([bits[:33], bits[33:]], cfg,
-                                     source_rate_hz=stream.readout_rate_hz)
+    enc = ChunkedEncoder(stream.height, stream.width, stream.channels, cfg,
+                         source_rate_hz=stream.readout_rate_hz)
+    for chunk in (bits[:33], bits[33:]):
+        enc.push(chunk)
+    split = enc.sequence()
     assert len(whole) == len(split)
     for a, b in zip(whole.frames, split.frames):
         assert np.array_equal(a.data, b.data)
@@ -166,7 +168,10 @@ def test_chunk_boundary_inside_window():
     stream = random_stream(rng, frames=65)
     bits = stream.bits()
     # split right after a window opens: a_2 = 21, cut at frame 21 (0-based)
-    split = encode_streaming_chunked([bits[:21], bits[21:]], cfg)
+    enc = ChunkedEncoder(stream.height, stream.width, stream.channels, cfg)
+    for chunk in (bits[:21], bits[21:]):
+        enc.push(chunk)
+    split = enc.sequence()
     whole = encode_stream(stream, cfg)
     for a, b in zip(whole.frames, split.frames):
         assert np.array_equal(a.data, b.data)
@@ -177,9 +182,12 @@ def test_empty_trailing_chunk_adds_nothing():
     cfg = EncoderConfig(window=25, stride=20)
     bits = random_stream(rng, frames=45).bits()
     empty = np.zeros((0,) + bits.shape[1:], dtype=np.uint8)
-    split = encode_streaming_chunked([bits, empty], cfg)
-    whole = encode_streaming_chunked([bits], cfg)
-    assert len(split) == len(whole)
+    split = ChunkedEncoder(5, 4, 1, cfg)
+    for chunk in (bits, empty):
+        split.push(chunk)
+    whole = ChunkedEncoder(5, 4, 1, cfg)
+    whole.push(bits)
+    assert len(split.sequence()) == len(whole.sequence())
 
 
 def test_incremental_emission_timing():
@@ -218,15 +226,23 @@ def test_chunked_encoder_rejects_bad_geometry(field, dims):
     np.full((3, 2, 2, 1), 256, dtype=np.int64),
     np.full((3, 2, 2, 1), 0.5),
     np.full((3, 2, 2, 1), np.nan),
+    np.concatenate([np.ones((2, 2, 2, 1), np.uint8), np.full((1, 2, 2, 1), 2, np.uint8)]),
 ])
 def test_push_rejects_samples_other_than_0_1(bad):
+    # a rejected chunk is consumed not at all, even when only its last
+    # frame is bad: the encoder goes on as if it had never seen it
     cfg = EncoderConfig(window=2, stride=1, gain=1.0, bit_depth=8)
-    enc = ChunkedEncoder(2, 2, 1, cfg)
+    good = np.random.default_rng(25).integers(0, 2, size=(4, 2, 2, 1), dtype=np.uint8)
+    enc, clean = ChunkedEncoder(2, 2, 1, cfg), ChunkedEncoder(2, 2, 1, cfg)
+    enc.push(good[:1])
+    clean.push(good[:1])
     with pytest.raises(ValidationError, match="samples must be 0 or 1"):
         enc.push(bad)
-    assert enc.frames_consumed == 0
-    with pytest.raises(ValidationError, match="samples must be 0 or 1"):
-        encode_streaming_chunked([bad], cfg)
+    assert enc.frames_consumed == 1
+    emitted, want = enc.push(good[1:]), clean.push(good[1:])
+    assert [f.data.tobytes() for f in emitted] == [f.data.tobytes() for f in want]
+    assert ([f.data.tobytes() for f in enc.sequence().frames]
+            == [f.data.tobytes() for f in clean.sequence().frames])
 
 
 @st.composite
@@ -294,8 +310,10 @@ def test_random_chunkings_match_single_shot(total, seed, data):
     bits = stream.bits()
     cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
     bounds = [0] + cuts + [total]
-    chunks = [bits[a:b] for a, b in zip(bounds, bounds[1:])]
-    split = encode_streaming_chunked(chunks, cfg)
+    enc = ChunkedEncoder(3, 3, 1, cfg)
+    for a, b in zip(bounds, bounds[1:]):
+        enc.push(bits[a:b])
+    split = enc.sequence()
     whole = encode_stream(stream, cfg)
     assert len(split) == len(whole)
     for a, b in zip(whole.frames, split.frames):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from modspike import (HdrImage, IrradianceClip, MosaicLayout, Motion, QuerySpec,
                       SensorConfig, ValidationError, ideal_window_counts,
-                      integrate_and_fire, mosaic_sample, query_ideal,
-                      readout_window, simulate, synthesize_clip, window_sums)
+                      integrate_and_fire, mosaic_sample, query_ideal, simulate,
+                      synthesize_clip)
 
 
 def _clip_from_planes(planes):
@@ -185,26 +185,6 @@ def test_micro_intervals_must_divide_readout():
         integrate_and_fire(clip, cfg)
 
 
-def test_readout_window_temporal_consistency():
-    # |R(i)| / R == L / K whenever K divides into R and L into K/R
-    k, r = 1200, 300  # 4 micro-intervals per readout frame
-    for start, length in ((1, 100), (21, 200), (41, 400), (7, 8)):
-        window = readout_window(start, length, k, r)
-        assert len(window) * k == length * r
-
-
-def test_readout_window_matches_interval_overlap_oracle():
-    # reference: enumerate readout indices whose interval overlaps the
-    # window's physical duration, with the half-open/closed bound pattern
-    k, r = 80, 20
-    for start in (1, 2, 5, 17, 33):
-        for length in (4, 8, 12, 44):
-            got = list(readout_window(start, length, k, r))
-            oracle = [idx for idx in range(1, r + 1)
-                      if start - 1 < idx * k / r <= start + length - 1]
-            assert got == oracle
-
-
 # ------------------------------------------------------------ mosaic_sample
 
 def test_mosaic_uniform_scene_equal_channels():
@@ -347,16 +327,15 @@ def test_integrate_and_fire_nan_accumulator_matches_reference():
 # one-sample planes: numpy reduces such a window pairwise, not plane by plane
 @example(seed=3, window_stride=(64, 17), h=1, w=1, c=1, extra=30, static=False, gain=15.0)
 @example(seed=4, window_stride=(64, 64), h=1, w=1, c=1, extra=0, static=True, gain=15.0)
-def test_window_sums_match_reference(seed, window_stride, h, w, c, extra, static, gain):
+def test_ideal_window_counts_match_reference(seed, window_stride, h, w, c, extra, static,
+                                             gain):
     window, stride = window_stride
     clip = _random_clip(seed, window + extra, h, w, c, 1e4, static, decades=12)
     spec = QuerySpec(window=window, stride=stride, digital_gain=gain)
-    want = reference_simulate.window_sums(clip, spec)
-    got = window_sums(clip, spec)
-    assert got.dtype == np.float64
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    counts = np.floor(gain * want).astype(np.int64)
-    assert np.array_equal(ideal_window_counts(clip, spec), counts)
+    counts = np.floor(gain * reference_simulate.window_sums(clip, spec)).astype(np.int64)
+    got = ideal_window_counts(clip, spec)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, counts)
     seq = query_ideal(clip, spec, bit_depth=8)
     assert len(seq) == len(counts)
     for frame, count in zip(seq.frames, counts):

@@ -5,9 +5,8 @@ import pytest
 
 from modspike import (EncoderConfig, GradientField, HdrImage, IrradianceClip,
                       ModuloFrame, ModuloSequence, Motion, QuerySpec, SensorConfig,
-                      SpikeStream, ValidationError, cyclic_encode, divergence,
-                      frame_capacity, gradient, lar, mu_law_inverse, poisson_solve,
-                      query_ideal, readout_window)
+                      SpikeStream, ValidationError, divergence, frame_capacity,
+                      gradient, lar, mu_law_inverse, poisson_solve, query_ideal)
 
 
 def test_hdr_image_basic():
@@ -121,8 +120,6 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (divergence, (GradientField(gx=np.zeros(5), gy=np.zeros(5)),), "GradientField"),
     (divergence, (GradientField(gx=np.zeros((2, 2)), gy=np.zeros((3, 2))),), "GradientField"),
     (lar, (np.zeros(3), 0), "modulus"),
-    (cyclic_encode, (_IMG, 0), "bit_depth"),
-    (cyclic_encode, (_IMG, 17), "bit_depth"),
     (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), -1), "bit_depth"),
     (mu_law_inverse, (_IMG, 0), "mu"),
     (SpikeStream.from_bits, (np.full((1, 2, 2, 1), 0.5), 100), "0 or 1"),
@@ -132,8 +129,8 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (SpikeStream, (5, -1, 1, 2, 100, np.zeros((2, 1, 0), dtype=np.uint8)), "SpikeStream.width"),
     (ModuloSequence, ((), 4, 0, 1.0), "ModuloSequence.stride"),
     (frame_capacity, (10, 5, 0), "stride"),
-    (readout_window, (1, 2, 10, 0), "frame_count"),
-    (readout_window, (1, 2, 0, 5), "micro_count"),
+    (frame_capacity, (10, 0, 1), "frame_capacity.stride: stride exceeds window"),
+    (frame_capacity, (10, -3, 1), "frame_capacity.stride: stride exceeds window"),
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, EncoderConfig(bit_depth=12)),
      "counted_by.bit_depth"),
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, "W25/P20"), "counted_by"),
@@ -149,11 +146,10 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (Motion, ((0.0, 0.0), math.inf), "Motion.rotate_deg"),
     (Motion, ((0.0, 0.0), math.nan), "Motion.rotate_deg"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
-        "lar-modulus-0", "cyclic_encode-bits-0", "cyclic_encode-bits-17",
-        "query_ideal-bits-neg", "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999",
-        "from_bits-nan", "spike_stream-height-neg", "spike_stream-width-neg",
-        "modulo_sequence-stride-0", "frame_capacity-stride-0", "readout_window-frames-0",
-        "readout_window-micro-0", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type",
+        "lar-modulus-0", "query_ideal-bits-neg", "mu_law_inverse-mu-0", "from_bits-0.5",
+        "from_bits-0.999", "from_bits-nan", "spike_stream-height-neg", "spike_stream-width-neg",
+        "modulo_sequence-stride-0", "frame_capacity-stride-0", "frame_capacity-window-0",
+        "frame_capacity-window-neg", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type",
         "encoder_config-gain-inf", "sensor_config-threshold-inf",
         "sensor_config-conversion-gain-inf", "sensor_config-readout-rate-inf",
         "sensor_config-total-time-inf", "motion-translate-nan", "motion-translate-neg-inf",

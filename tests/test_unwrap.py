@@ -13,9 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modspike
-from modspike import (ChunkedEncoder, EncoderConfig, HdrImage, ModuloFrame,
-                      consistency_residuals, cyclic_encode, gradient, lar, mu_law,
-                      mu_law_inverse, unwrap_poisson)
+from modspike import (ChunkedEncoder, EncoderConfig, HdrImage, ModuloFrame, gradient,
+                      lar, mu_law, mu_law_inverse, unwrap_poisson)
 
 
 def wrap_frame(img, bit_depth=8):
@@ -447,69 +446,6 @@ def test_frame_without_provenance_never_takes_the_lattice():
     assert unwrap_poisson(ModuloFrame(data, 8)).decoder == "poisson"
     cfg = EncoderConfig(window=25, stride=20)
     assert unwrap_poisson(ModuloFrame(data, 8, counted_by=cfg)).decoder == "lattice"
-
-
-# ------------------------------------------------------ consistency_residuals
-
-def test_residuals_identical_images():
-    frame = wrap_frame(np.arange(64).reshape(8, 8))
-    hdr = HdrImage(data=frame.data.astype(np.float32))
-    assert consistency_residuals(hdr, frame).as_tuple() == (0.0, 0.0, 0.0)
-
-
-def test_residuals_blind_to_global_period_shift():
-    frame = wrap_frame(np.arange(64).reshape(8, 8))
-    hdr = HdrImage(data=(frame.values() + 256.0).astype(np.float32))
-    assert consistency_residuals(hdr, frame).as_tuple() == (0.0, 0.0, 0.0)
-
-
-def test_residuals_constant_offset_hits_zeroth_order_only():
-    frame = wrap_frame(np.arange(64).reshape(8, 8))
-    hdr = HdrImage(data=(frame.values() + 1.0).astype(np.float32))
-    res = consistency_residuals(hdr, frame)
-    assert res.as_tuple() == (1.0, 0.0, 0.0)
-
-
-def test_residuals_invariant_under_per_pixel_period_shifts(scene_maker):
-    rng = np.random.default_rng(11)
-    img = scene_maker(rng, 16, 16, peak=2000)
-    frame = wrap_frame(img)
-    base = HdrImage(data=img.astype(np.float32))
-    shifted = HdrImage(data=(img + 256 * 3).astype(np.float32))
-    assert (consistency_residuals(base, frame).as_tuple()
-            == consistency_residuals(shifted, frame).as_tuple())
-
-
-def test_residuals_dimension_mismatch():
-    frame = wrap_frame(np.zeros((4, 4)))
-    hdr = HdrImage(data=np.zeros((5, 4), dtype=np.float32))
-    with pytest.raises(Exception, match="dimensions"):
-        consistency_residuals(hdr, frame)
-
-
-# --------------------------------------------------------------- cyclic_encode
-
-def test_cyclic_zero_phase():
-    img = HdrImage(data=np.zeros((3, 3), dtype=np.float32))
-    s, c = cyclic_encode(img, 8)
-    assert np.array_equal(s, np.zeros((3, 3, 1)))
-    assert np.array_equal(c, np.ones((3, 3, 1)))
-
-
-def test_cyclic_quarter_period():
-    img = HdrImage(data=np.full((2, 2), 64.0, dtype=np.float32))  # 2^(8-2)
-    s, c = cyclic_encode(img, 8)
-    assert np.allclose(s, 1.0, atol=1e-12)
-    assert np.allclose(c, 0.0, atol=1e-12)
-
-
-def test_cyclic_periodicity():
-    rng = np.random.default_rng(12)
-    vals = rng.integers(0, 4000, size=(6, 6)).astype(np.float32)
-    a = cyclic_encode(HdrImage(data=vals), 8)
-    b = cyclic_encode(HdrImage(data=vals + 256.0), 8)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
 
 
 # --------------------------------------------------------------------- mu-law
