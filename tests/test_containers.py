@@ -199,6 +199,16 @@ def test_writer_rejects_unrepresentable_header_and_leaves_no_file(tmp_path, writ
     assert not path.exists()
 
 
+# the f32 gain check refuses only zero: a subnormal gain, down to the least
+# one, is still positive and reads back as the value it packs to
+@pytest.mark.parametrize("gain", [3e-39, 1.5e-45])
+def test_modulo_subnormal_gain_round_trips(tmp_path, gain):
+    path = tmp_path / "g.modq"
+    write_modulo(path, _modulo_with(gain=gain))
+    back = read_modulo(path)
+    assert back.gain == float(np.float32(gain)) > 0.0
+
+
 def test_writer_header_check_keeps_an_existing_file(tmp_path):
     path = tmp_path / "m.modq"
     write_modulo(path, _modulo_with())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip,
                       ModuloSequence, QuerySpec, SpikeStream, ValidationError,
-                      encode_stream, frame_capacity, query_ideal)
+                      encode_stream, frame_capacity, ideal_window_counts, query_ideal)
 
 
 def naive_encode(bits, cfg):
@@ -80,6 +80,43 @@ def test_query_ideal_records_micro_rate():
     seq = query_ideal(clip, QuerySpec(window=25, stride=20), bit_depth=8,
                       micro_rate_hz=400_000)
     assert seq.effective_rate_hz == 20_000.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.integers(1, 12).flatmap(
+           lambda w: st.tuples(st.just(w), st.integers(1, w))),
+       extra=st.integers(0, 30))
+def test_ideal_windows_cover_the_documented_micro_intervals(geometry, extra):
+    # a unit impulse at interval k (0-based) counts in window i exactly when
+    # i*stride <= k < i*stride + window, i.e. windows start at b_i = (i-1)*stride + 1
+    window, stride = geometry
+    k_total = window + extra
+    u = np.zeros((k_total, 1, k_total, 1), dtype=np.float32)
+    u[np.arange(k_total), 0, np.arange(k_total), 0] = 1.0  # impulse at k in column k
+    counts = ideal_window_counts(IrradianceClip(u=u), QuerySpec(window=window, stride=stride))
+    assert len(counts) == frame_capacity(k_total, window, stride) == extra // stride + 1
+    starts = stride * np.arange(len(counts))[:, None]
+    k = np.arange(k_total)[None, :]
+    assert np.array_equal(counts[:, 0, :, 0], ((starts <= k) & (k < starts + window)))
+
+
+@pytest.mark.parametrize("window, stride, gain, bit_depth", [
+    (25, 20, 15.0, 8), (7, 3, 2.5, 4), (4, 4, 1.0, 1),
+])
+def test_query_ideal_of_a_binary_clip_equals_the_encoder(window, stride, gain, bit_depth):
+    # when each interval's integral is one spike or none, the ideal route and
+    # the hardware route count the same windows and wrap the same values
+    rng = np.random.default_rng(window)
+    bits = rng.integers(0, 2, size=(3 * window + 2, 4, 5, 3), dtype=np.uint8)
+    seq = query_ideal(IrradianceClip(u=bits.astype(np.float32)),
+                      QuerySpec(window=window, stride=stride, digital_gain=gain),
+                      bit_depth=bit_depth, micro_rate_hz=20000)
+    cfg = EncoderConfig(window=window, stride=stride, gain=gain, bit_depth=bit_depth)
+    want = encode_stream(SpikeStream.from_bits(bits, readout_rate_hz=20000), cfg)
+    assert len(seq) == len(want) and seq.effective_rate_hz == want.effective_rate_hz
+    for a, b in zip(seq.frames, want.frames):
+        assert a.bit_depth == b.bit_depth
+        assert np.array_equal(a.values(), b.values())
 
 
 # -------------------------------------------------------------- encode_stream

@@ -178,6 +178,21 @@ def test_reset_to_zero_discards_residual():
     assert oracle_true == 12  # banked residuals fire extra
 
 
+def test_spikes_fire_only_in_readouts_covering_the_drive():
+    # readout r (0-based) latches micro-intervals [r*sub, (r+1)*sub): a drive
+    # of one quantum per interval on [a, b) fires exactly the readouts whose
+    # intervals overlap it, and the emptied accumulator fires no later
+    k, r = 40, 10
+    sub = k // r
+    cfg = SensorConfig(threshold=1.0, readout_rate_hz=r, total_time_s=1.0, micro_intervals=k)
+    for a, b in ((0, 1), (3, 4), (3, 5), (4, 8), (7, 21), (13, 14), (39, 40), (0, 40)):
+        u = np.zeros((k, 1, 1))
+        u[a:b] = 1.0
+        fired = integrate_and_fire(_clip_from_planes(u), cfg).bits()[:, 0, 0, 0]
+        oracle = [int(a < (j + 1) * sub and j * sub < b) for j in range(r)]
+        assert fired.tolist() == oracle
+
+
 def test_micro_intervals_must_divide_readout():
     clip = _clip_from_planes(np.zeros((30, 2, 2)))
     cfg = SensorConfig(readout_rate_hz=4, total_time_s=1.0, micro_intervals=8)

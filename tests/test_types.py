@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from modspike import (EncoderConfig, GradientField, HdrImage, IrradianceClip,
+from modspike import (ChunkedEncoder, EncoderConfig, GradientField, HdrImage, IrradianceClip,
                       ModuloFrame, ModuloSequence, Motion, QuerySpec, SensorConfig,
                       SpikeStream, ValidationError, divergence, frame_capacity,
-                      gradient, lar, mu_law_inverse, poisson_solve, query_ideal)
+                      gradient, ideal_window_counts, lar, mu_law_inverse, poisson_solve,
+                      query_ideal)
 
 
 def test_hdr_image_basic():
@@ -121,6 +122,10 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (divergence, (GradientField(gx=np.zeros((2, 2)), gy=np.zeros((3, 2))),), "GradientField"),
     (lar, (np.zeros(3), 0), "modulus"),
     (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), -1), "bit_depth"),
+    (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), 17), "bit_depth"),
+    (ideal_window_counts, (_CLIP, QuerySpec(window=9, stride=1)), "QuerySpec.window"),
+    (ChunkedEncoder(2, 2, 1, EncoderConfig(window=2, stride=1)).push,
+     (np.zeros((1, 2, 3, 1), np.uint8),), "chunk \\(H, W, C\\): mixed dimensions"),
     (mu_law_inverse, (_IMG, 0), "mu"),
     (SpikeStream.from_bits, (np.full((1, 2, 2, 1), 0.5), 100), "0 or 1"),
     (SpikeStream.from_bits, (np.full((1, 2, 2, 1), 0.999), 100), "0 or 1"),
@@ -146,8 +151,10 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (Motion, ((0.0, 0.0), math.inf), "Motion.rotate_deg"),
     (Motion, ((0.0, 0.0), math.nan), "Motion.rotate_deg"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
-        "lar-modulus-0", "query_ideal-bits-neg", "mu_law_inverse-mu-0", "from_bits-0.5",
-        "from_bits-0.999", "from_bits-nan", "spike_stream-height-neg", "spike_stream-width-neg",
+        "lar-modulus-0", "query_ideal-bits-neg", "query_ideal-bits-17",
+        "ideal_window_counts-window-9", "push-chunk-dims", "mu_law_inverse-mu-0",
+        "from_bits-0.5", "from_bits-0.999", "from_bits-nan", "spike_stream-height-neg",
+        "spike_stream-width-neg",
         "modulo_sequence-stride-0", "frame_capacity-stride-0", "frame_capacity-window-0",
         "frame_capacity-window-neg", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type",
         "encoder_config-gain-inf", "sensor_config-threshold-inf",

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modspike
-from modspike import (ChunkedEncoder, EncoderConfig, HdrImage, ModuloFrame, gradient,
-                      lar, mu_law, mu_law_inverse, unwrap_poisson)
+from modspike import (ChunkedEncoder, EncoderConfig, GradientField, HdrImage, ModuloFrame,
+                      gradient, lar, mu_law, mu_law_inverse, unwrap_poisson)
 
 
 def wrap_frame(img, bit_depth=8):
@@ -446,6 +446,66 @@ def test_frame_without_provenance_never_takes_the_lattice():
     assert unwrap_poisson(ModuloFrame(data, 8)).decoder == "poisson"
     cfg = EncoderConfig(window=25, stride=20)
     assert unwrap_poisson(ModuloFrame(data, 8, counted_by=cfg)).decoder == "lattice"
+
+
+# ------------------------------------------------------------- residual report
+
+def direct_residuals(hdr, frame):
+    """The report's definition, evaluated in float64 on the returned hdr."""
+    modulus = frame.modulus
+    gf = gradient(frame.values())
+    centered = GradientField(gx=lar(gf.gx, modulus), gy=lar(gf.gy, modulus))
+    return reference_unwrap.reconstruction_residuals(hdr.values(), frame.values(),
+                                                     centered, modulus)
+
+
+def test_residuals_of_a_multichannel_frame_are_the_channel_means():
+    rng = np.random.default_rng(31)
+    img = rng.integers(0, 1000, size=(16, 12, 3))  # steps far beyond 128: curl
+    result = unwrap_poisson(wrap_frame(img))
+    singles = [unwrap_poisson(wrap_frame(img[:, :, c])) for c in range(3)]
+    for c, single in enumerate(singles):
+        assert single.residuals.l_grad > 0
+        assert np.array_equal(result.rollover_map[:, :, c], single.rollover_map[:, :, 0])
+    for got, parts in zip(result.residuals.as_tuple(),
+                          zip(*(s.residuals.as_tuple() for s in singles))):
+        assert got == pytest.approx(sum(parts) / 3, rel=1e-12)
+    assert not result.converged
+
+
+def test_lattice_residual_report_equals_its_definition():
+    # the lattice decode skips the Poisson solve but reports the same
+    # residuals: plain gradient and Laplacian of hdr against lar of the frame's
+    cfg = EncoderConfig(window=25, stride=5, gain=15.0, bit_depth=8)
+    rng = np.random.default_rng(32)
+    density = rng.uniform(0.0, 1.0, size=(9, 7, 3))
+    bits = (rng.uniform(size=(40, 9, 7, 3)) < density).astype(np.uint8)
+    frames = ChunkedEncoder(9, 7, 3, cfg).push(bits)
+    assert len(frames) == 4
+    for frame in frames:
+        result = unwrap_poisson(frame)
+        assert result.decoder == "lattice"
+        assert result.residuals.l_grad > 0  # counts up to 375 jump past half a period
+        assert result.residuals.as_tuple() == direct_residuals(result.hdr, frame).as_tuple()
+
+
+def test_residuals_certify_consistency_not_correctness():
+    # a straight 210-count edge breaks the half-period condition without
+    # curl: the Poisson decode is off by a period on the dark side and still
+    # converges, while the exact lattice decode of the same frame does not
+    cfg = EncoderConfig(window=25, stride=20, gain=15.0, bit_depth=8)
+    img = np.zeros((6, 8), dtype=np.int64)
+    img[:, 4:] = 15 * 14
+    data = wrap_frame(img).data
+    poisson = unwrap_poisson(ModuloFrame(data, 8))
+    assert poisson.residuals.as_tuple() == (0.0, 0.0, 0.0) and poisson.converged
+    assert np.array_equal(poisson.hdr.values()[:, :, 0] - img, 256 * (img == 0))
+    lattice = unwrap_poisson(ModuloFrame(data, 8, counted_by=cfg))
+    assert lattice.decoder == "lattice"
+    assert np.array_equal(lattice.hdr.values()[:, :, 0], img)
+    # one jump of 210 per row where lar measures -46: a mismatch of 256
+    assert lattice.residuals.l_grad == 256 * 6 / (2 * 6 * 8)
+    assert not lattice.converged
 
 
 # --------------------------------------------------------------------- mu-law
