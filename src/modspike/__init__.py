@@ -10,16 +10,14 @@ from .containers import (FormatError, read_hdr, read_modulo, read_spikes,
                          write_hdr, write_modulo, write_spikes)
 from .encoder import (ChunkedEncoder, ModuloSequence, encode_stream,
                       frame_capacity, ideal_window_counts, query_ideal)
-from .metrics import (BandwidthReport, bandwidth_report, psnr_linear, psnr_mu,
-                      ssim_linear)
-from .operators import (GradientField, LaplacianField, divergence, gradient,
-                        laplacian, lar, poisson_solve)
-from .simulate import (IrradianceClip, MosaicLayout, Motion, integrate_and_fire,
-                       mosaic_sample, synthesize_clip)
+from .metrics import (BandwidthReport, bandwidth_report, mu_law, mu_law_inverse,
+                      psnr_linear, psnr_mu, ssim_linear)
+from .operators import GradientField, divergence, gradient, laplacian, lar, poisson_solve
+from .simulate import (IrradianceClip, Motion, integrate_and_fire, mosaic_sample,
+                       synthesize_clip)
 from .types import (EncoderConfig, HdrImage, ModuloFrame, QuerySpec,
                     SensorConfig, SpikeStream, ValidationError, plane_bytes)
-from .unwrap import (ConsistencyResiduals, UnwrapResult, mu_law, mu_law_inverse,
-                     unwrap_poisson)
+from .unwrap import ConsistencyResiduals, UnwrapResult, unwrap_poisson
 
 __version__ = "0.1.0"
 
@@ -32,10 +30,8 @@ __all__ = [
     "GradientField",
     "HdrImage",
     "IrradianceClip",
-    "LaplacianField",
     "ModuloFrame",
     "ModuloSequence",
-    "MosaicLayout",
     "Motion",
     "QuerySpec",
     "SensorConfig",

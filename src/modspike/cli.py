@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,28 +25,28 @@ import numpy as np
 from . import containers
 from .containers import FormatError
 from .encoder import encode_stream, ideal_window_counts
-from .metrics import bandwidth_report, psnr_linear, psnr_mu, ssim_linear
+from .metrics import DEFAULT_MU, DEFAULT_PEAK, bandwidth_report, psnr_linear, psnr_mu, ssim_linear
 from .simulate import Motion, integrate_and_fire, mosaic_sample, synthesize_clip
-from .types import (EncoderConfig, HdrImage, QuerySpec, SensorConfig,
-                    ValidationError)
+from .types import EncoderConfig, HdrImage, QuerySpec, SensorConfig, ValidationError
 from .unwrap import unwrap_poisson
 
-_SENSOR_KEYS = {
-    "threshold": float,
-    "conversion_gain": float,
-    "readout_rate_hz": float,
-    "total_time_s": float,
-    "micro_intervals": int,
-    "shot_noise": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "rng_seed": int,
-    "reset_to_zero": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+_ENCODER = EncoderConfig()  # the --window/--stride/--gain/--bits defaults
+
+
+def _parse_flag(text: str) -> bool:
+    """1/0, true/false, yes/no or on/off, in any case; else ValueError."""
+    return ("0", "false", "no", "off", "1", "true", "yes", "on").index(text.lower()) >= 4
+
+
+# each SensorConfig field, parsed as the type of its default
+_SENSOR_KEYS = {f.name: _parse_flag if isinstance(f.default, bool) else type(f.default)
+                for f in fields(SensorConfig)}
 
 
 def _parse_sensor_config(text: str | None, seed: int | None = None) -> SensorConfig:
     """Sensor config from `key=value` pairs, inline (comma/space separated)
     or one per line in a file."""
-    fields = {}
+    given = {}
     if text:
         if Path(text).is_file():
             pairs = []
@@ -63,12 +63,12 @@ def _parse_sensor_config(text: str | None, seed: int | None = None) -> SensorCon
             if key not in _SENSOR_KEYS:
                 raise ValidationError(f"config: unknown key {key!r}")
             try:
-                fields[key] = _SENSOR_KEYS[key](value)
+                given[key] = _SENSOR_KEYS[key](value)
             except ValueError:
                 raise ValidationError(f"config: {key}: cannot parse {value!r}") from None
     if seed is not None:
-        fields["rng_seed"] = seed
-    return SensorConfig(**fields)
+        given["rng_seed"] = seed
+    return SensorConfig(**given)
 
 
 def _parse_motion(text: str) -> Motion:
@@ -128,9 +128,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_encode(args) -> int:
     stream = containers.read_spikes(args.infile)
-    cfg = EncoderConfig(window=args.window, stride=args.stride, gain=args.gain,
-                        bit_depth=args.bits)
-    seq = encode_stream(stream, cfg)
+    seq = encode_stream(stream, _encoder_config(args))
     containers.write_modulo(args.out, seq)
     print(f"frames={len(seq)}")
     print(f"effective_rate_hz={seq.effective_rate_hz}")
@@ -178,6 +176,7 @@ def _cmd_bandwidth(args) -> int:
 def _cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = _parse_sensor_config(args.config, seed=args.seed)
     if args.scene:
         scene = containers.read_hdr(args.scene)
     else:
@@ -186,12 +185,9 @@ def _cmd_pipeline(args) -> int:
     if args.config is None:
         # calibrate the firing quantum so the brightest pixel spikes about
         # once per readout interval
-        base = SensorConfig(rng_seed=args.seed)
         peak_radiance = float(scene.values().max())
-        cfg = replace(base, threshold=max(
-            peak_radiance * base.total_time_s / base.micro_intervals, 1e-12))
-    else:
-        cfg = _parse_sensor_config(args.config, seed=args.seed)
+        cfg = replace(cfg, threshold=max(
+            peak_radiance * cfg.total_time_s / cfg.micro_intervals, 1e-12))
     containers.write_hdr(out_dir / "scene.lhdr", scene)
 
     clip = synthesize_clip(scene, _parse_motion(args.motion), cfg)
@@ -200,8 +196,7 @@ def _cmd_pipeline(args) -> int:
     stream = integrate_and_fire(clip, cfg)
     containers.write_spikes(out_dir / "spikes.spkb", stream)
 
-    enc_cfg = EncoderConfig(window=args.window, stride=args.stride, gain=args.gain,
-                            bit_depth=args.bits)
+    enc_cfg = _encoder_config(args)
     seq = encode_stream(stream, enc_cfg)
     containers.write_modulo(out_dir / "modulo.modq", seq)
     print(f"frames={len(seq)}")
@@ -224,6 +219,18 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _encoder_config(args) -> EncoderConfig:
+    return EncoderConfig(window=args.window, stride=args.stride, gain=args.gain,
+                         bit_depth=args.bits)
+
+
+def _add_encoder_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--window", type=int, default=_ENCODER.window)
+    p.add_argument("--stride", type=int, default=_ENCODER.stride)
+    p.add_argument("--gain", type=float, default=_ENCODER.gain)
+    p.add_argument("--bits", type=int, default=_ENCODER.bit_depth)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modspike",
                                      description="spike-stream modulo imaging tools")
@@ -243,10 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="spike stream -> modulo sequence")
     p.add_argument("--in", dest="infile", required=True, help="input SPKB path")
-    p.add_argument("--window", type=int, default=25)
-    p.add_argument("--stride", type=int, default=20)
-    p.add_argument("--gain", type=float, default=15.0)
-    p.add_argument("--bits", type=int, default=8)
+    _add_encoder_args(p)
     p.add_argument("--out", required=True, help="output MODQ path")
     p.set_defaults(func=_cmd_encode)
 
@@ -258,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compare two LHDR images")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--mu", type=float, default=5000.0)
-    p.add_argument("--peak", type=float, default=4095.0)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--peak", type=float, default=DEFAULT_PEAK)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bandwidth", help="raw vs encoded bit rates")
@@ -267,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--readout-hz", type=int, required=True)
-    p.add_argument("--bits", type=int, default=8)
-    p.add_argument("--stride", type=int, default=20)
+    p.add_argument("--bits", type=int, default=_ENCODER.bit_depth)
+    p.add_argument("--stride", type=int, default=_ENCODER.stride)
     p.add_argument("--mosaic", action="store_true")
     p.set_defaults(func=_cmd_bandwidth)
 
@@ -283,12 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", default="none")
     p.add_argument("--config", default=None)
     p.add_argument("--mosaic", action="store_true")
-    p.add_argument("--window", type=int, default=25)
-    p.add_argument("--stride", type=int, default=20)
-    p.add_argument("--gain", type=float, default=15.0)
-    p.add_argument("--bits", type=int, default=8)
-    p.add_argument("--mu", type=float, default=5000.0)
-    p.add_argument("--peak-eval", type=float, default=4095.0)
+    _add_encoder_args(p)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--peak-eval", type=float, default=DEFAULT_PEAK)
     p.set_defaults(func=_cmd_pipeline)
     return parser
 

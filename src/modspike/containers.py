@@ -13,7 +13,7 @@ artifact gets a purpose-built little-endian container:
                                 row-major LSB-first, padded to a byte
     MODQ  modulo sequence     + bit_depth:u8 + window:u16 + stride:u16
                               + gain:f32 + source_rate_hz:u32
-                              + frame_count:u32
+                              + frame_count:u32 (frames hold >= 1 sample)
                               + frames as u8 when bit_depth <= 8, else u16
 
 Every writer/reader pair is a bijection on valid values. A writer checks
@@ -153,6 +153,8 @@ def write_modulo(path, seq: ModuloSequence) -> None:
     if not seq.frames:
         raise FormatError(f"{path}: refusing to write an empty modulo sequence")
     first = seq.frames[0]
+    if not first.data.size:
+        raise FormatError(f"{path}: frames of shape {first.data.shape} hold no samples")
     wide = first.bit_depth > 8
     header = _pack_header(path, MAGIC_MODULO, first.height, first.width, first.channels,
                           ("bit_depth", "B", first.bit_depth), ("window", "H", seq.window),
@@ -170,6 +172,8 @@ def read_modulo(path) -> ModuloSequence:
     height, width, channels = _read_header(r, MAGIC_MODULO)
     bit_depth, window, stride, gain, source_rate, frame_count = r.unpack(
         struct.Struct("<BHHfII"))
+    if not height * width * channels:  # the file size would not bound frame_count
+        raise FormatError(f"{path}: frames of shape {(height, width, channels)} hold no samples")
     wide = bit_depth > 8
     item = 2 if wide else 1
     frames = []

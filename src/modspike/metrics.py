@@ -1,4 +1,4 @@
-"""Reconstruction quality metrics and bandwidth accounting.
+"""Quality metrics, the mu-law tone map and bandwidth accounting.
 
 PSNR and SSIM are evaluated in the linear radiance domain against an
 explicit peak; the tone-mapped variant applies the mu-law compression to
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import HdrImage, ValidationError, check_dims, check_positive, check_samples
-from .unwrap import DEFAULT_MU, DEFAULT_PEAK, mu_law
 
+DEFAULT_MU = 5000.0
+DEFAULT_PEAK = float(2 ** 12 - 1)  # 12-bit ground truth convention
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
@@ -97,6 +98,26 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
         den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
         scores.append(float(np.mean(num / den)))
     return float(np.mean(scores))
+
+
+def mu_law(hdr: HdrImage, mu: float = DEFAULT_MU, peak: float = DEFAULT_PEAK) -> HdrImage:
+    """Logarithmic tone map log(1 + mu*x)/log(1 + mu) of the peak-normalized
+    image."""
+    check_positive(mu, "mu")
+    check_positive(peak, "peak")
+    x = hdr.values() / peak
+    return HdrImage(data=np.log1p(mu * x) / np.log1p(mu))
+
+
+def mu_law_inverse(mapped: HdrImage, mu: float = DEFAULT_MU,
+                   peak: float = DEFAULT_PEAK) -> HdrImage:
+    """Exact algebraic inverse of `mu_law`: x = (exp(y*log(1+mu)) - 1)/mu,
+    then denormalize by peak."""
+    check_positive(mu, "mu")
+    check_positive(peak, "peak")
+    y = mapped.values()
+    x = np.expm1(y * np.log1p(mu)) / mu
+    return HdrImage(data=x * peak)
 
 
 def psnr_mu(a: HdrImage, b: HdrImage, mu: float = DEFAULT_MU,

@@ -59,13 +59,6 @@ class GradientField:
     gy: np.ndarray
 
 
-@dataclass(frozen=True)
-class LaplacianField:
-    """divergence(gradient(.)) raster; entries sum to zero by telescoping."""
-
-    lap: np.ndarray
-
-
 def _work_dtype(*arrays: np.ndarray) -> np.dtype:
     """Signed integer type of at least 32 bits for all-integer input, else
     float64."""
@@ -111,9 +104,10 @@ def divergence(gf: GradientField) -> np.ndarray:
     return div
 
 
-def laplacian(img) -> LaplacianField:
-    """5-point Neumann Laplacian, computed as divergence(gradient(img))."""
-    return LaplacianField(lap=divergence(gradient(img)))
+def laplacian(img) -> np.ndarray:
+    """5-point Neumann Laplacian, computed as divergence(gradient(img)); its
+    entries sum to zero by telescoping."""
+    return divergence(gradient(img))
 
 
 def lar(values, modulus: float):

@@ -40,6 +40,8 @@ import numpy as np
 from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze,
                     check_finite, check_geometry, check_ndim, check_positive)
 
+MOSAIC_POSITIONS = ((0, 0), (0, 1), (1, 0))  # (row, col) of R, G, B in a 2x2 block; (1, 1) unused
+
 
 def _frozen(arr: np.ndarray) -> bool:
     """True when nothing can write to `arr`'s memory through numpy: it and
@@ -92,30 +94,6 @@ class IrradianceClip:
     @property
     def channels(self) -> int:
         return self.u.shape[3]
-
-
-@dataclass(frozen=True)
-class MosaicLayout:
-    """2x2 macro-pixel filter assignment; the remaining position is unused."""
-
-    red: tuple[int, int] = (0, 0)
-    green: tuple[int, int] = (0, 1)
-    blue: tuple[int, int] = (1, 0)
-
-    def __post_init__(self):
-        cells = {(0, 0), (0, 1), (1, 0), (1, 1)}
-        taken = [self.red, self.green, self.blue]
-        for name, pos in zip(("red", "green", "blue"), taken):
-            if tuple(pos) not in cells:
-                raise ValidationError(f"MosaicLayout.{name}: position {pos} outside the 2x2 block")
-        if len({tuple(p) for p in taken}) != 3:
-            raise ValidationError("MosaicLayout: red/green/blue positions must be distinct")
-
-    @property
-    def unused(self) -> tuple[int, int]:
-        cells = {(0, 0), (0, 1), (1, 0), (1, 1)}
-        cells -= {tuple(self.red), tuple(self.green), tuple(self.blue)}
-        return cells.pop()
 
 
 @dataclass(frozen=True)
@@ -312,11 +290,11 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     return SpikeStream.from_bits(bits, readout_rate_hz=int(round(cfg.readout_rate_hz)))
 
 
-def mosaic_sample(full: IrradianceClip, layout: MosaicLayout = MosaicLayout()) -> IrradianceClip:
+def mosaic_sample(full: IrradianceClip) -> IrradianceClip:
     """Sample a full-resolution clip through the 2x2 macro-pixel layout.
 
-    Output channel c takes, in every block, the single pixel under filter
-    c; the unused position is dropped. Shape becomes (K, H/2, W/2, 3). A
+    Output channel c takes, in every block, the pixel at MOSAIC_POSITIONS[c];
+    the unused position is dropped. Shape becomes (K, H/2, W/2, 3). A
     static clip (stride-0 `u`) is sampled once and stays one plane.
     """
     if full.height % 2 or full.width % 2:
@@ -326,7 +304,7 @@ def mosaic_sample(full: IrradianceClip, layout: MosaicLayout = MosaicLayout()) -
     static = full.u.strides[0] == 0
     src = full.u[:1] if static else full.u
     out = np.empty((src.shape[0], full.height // 2, full.width // 2, 3), dtype=np.float32)
-    for c, pos in enumerate((layout.red, layout.green, layout.blue)):
+    for c, pos in enumerate(MOSAIC_POSITIONS):
         src_c = c if full.channels == 3 else 0
         out[:, :, :, c] = src[:, pos[0]::2, pos[1]::2, src_c]
     out.setflags(write=False)

@@ -38,12 +38,20 @@ def check_finite(value, name: str) -> None:
         raise ValidationError(f"{name}: must be finite, got {value}")
 
 
+def check_integer(value, name: str) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}: must be an integer, got {value!r}")
+
+
 def check_bit_depth(bit_depth: int, name: str) -> None:
+    check_integer(bit_depth, name)
     if not 1 <= bit_depth <= 16:
         raise ValidationError(f"{name}: must be in 1..16, got {bit_depth}")
 
 
 def check_stride(stride: int, window: int, owner: str) -> None:
+    check_integer(window, f"{owner}.window")
+    check_integer(stride, f"{owner}.stride")
     if not stride >= 1:
         raise ValidationError(f"{owner}.stride: must be >= 1, got {stride}")
     if not stride <= window:
@@ -52,7 +60,8 @@ def check_stride(stride: int, window: int, owner: str) -> None:
 
 def check_geometry(height: int, width: int, channels: int, owner: str) -> None:
     """Sizes are nonnegative and channels are 1 or 3. A zero size is a valid
-    value that holds no samples; the containers round-trip it."""
+    value that holds no samples; LHDR and SPKB round-trip it, MODQ refuses
+    it, because its file size would not bound the frame count."""
     for name, size in (("height", height), ("width", width)):
         if not size >= 0:
             raise ValidationError(f"{owner}.{name}: must be >= 0, got {size}")
@@ -271,9 +280,13 @@ class SensorConfig:
     reset_to_zero: bool = False     # default is reset-by-subtraction
 
     def __post_init__(self):
+        check_integer(self.micro_intervals, "SensorConfig.micro_intervals")
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")
+        check_integer(self.rng_seed, "SensorConfig.rng_seed")
+        if self.rng_seed < 0:
+            raise ValidationError(f"SensorConfig.rng_seed: must be >= 0, got {self.rng_seed}")
         r_exact = self.readout_rate_hz * self.total_time_s
         r = round(r_exact)
         if r < 1 or not math.isclose(r_exact, r, rel_tol=0, abs_tol=1e-6):

@@ -1,5 +1,4 @@
-"""Iteration-free unwrapping of modulo frames, plus the numeric primitives
-used to reason about wrapped measurements.
+"""Iteration-free unwrapping of modulo frames.
 
 `unwrap_poisson` has two decoders. A frame counted by a spike encoder
 (`ModuloFrame.counted_by`) can only hold the codes of floor(gain * c) for
@@ -52,8 +51,6 @@ half-period model, not correctness: a straight edge that breaks the
 half-period condition leaves a curl-free field, so the Poisson decoder
 can be off by 2^N on one side and still converge, while the exact
 lattice decode of that scene does not converge.
-
-Also here: the invertible mu-law tone map.
 """
 
 from __future__ import annotations
@@ -64,11 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import _cosine_solve, lar
-from .types import EncoderConfig, HdrImage, ModuloFrame, check_positive
+from .types import EncoderConfig, HdrImage, ModuloFrame
 
 RESIDUAL_TOL = 1e-6
-DEFAULT_MU = 5000.0
-DEFAULT_PEAK = float(2 ** 12 - 1)  # 12-bit ground truth convention
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class UnwrapResult:
     Past that hdr holds the nearest float32 values, and residuals.l_mod
     reports the samples no longer congruent to the frame.
 
-    `converged` means every residual is below tolerance: the result is
+    `converged` means every residual is below RESIDUAL_TOL: the result is
     consistent with the observation and with the half-period model. It
     does not certify correctness. `decoder` names the path that ran,
     "lattice" (table lookup on an encoder-counted frame, exact) or
@@ -275,7 +270,7 @@ def _channels_last(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResult:
+def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     """Recover the scene congruent to `frame`: by table lookup for an
     encoder-counted frame whose codes identify its values, else via
     least-squares integration of the centered wrapped gradient plus
@@ -303,7 +298,7 @@ def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResul
     del hdr_values
     residuals = _reconstruction_residuals(hdr, frame, rollover, top, wraps, div_wraps)
     return UnwrapResult(hdr=hdr, rollover_map=rollover_map, residuals=residuals,
-                        converged=residuals.max() < tol, decoder=decoder)
+                        converged=residuals.max() < RESIDUAL_TOL, decoder=decoder)
 
 
 def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
@@ -342,22 +337,3 @@ def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.nd
     lap += div_wraps
     return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=_mean_abs(lap, scale=modulus))
 
-
-def mu_law(hdr: HdrImage, mu: float = DEFAULT_MU, peak: float = DEFAULT_PEAK) -> HdrImage:
-    """Logarithmic tone map log(1 + mu*x)/log(1 + mu) of the peak-normalized
-    image."""
-    check_positive(mu, "mu")
-    check_positive(peak, "peak")
-    x = hdr.values() / peak
-    return HdrImage(data=np.log1p(mu * x) / np.log1p(mu))
-
-
-def mu_law_inverse(mapped: HdrImage, mu: float = DEFAULT_MU,
-                   peak: float = DEFAULT_PEAK) -> HdrImage:
-    """Exact algebraic inverse of `mu_law`: x = (exp(y*log(1+mu)) - 1)/mu,
-    then denormalize by peak."""
-    check_positive(mu, "mu")
-    check_positive(peak, "peak")
-    y = mapped.values()
-    x = np.expm1(y * np.log1p(mu)) / mu
-    return HdrImage(data=x * peak)

@@ -75,8 +75,8 @@ def reconstruction_residuals(hdr_values: np.ndarray, obs: np.ndarray,
     gh = gradient(hdr_values)
     l_grad = float(np.mean(np.abs(np.stack([gh.gx - centered.gx,
                                             gh.gy - centered.gy]))))
-    l_lap = float(np.mean(np.abs(laplacian(hdr_values).lap
-                                 - lar(laplacian(obs).lap, modulus))))
+    l_lap = float(np.mean(np.abs(laplacian(hdr_values)
+                                 - lar(laplacian(obs), modulus))))
     return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
 
 

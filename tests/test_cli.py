@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import reference_unwrap
 
-from modspike import (EncoderConfig, HdrImage, encode_stream, read_hdr, read_modulo,
-                      read_spikes, unwrap_poisson, write_hdr)
-from modspike.cli import main
+from modspike import (EncoderConfig, HdrImage, SensorConfig, encode_stream, read_hdr,
+                      read_modulo, read_spikes, unwrap_poisson, write_hdr)
+from modspike.cli import _parse_sensor_config, main
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,10 @@ def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
 @pytest.mark.parametrize("flag, value, named", [
     ("--config", "threshold=abc", "threshold"),
     ("--config", "micro_intervals=1.5", "micro_intervals"),
+    ("--config", "shot_noise=ture", "shot_noise"),
+    ("--config", "reset_to_zero=", "reset_to_zero"),
+    ("--config", "rng_seed=-1", "rng_seed"),
+    ("--seed", "-1", "rng_seed"),
     ("--motion", "translate:1", "translate:1"),
     ("--motion", "rotate:x", "rotate:x"),
     ("--motion", "translate:nan,0", "translate_px"),
@@ -123,6 +127,23 @@ def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag,
     assert code == 1
     assert err.startswith("modspike: error:") and named in err
     assert not out.exists()
+
+
+def test_config_flags_accept_every_spelling_in_any_case():
+    for on, off in (("1", "0"), ("True", "false"), ("YES", "no"), ("on", "OFF")):
+        cfg = _parse_sensor_config(f"shot_noise={on},reset_to_zero={off}")
+        assert (cfg.shot_noise, cfg.reset_to_zero) == (True, False)
+    cfg = _parse_sensor_config("micro_intervals=2000,threshold=2")
+    assert cfg == SensorConfig(micro_intervals=2000, threshold=2.0)
+    assert type(cfg.micro_intervals) is int and type(cfg.threshold) is float
+
+
+def test_pipeline_negative_seed_fails_with_one_error_line(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(tmp_path / "p"),
+                             "--seed", "-1", "--height", "8", "--width", "8")
+    assert code == 1 and out == ""
+    assert err.startswith("modspike: error:") and len(err.splitlines()) == 1
+    assert "rng_seed" in err
 
 
 def test_encode_short_stream_fails_with_stderr(capsys, tmp_path, small_scene):

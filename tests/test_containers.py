@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modspike import (EncoderConfig, FormatError, HdrImage, ModuloFrame,
-                      ModuloSequence, SpikeStream, encode_stream, read_hdr,
-                      plane_bytes, read_modulo, read_spikes, write_hdr,
+                      ModuloSequence, SpikeStream, ValidationError, encode_stream,
+                      read_hdr, plane_bytes, read_modulo, read_spikes, write_hdr,
                       write_modulo, write_spikes)
 
 
@@ -153,6 +155,17 @@ def test_modulo_wide_bit_depth_round_trip(tmp_path):
     assert np.array_equal(back.frames[0].data, frame.data)
 
 
+@pytest.mark.parametrize("frame_count", [3, 2 ** 32 - 1])
+def test_modulo_reader_refuses_frames_without_samples(tmp_path, frame_count):
+    # the payload of such frames is empty, so the file size cannot bound
+    # frame_count: the reader must refuse the geometry, not build the frames
+    path = tmp_path / "empty.modq"
+    path.write_bytes(struct.pack("<4sHIIIBHHfII", b"MODQ", 1, 0, 4, 1,
+                                 8, 4, 4, 1.0, 0, frame_count))
+    with pytest.raises(FormatError, match=r"\(0, 4, 1\) hold no samples"):
+        read_modulo(path)
+
+
 def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
     seq = _sequence()
     path = tmp_path / "x.modq"
@@ -190,6 +203,8 @@ def _spikes_with(frame_count=2, readout_rate_hz=20000, height=2, width=3):
     (write_spikes, _spikes_with(height=1 << 32, width=0), "height"),
     (write_hdr, HdrImage(data=np.zeros((1 << 32, 0, 1), dtype=np.float32)), "height"),
     (write_modulo, _modulo_with(gain=1e-50), "gain"),  # packs as f32 0.0
+    (write_modulo, _modulo_with(frames=(ModuloFrame(np.zeros((0, 4), np.uint16), 8),)),
+     r"\(0, 4, 1\) hold no samples"),
 ])
 def test_writer_rejects_unrepresentable_header_and_leaves_no_file(tmp_path, write, value,
                                                                   field):
@@ -224,3 +239,44 @@ def test_writer_limits_are_inclusive(tmp_path):
     write_modulo(path, seq)
     back = read_modulo(path)
     assert (back.window, back.stride, back.source_rate_hz) == (65535, 65535, (1 << 32) - 1)
+
+
+# ------------------------------------------------------------ reader fuzzing
+
+def _small_sequence(bit_depth):
+    bits = np.random.default_rng(6).integers(0, 2, size=(9, 2, 3, 1), dtype=np.uint8)
+    return encode_stream(SpikeStream.from_bits(bits, readout_rate_hz=1000),
+                         EncoderConfig(window=4, stride=2, gain=15.0, bit_depth=bit_depth))
+
+
+_VALID = [
+    (write_hdr, read_hdr, HdrImage(data=np.linspace(0, 1e3, 18, dtype=np.float32)
+                                   .reshape(2, 3, 3))),
+    (write_hdr, read_hdr, HdrImage(data=np.arange(6, dtype=np.uint16).reshape(2, 3) * 700)),
+    (write_spikes, read_spikes, SpikeStream.from_bits(
+        np.random.default_rng(7).integers(0, 2, (4, 3, 5, 3), dtype=np.uint8), 20000)),
+    (write_modulo, read_modulo, _small_sequence(8)),
+    (write_modulo, read_modulo, _small_sequence(12)),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(_VALID))), st.data())
+def test_damaged_files_raise_only_format_or_validation_errors(tmp_path_factory, case, data):
+    """A valid file cut at any offset, or with 1-3 bytes overwritten, reads
+    back as a value or raises FormatError or ValidationError, nothing else."""
+    write, read, value = _VALID[case]
+    path = tmp_path_factory.mktemp("fuzz") / "damaged"
+    write(path, value)
+    blob = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[at:]
+    else:
+        patch = data.draw(st.binary(min_size=1, max_size=3), label="patch")
+        blob[at:at + len(patch)] = patch[:len(blob) - at]
+    path.write_bytes(bytes(blob))
+    try:
+        read(path)
+    except (FormatError, ValidationError):
+        pass

@@ -1,14 +1,15 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
-from modspike import (HdrImage, ValidationError, bandwidth_report, mu_law, psnr_linear,
-                      psnr_mu, ssim_linear)
+from modspike import (HdrImage, ValidationError, bandwidth_report, mu_law, mu_law_inverse,
+                      psnr_linear, psnr_mu, ssim_linear)
 from modspike.metrics import _ssim_kernel, _windowed_mean
 
 
@@ -220,3 +221,40 @@ def test_bandwidth_rejects_bad_dims():
         bandwidth_report(999, 1000, 1, 20000, 8, 20, mosaic=True)
     with pytest.raises(Exception, match="height"):
         bandwidth_report(0, 1000, 1, 20000, 8, 20, mosaic=False)
+
+
+# --------------------------------------------------------------------- mu-law
+
+def test_mu_law_endpoints():
+    img = HdrImage(data=np.array([[0.0, 4095.0]], dtype=np.float32))
+    mapped = mu_law(img, mu=5000.0, peak=4095.0)
+    assert mapped.values()[0, 0, 0] == 0.0
+    assert math.isclose(mapped.values()[0, 1, 0], 1.0, rel_tol=1e-6)
+
+
+def test_mu_law_midpoint_against_high_precision_oracle():
+    img = HdrImage(data=np.array([[0.5]], dtype=np.float32))
+    mapped = mu_law(img, mu=5000.0, peak=1.0)
+    with mpmath.workdps(50):
+        expected = float(mpmath.log(1 + 5000 * mpmath.mpf("0.5"))
+                         / mpmath.log(1 + 5000))
+    assert math.isclose(float(mapped.values()[0, 0, 0]), expected, rel_tol=1e-7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(0.0, 4095.0, allow_nan=False))
+def test_mu_law_round_trip(value):
+    img = HdrImage(data=np.full((2, 2), value, dtype=np.float32))
+    back = mu_law_inverse(mu_law(img, mu=5000.0, peak=4095.0),
+                          mu=5000.0, peak=4095.0)
+    orig = float(img.values()[0, 0, 0])
+    got = float(back.values()[0, 0, 0])
+    assert math.isclose(got, orig, rel_tol=1e-6, abs_tol=1e-6)
+
+
+def test_mu_law_rejects_bad_parameters():
+    img = HdrImage(data=np.ones((2, 2), dtype=np.float32))
+    with pytest.raises(Exception, match="mu"):
+        mu_law(img, mu=0.0)
+    with pytest.raises(Exception, match="peak"):
+        mu_law(img, peak=-1.0)

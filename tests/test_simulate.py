@@ -8,7 +8,7 @@ import reference_simulate
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from modspike import (HdrImage, IrradianceClip, MosaicLayout, Motion, QuerySpec,
+from modspike import (HdrImage, IrradianceClip, Motion, QuerySpec,
                       SensorConfig, ValidationError, ideal_window_counts,
                       integrate_and_fire, mosaic_sample, query_ideal, simulate,
                       synthesize_clip)
@@ -221,13 +221,12 @@ def test_mosaic_selects_assigned_positions():
 def test_mosaic_full_4x4_hand_selected():
     rng = np.random.default_rng(4)
     u = rng.uniform(0, 10, size=(3, 4, 4, 3)).astype(np.float32)
-    layout = MosaicLayout(red=(1, 1), green=(0, 0), blue=(0, 1))
-    out = mosaic_sample(IrradianceClip(u=u), layout)
+    out = mosaic_sample(IrradianceClip(u=u))  # R at (0,0), G at (0,1), B at (1,0)
     for bi in range(2):
         for bj in range(2):
-            assert np.array_equal(out.u[:, bi, bj, 0], u[:, 2 * bi + 1, 2 * bj + 1, 0])
-            assert np.array_equal(out.u[:, bi, bj, 1], u[:, 2 * bi, 2 * bj, 1])
-            assert np.array_equal(out.u[:, bi, bj, 2], u[:, 2 * bi, 2 * bj + 1, 2])
+            assert np.array_equal(out.u[:, bi, bj, 0], u[:, 2 * bi, 2 * bj, 0])
+            assert np.array_equal(out.u[:, bi, bj, 1], u[:, 2 * bi, 2 * bj + 1, 1])
+            assert np.array_equal(out.u[:, bi, bj, 2], u[:, 2 * bi + 1, 2 * bj, 2])
 
 
 def test_mosaic_rejects_odd_dimensions():
@@ -251,13 +250,6 @@ def test_irradiance_clip_rejects_nonfinite_integrals(bad, static):
         u = np.broadcast_to(u, (3, 2, 2, 1))
     with pytest.raises(ValidationError, match="IrradianceClip.u: integrals must be finite"):
         IrradianceClip(u=u)
-
-
-def test_mosaic_layout_rejects_clashing_positions():
-    with pytest.raises(ValidationError, match="distinct"):
-        MosaicLayout(red=(0, 0), green=(0, 0), blue=(1, 0))
-    layout = MosaicLayout()
-    assert layout.unused == (1, 1)
 
 
 # ------------------------------------------------ parity with the reference

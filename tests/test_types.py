@@ -150,6 +150,17 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (Motion, ((1.0, 2.0, 3.0),), "Motion.translate_px"),
     (Motion, ((0.0, 0.0), math.inf), "Motion.rotate_deg"),
     (Motion, ((0.0, 0.0), math.nan), "Motion.rotate_deg"),
+    (SensorConfig, (1.0, 1.0, 20_000.0, 0.05, 1000, False, -1), "SensorConfig.rng_seed"),
+    (SensorConfig, (1.0, 1.0, 20_000.0, 0.05, 1000, False, 1.5), "SensorConfig.rng_seed"),
+    (SensorConfig, (1.0, 1.0, 20_000.0, 0.05, 1000.0), "SensorConfig.micro_intervals"),
+    (EncoderConfig, (2.5, 1), "EncoderConfig.window"),
+    (EncoderConfig, (25, 20.0), "EncoderConfig.stride"),
+    (EncoderConfig, (25, 20, 15.0, 8.0), "EncoderConfig.bit_depth"),
+    (QuerySpec, (2.5, 1), "QuerySpec.window"),
+    (ModuloFrame, (np.zeros((2, 2), np.uint16), 8.0), "ModuloFrame.bit_depth"),
+    (ModuloSequence, ((), 4, 1.5, 1.0), "ModuloSequence.stride"),
+    (frame_capacity, (10, 2.5, 1), "frame_capacity.window"),
+    (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), 8.0), "bit_depth"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "query_ideal-bits-neg", "query_ideal-bits-17",
         "ideal_window_counts-window-9", "push-chunk-dims", "mu_law_inverse-mu-0",
@@ -161,10 +172,20 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
         "sensor_config-conversion-gain-inf", "sensor_config-readout-rate-inf",
         "sensor_config-total-time-inf", "motion-translate-nan", "motion-translate-neg-inf",
         "motion-translate-1-component", "motion-translate-3-components", "motion-rotate-inf",
-        "motion-rotate-nan"])
+        "motion-rotate-nan", "sensor_config-seed-neg", "sensor_config-seed-float",
+        "sensor_config-micro-intervals-float", "encoder_config-window-float",
+        "encoder_config-stride-float", "encoder_config-bits-float", "query_spec-window-float",
+        "modulo_frame-bits-float", "modulo_sequence-stride-float", "frame_capacity-window-float",
+        "query_ideal-bits-float"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
+
+
+def test_integer_fields_accept_numpy_integers():
+    cfg = EncoderConfig(window=np.int64(25), stride=np.int32(20), bit_depth=np.int16(8))
+    assert cfg.modulus == 256 and frame_capacity(np.int64(45), cfg.window, cfg.stride) == 2
+    assert SensorConfig(micro_intervals=np.int64(2000), rng_seed=np.uint64(2**63)).rng_seed
 
 
 def test_positive_fields_accept_huge_ints_and_finite_motion():

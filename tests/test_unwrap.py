@@ -1,11 +1,9 @@
-import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 import reference_unwrap
@@ -13,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modspike
-from modspike import (ChunkedEncoder, EncoderConfig, GradientField, HdrImage, ModuloFrame,
-                      gradient, lar, mu_law, mu_law_inverse, unwrap_poisson)
+from modspike import (ChunkedEncoder, EncoderConfig, GradientField, ModuloFrame, gradient, lar,
+                      unwrap_poisson)
 
 
 def wrap_frame(img, bit_depth=8):
@@ -507,39 +505,3 @@ def test_residuals_certify_consistency_not_correctness():
     assert lattice.residuals.l_grad == 256 * 6 / (2 * 6 * 8)
     assert not lattice.converged
 
-
-# --------------------------------------------------------------------- mu-law
-
-def test_mu_law_endpoints():
-    img = HdrImage(data=np.array([[0.0, 4095.0]], dtype=np.float32))
-    mapped = mu_law(img, mu=5000.0, peak=4095.0)
-    assert mapped.values()[0, 0, 0] == 0.0
-    assert math.isclose(mapped.values()[0, 1, 0], 1.0, rel_tol=1e-6)
-
-
-def test_mu_law_midpoint_against_high_precision_oracle():
-    img = HdrImage(data=np.array([[0.5]], dtype=np.float32))
-    mapped = mu_law(img, mu=5000.0, peak=1.0)
-    with mpmath.workdps(50):
-        expected = float(mpmath.log(1 + 5000 * mpmath.mpf("0.5"))
-                         / mpmath.log(1 + 5000))
-    assert math.isclose(float(mapped.values()[0, 0, 0]), expected, rel_tol=1e-7)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.floats(0.0, 4095.0, allow_nan=False))
-def test_mu_law_round_trip(value):
-    img = HdrImage(data=np.full((2, 2), value, dtype=np.float32))
-    back = mu_law_inverse(mu_law(img, mu=5000.0, peak=4095.0),
-                          mu=5000.0, peak=4095.0)
-    orig = float(img.values()[0, 0, 0])
-    got = float(back.values()[0, 0, 0])
-    assert math.isclose(got, orig, rel_tol=1e-6, abs_tol=1e-6)
-
-
-def test_mu_law_rejects_bad_parameters():
-    img = HdrImage(data=np.ones((2, 2), dtype=np.float32))
-    with pytest.raises(Exception, match="mu"):
-        mu_law(img, mu=0.0)
-    with pytest.raises(Exception, match="peak"):
-        mu_law(img, peak=-1.0)
