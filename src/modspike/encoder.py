@@ -33,7 +33,7 @@ import numpy as np
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream,
                     ValidationError, check_bit_depth, check_bits, check_dims,
-                    check_geometry, check_positive, check_stride)
+                    check_geometry, check_positive, check_stride, store_ints)
 
 UNPACK_STEP = 512  # spike frames unpacked per push by encode_stream
 
@@ -49,6 +49,7 @@ class ModuloSequence:
     source_rate_hz: int = 0  # 0 when the source rate is not meaningful
 
     def __post_init__(self):
+        store_ints(self, "window", "stride", "source_rate_hz")
         check_stride(self.stride, self.window, "ModuloSequence")
         check_positive(self.gain, "ModuloSequence.gain")
         frames = tuple(self.frames)
@@ -102,7 +103,7 @@ def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,
     is recorded as the source rate when known."""
     check_bit_depth(bit_depth, "bit_depth")
     counts = ideal_window_counts(clip, spec)
-    modulus = 1 << bit_depth
+    modulus = 1 << int(bit_depth)  # a numpy bit depth would wrap the shift
     frames = tuple(ModuloFrame(data=np.mod(c, modulus), bit_depth=bit_depth) for c in counts)
     return ModuloSequence(frames=frames, window=spec.window, stride=spec.stride,
                           gain=spec.digital_gain, source_rate_hz=micro_rate_hz)

@@ -13,25 +13,22 @@ the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so `poisson_solve` inverts it
 spectrally up to floating point. The solution is gauged to mean zero; the
 constant is resolved downstream by congruence snapping.
 
-`poisson_solve` first projects its right-hand side onto the compatible
-subspace by removing each channel's mean, taken over axes (0, 1) of the
-caller's (H, W[, C]) layout. The unwrapper's solve skips that projection
-and transforms a channel-first (C, H, W) array instead: its right-hand
-side is the divergence of an integer gradient field, which sums to
-exactly 0 per channel by telescoping, so the mean it would subtract is
-exactly 0.0. Both layouts give the same bytes; a float right-hand side
-keeps the projection, because taking its mean in another order can
-change the solution's last bits.
+Each public operator is a layout adapter over one private in-place kernel
+that takes the (rows, columns) `axes` it works over: `_forward_differences`,
+`_divergence`, `_lar_pow2` (which can also split off wrap indicators) and
+`_cosine_solve`. The public functions run them over axes (0, 1) of copies
+of an (H, W[, C]) raster, the unwrapper over axes (1, 2) of its (C, H, W)
+int32 arrays.
 
-All functions are pure, operate on (H, W) or (H, W, C) rasters, process
-channels independently, and are deterministic for a fixed input. Float
-input is computed in float64. `gradient`, `divergence` and `laplacian` keep
-integer input in integers: a signed type of at least 32 bits (the input's
-own type when it is already that; unsigned types go one size up, and
-uint64 falls back to float64). The results equal the float64 results
-exactly as long as the differences fit the type: for int32 input, keep
-magnitudes below 2^29. `lar` keeps integer input in integers when the
-modulus is a power of two, which every `ModuloFrame` modulus is; any other
+The public functions are pure, process channels independently, and are
+deterministic. Float input is computed in float64; a float divergence is
+summed as dx + (gy[i] - gy[i-1]) and holds no -0.0. `gradient`,
+`divergence` and `laplacian` keep integer input in integers: a signed
+type of at least 32 bits (the input's own type when it is already that;
+unsigned types go one size up, and uint64 falls back to float64), exact
+as long as the differences fit the type (for int32 input, keep magnitudes
+below 2^29). `lar` keeps integer input in those same types when the
+modulus is a power of two, as every `ModuloFrame` modulus is; any other
 modulus takes the float64 path. `poisson_solve` always works in float64.
 
 A key arithmetic fact used throughout: the least absolute remainder of a
@@ -74,14 +71,46 @@ def _as_raster(img, dtype=None) -> np.ndarray:
     return arr.astype(dtype or _work_dtype(arr), copy=False)
 
 
+def _pairs(axes: tuple[int, int]):
+    """Indices of a[1:] and a[:-1] along the columns, then the rows, of `axes`."""
+    for axis in axes[::-1]:
+        lead = (slice(None),) * axis
+        yield lead + (slice(1, None),), lead + (slice(None, -1),)
+
+
+def _forward_differences(a: np.ndarray, axes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences of `a` in its own type along the columns (gx) and
+    rows (gy) of its (rows, columns) `axes`, zero on the last column and row."""
+    gx, gy = np.zeros_like(a), np.zeros_like(a)
+    for g, (later, earlier) in zip((gx, gy), _pairs(axes)):
+        np.subtract(a[later], a[earlier], out=g[earlier])
+    return gx, gy
+
+
+def _divergence(gx: np.ndarray, gy: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
+    """Backward-difference divergence of (gx, gy) over the (rows, columns)
+    `axes`, as dx + (gy[i] - gy[i-1]), written over gx; spends gy too."""
+    for g, (later, earlier) in zip((gx, gy), _pairs(axes)):
+        np.subtract(g[later], g[earlier], out=g[later])  # numpy buffers the overlap
+    gx += gy
+    return gx
+
+
+def _lar_pow2(values: np.ndarray, modulus: int, wraps: bool = False) -> np.ndarray | None:
+    """lar(values, modulus) in place over signed integers, for a power-of-two
+    modulus: ((x + m/2) & (m - 1)) - m/2. With `wraps`, returns the wrap
+    indicators (values - lar(values)) / modulus as int8."""
+    values += modulus // 2
+    split = np.right_shift(values, modulus.bit_length() - 1,
+                           out=np.empty(values.shape, np.int8)) if wraps else None
+    values &= modulus - 1
+    values -= modulus // 2
+    return split
+
+
 def gradient(img) -> GradientField:
     """Forward differences along width (gx) and height (gy)."""
-    arr = _as_raster(img)
-    gx = np.zeros_like(arr)
-    gy = np.zeros_like(arr)
-    gx[:, :-1] = arr[:, 1:] - arr[:, :-1]
-    gy[:-1, :] = arr[1:, :] - arr[:-1, :]
-    return GradientField(gx=gx, gy=gy)
+    return GradientField(*_forward_differences(_as_raster(img), (0, 1)))
 
 
 def divergence(gf: GradientField) -> np.ndarray:
@@ -89,19 +118,12 @@ def divergence(gf: GradientField) -> np.ndarray:
 
     divergence(gradient(x)) equals the 5-point Neumann Laplacian of x.
     """
-    gx = np.asarray(gf.gx)
-    gy = np.asarray(gf.gy)
+    gx, gy = np.asarray(gf.gx), np.asarray(gf.gy)
     check_dims(gx.shape, gy.shape, "GradientField gx, gy")
     check_ndim(gx, (2, 3), "GradientField")
     dtype = _work_dtype(gx, gy)
-    gx = gx.astype(dtype, copy=False)
-    gy = gy.astype(dtype, copy=False)
-    div = np.zeros_like(gx)
-    div[:, :1] += gx[:, :1]  # slices, not indices: a zero-size raster has no row 0
-    div[:, 1:] += gx[:, 1:] - gx[:, :-1]
-    div[:1, :] += gy[:1, :]
-    div[1:, :] += gy[1:, :] - gy[:-1, :]
-    return div
+    # fresh copies for the in-place kernel; adding 0 also turns -0.0 into 0.0
+    return _divergence(np.add(gx, 0, dtype=dtype), np.add(gy, 0, dtype=dtype), (0, 1))
 
 
 def laplacian(img) -> np.ndarray:
@@ -116,17 +138,16 @@ def lar(values, modulus: float):
 
     Depends only on the residue class mod `modulus`, and is exact for
     integer-valued float64 input. Integer input with an integer power-of-two
-    modulus stays integer: ((x + m/2) & (m - 1)) - m/2 in two's complement.
+    modulus stays integer.
     """
     check_positive(modulus, "modulus")
     arr = np.asarray(values)
-    if (np.issubdtype(arr.dtype, np.integer) and isinstance(modulus, (int, np.integer))
+    dtype = _work_dtype(arr)
+    if (np.issubdtype(dtype, np.integer) and isinstance(modulus, (int, np.integer))
             and modulus & (modulus - 1) == 0):
-        half = int(modulus) // 2
-        out = np.add(arr, half, dtype=_work_dtype(arr))
-        out &= int(modulus) - 1
-        out -= half
-        return out
+        out = arr.astype(dtype)
+        _lar_pow2(out, int(modulus))
+        return out[()]  # a scalar for scalar input, as on the float path
     arr = arr.astype(np.float64, copy=False)
     half = modulus / 2.0
     return np.mod(arr + half, modulus) - half

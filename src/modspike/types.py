@@ -98,6 +98,14 @@ def check_bits(samples: np.ndarray, name: str) -> np.ndarray:
     return samples.astype(np.uint8, copy=False)
 
 
+def store_ints(value, *names: str) -> None:
+    """Store named numpy integer fields as Python ints: 1 << np.uint8(8) is 0."""
+    for name in names:
+        field = getattr(value, name)
+        if isinstance(field, np.integer):
+            object.__setattr__(value, name, int(field))
+
+
 def _freeze(data, dtype) -> np.ndarray:
     """A read-only, C-contiguous copy of `data` as `dtype`, made in one pass."""
     out = np.array(data, dtype=dtype, order="C")
@@ -168,6 +176,7 @@ class ModuloFrame:
     counted_by: EncoderConfig | None = None
 
     def __post_init__(self):
+        store_ints(self, "bit_depth")
         check_bit_depth(self.bit_depth, "ModuloFrame.bit_depth")
         if self.counted_by is not None:
             if not isinstance(self.counted_by, EncoderConfig):
@@ -228,6 +237,7 @@ class SpikeStream:
     packed: np.ndarray  # (R, C, plane_bytes) uint8, read-only
 
     def __post_init__(self):
+        store_ints(self, "height", "width", "channels", "frame_count", "readout_rate_hz")
         check_positive(self.frame_count, "SpikeStream.frame_count")
         check_positive(self.readout_rate_hz, "SpikeStream.readout_rate_hz")
         check_geometry(self.height, self.width, self.channels, "SpikeStream")
@@ -280,6 +290,7 @@ class SensorConfig:
     reset_to_zero: bool = False     # default is reset-by-subtraction
 
     def __post_init__(self):
+        store_ints(self, "micro_intervals", "rng_seed")
         check_integer(self.micro_intervals, "SensorConfig.micro_intervals")
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
@@ -318,6 +329,7 @@ class EncoderConfig:
     bit_depth: int = 8
 
     def __post_init__(self):
+        store_ints(self, "window", "stride", "bit_depth")
         check_stride(self.stride, self.window, "EncoderConfig")
         check_positive(self.gain, "EncoderConfig.gain")
         check_bit_depth(self.bit_depth, "EncoderConfig.bit_depth")
@@ -345,6 +357,7 @@ class QuerySpec:
     digital_gain: float = 1.0
 
     def __post_init__(self):
+        store_ints(self, "window", "stride")
         check_stride(self.stride, self.window, "QuerySpec")
         check_positive(self.digital_gain, "QuerySpec.digital_gain")
 

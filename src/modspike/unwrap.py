@@ -24,33 +24,30 @@ the scene in three steps:
      that at least one pixel never wrapped.
 
 Both decoders work on one channel-first (C, H, W) int32 copy of the
-frame, so each step is a few contiguous passes over all channels, most
-in place. The snap is channel-batched except for the offset search, which
-runs per plane: its residues come from x - m*floor(x/m), equal to np.mod
-bit for bit at a fraction of its cost. The output is byte-identical to
-the per-channel float64 decoder in tests/reference_unwrap.py.
+frame; the front end and the residual report run the `operators` kernels
+in place over its (H, W) axes, a few contiguous passes each. The snap is
+channel-batched except for the offset search, which runs per plane: its
+residues come from x - m*floor(x/m), equal to np.mod bit for bit at a
+fraction of its cost. The output is byte-identical to the per-channel
+float64 decoder in tests/reference_unwrap.py.
 
-Both decoders share the front end and the residual report below. The
-reconstruction is congruent to the input by construction; the
+The reconstruction is congruent to the input by construction; the
 zeroth-order residual (mean centered remainder of hdr - frame) checks
 that the float32 samples actually returned still are, which fails only
 once counts pass 2^24. Because congruence also forces the *wrapped*
 gradients of output and input to agree bit-exactly, a wrapped-both-sides
 comparison carries no information about reconstruction quality; the
-first/second-order residuals therefore compare the reconstruction's plain
-gradient and Laplacian against the centered measurements lar(grad frame)
-and lar(lap frame). Under the half-period condition these are literal
-zeros for integer scenes; measurement fields with curl (half-period
-violations) leave a nonzero mismatch and clear `converged`. All three
-residuals are computed in integers, the first/second-order ones from the
-wrap counts: with hdr = frame + 2^N * rollover, each mismatch is 2^N
-times a small integer field built from the rollover map and the wrap
-indicators the front end split off, so no int64 copy of the scene is
-made. They certify consistency with the observation and with the
-half-period model, not correctness: a straight edge that breaks the
-half-period condition leaves a curl-free field, so the Poisson decoder
-can be off by 2^N on one side and still converge, while the exact
-lattice decode of that scene does not converge.
+first/second-order residuals therefore compare the reconstruction's
+plain gradient and Laplacian against the centered measurements
+lar(grad frame) and lar(lap frame). Under the half-period condition
+these are literal zeros for integer scenes; measurement fields with curl
+(half-period violations) leave a nonzero mismatch and clear `converged`.
+All three are computed in integers from the wrap counts, with no int64
+copy of the scene. They certify consistency with the observation and
+with the half-period model, not correctness: a straight edge that breaks
+the half-period condition leaves a curl-free field, so the Poisson
+decoder can be off by 2^N on one side and still converge, while the
+exact lattice decode of that scene does not converge.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _cosine_solve, lar
+from .operators import _cosine_solve, _divergence, _forward_differences, _lar_pow2, lar
 from .types import EncoderConfig, HdrImage, ModuloFrame
 
 RESIDUAL_TOL = 1e-6
@@ -112,10 +109,9 @@ def _circulant(v: np.ndarray) -> np.ndarray:
 
 
 def _offset_kernels(modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """|lar(b)| and the sign of lar(b) for every residue b in [0, modulus)."""
-    b = np.arange(modulus)
-    return (np.where(b < modulus // 2, b, modulus - b).astype(np.float64),
-            np.where(b < modulus // 2, 1.0, -1.0))
+    """|lar(b)| and the sign of lar(b), +1 at 0, for each residue b in [0, modulus)."""
+    centered = lar(np.arange(modulus), modulus)
+    return np.abs(centered).astype(np.float64), np.where(centered >= 0, 1.0, -1.0)
 
 
 @functools.cache
@@ -231,36 +227,6 @@ def _lattice_rollover(frame: ModuloFrame, codes: np.ndarray) -> np.ndarray | Non
     return values.astype(np.int32)
 
 
-def _forward_differences(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`gradient` of a channel-first (C, H, W) signed integer array, in its
-    own type: forward differences along W and H, zero on the last column
-    and row."""
-    gx = np.zeros_like(a)
-    gy = np.zeros_like(a)
-    np.subtract(a[:, :, 1:], a[:, :, :-1], out=gx[:, :, :-1])
-    np.subtract(a[:, 1:], a[:, :-1], out=gy[:, :-1])
-    return gx, gy
-
-
-def _divergence(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """`divergence` of a channel-first integer field, written over gx."""
-    np.subtract(gx[:, :, 1:], gx[:, :, :-1], out=gx[:, :, 1:])  # numpy buffers the overlap
-    gx += gy
-    gx[:, 1:] -= gy[:, :-1]
-    return gx
-
-
-def _wrap_split(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Replace integer `values` by lar(values, modulus) in place and return
-    their wrap indicators (values - lar(values)) / modulus as int8."""
-    values += modulus // 2
-    wraps = np.right_shift(values, modulus.bit_length() - 1,
-                           out=np.empty(values.shape, np.int8))
-    values &= modulus - 1
-    values -= modulus // 2
-    return wraps
-
-
 def _channels_last(a: np.ndarray) -> np.ndarray:
     """C-contiguous (H, W, C) copy of a (C, H, W) array, one plane at a
     time: several times faster than numpy's transposing copy."""
@@ -277,17 +243,15 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     congruence snapping."""
     modulus = frame.modulus
     obs = np.ascontiguousarray(frame.data.transpose(2, 0, 1), dtype=np.int32)  # (C, H, W)
-    gx, gy = _forward_differences(obs)
-    wraps = (_wrap_split(gx, modulus), _wrap_split(gy, modulus))
-    div = _divergence(gx, gy)
+    gx, gy = _forward_differences(obs, (1, 2))
+    wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
+    div = _divergence(gx, gy, (1, 2))
     del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
     rollover = _lattice_rollover(frame, obs)
-    if rollover is not None:
-        decoder = "lattice"
-    else:
-        decoder = "poisson"
+    decoder = "poisson" if rollover is None else "lattice"
+    if rollover is None:
         rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
-    div_wraps = _wrap_split(div, modulus)
+    div_wraps = _lar_pow2(div, modulus, wraps=True)
     del div, obs
     top = int(rollover.max()) if rollover.size else 0
     rollover_map = _channels_last(rollover)
@@ -329,11 +293,11 @@ def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.nd
         l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
     if top >= 2 ** 28:  # int32 differences of differences could overflow
         rollover = rollover.astype(np.int64)
-    gx, gy = _forward_differences(rollover)
+    gx, gy = _forward_differences(rollover, (1, 2))
     gx += wraps[0]
     gy += wraps[1]
     l_grad = _mean_abs(gx, gy, scale=modulus)
-    lap = _divergence(gx, gy)
+    lap = _divergence(gx, gy, (1, 2))
     lap += div_wraps
     return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=_mean_abs(lap, scale=modulus))
 

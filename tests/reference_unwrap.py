@@ -8,15 +8,70 @@ unwrapper must reproduce it bit for bit on every scene below 2^24 counts.
 
 `poisson_solve` is a frozen copy of the library's solver as it stood
 before the channel-batched decoder: per-channel mean projection, then the
-cosine-basis solve over axes (0, 1) of the (H, W[, C]) raster. The parity
-gates compare against this copy, so they do not move with the library.
+cosine-basis solve over axes (0, 1) of the (H, W[, C]) raster.
+`gradient`, `divergence`, `laplacian` and `lar` are frozen copies of the
+public operators as they stood before they shared their kernels with the
+unwrapper. The parity gates compare against these copies, so they do not
+move with the library.
 """
 
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from modspike import GradientField, HdrImage, ModuloFrame, divergence, gradient, laplacian, lar
+from modspike import GradientField, HdrImage, ModuloFrame
 from modspike.unwrap import RESIDUAL_TOL, ConsistencyResiduals, UnwrapResult
+
+
+def _work_dtype(*arrays: np.ndarray) -> np.dtype:
+    dtype = np.result_type(*arrays)
+    if np.issubdtype(dtype, np.integer):
+        return np.promote_types(dtype, np.int32)
+    return np.dtype(np.float64)
+
+
+def gradient(img) -> GradientField:
+    arr = np.asarray(img)
+    assert arr.ndim in (2, 3)
+    arr = arr.astype(_work_dtype(arr), copy=False)
+    gx = np.zeros_like(arr)
+    gy = np.zeros_like(arr)
+    gx[:, :-1] = arr[:, 1:] - arr[:, :-1]
+    gy[:-1, :] = arr[1:, :] - arr[:-1, :]
+    return GradientField(gx=gx, gy=gy)
+
+
+def divergence(gf: GradientField) -> np.ndarray:
+    gx = np.asarray(gf.gx)
+    gy = np.asarray(gf.gy)
+    assert gx.shape == gy.shape and gx.ndim in (2, 3)
+    dtype = _work_dtype(gx, gy)
+    gx = gx.astype(dtype, copy=False)
+    gy = gy.astype(dtype, copy=False)
+    div = np.zeros_like(gx)
+    div[:, :1] += gx[:, :1]
+    div[:, 1:] += gx[:, 1:] - gx[:, :-1]
+    div[:1, :] += gy[:1, :]
+    div[1:, :] += gy[1:, :] - gy[:-1, :]
+    return div
+
+
+def laplacian(img) -> np.ndarray:
+    return divergence(gradient(img))
+
+
+def lar(values, modulus):
+    assert 0 < modulus < np.inf
+    arr = np.asarray(values)
+    if (np.issubdtype(arr.dtype, np.integer) and isinstance(modulus, (int, np.integer))
+            and modulus & (modulus - 1) == 0):
+        half = int(modulus) // 2
+        out = np.add(arr, half, dtype=_work_dtype(arr))
+        out &= int(modulus) - 1
+        out -= half
+        return out
+    arr = arr.astype(np.float64, copy=False)
+    half = modulus / 2.0
+    return np.mod(arr + half, modulus) - half
 
 
 def poisson_solve(rhs) -> np.ndarray:

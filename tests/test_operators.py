@@ -212,6 +212,51 @@ def test_integer_lar_power_of_two_matches_float(values, bits, shift):
     assert np.array_equal(got, lar(values.astype(np.float64), modulus))
 
 
+_op_sides = st.integers(1, 12)
+
+
+def _same_samples(got, want, finite):
+    """Byte-identical for finite input; otherwise NaN where the frozen copy
+    has NaN and byte-identical elsewhere (a NaN's sign bit may differ)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if finite:
+        assert got.tobytes() == want.tobytes()
+    else:
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       dtype=st.sampled_from([np.float64, np.int64, np.int32, np.uint16, np.uint8]),
+       shape=st.one_of(st.tuples(st.just(1), _op_sides), st.tuples(_op_sides, st.just(1)),
+                       st.tuples(_op_sides, _op_sides)),
+       channels=st.sampled_from([(), (1,), (3,)]),
+       finite=st.booleans(),
+       modulus=st.sampled_from([1, 2, 256, 1 << 16, np.int64(8), 100, 256.0]))
+def test_public_operators_match_frozen_copies(data, dtype, shape, channels, finite, modulus):
+    floats = st.floats(-1e300, 1e300) if finite else st.floats()  # no overflow when finite
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), floats) if dtype is np.float64 else None
+    img, gx, gy = (data.draw(arrays(dtype, shape + channels, elements=elements))
+                   for _ in range(3))
+    finite = finite or dtype is not np.float64
+    before = [a.copy() for a in (img, gx, gy)]
+    field = GradientField(gx=gx, gy=gy)
+    with np.errstate(all="ignore"):
+        got, want = gradient(img), reference_unwrap.gradient(img)
+        pairs = [(got.gx, want.gx), (got.gy, want.gy),
+                 (divergence(field), reference_unwrap.divergence(field)),
+                 (laplacian(img), reference_unwrap.laplacian(img)),
+                 (lar(img, modulus), reference_unwrap.lar(img, modulus))]
+    for got, want in pairs:
+        _same_samples(got, want, finite)
+    for a, b in zip((img, gx, gy), before):
+        assert a.tobytes() == b.tobytes()  # the in-place kernels work on copies
+    for scalar in (np.int64(300), 300, -300.0):
+        assert type(lar(scalar, 256)) is type(reference_unwrap.lar(scalar, 256))
+
+
 def test_float_input_keeps_float64_path():
     rng = np.random.default_rng(16)
     x = (rng.normal(size=(5, 6, 3)) * 300).astype(np.float32)
@@ -226,6 +271,16 @@ def test_float_input_keeps_float64_path():
         out = lar(ints, modulus)
         assert out.dtype == np.float64
         assert np.array_equal(out, np.mod(ints + modulus / 2.0, modulus) - modulus / 2.0)
+
+
+def test_uint64_input_takes_the_float64_path():
+    # no signed integer type holds every uint64 value, so lar takes the
+    # float64 path, as gradient, divergence and laplacian do
+    values = np.array([[5, 300, 2 ** 63]], np.uint64)
+    floats = values.astype(np.float64)
+    assert laplacian(values).dtype == np.float64
+    assert np.array_equal(lar(values, 256), lar(floats, 256))
+    assert lar(values, 256).dtype == np.float64
 
 
 # ----------------------------------------------------------- poisson solve

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -186,6 +187,29 @@ def test_integer_fields_accept_numpy_integers():
     cfg = EncoderConfig(window=np.int64(25), stride=np.int32(20), bit_depth=np.int16(8))
     assert cfg.modulus == 256 and frame_capacity(np.int64(45), cfg.window, cfg.stride) == 2
     assert SensorConfig(micro_intervals=np.int64(2000), rng_seed=np.uint64(2**63)).rng_seed
+
+
+def test_numpy_integer_fields_are_stored_as_python_ints():
+    # numpy 2 keeps a uint8's type in arithmetic: 1 << np.uint8(8) is 0, and
+    # window + 1 overflows at 255
+    u8 = np.uint8
+    assert EncoderConfig(bit_depth=u8(8)).modulus == 256
+    assert ModuloFrame(np.zeros((4, 4), np.uint16), u8(8)).modulus == 256
+    assert EncoderConfig(window=u8(255), stride=u8(20)).prewrap_values().size == 256
+    assert query_ideal(_CLIP, QuerySpec(window=4, stride=2), u8(8)).frames[0].modulus == 256
+    values = [
+        EncoderConfig(window=u8(25), stride=u8(20), bit_depth=u8(8)),
+        QuerySpec(window=u8(4), stride=u8(2)),
+        SensorConfig(micro_intervals=np.int64(2000), rng_seed=np.uint64(2 ** 63)),
+        ModuloFrame(np.zeros((2, 2), np.uint16), u8(8)),
+        ModuloSequence((), u8(4), u8(2), 1.0, np.uint16(20_000)),
+        SpikeStream(u8(200), u8(200), u8(1), u8(1), np.uint16(20_000),
+                    np.zeros((1, 1, 5000), np.uint8)),
+    ]
+    for value in values:
+        for field in dataclasses.fields(value):
+            if field.type == "int":
+                assert type(getattr(value, field.name)) is int, (value, field.name)
 
 
 def test_positive_fields_accept_huge_ints_and_finite_motion():

@@ -274,6 +274,8 @@ _sides = st.integers(2, 40)
 @example(seed=4, bit_depth=12, shape=(1, 40), channels=1, smooth=False)
 @example(seed=5, bit_depth=16, shape=(40, 1), channels=3, smooth=True)
 @example(seed=6, bit_depth=1, shape=(1, 1), channels=1, smooth=True)
+# seven offsets tie exactly: an FFT-only offset search picks 19, not the first, 12
+@example(seed=500, bit_depth=7, shape=(2, 7), channels=1, smooth=False)
 def test_unwrap_matches_float_reference(seed, bit_depth, shape, channels, smooth):
     img = _parity_scene(seed, bit_depth, shape, channels, smooth)
     frame = wrap_frame(img, bit_depth)
