@@ -122,6 +122,8 @@ def test_lar_scalar_examples():
     assert lar(200.0, 256) == -56.0
     assert lar(-128.0, 256) == -128.0
     assert lar(128.0, 256) == -128.0  # half-open interval [-m/2, m/2)
+    for scalar in (np.int64(300), 300, -300.0):  # a scalar in, a numpy scalar out
+        assert type(lar(scalar, 256)) is type(reference_unwrap.lar(scalar, 256))
 
 
 def test_lar_rejects_nonpositive_modulus():
@@ -253,8 +255,6 @@ def test_public_operators_match_frozen_copies(data, dtype, shape, channels, fini
         _same_samples(got, want, finite)
     for a, b in zip((img, gx, gy), before):
         assert a.tobytes() == b.tobytes()  # the in-place kernels work on copies
-    for scalar in (np.int64(300), 300, -300.0):
-        assert type(lar(scalar, 256)) is type(reference_unwrap.lar(scalar, 256))
 
 
 def test_float_input_keeps_float64_path():
