@@ -19,10 +19,13 @@ artifact gets a purpose-built little-endian container:
 Every writer/reader pair is a bijection on valid values. A writer checks
 every header field against its struct range before it opens the file, so
 a value the container cannot hold raises FormatError and leaves no file.
+The fields after the common header are `_FIELDS`, the one table the
+writers pack from and the readers unpack with.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -36,58 +39,39 @@ MAGIC_SPIKES = b"SPKB"
 MAGIC_MODULO = b"MODQ"
 VERSION = 1
 
-_HEADER = struct.Struct("<4sHIII")
-_DTYPE_F32 = 0
-_DTYPE_U16 = 1
+# every header starts with magic[4] and version:u16; the named fields follow
+_SIZES = (("height", "I"), ("width", "I"), ("channels", "I"))  # common to all three
+_FIELDS = {
+    MAGIC_HDR: (("dtype", "B"),),
+    MAGIC_SPIKES: (("frame_count", "I"), ("readout_rate_hz", "I")),
+    MAGIC_MODULO: (("bit_depth", "B"), ("window", "H"), ("stride", "H"), ("gain", "f"),
+                   ("source_rate_hz", "I"), ("frame_count", "I")),
+}
+_HDR_DTYPES = ("<f4", "<u2")  # indexed by the LHDR dtype tag
 
 
 class FormatError(ValueError):
     """Container payload or header is malformed."""
 
 
-class _Reader:
-    def __init__(self, path, data: bytes):
-        self.path = path
-        self._data = data
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise FormatError(f"{self.path}: truncated payload")
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.take(fmt.size))
-
-    def finish(self):
-        extra = len(self._data) - self._pos
-        if extra:
-            raise FormatError(f"{self.path}: payload length mismatch ({extra} extra bytes)")
+def _struct(fields) -> struct.Struct:
+    return struct.Struct("<4sH" + "".join(code for _, code in fields))
 
 
-def _read_header(r: _Reader, magic: bytes) -> tuple[int, int, int]:
-    got, version, height, width, channels = r.unpack(_HEADER)
-    if got != magic:
-        raise FormatError(f"{r.path}: bad magic {got!r} (expected {magic!r})")
-    if version != VERSION:
-        raise FormatError(f"{r.path}: unsupported version {version}")
-    return height, width, channels
+def _samples(bit_depth: int) -> str:
+    return "<u2" if bit_depth > 8 else "u1"  # the on-disk dtype of MODQ samples
 
 
-def _open(path) -> _Reader:
-    return _Reader(path, Path(path).read_bytes())
-
-
-def _pack_header(path, magic: bytes, height, width, channels, *fields) -> bytes:
-    """The common header followed by `fields`, each a (name, struct code,
-    value) triple. Every value is checked against its code's range before
-    anything touches the file, so a writer either writes a valid container
-    or raises FormatError and leaves no file behind."""
-    named = (("height", "I", height), ("width", "I", width),
-             ("channels", "I", channels)) + fields
-    for name, code, value in named:
+def _pack(path, magic: bytes, *sources, **values) -> bytes:
+    """The header of a `magic` container: each field is the keyword of its
+    name, else that attribute of one of `sources`. Every value is checked
+    against its code's range first, so a writer either writes a valid
+    container or raises FormatError before it creates the file."""
+    fields = _SIZES + _FIELDS[magic]
+    values = {name: getattr(source, name) for source in sources
+              for name, _ in fields if hasattr(source, name)} | values
+    for name, code in fields:
+        value = values[name]
         try:
             (stored,) = struct.unpack("<" + code, struct.pack("<" + code, value))
         except (struct.error, OverflowError):
@@ -97,56 +81,65 @@ def _pack_header(path, magic: bytes, height, width, channels, *fields) -> bytes:
             raise FormatError(
                 f"{path}: {name}={value!r} does not fit the container's "
                 f"'{code}' header field")
-    return (_HEADER.pack(magic, VERSION, height, width, channels)
-            + struct.pack("<" + "".join(code for _, code, _ in fields),
-                          *(value for _, _, value in fields)))
+    return _struct(fields).pack(magic, VERSION, *(values[name] for name, _ in fields))
+
+
+def _read(path, magic: bytes) -> tuple[dict, memoryview]:
+    """The header fields of the `magic` container at `path`, by name, and its
+    payload; the common header is checked before the whole header's length."""
+    data = Path(path).read_bytes()
+    fields = _SIZES + _FIELDS[magic]
+    for header in (_struct(_SIZES), _struct(fields)):
+        if len(data) < header.size:
+            raise FormatError(f"{path}: truncated payload")
+        got, version, *values = header.unpack_from(data)
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got!r} (expected {magic!r})")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+    return dict(zip((name for name, _ in fields), values)), memoryview(data)[header.size:]
+
+
+def _array(path, payload: memoryview, dtype: str, shape: tuple) -> np.ndarray:
+    """The whole payload viewed as a native-order array of `shape`, after
+    checking that it holds exactly that many bytes."""
+    dtype = np.dtype(dtype)
+    extra = len(payload) - math.prod(shape) * dtype.itemsize
+    if extra < 0:
+        raise FormatError(f"{path}: truncated payload")
+    if extra:
+        raise FormatError(f"{path}: payload length mismatch ({extra} extra bytes)")
+    data = np.frombuffer(payload, dtype).reshape(shape)
+    return data.astype(dtype.newbyteorder("="), copy=False)  # a view on little-endian hosts
 
 
 def write_hdr(path, image: HdrImage) -> None:
-    dtype = _DTYPE_U16 if image.data.dtype == np.uint16 else _DTYPE_F32
-    header = _pack_header(path, MAGIC_HDR, image.height, image.width, image.channels,
-                          ("dtype", "B", dtype))
-    payload = image.data.astype("<u2" if dtype == _DTYPE_U16 else "<f4").tobytes()
+    tag = int(image.data.dtype == np.uint16)
+    header = _pack(path, MAGIC_HDR, image, dtype=tag)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(image.data.astype(_HDR_DTYPES[tag]).tobytes())
 
 
 def read_hdr(path) -> HdrImage:
-    r = _open(path)
-    height, width, channels = _read_header(r, MAGIC_HDR)
-    (dtype,) = r.unpack(struct.Struct("<B"))
-    if dtype == _DTYPE_F32:
-        np_dtype, item = "<f4", 4
-    elif dtype == _DTYPE_U16:
-        np_dtype, item = "<u2", 2
-    else:
-        raise FormatError(f"{path}: unknown dtype tag {dtype}")
-    raw = r.take(height * width * channels * item)
-    r.finish()
-    data = np.frombuffer(raw, dtype=np_dtype).reshape(height, width, channels)
-    return HdrImage(data=data.astype(np.uint16 if dtype == _DTYPE_U16 else np.float32))
+    h, payload = _read(path, MAGIC_HDR)
+    if h["dtype"] >= len(_HDR_DTYPES):
+        raise FormatError(f"{path}: unknown dtype tag {h['dtype']}")
+    shape = (h["height"], h["width"], h["channels"])
+    return HdrImage(data=_array(path, payload, _HDR_DTYPES[h["dtype"]], shape))
 
 
 def write_spikes(path, stream: SpikeStream) -> None:
-    header = _pack_header(path, MAGIC_SPIKES, stream.height, stream.width, stream.channels,
-                          ("frame_count", "I", stream.frame_count),
-                          ("readout_rate_hz", "I", stream.readout_rate_hz))
+    header = _pack(path, MAGIC_SPIKES, stream)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(stream.packed.tobytes())
 
 
 def read_spikes(path) -> SpikeStream:
-    r = _open(path)
-    height, width, channels = _read_header(r, MAGIC_SPIKES)
-    frame_count, rate = r.unpack(struct.Struct("<II"))
-    per_plane = plane_bytes(height, width)
-    raw = r.take(frame_count * channels * per_plane)
-    r.finish()
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(frame_count, channels, per_plane)
-    return SpikeStream(height=height, width=width, channels=channels,
-                       frame_count=frame_count, readout_rate_hz=rate, packed=packed)
+    h, payload = _read(path, MAGIC_SPIKES)
+    shape = (h["frame_count"], h["channels"], plane_bytes(h["height"], h["width"]))
+    return SpikeStream(packed=_array(path, payload, "u1", shape), **h)
 
 
 def write_modulo(path, seq: ModuloSequence) -> None:
@@ -155,33 +148,18 @@ def write_modulo(path, seq: ModuloSequence) -> None:
     first = seq.frames[0]
     if not first.data.size:
         raise FormatError(f"{path}: frames of shape {first.data.shape} hold no samples")
-    wide = first.bit_depth > 8
-    header = _pack_header(path, MAGIC_MODULO, first.height, first.width, first.channels,
-                          ("bit_depth", "B", first.bit_depth), ("window", "H", seq.window),
-                          ("stride", "H", seq.stride), ("gain", "f", seq.gain),
-                          ("source_rate_hz", "I", seq.source_rate_hz),
-                          ("frame_count", "I", len(seq.frames)))
+    header = _pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames))
     with open(path, "wb") as fh:
         fh.write(header)
         for frame in seq.frames:
-            fh.write(frame.data.astype("<u2" if wide else "u1").tobytes())
+            fh.write(frame.data.astype(_samples(first.bit_depth)).tobytes())
 
 
 def read_modulo(path) -> ModuloSequence:
-    r = _open(path)
-    height, width, channels = _read_header(r, MAGIC_MODULO)
-    bit_depth, window, stride, gain, source_rate, frame_count = r.unpack(
-        struct.Struct("<BHHfII"))
-    if not height * width * channels:  # the file size would not bound frame_count
-        raise FormatError(f"{path}: frames of shape {(height, width, channels)} hold no samples")
-    wide = bit_depth > 8
-    item = 2 if wide else 1
-    frames = []
-    for _ in range(frame_count):
-        raw = r.take(height * width * channels * item)
-        data = np.frombuffer(raw, dtype="<u2" if wide else "u1")
-        frames.append(ModuloFrame(data=data.reshape(height, width, channels),
-                                  bit_depth=bit_depth))
-    r.finish()
-    return ModuloSequence(frames=tuple(frames), window=window, stride=stride,
-                          gain=float(gain), source_rate_hz=source_rate)
+    h, payload = _read(path, MAGIC_MODULO)
+    shape = (h["height"], h["width"], h["channels"])
+    if not math.prod(shape):  # the file size would not bound frame_count
+        raise FormatError(f"{path}: frames of shape {shape} hold no samples")
+    data = _array(path, payload, _samples(h["bit_depth"]), (h["frame_count"],) + shape)
+    frames = tuple(ModuloFrame(data=frame, bit_depth=h["bit_depth"]) for frame in data)
+    return ModuloSequence(frames, h["window"], h["stride"], h["gain"], h["source_rate_hz"])

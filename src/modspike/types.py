@@ -99,11 +99,12 @@ def check_bits(samples: np.ndarray, name: str) -> np.ndarray:
 
 
 def store_ints(value, *names: str) -> None:
-    """Store named numpy integer fields as Python ints: 1 << np.uint8(8) is 0."""
+    """Check that each named field is an integer, then store it as a Python
+    int: 1 << np.uint8(8) is 0."""
     for name in names:
         field = getattr(value, name)
-        if isinstance(field, np.integer):
-            object.__setattr__(value, name, int(field))
+        check_integer(field, f"{type(value).__name__}.{name}")
+        object.__setattr__(value, name, int(field))
 
 
 def _freeze(data, dtype) -> np.ndarray:
@@ -291,11 +292,9 @@ class SensorConfig:
 
     def __post_init__(self):
         store_ints(self, "micro_intervals", "rng_seed")
-        check_integer(self.micro_intervals, "SensorConfig.micro_intervals")
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")
-        check_integer(self.rng_seed, "SensorConfig.rng_seed")
         if self.rng_seed < 0:
             raise ValidationError(f"SensorConfig.rng_seed: must be >= 0, got {self.rng_seed}")
         r_exact = self.readout_rate_hz * self.total_time_s

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -197,7 +198,7 @@ def _spikes_with(frame_count=2, readout_rate_hz=20000, height=2, width=3):
     (write_modulo, _modulo_with(source_rate_hz=1 << 32), "source_rate_hz"),
     (write_modulo, _modulo_with(gain=1e39), "gain"),
     (write_spikes, _spikes_with(readout_rate_hz=1 << 32), "readout_rate_hz"),
-    (write_spikes, _spikes_with(readout_rate_hz=20000.5), "readout_rate_hz"),
+    (write_spikes, _spikes_with(height=0, width=1 << 32), "width"),
     # zero-width rasters hold no samples, so a 2^32 row count costs nothing
     (write_spikes, _spikes_with(frame_count=1 << 32, width=0), "frame_count"),
     (write_spikes, _spikes_with(height=1 << 32, width=0), "height"),
@@ -239,6 +240,166 @@ def test_writer_limits_are_inclusive(tmp_path):
     write_modulo(path, seq)
     back = read_modulo(path)
     assert (back.window, back.stride, back.source_rate_hz) == (65535, 65535, (1 << 32) - 1)
+
+
+# ------------------------------------------------------- header oracle
+
+# the layouts of the module docstring, written out independently of the module
+_COMMON = "<4sHIII"
+_U32 = st.integers(0, 2 ** 32 - 1)
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def _sizes(draw):
+    """(H, W, C): small enough to fill, or one size up to 2^32 - 1 and the other 0."""
+    channels = draw(st.sampled_from([1, 3]))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 4)), draw(st.integers(0, 4)), channels
+    big = draw(_U32)
+    return ((big, 0) if draw(st.booleans()) else (0, big)) + (channels,)
+
+
+@st.composite
+def _hdr_case(draw):
+    h, w, c = draw(_sizes())
+    rng = np.random.default_rng(draw(_U32))
+    wide = draw(st.booleans())
+    data = (rng.integers(0, 1 << 16, (h, w, c)).astype(np.uint16) if wide
+            else rng.uniform(0, 1e6, (h, w, c)).astype(np.float32))
+    blob = (struct.pack(_COMMON, b"LHDR", 1, h, w, c) + struct.pack("<B", int(wide))
+            + data.astype("<u2" if wide else "<f4").tobytes())
+    image = HdrImage(data=data)
+    return write_hdr, read_hdr, image, image, blob
+
+
+@st.composite
+def _spikes_case(draw):
+    h, w, c = draw(_sizes())
+    frames = draw(_U32.filter(bool) if h * w == 0 else st.integers(1, 4))
+    rate = draw(_U32.filter(bool))
+    rng = np.random.default_rng(draw(_U32))
+    # packed directly: a (frames, H, W, C) bits array of 2^32 - 1 frames by
+    # 2^32 - 1 rows is too big for numpy even when it holds no samples
+    bits = rng.integers(0, 2, (frames, c, h * w), dtype=np.uint8)
+    stream = SpikeStream(h, w, c, frames, rate, np.packbits(bits, axis=-1, bitorder="little"))
+    blob = (struct.pack(_COMMON, b"SPKB", 1, h, w, c) + struct.pack("<II", frames, rate)
+            + stream.packed.tobytes())
+    return write_spikes, read_spikes, stream, stream, blob
+
+
+@st.composite
+def _modulo_case(draw):
+    h, w, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+    bit_depth = draw(st.integers(1, 16))
+    window = draw(st.integers(1, 65535))
+    stride = draw(st.integers(1, window))
+    gain = draw(st.floats(2.0 ** -149, _F32_MAX))
+    rate = draw(_U32)
+    rng = np.random.default_rng(draw(_U32))
+    data = rng.integers(0, 1 << bit_depth, (draw(st.integers(1, 3)), h, w, c))
+    frames = tuple(ModuloFrame(data=d, bit_depth=bit_depth) for d in data)
+    blob = (struct.pack(_COMMON, b"MODQ", 1, h, w, c)
+            + struct.pack("<BHHfII", bit_depth, window, stride, gain, rate, len(data))
+            + data.astype("<u2" if bit_depth > 8 else "u1").tobytes())
+    written = ModuloSequence(frames, window, stride, gain, rate)
+    # the header holds the gain as f32
+    read_back = ModuloSequence(frames, window, stride, float(np.float32(gain)), rate)
+    return write_modulo, read_modulo, written, read_back, blob
+
+
+def _key(value):
+    """A comparable form of a container value: arrays as (dtype, shape, bytes)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(_key, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, {k: _key(v) for k, v in vars(value).items()}
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_hdr_case(), _spikes_case(), _modulo_case()))
+def test_header_round_trips_across_the_full_field_ranges(tmp_path_factory, case):
+    """Every writer produces exactly the documented bytes, and its reader
+    gives back the value, for header values across each field's range."""
+    write, read, value, read_back, blob = case
+    path = tmp_path_factory.mktemp("oracle") / "x.bin"
+    write(path, value)
+    assert path.read_bytes() == blob
+    assert _key(read(path)) == _key(read_back)
+
+
+# one valid file per container, packed by hand: 2x2 f32 zeros, 2 frames of a
+# 2x3 plane (1 byte each), one 2x3 8-bit frame
+_LHDR = struct.pack(_COMMON + "B", b"LHDR", 1, 2, 2, 1, 0) + bytes(16)
+_SPKB = struct.pack(_COMMON + "II", b"SPKB", 1, 2, 3, 1, 2, 100) + bytes(2)
+_MODQ = struct.pack(_COMMON + "BHHfII", b"MODQ", 1, 2, 3, 1, 8, 4, 4, 1.0, 0, 1) + bytes(6)
+_EMPTY_MODQ = struct.pack(_COMMON + "BHHfII", b"MODQ", 1, 0, 3, 1, 8, 4, 4, 1.0, 0, 1)
+_READERS = {b"LHDR": read_hdr, b"SPKB": read_spikes, b"MODQ": read_modulo}
+
+
+def _version(blob, version=2):
+    return blob[:4] + struct.pack("<H", version) + blob[6:]
+
+
+@pytest.mark.parametrize("magic, blob, error", [
+    (b"LHDR", _LHDR, None),
+    (b"SPKB", _SPKB, None),
+    (b"MODQ", _MODQ, None),
+    # cut inside the common header, the format header and the payload
+    (b"LHDR", _LHDR[:10], "truncated payload"),
+    (b"SPKB", _SPKB[:10], "truncated payload"),
+    (b"MODQ", _MODQ[:10], "truncated payload"),
+    (b"LHDR", _LHDR[:18], "truncated payload"),
+    (b"SPKB", _SPKB[:22], "truncated payload"),
+    (b"MODQ", _MODQ[:30], "truncated payload"),
+    (b"LHDR", _LHDR[:-3], "truncated payload"),
+    (b"SPKB", _SPKB[:-1], "truncated payload"),
+    (b"MODQ", _MODQ[:-1], "truncated payload"),
+    (b"LHDR", _LHDR + b"xx", r"payload length mismatch \(2 extra bytes\)"),
+    (b"SPKB", _SPKB + b"x", r"payload length mismatch \(1 extra bytes\)"),
+    (b"MODQ", _MODQ + b"xyz", r"payload length mismatch \(3 extra bytes\)"),
+    # the magic is checked before the format header's length
+    (b"MODQ", _SPKB[:25], "bad magic b'SPKB'"),
+    (b"SPKB", _LHDR[:19], "bad magic b'LHDR'"),
+    (b"LHDR", _MODQ[:18], "bad magic b'MODQ'"),
+    # the version is checked before the format header's length
+    (b"LHDR", _version(_LHDR[:18]), "unsupported version 2"),
+    (b"SPKB", _version(_SPKB[:22]), "unsupported version 2"),
+    (b"MODQ", _version(_MODQ[:30]), "unsupported version 2"),
+    # the dtype tag and the sample geometry before the payload size
+    (b"LHDR", _LHDR[:18] + b"\x09" + bytes(5), "unknown dtype tag 9"),
+    (b"MODQ", _EMPTY_MODQ[:30], "truncated payload"),
+    (b"MODQ", _EMPTY_MODQ + b"xx", r"\(0, 3, 1\) hold no samples"),
+], ids=["lhdr-valid", "spkb-valid", "modq-valid",
+        "lhdr-cut-common", "spkb-cut-common", "modq-cut-common",
+        "lhdr-cut-format", "spkb-cut-format", "modq-cut-format",
+        "lhdr-cut-payload", "spkb-cut-payload", "modq-cut-payload",
+        "lhdr-extra", "spkb-extra", "modq-extra",
+        "spkb-as-modq", "lhdr-as-spkb", "modq-as-lhdr",
+        "lhdr-version", "spkb-version", "modq-version",
+        "lhdr-dtype-tag-cut-payload", "modq-no-samples-cut-format",
+        "modq-no-samples-extra"])
+def test_readers_raise_errors_in_header_order(tmp_path, magic, blob, error):
+    path = tmp_path / "x.bin"
+    path.write_bytes(blob)
+    if error is None:
+        _READERS[magic](path)
+    else:
+        with pytest.raises(FormatError, match=error):
+            _READERS[magic](path)
+
+
+def test_modulo_reader_checks_the_payload_size_before_the_samples(tmp_path):
+    # sample 255 does not fit the 3-bit frame; the short payload is reported
+    # first, as LHDR and SPKB report theirs before they build a value
+    blob = struct.pack(_COMMON + "BHHfII", b"MODQ", 1, 2, 3, 1, 3, 4, 4, 1.0, 0, 2)
+    path = tmp_path / "x.modq"
+    path.write_bytes(blob + bytes([255]) * 7)
+    with pytest.raises(FormatError, match="truncated payload"):
+        read_modulo(path)
 
 
 # ------------------------------------------------------------ reader fuzzing

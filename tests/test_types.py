@@ -162,6 +162,11 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (ModuloSequence, ((), 4, 1.5, 1.0), "ModuloSequence.stride"),
     (frame_capacity, (10, 2.5, 1), "frame_capacity.window"),
     (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), 8.0), "bit_depth"),
+    (SpikeStream, (2, 3, 1, 2, 20000.5, np.zeros((2, 1, 1), np.uint8)),
+     "SpikeStream.readout_rate_hz"),
+    (SpikeStream, (2, 3, 1, 2.0, 20000, np.zeros((2, 1, 1), np.uint8)), "SpikeStream.frame_count"),
+    (SpikeStream, (2.0, 3, 1, 2, 20000, np.zeros((2, 1, 1), np.uint8)), "SpikeStream.height"),
+    (ModuloSequence, ((), 4, 4, 1.0, 0.5), "ModuloSequence.source_rate_hz"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "query_ideal-bits-neg", "query_ideal-bits-17",
         "ideal_window_counts-window-9", "push-chunk-dims", "mu_law_inverse-mu-0",
@@ -177,7 +182,8 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
         "sensor_config-micro-intervals-float", "encoder_config-window-float",
         "encoder_config-stride-float", "encoder_config-bits-float", "query_spec-window-float",
         "modulo_frame-bits-float", "modulo_sequence-stride-float", "frame_capacity-window-float",
-        "query_ideal-bits-float"])
+        "query_ideal-bits-float", "spike_stream-rate-float", "spike_stream-frames-float",
+        "spike_stream-height-float", "modulo_sequence-source-rate-float"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
