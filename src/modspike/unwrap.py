@@ -13,7 +13,12 @@ the scene in three steps:
      to the centered gradient of the unwrapped scene wherever
      neighboring-pixel differences stay within half a period (the Itoh
      condition); its divergence is an int32 field too;
-  2. least-squares integration: the cosine-basis Poisson solve of that
+  2. least-squares integration: integrate the wrap field when it has no
+     curl, else the cosine-basis solve. Without curl the int8 wrap
+     indicators (gradient(frame) = centered + 2^N * wraps) are summed in
+     int32 along the first row and down each column: that is the
+     least-squares solution exactly, and gives step 3's wrap counts
+     directly. With curl the cosine-basis Poisson solve of the
      divergence, the one float64 step, gives a mean-zero estimate of the
      scene up to an additive constant per channel;
   3. congruence snapping: an exhaustive search over the 2^N unit offsets
@@ -21,7 +26,8 @@ the scene in three steps:
      observation modulo 2^N, the per-pixel wrap counts are rounded out
      (ties away from zero), and the map is re-based so its minimum is
      zero — anchoring the scene to the base band under the assumption
-     that at least one pixel never wrapped.
+     that at least one pixel never wrapped. The integrated wrap counts
+     are re-based the same way.
 
 Both decoders work on one channel-first (C, H, W) int32 copy of the
 frame; the front end and the residual report run the `operators` kernels
@@ -91,7 +97,10 @@ class UnwrapResult:
     consistent with the observation and with the half-period model. It
     does not certify correctness. `decoder` names the path that ran,
     "lattice" (table lookup on an encoder-counted frame, exact) or
-    "poisson".
+    "poisson" (the least-squares integral of the centered gradient,
+    snapped onto the observation), however that integral was computed:
+    summed in integers when the wrap field has no curl, else by the
+    cosine-basis solve.
     """
 
     hdr: HdrImage
@@ -227,6 +236,31 @@ def _lattice_rollover(frame: ModuloFrame, codes: np.ndarray) -> np.ndarray | Non
     return values.astype(np.int32)
 
 
+def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
+    """The (C, H, W) int32 wrap counts of a frame whose wrap indicators
+    (gradient(frame) = centered + m * (wx, wy)) have no curl, or None when
+    some plaquette has.
+
+    Without curl the indicators are the gradient of one integer field P,
+    and the centered gradient is that of u = frame - m * P exactly, so the
+    least-squares integral is u up to a constant: the cosine-basis solve
+    returns u - mean(u) up to rounding, every pixel of estimate - frame
+    shares one residue, and the snap rounds it onto k = -P. P is summed
+    along the first row, then down each column; max(P) - P is k re-based
+    to a minimum of zero.
+    """
+    if not np.array_equal(wx[:, 1:, :-1] - wx[:, :-1, :-1], wy[:, :-1, 1:] - wy[:, :-1, :-1]):
+        return None
+    p = np.empty(wx.shape, np.int32)
+    p[:, :1, :1] = 0
+    np.cumsum(wx[:, :1, :-1], axis=2, dtype=np.int32, out=p[:, :1, 1:])
+    p[:, 1:] = wy[:, :-1]
+    np.cumsum(p, axis=1, dtype=np.int32, out=p)
+    if p.size:
+        np.subtract(p.max(axis=(1, 2), keepdims=True), p, out=p)
+    return p
+
+
 def _channels_last(a: np.ndarray) -> np.ndarray:
     """C-contiguous (H, W, C) copy of a (C, H, W) array, one plane at a
     time: several times faster than numpy's transposing copy."""
@@ -249,6 +283,8 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
     rollover = _lattice_rollover(frame, obs)
     decoder = "poisson" if rollover is None else "lattice"
+    if rollover is None:
+        rollover = _integrate_wraps(*wraps)
     if rollover is None:
         rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
     div_wraps = _lar_pow2(div, modulus, wraps=True)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import modspike
 from modspike import (ChunkedEncoder, EncoderConfig, GradientField, ModuloFrame, gradient, lar,
                       unwrap_poisson)
+from modspike import unwrap as unwrap_module
+from modspike.unwrap import RESIDUAL_TOL
 
 
 def wrap_frame(img, bit_depth=8):
@@ -22,10 +24,10 @@ def wrap_frame(img, bit_depth=8):
 
 
 def centered_gradient_curl(frame):
-    """Loop sums of the centered wrapped gradient around every plaquette;
-    nonzero entries mean the measurement field is not integrable."""
+    """(H-1, W-1, C) loop sums of the centered wrapped gradient around every
+    plaquette; nonzero entries mean the measurement field is not integrable."""
     m = frame.modulus
-    gf = gradient(frame.values()[:, :, 0])
+    gf = gradient(frame.values())
     gx = lar(gf.gx, m)
     gy = lar(gf.gy, m)
     return gx[:-1, :-1] + gy[:-1, 1:] - gx[1:, :-1] - gy[:-1, :-1]
@@ -209,13 +211,19 @@ def test_snap_rounds_ties_away_from_zero_like_the_reference():
     assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
-def test_poisson_decoder_warm_memory_peak(scene_maker):
+@pytest.mark.parametrize("curl", [False, True], ids=["integrated", "solved"])
+def test_poisson_decoder_warm_memory_peak(scene_maker, curl):
     # a 160^2 x 3 8-bit frame without provenance, as `modspike unwrap`
     # reads it from MODQ: past the first call (caches built), the decoder's
-    # peak stays within 6.8 MB, about 11 float64 rasters of the frame
+    # peak stays within 6.8 MB, about 11 float64 rasters of the frame, both
+    # when the frame is integrated and when one plaquette of curl sends it
+    # through the cosine-basis solve
     rng = np.random.default_rng(21)
     img = np.stack([scene_maker(rng, 160, 160, peak=4095) for _ in range(3)], axis=2)
     frame = wrap_frame(img)
+    if curl:
+        frame = with_one_curl_plaquette(frame)
+        img = reference_unwrap.unwrap_poisson(frame).hdr.values()
     unwrap_poisson(frame)
     tracemalloc.start()
     try:
@@ -268,9 +276,11 @@ _sides = st.integers(2, 40)
                        st.tuples(_sides, st.just(1)), st.tuples(_sides, _sides)),
        channels=st.sampled_from([1, 3]),
        smooth=st.booleans())
-@example(seed=1, bit_depth=11, shape=(17, 23), channels=3, smooth=True)  # dense offset search
+@example(seed=1, bit_depth=11, shape=(17, 23), channels=3, smooth=True)  # curl-free: integrated
 @example(seed=2, bit_depth=11, shape=(9, 31), channels=1, smooth=False)
-@example(seed=3, bit_depth=12, shape=(23, 17), channels=3, smooth=True)  # FFT offset search
+@example(seed=3, bit_depth=12, shape=(23, 17), channels=3, smooth=True)  # curl-free: integrated
+@example(seed=7, bit_depth=11, shape=(17, 23), channels=3, smooth=False)  # curl: dense offset search
+@example(seed=8, bit_depth=12, shape=(23, 17), channels=3, smooth=False)  # curl: FFT offset search
 @example(seed=4, bit_depth=12, shape=(1, 40), channels=1, smooth=False)
 @example(seed=5, bit_depth=16, shape=(40, 1), channels=3, smooth=True)
 @example(seed=6, bit_depth=1, shape=(1, 1), channels=1, smooth=True)
@@ -286,6 +296,132 @@ def test_unwrap_matches_float_reference(seed, bit_depth, shape, channels, smooth
     assert np.array_equal(got.rollover_map, want.rollover_map)
     assert got.residuals.as_tuple() == want.residuals.as_tuple()
     assert got.converged == want.converged
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Steps of the Poisson decoder in the order they run: "solve" for the
+    cosine-basis solve, "objective" for each plane's offset objective, and
+    "circulant" for each fetch of the circulant matrices, which only the
+    dense objective makes (the FFT objective does without)."""
+    calls = []
+    for name, label in (("_cosine_solve", "solve"), ("_offset_objective", "objective"),
+                        ("_offset_matrices", "circulant")):
+        def spy(*args, _real=getattr(unwrap_module, name), _label=label):
+            calls.append(_label)
+            return _real(*args)
+        monkeypatch.setattr(unwrap_module, name, spy)
+    return calls
+
+
+def assert_matches_float_reference(frame):
+    """Every `UnwrapResult` field equals the float reference's. Past 2^24
+    counts the reference, which reports l_mod on float64 values, cannot see
+    the float32 rounding of the samples returned, so l_mod is checked on
+    those samples instead. Returns the library's result."""
+    want = reference_unwrap.unwrap_poisson(frame)
+    got = unwrap_poisson(frame)
+    assert got.hdr.data.tobytes() == want.hdr.data.tobytes()
+    assert got.rollover_map.dtype == want.rollover_map.dtype == np.int32
+    assert got.rollover_map.flags.c_contiguous
+    assert np.array_equal(got.rollover_map, want.rollover_map)
+    assert got.decoder == want.decoder == "poisson"
+    l_mod = float(np.abs(lar(got.hdr.data.astype(np.int64) - frame.data, frame.modulus)).mean())
+    assert got.residuals.as_tuple() == (l_mod,) + want.residuals.as_tuple()[1:]
+    assert got.converged == (got.residuals.max() < RESIDUAL_TOL)
+    if not l_mod:
+        assert want.residuals.l_mod == 0.0 and got.converged == want.converged
+    return got
+
+
+def with_one_curl_plaquette(frame):
+    """`frame` with the top-left sample of its last channel recoded so that
+    the one plaquette that sample touches carries curl, or None when no code
+    does that (its two neighbours hold the same code)."""
+    m = frame.modulus
+    data = frame.data.astype(np.int64)
+    right, below = data[0, 1, -1], data[1, 0, -1]
+    codes = np.arange(m)
+    loop = lar(right - codes, m) - lar(below - codes, m)  # the curl's terms that hold it
+    curled = np.flatnonzero(loop != loop[data[0, 0, -1]])
+    if not curled.size:
+        return None
+    data[0, 0, -1] = curled[0]
+    return ModuloFrame(data.astype(np.uint16), frame.bit_depth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       bit_depth=st.integers(1, 16),
+       shape=st.one_of(st.just((1, 1)), st.tuples(st.just(1), _sides),
+                       st.tuples(_sides, st.just(1)), st.tuples(_sides, _sides)),
+       channels=st.sampled_from([1, 3]))
+@example(seed=0, bit_depth=1, shape=(1, 1), channels=1)
+@example(seed=1, bit_depth=8, shape=(1, 40), channels=3)
+@example(seed=2, bit_depth=16, shape=(40, 1), channels=1)
+@example(seed=3, bit_depth=11, shape=(17, 23), channels=3)
+@example(seed=4, bit_depth=12, shape=(40, 40), channels=3)
+def test_curl_free_frames_match_the_float_reference(seed, bit_depth, shape, channels):
+    # a wrap field with no curl has one integral; whatever way the decoder
+    # computes it, every field of the result is the solve-and-snap answer
+    frame = wrap_frame(_parity_scene(seed, bit_depth, shape, channels, smooth=True), bit_depth)
+    assert not np.any(centered_gradient_curl(frame))
+    assert_matches_float_reference(frame)
+
+
+@pytest.mark.parametrize("shape, channels", [((1, 1100), 1), ((1100, 1), 3), ((3, 900), 3)])
+def test_curl_free_frames_past_2_24_match_the_float_reference(shape, channels):
+    # 16-bit steps just under half a period climb past 2^24 counts
+    rng = np.random.default_rng(41)
+    h, w = shape
+    img = (np.cumsum(rng.integers(16384, 32768, size=(h, 1, channels)), axis=0)
+           + np.cumsum(rng.integers(16384, 32768, size=(1, w, channels)), axis=1))
+    assert img.max() >= 2 ** 24
+    frame = wrap_frame(img, bit_depth=16)
+    assert not np.any(centered_gradient_curl(frame))
+    got = assert_matches_float_reference(frame)
+    assert got.residuals.l_mod > 0 and not got.converged
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_straight_edge_is_curl_free_and_matches_the_float_reference(channels):
+    # README's scene 200 + 800*[x >= 32] + 3y breaks the half-period
+    # condition along a straight edge and leaves no curl: the decode
+    # converges while half the pixels are off by a period
+    yy, xx = np.mgrid[0:64, 0:64]
+    img = np.repeat((200 + 800 * (xx >= 32) + 3 * yy)[:, :, None], channels, axis=2)
+    frame = wrap_frame(img)
+    assert not np.any(centered_gradient_curl(frame))
+    got = assert_matches_float_reference(frame)
+    assert got.converged
+    assert np.count_nonzero(got.hdr.values() != img) == img.size // 2
+
+
+@pytest.mark.parametrize("bit_depth", [2, 8, 11, 12, 16])
+@pytest.mark.parametrize("shape, channels", [((2, 2), 1), ((9, 13), 3)])
+def test_one_plaquette_of_curl_takes_the_solve(bit_depth, shape, channels, solver_calls):
+    frame = next(f for f in (with_one_curl_plaquette(wrap_frame(
+        _parity_scene(seed, bit_depth, shape, channels, smooth=True), bit_depth))
+        for seed in range(bit_depth, bit_depth + 20)) if f is not None)
+    assert np.count_nonzero(centered_gradient_curl(frame)) == 1
+    assert_matches_float_reference(frame)
+    assert solver_calls.count("solve") == 1
+
+
+@pytest.mark.parametrize("bit_depth, search", [(11, ["objective", "circulant"]),
+                                               (12, ["objective"])])
+def test_offset_search_runs_only_on_frames_with_curl(bit_depth, search, solver_calls):
+    # a frame with curl takes the cosine-basis solve and one offset search
+    # per channel: the dense circulant objective up to 2^11, the FFT one
+    # above; a curl-free frame is integrated and runs neither
+    noise = wrap_frame(_parity_scene(7, bit_depth, (17, 23), 3, smooth=False), bit_depth)
+    assert np.any(centered_gradient_curl(noise))
+    unwrap_poisson(noise)
+    assert solver_calls == ["solve"] + 3 * search
+    solver_calls.clear()
+    smooth = wrap_frame(_parity_scene(7, bit_depth, (17, 23), 3, smooth=True), bit_depth)
+    assert unwrap_poisson(smooth).decoder == "poisson"
+    assert solver_calls == []
 
 
 def run_fresh(code):
@@ -326,6 +462,28 @@ def test_import_modspike_leaves_scipy_unloaded():
     assert run_fresh("import sys, modspike, modspike.cli; "
                      "print(sorted(m for m in ('scipy.fft', 'scipy.ndimage') "
                      "if m in sys.modules))") == "[]"
+
+
+def test_only_frames_with_curl_load_scipy_fft(tmp_path):
+    # a curl-free frame is integrated without the cosine-basis solve, both
+    # through the library and through `modspike unwrap` of a MODQ file;
+    # the first frame with curl imports scipy.fft for its solve
+    code = ("import contextlib, io, sys, numpy as np, modspike as ms, modspike.cli\n"
+            "def loaded():\n"
+            "    return 'scipy.fft' in sys.modules\n"
+            "ramps = np.add.outer(40 * np.arange(30), 30 * np.arange(20))\n"
+            "smooth = ms.ModuloFrame(np.mod(ramps, 256).astype(np.uint16)[:, :, None], 8)\n"
+            "ms.unwrap_poisson(smooth)\n"
+            "library = loaded()\n"
+            f"path = {str(tmp_path / 'smooth.modq')!r}\n"
+            "ms.write_modulo(path, ms.ModuloSequence((smooth, smooth), 25, 20, 15.0))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    modspike.cli.main(['unwrap', '--in', path, '--out-dir', {str(tmp_path)!r}])\n"
+            "cli = loaded()\n"
+            "noise = np.random.default_rng(0).integers(0, 256, (16, 16, 1)).astype(np.uint16)\n"
+            "ms.unwrap_poisson(ms.ModuloFrame(noise, 8))\n"
+            "print(library, cli, loaded())")
+    assert run_fresh(code) == "False False True"
 
 
 def test_moving_capture_pass_loads_no_scipy(tmp_path):
