@@ -13,12 +13,12 @@ the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so `poisson_solve` inverts it
 spectrally up to floating point. The solution is gauged to mean zero; the
 constant is resolved downstream by congruence snapping.
 
-Each public operator is a layout adapter over one private in-place kernel
-that takes the (rows, columns) `axes` it works over: `_forward_differences`,
+Each public operator is a layout adapter over one private kernel that
+takes the (rows, columns) `axes` it works over: `_forward_differences`,
 `_divergence`, `_lar_pow2` (which can also split off wrap indicators) and
-`_cosine_solve`. The public functions run them over axes (0, 1) of copies
-of an (H, W[, C]) raster, the unwrapper over axes (1, 2) of its (C, H, W)
-int32 arrays.
+`_cosine_solve`. The public functions run them over axes (0, 1) of an
+(H, W[, C]) raster, on copies of what a kernel writes over, the
+unwrapper over axes (1, 2) of its (C, H, W) int32 arrays.
 
 The public functions are pure, process channels independently, and are
 deterministic. Float input is computed in float64; a float divergence is
@@ -71,29 +71,38 @@ def _as_raster(img, dtype=None) -> np.ndarray:
     return arr.astype(dtype or _work_dtype(arr), copy=False)
 
 
-def _pairs(axes: tuple[int, int]):
-    """Indices of a[1:] and a[:-1] along the columns, then the rows, of `axes`."""
+def _steps(axes: tuple[int, int]):
+    """Indices of a[1:], a[:-1], a[:1] and a[-1:] along the columns, then
+    the rows, of `axes`."""
     for axis in axes[::-1]:
         lead = (slice(None),) * axis
-        yield lead + (slice(1, None),), lead + (slice(None, -1),)
+        yield (lead + (slice(1, None),), lead + (slice(None, -1),),
+               lead + (slice(None, 1),), lead + (slice(-1, None),))
 
 
 def _forward_differences(a: np.ndarray, axes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences of `a` in its own type along the columns (gx) and
     rows (gy) of its (rows, columns) `axes`, zero on the last column and row."""
-    gx, gy = np.zeros_like(a), np.zeros_like(a)
-    for g, (later, earlier) in zip((gx, gy), _pairs(axes)):
+    gx, gy = np.empty_like(a), np.empty_like(a)
+    for g, (later, earlier, _, last) in zip((gx, gy), _steps(axes)):
         np.subtract(a[later], a[earlier], out=g[earlier])
+        g[last] = 0
     return gx, gy
 
 
 def _divergence(gx: np.ndarray, gy: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
     """Backward-difference divergence of (gx, gy) over the (rows, columns)
-    `axes`, as dx + (gy[i] - gy[i-1]), written over gx; spends gy too."""
-    for g, (later, earlier) in zip((gx, gy), _pairs(axes)):
-        np.subtract(g[later], g[earlier], out=g[later])  # numpy buffers the overlap
-    gx += gy
-    return gx
+    `axes`, as dx + (gy[i] - gy[i-1]), into a fresh array. Spends gx, whose
+    storage takes the row differences once dx is out: no difference is
+    written over its own input, so numpy buffers no overlap."""
+    (x_later, x_earlier, x_first, _), (y_later, y_earlier, y_first, _) = _steps(axes)
+    div = np.empty_like(gx)
+    np.subtract(gx[x_later], gx[x_earlier], out=div[x_later])
+    div[x_first] = gx[x_first]
+    np.subtract(gy[y_later], gy[y_earlier], out=gx[y_later])
+    gx[y_first] = gy[y_first]
+    div += gx
+    return div
 
 
 def _lar_pow2(values: np.ndarray, modulus: int, wraps: bool = False) -> np.ndarray | None:
@@ -122,8 +131,9 @@ def divergence(gf: GradientField) -> np.ndarray:
     check_dims(gx.shape, gy.shape, "GradientField gx, gy")
     check_ndim(gx, (2, 3), "GradientField")
     dtype = _work_dtype(gx, gy)
-    # fresh copies for the in-place kernel; adding 0 also turns -0.0 into 0.0
-    return _divergence(np.add(gx, 0, dtype=dtype), np.add(gy, 0, dtype=dtype), (0, 1))
+    # the kernel spends a fresh copy of gx; adding 0 turns its -0.0 into
+    # 0.0, so no dx is -0.0 and no sum dx + dy is either
+    return _divergence(np.add(gx, 0, dtype=dtype), gy.astype(dtype, copy=False), (0, 1))
 
 
 def laplacian(img) -> np.ndarray:

@@ -31,7 +31,7 @@ the scene in three steps:
 
 Both decoders work on one channel-first (C, H, W) int32 copy of the
 frame; the front end and the residual report run the `operators` kernels
-in place over its (H, W) axes, a few contiguous passes each. The snap is
+over its (H, W) axes, a few contiguous passes each. The snap is
 channel-batched except for the offset search, which runs per plane: its
 residues come from x - m*floor(x/m), equal to np.mod bit for bit at a
 fraction of its cost. The output is byte-identical to the per-channel
@@ -49,11 +49,15 @@ lar(grad frame) and lar(lap frame). Under the half-period condition
 these are literal zeros for integer scenes; measurement fields with curl
 (half-period violations) leave a nonzero mismatch and clear `converged`.
 All three are computed in integers from the wrap counts, with no int64
-copy of the scene. They certify consistency with the observation and
-with the half-period model, not correctness: a straight edge that breaks
-the half-period condition leaves a curl-free field, so the Poisson
-decoder can be off by 2^N on one side and still converge, while the
-exact lattice decode of that scene does not converge.
+copy of the scene. An integrated frame's report is read off its wrap
+field: its wrap counts integrate the wrap indicators exactly, so the
+gradient mismatch is 0 by construction and the Laplacian mismatch is m
+times the wraps of the frame's divergence; only lattice and solved
+frames take differences of their wrap counts. They certify consistency
+with the observation and with the half-period model, not correctness: a
+straight edge that breaks the half-period condition leaves a curl-free
+field, so the Poisson decoder can be off by 2^N on one side and still
+converge, while the exact lattice decode of that scene does not converge.
 """
 
 from __future__ import annotations
@@ -285,6 +289,8 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     decoder = "poisson" if rollover is None else "lattice"
     if rollover is None:
         rollover = _integrate_wraps(*wraps)
+        if rollover is not None:
+            wraps = None  # gradient(rollover) = -wraps: the report needs only div_wraps
     if rollover is None:
         rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
     div_wraps = _lar_pow2(div, modulus, wraps=True)
@@ -309,7 +315,7 @@ def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
 
 
 def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.ndarray,
-                              top: int, wraps: tuple[np.ndarray, np.ndarray],
+                              top: int, wraps: tuple[np.ndarray, np.ndarray] | None,
                               div_wraps: np.ndarray) -> ConsistencyResiduals:
     """Quality report for a congruence-snapped reconstruction, from its
     channel-first wrap counts (see the module docstring).
@@ -322,11 +328,19 @@ def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.nd
     lar(div) = m * (divergence of that field + div_wraps), with div_wraps
     = (div - lar(div)) / m. lar(div) is lar(laplacian(frame)): the two
     are congruent.
+
+    `wraps` is None when the rollover integrates them (`_integrate_wraps`).
+    Then gradient(rollover) = -wraps by construction: the gradient mismatch
+    is 0 and the Laplacian one is m * div_wraps, so the report takes no
+    differences of the rollover map.
     """
     modulus = frame.modulus
     l_mod = 0.0
     if (top + 1) * modulus > 2 ** 24:
         l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
+    if wraps is None:
+        return ConsistencyResiduals(l_mod=l_mod, l_grad=0.0,
+                                    l_lap=_mean_abs(div_wraps, scale=modulus))
     if top >= 2 ** 28:  # int32 differences of differences could overflow
         rollover = rollover.astype(np.int64)
     gx, gy = _forward_differences(rollover, (1, 2))
@@ -334,6 +348,7 @@ def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.nd
     gy += wraps[1]
     l_grad = _mean_abs(gx, gy, scale=modulus)
     lap = _divergence(gx, gy, (1, 2))
+    del gx, gy
     lap += div_wraps
     return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=_mean_abs(lap, scale=modulus))
 

@@ -57,6 +57,21 @@ def test_gradient_zero_padding_invariant():
     assert np.all(gf.gy[-1, :] == 0)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (6, 7), (6, 7, 3)])
+def test_gradient_padding_ignores_leftover_memory(dtype, shape):
+    # the differences go into uninitialized buffers: right after two freed
+    # buffers of the same size held nonzero values, the padded last column
+    # and row must still read zero
+    img = np.random.default_rng(3).integers(0, 1000, size=shape).astype(dtype)
+    want = reference_unwrap.gradient(img)
+    stale = [np.full(shape, 77, dtype) for _ in range(2)]
+    del stale
+    got = gradient(img)
+    assert got.gx.tobytes() == want.gx.tobytes()
+    assert got.gy.tobytes() == want.gy.tobytes()
+
+
 # -------------------------------------------------------------- divergence
 
 def test_divergence_of_zero_field():

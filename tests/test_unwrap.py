@@ -648,6 +648,36 @@ def test_lattice_residual_report_equals_its_definition():
         assert result.residuals.as_tuple() == direct_residuals(result.hdr, frame).as_tuple()
 
 
+def quarter_period_walk(seed, size=12, bit_depth=8):
+    """Separable integer walk whose row and column steps stay within a
+    quarter period: no wrap field curl, but second differences up to a
+    full period, so the wrapped Laplacian can mismeasure the scene."""
+    quarter = 1 << (bit_depth - 2)
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(-quarter, quarter + 1, size=(2, size))
+    return np.cumsum(steps[0])[:, None] + np.cumsum(steps[1])[None, :]
+
+
+def test_integrated_residual_report_equals_its_definition(scene_maker, solver_calls):
+    # an integrated frame reports the plain gradient and Laplacian of hdr
+    # against lar of the frame's, as a solved or lattice frame does
+    yy, xx = np.mgrid[0:64, 0:64]
+    edge = 200 + 800 * (xx >= 32) + 3 * yy  # README's straight edge
+    rng = np.random.default_rng(33)
+    smooth = np.stack([scene_maker(rng, 48, 40, peak=4095) for _ in range(3)], axis=2)
+    walk = quarter_period_walk(0)
+    reports = []
+    for img in (edge, smooth, walk):
+        frame = wrap_frame(img)
+        result = unwrap_poisson(frame)
+        assert result.decoder == "poisson"
+        assert result.residuals.as_tuple() == direct_residuals(result.hdr, frame).as_tuple()
+        reports.append(result.residuals)
+    assert solver_calls == []
+    assert reports[0].as_tuple() == reports[1].as_tuple() == (0.0, 0.0, 0.0)
+    assert reports[2].l_grad == 0.0 and reports[2].l_lap > 0  # no curl, yet a Laplacian off by a period
+
+
 def test_residuals_certify_consistency_not_correctness():
     # a straight 210-count edge breaks the half-period condition without
     # curl: the Poisson decode is off by a period on the dark side and still
