@@ -648,16 +648,6 @@ def test_lattice_residual_report_equals_its_definition():
         assert result.residuals.as_tuple() == direct_residuals(result.hdr, frame).as_tuple()
 
 
-def quarter_period_walk(seed, size=12, bit_depth=8):
-    """Separable integer walk whose row and column steps stay within a
-    quarter period: no wrap field curl, but second differences up to a
-    full period, so the wrapped Laplacian can mismeasure the scene."""
-    quarter = 1 << (bit_depth - 2)
-    rng = np.random.default_rng(seed)
-    steps = rng.integers(-quarter, quarter + 1, size=(2, size))
-    return np.cumsum(steps[0])[:, None] + np.cumsum(steps[1])[None, :]
-
-
 def test_integrated_residual_report_equals_its_definition(scene_maker, solver_calls):
     # an integrated frame reports the plain gradient and Laplacian of hdr
     # against lar of the frame's, as a solved or lattice frame does
@@ -665,7 +655,10 @@ def test_integrated_residual_report_equals_its_definition(scene_maker, solver_ca
     edge = 200 + 800 * (xx >= 32) + 3 * yy  # README's straight edge
     rng = np.random.default_rng(33)
     smooth = np.stack([scene_maker(rng, 48, 40, peak=4095) for _ in range(3)], axis=2)
-    walk = quarter_period_walk(0)
+    # separable 8-bit walk with steps within a quarter period: no curl, but
+    # second differences up to a full period, which lar can mismeasure
+    steps = np.random.default_rng(0).integers(-64, 65, size=(2, 12))
+    walk = np.cumsum(steps[0])[:, None] + np.cumsum(steps[1])[None, :]
     reports = []
     for img in (edge, smooth, walk):
         frame = wrap_frame(img)
