@@ -1,3 +1,6 @@
+import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -355,24 +358,30 @@ _MOTION_PX = st.one_of(st.floats(-3.0, 3.0), st.floats(-40.0, 40.0),
                        st.sampled_from([0.0, 1e6, -1e6, 1e300, -1e300]))
 
 
+def _warp_threads(workers):
+    """Patch the core count the warp sees; it still starts at most one
+    thread per block."""
+    return mock.patch.object(simulate, "_usable_cores", return_value=workers)
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 9), w=st.integers(1, 9),
        c=st.sampled_from([1, 3]), k=st.integers(1, 40),
        dx=_MOTION_PX, dy=_MOTION_PX, rotate=st.floats(-800.0, 800.0),
        decades=st.integers(1, 34), zeros=st.booleans(),
        block_samples=st.sampled_from([None, 1, 9, 50]))
-# shapes 1x1, 1xN and Nx1; K = 1
+# shapes 1x1, 1xN and Nx1; K = 1; more blocks than threads and fewer
 @example(seed=1, h=1, w=1, c=1, k=5, dx=0.7, dy=-0.2, rotate=30.0, decades=1, zeros=False,
-         block_samples=None)
+         block_samples=1)
 @example(seed=2, h=1, w=7, c=3, k=1, dx=2.5, dy=1.0, rotate=0.0, decades=4, zeros=True,
-         block_samples=None)
+         block_samples=9)
 @example(seed=3, h=6, w=1, c=1, k=9, dx=0.0, dy=3.5, rotate=-370.0, decades=34, zeros=False,
-         block_samples=None)
+         block_samples=50)
 # every coordinate out of range, in int64 and past it
 @example(seed=4, h=5, w=4, c=3, k=7, dx=1e6, dy=-1e6, rotate=45.0, decades=34, zeros=True,
-         block_samples=None)
+         block_samples=9)
 @example(seed=5, h=4, w=6, c=1, k=6, dx=1e300, dy=-1e300, rotate=0.0, decades=8, zeros=False,
-         block_samples=None)
+         block_samples=50)
 # 128^2 planes with the library's block size: the last block holds one plane
 @example(seed=6, h=128, w=128, c=1, k=13, dx=2.0, dy=1.0, rotate=1.0, decades=4, zeros=False,
          block_samples=None)
@@ -389,20 +398,112 @@ def test_moving_clip_matches_reference(seed, h, w, c, k, dx, dy, rotate, decades
     assume(not motion.is_identity)  # the static path broadcasts one plane, unwarped
     cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=k)
     samples = simulate._WARP_BLOCK_SAMPLES if block_samples is None else block_samples
-    planes = np.empty((k, h, w, c))
-    with mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", samples):
-        got = synthesize_clip(base, motion, cfg)
-        simulate._warp_clip(base.values(), motion, 1.0, planes)
     want = reference_simulate.synthesize_clip(base, motion, cfg)
-    assert got.u.shape == want.u.shape
-    assert got.u.tobytes() == want.u.tobytes()
     # the float64 warp matches too: the float32 store would hide most
     # changes to its rounding order
+    want_planes = np.empty((k, h, w, c))
     for i in range(k):
         for j in range(c):
-            plane = reference_simulate._warp(base.values()[:, :, j], motion,
-                                             i / (k - 1) if k > 1 else 0.0)
-            assert planes[i, :, :, j].tobytes() == np.maximum(plane, 0.0).tobytes()
+            want_planes[i, :, :, j] = np.maximum(reference_simulate._warp(
+                base.values()[:, :, j], motion, i / (k - 1) if k > 1 else 0.0), 0.0)
+    # the bytes do not depend on how many threads share the blocks
+    for workers in (1, 2, 3):
+        planes = np.empty((k, h, w, c))
+        with mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", samples), _warp_threads(workers):
+            got = synthesize_clip(base, motion, cfg)
+            simulate._warp_clip(base.values(), motion, 1.0, planes)
+        assert got.u.shape == want.u.shape
+        assert got.u.tobytes() == want.u.tobytes(), workers
+        assert planes.tobytes() == want_planes.tobytes(), workers
+
+
+def _bounded(call, seconds=60):
+    """Return `call()` run on a daemon thread, or raise its error; fail if
+    it has not finished within `seconds`."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((call(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"still running after {seconds} s"
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
+class _InjectedFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("in_worker", [False, True])
+@pytest.mark.parametrize("nth", [1, 7, 40])
+def test_a_failing_warp_thread_raises_and_returns_no_clip(in_worker, nth):
+    # 40 one-plane blocks over two threads: each thread splits 40 axes. The
+    # nth split in the calling thread or in the other one fails; the error
+    # reaches the caller once both threads have stopped
+    calls = itertools.count(1)
+    source_axis = simulate._source_axis
+    caller = []
+
+    def failing(*args):
+        if (threading.current_thread() is not caller[0]) == in_worker and next(calls) == nth:
+            raise _InjectedFault(nth)
+        return source_axis(*args)
+
+    def warp():
+        caller.append(threading.current_thread())
+        return synthesize_clip(scene, Motion(translate_px=(1.0, 2.0), rotate_deg=3.0), cfg)
+
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=40)
+    scene = HdrImage(data=np.ones((4, 4), np.float32))
+    running = threading.active_count()
+    with (mock.patch.object(simulate, "_source_axis", failing), _warp_threads(2),
+          mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", 16)):
+        with pytest.raises(_InjectedFault):
+            _bounded(warp)
+    assert threading.active_count() == running
+
+
+def test_more_warp_threads_than_cores_switching_often_give_the_same_clip():
+    # 64 one-plane blocks over 8 threads on any host, with the interpreter
+    # switching threads as often as it can: every block is written once,
+    # by the thread that owns it
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=64)
+    scene = HdrImage(data=np.random.default_rng(7).uniform(0, 900, (8, 8, 3))
+                     .astype(np.float32))
+    motion = Motion(translate_px=(2.5, -1.5), rotate_deg=20.0)
+    with mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", 64):
+        with _warp_threads(1):
+            want = synthesize_clip(scene, motion, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _warp_threads(8):
+                got = _bounded(lambda: synthesize_clip(scene, motion, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+    assert got.u.tobytes() == want.u.tobytes()
+
+
+def test_out_of_int64_coordinates_cast_quietly_in_every_thread():
+    # numpy's error state is per thread, and a new thread starts from the
+    # default: the cast of a floor past the int64 range must be silenced in
+    # the thread that casts it
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=6)
+    scene = HdrImage(data=np.arange(24, dtype=np.float32).reshape(4, 6))
+    motion = Motion(translate_px=(1e300, -1e300))
+    with (warnings.catch_warnings(), _warp_threads(2),
+          mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", 24)):
+        warnings.simplefilter("error")
+        clip = synthesize_clip(scene, motion, cfg)
+    assert clip.u.tobytes() == reference_simulate.synthesize_clip(scene, motion, cfg).u.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
@@ -422,34 +523,45 @@ def test_overflowing_motion_is_rejected_by_name(translate, rotate):
     # RuntimeWarning escapes on the way
     cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=5)
     scene = HdrImage(data=np.ones((4, 4), np.float32))
-    with warnings.catch_warnings():
+    with (warnings.catch_warnings(), _warp_threads(2),
+          mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", 16)):
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=r"Motion\.translate_px"):
+        # rejected before any thread starts warping
+        with (mock.patch.object(simulate, "_source_axis", side_effect=AssertionError),
+              pytest.raises(ValidationError, match=r"Motion\.translate_px")):
             synthesize_clip(scene, Motion(translate_px=translate, rotate_deg=rotate), cfg)
         # unrotated, the same translation maps finitely and still warps
         clip = synthesize_clip(scene, Motion(translate_px=translate), cfg)
     assert np.isfinite(clip.u).all()
 
 
-def _warp_peak_above_clip(k):
+def _warp_peak_above_clip(k, workers):
     scene = HdrImage(data=np.random.default_rng(0).uniform(0, 900, (256, 256))
                      .astype(np.float32))
     cfg = SensorConfig(readout_rate_hz=k, total_time_s=1.0, micro_intervals=k)
     tracemalloc.start()
     try:
-        clip = synthesize_clip(scene, Motion(translate_px=(3.0, -2.0), rotate_deg=5.0), cfg)
+        with _warp_threads(workers):
+            clip = synthesize_clip(scene, Motion(translate_px=(3.0, -2.0), rotate_deg=5.0), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak - clip.u.nbytes
 
 
-def test_warp_memory_does_not_grow_with_clip_length():
-    # the warp works a block of planes at a time: past the clip itself its
-    # memory is set by the plane size, not by K
-    plane_bytes = 256 * 256 * 4
-    short, long = _warp_peak_above_clip(4), _warp_peak_above_clip(32)
-    assert long < short + plane_bytes, (short, long)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_warp_memory_does_not_grow_with_clip_length(workers):
+    # each thread warps a block of planes at a time, in scratch it allocates
+    # once: past the clip itself the memory is set by the thread count and
+    # the plane size, not by K. A 256^2 plane is a block of its own, so a
+    # thread's scratch is eight float64 planes plus the copy np.take makes
+    # of its output; the float64 scene and its padded copy are shared
+    plane = 256 * 256 * 8
+    bound = workers * 9 * plane + 2.1 * plane
+    short, long = _warp_peak_above_clip(4, workers), _warp_peak_above_clip(32, workers)
+    assert short <= bound and long <= bound, (short, long, bound)
+    if workers == 1:
+        assert long < short + plane // 2, (short, long)
 
 
 # -------------------------------------------- IrradianceClip memory and ownership
