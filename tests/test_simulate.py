@@ -370,14 +370,25 @@ def _warp_threads(workers):
        dx=_MOTION_PX, dy=_MOTION_PX, rotate=st.floats(-800.0, 800.0),
        decades=st.integers(1, 34), zeros=st.booleans(),
        block_samples=st.sampled_from([None, 1, 9, 50]))
-# shapes 1x1, 1xN and Nx1; K = 1; more blocks than threads and fewer
+# shapes 1x1, 1xN and Nx1; K = 1
+@example(seed=1, h=1, w=1, c=1, k=5, dx=0.7, dy=-0.2, rotate=30.0, decades=1, zeros=False,
+         block_samples=None)
+@example(seed=2, h=1, w=7, c=3, k=1, dx=2.5, dy=1.0, rotate=0.0, decades=4, zeros=True,
+         block_samples=None)
+@example(seed=3, h=6, w=1, c=1, k=9, dx=0.0, dy=3.5, rotate=-370.0, decades=34, zeros=False,
+         block_samples=None)
+# every coordinate out of range, in int64 and past it
+@example(seed=4, h=5, w=4, c=3, k=7, dx=1e6, dy=-1e6, rotate=45.0, decades=34, zeros=True,
+         block_samples=None)
+@example(seed=5, h=4, w=6, c=1, k=6, dx=1e300, dy=-1e300, rotate=0.0, decades=8, zeros=False,
+         block_samples=None)
+# the same in small blocks: more blocks than threads, and fewer
 @example(seed=1, h=1, w=1, c=1, k=5, dx=0.7, dy=-0.2, rotate=30.0, decades=1, zeros=False,
          block_samples=1)
 @example(seed=2, h=1, w=7, c=3, k=1, dx=2.5, dy=1.0, rotate=0.0, decades=4, zeros=True,
          block_samples=9)
 @example(seed=3, h=6, w=1, c=1, k=9, dx=0.0, dy=3.5, rotate=-370.0, decades=34, zeros=False,
          block_samples=50)
-# every coordinate out of range, in int64 and past it
 @example(seed=4, h=5, w=4, c=3, k=7, dx=1e6, dy=-1e6, rotate=45.0, decades=34, zeros=True,
          block_samples=9)
 @example(seed=5, h=4, w=6, c=1, k=6, dx=1e300, dy=-1e300, rotate=0.0, decades=8, zeros=False,
