@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import HdrImage, ValidationError, check_dims, check_positive, check_samples
+from .types import (HdrImage, ValidationError, check_bit_depth, check_dims, check_geometry,
+                    check_integer, check_positive, check_samples)
 
 DEFAULT_MU = 5000.0
 DEFAULT_PEAK = float(2 ** 12 - 1)  # 12-bit ground truth convention
@@ -153,9 +154,11 @@ def bandwidth_report(height: int, width: int, channels: int, readout_rate_hz: in
     encoder sees half-resolution 3-channel input.
     """
     for name, v in (("height", height), ("width", width), ("channels", channels),
-                    ("readout_rate_hz", readout_rate_hz), ("bit_depth", bit_depth),
-                    ("stride", stride)):
+                    ("readout_rate_hz", readout_rate_hz), ("stride", stride)):
+        check_integer(v, name)
         check_positive(v, name)
+    check_bit_depth(bit_depth, "bit_depth")
+    check_geometry(height, width, channels, "bandwidth_report")
     if mosaic and (height % 2 or width % 2):
         raise ValidationError(
             f"height/width: mosaic needs even dimensions, got {height}x{width}")

@@ -29,35 +29,34 @@ the scene in three steps:
      that at least one pixel never wrapped. The integrated wrap counts
      are re-based the same way.
 
-Both decoders work on one channel-first (C, H, W) int32 copy of the
-frame; the front end and the residual report run the `operators` kernels
-over its (H, W) axes, a few contiguous passes each. The snap is
-channel-batched except for the offset search, which runs per plane: its
-residues come from x - m*floor(x/m), equal to np.mod bit for bit at a
-fraction of its cost. The output is byte-identical to the per-channel
-float64 decoder in tests/reference_unwrap.py.
+Both decoders read one channel-first (C, H, W) int32 copy of the frame;
+the lattice lookup runs first, and only a frame it declines pays for the
+front end, which runs the `operators` kernels over the (H, W) axes. The
+snap is channel-batched except for the offset search, which runs per
+plane: its residues come from x - m*floor(x/m), equal to np.mod bit for
+bit at a fraction of its cost. The output is byte-identical to the
+per-channel float64 decoder in tests/reference_unwrap.py.
 
-The reconstruction is congruent to the input by construction; the
-zeroth-order residual (mean centered remainder of hdr - frame) checks
-that the float32 samples actually returned still are, which fails only
-once counts pass 2^24. Because congruence also forces the *wrapped*
-gradients of output and input to agree bit-exactly, a wrapped-both-sides
-comparison carries no information about reconstruction quality; the
-first/second-order residuals therefore compare the reconstruction's
-plain gradient and Laplacian against the centered measurements
-lar(grad frame) and lar(lap frame). Under the half-period condition
-these are literal zeros for integer scenes; measurement fields with curl
-(half-period violations) leave a nonzero mismatch and clear `converged`.
-All three are computed in integers from the wrap counts, with no int64
-copy of the scene. An integrated frame's report is read off its wrap
-field: its wrap counts integrate the wrap indicators exactly, so the
-gradient mismatch is 0 by construction and the Laplacian mismatch is m
-times the wraps of the frame's divergence; only lattice and solved
-frames take differences of their wrap counts. They certify consistency
-with the observation and with the half-period model, not correctness: a
-straight edge that breaks the half-period condition leaves a curl-free
-field, so the Poisson decoder can be off by 2^N on one side and still
-converge, while the exact lattice decode of that scene does not converge.
+The residual report is defined once, on the integer reconstruction
+v = frame + m * rollover that becomes `hdr`. The zeroth-order residual
+(mean centered remainder of hdr - frame) checks that the float32 samples
+returned are still congruent to the frame, which fails only once counts
+pass 2^24. Congruence forces lar(gradient(v)) = lar(gradient(frame)), so
+comparing wrapped derivatives of output and input says nothing; the
+first- and second-order residuals compare v's plain gradient and
+Laplacian against those centered measurements instead (the Itoh
+condition applied to the output): m * mean|wraps(gradient(v))| and
+m * mean|wraps(laplacian(v))|, with wraps(x) = (x - lar(x)) / m. Under the
+half-period condition both are literal zeros for integer scenes; fields
+with curl leave a nonzero mismatch and clear `converged`. An integrated
+frame takes no differences of v: its wrap counts integrate the wrap
+indicators exactly, so its gradient mismatch is 0 and its Laplacian
+mismatch is m times the wraps of the frame's divergence. The residuals
+certify consistency with the observation and with the half-period model,
+not correctness: a straight edge that breaks the half-period condition
+leaves a curl-free field, so the Poisson decoder can be off by 2^N on one
+side and still converge, while the exact lattice decode of that scene
+does not converge.
 """
 
 from __future__ import annotations
@@ -281,28 +280,37 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     congruence snapping."""
     modulus = frame.modulus
     obs = np.ascontiguousarray(frame.data.transpose(2, 0, 1), dtype=np.int32)  # (C, H, W)
-    gx, gy = _forward_differences(obs, (1, 2))
-    wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
-    div = _divergence(gx, gy, (1, 2))
-    del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
     rollover = _lattice_rollover(frame, obs)
     decoder = "poisson" if rollover is None else "lattice"
+    div_wraps = None  # set only on an integrated frame
     if rollover is None:
+        gx, gy = _forward_differences(obs, (1, 2))
+        wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
+        div = _divergence(gx, gy, (1, 2))
+        del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
         rollover = _integrate_wraps(*wraps)
-        if rollover is not None:
-            wraps = None  # gradient(rollover) = -wraps: the report needs only div_wraps
-    if rollover is None:
-        rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
-    div_wraps = _lar_pow2(div, modulus, wraps=True)
-    del div, obs
+        del wraps
+        if rollover is None:
+            rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
+        else:
+            div_wraps = _lar_pow2(div, modulus, wraps=True)
+        del div
+    del obs
     top = int(rollover.max()) if rollover.size else 0
     rollover_map = _channels_last(rollover)
+    del rollover
     hdr_values = np.multiply(rollover_map, modulus,
                              dtype=np.int32 if (top + 1) * modulus <= 2 ** 31 else np.int64)
     hdr_values += frame.data
     hdr = HdrImage(data=hdr_values)
-    del hdr_values
-    residuals = _reconstruction_residuals(hdr, frame, rollover, top, wraps, div_wraps)
+    l_mod = 0.0
+    if (top + 1) * modulus > 2 ** 24:  # float32 may round a count off its residue class
+        l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
+    if div_wraps is None:
+        l_grad, l_lap = _reconstruction_residuals(hdr_values, modulus, top)
+    else:  # the wrap counts integrate the wrap indicators: gradient(hdr) is centered
+        l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
+    residuals = ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
     return UnwrapResult(hdr=hdr, rollover_map=rollover_map, residuals=residuals,
                         converged=residuals.max() < RESIDUAL_TOL, decoder=decoder)
 
@@ -314,41 +322,24 @@ def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
     return float(scale * sum(int(np.abs(p).sum()) for p in parts)) / n if n else 0.0
 
 
-def _reconstruction_residuals(hdr: HdrImage, frame: ModuloFrame, rollover: np.ndarray,
-                              top: int, wraps: tuple[np.ndarray, np.ndarray] | None,
-                              div_wraps: np.ndarray) -> ConsistencyResiduals:
-    """Quality report for a congruence-snapped reconstruction, from its
-    channel-first wrap counts (see the module docstring).
+def _reconstruction_residuals(values: np.ndarray, modulus: int, top: int) -> tuple[float, float]:
+    """(l_grad, l_lap) of the integer reconstruction `values`, (H, W, C),
+    whose wrap counts are at most `top`: m * mean|wraps(gradient(values))|
+    and m * mean|wraps(laplacian(values))|, with wraps(x) = (x - lar(x)) / m
+    = (x + m/2) >> N.
 
-    The zeroth-order check reads the stored float32 samples; below 2^24
-    every count is stored exactly and the check is 0. With hdr = frame +
-    m * rollover and gradient(frame) = centered + m * wraps, the other two
-    mismatches are m times small integer fields: gradient(hdr) - centered
-    = m * (gradient(rollover) + wraps), and divergence(gradient(hdr)) -
-    lar(div) = m * (divergence of that field + div_wraps), with div_wraps
-    = (div - lar(div)) / m. lar(div) is lar(laplacian(frame)): the two
-    are congruent.
-
-    `wraps` is None when the rollover integrates them (`_integrate_wraps`).
-    Then gradient(rollover) = -wraps by construction: the gradient mismatch
-    is 0 and the Laplacian one is m * div_wraps, so the report takes no
-    differences of the rollover map.
+    values is congruent to the frame, so lar(gradient(values)) and
+    lar(laplacian(values)) are lar(gradient(frame)) and lar(laplacian(frame)),
+    and m * wraps(x) is the mismatch x - lar(x) between a derivative of the
+    reconstruction and its centered measurement. A Laplacian lies within
+    4 * max(values) of zero, so the fields are int32 unless that plus m/2
+    could pass 2^31, and int64 then.
     """
-    modulus = frame.modulus
-    l_mod = 0.0
-    if (top + 1) * modulus > 2 ** 24:
-        l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
-    if wraps is None:
-        return ConsistencyResiduals(l_mod=l_mod, l_grad=0.0,
-                                    l_lap=_mean_abs(div_wraps, scale=modulus))
-    if top >= 2 ** 28:  # int32 differences of differences could overflow
-        rollover = rollover.astype(np.int64)
-    gx, gy = _forward_differences(rollover, (1, 2))
-    gx += wraps[0]
-    gy += wraps[1]
-    l_grad = _mean_abs(gx, gy, scale=modulus)
-    lap = _divergence(gx, gy, (1, 2))
-    del gx, gy
-    lap += div_wraps
-    return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=_mean_abs(lap, scale=modulus))
-
+    if 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31:
+        values = values.astype(np.int64, copy=False)
+    gx, gy = _forward_differences(values, (0, 1))
+    lap = _divergence(gx.copy(), gy, (0, 1))
+    for field in (gx, gy, lap):
+        field += modulus // 2
+        field >>= modulus.bit_length() - 1
+    return _mean_abs(gx, gy, scale=modulus), _mean_abs(lap, scale=modulus)

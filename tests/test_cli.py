@@ -50,6 +50,12 @@ def test_bandwidth_reproduces_reference_rates(capsys):
     assert kv["modulo_gbps"] == "6.0"
 
 
+def test_bandwidth_rejects_a_bit_depth_past_16(capsys):
+    code, out, err = run_cli(capsys, "bandwidth", "--height", "1000", "--width", "1000",
+                             "--readout-hz", "20000", "--bits", "17")
+    assert code == 1 and out == "" and "bit_depth" in err
+
+
 def test_simulate_encode_unwrap_eval_chain(capsys, tmp_path, small_scene):
     spikes = tmp_path / "out.spkb"
     config = "threshold=0.02,readout_rate_hz=1000,total_time_s=0.05,micro_intervals=50"

@@ -223,6 +223,17 @@ def test_bandwidth_rejects_bad_dims():
         bandwidth_report(0, 1000, 1, 20000, 8, 20, mosaic=False)
 
 
+@pytest.mark.parametrize("bad, field", [({"bit_depth": 17}, "bit_depth"),
+                                        ({"channels": 2}, "channels"),
+                                        ({"height": 1000.5}, "height"),  # raw_bps was a float
+                                        ({"stride": 2.5}, "stride")])
+def test_bandwidth_rejects_what_no_sensor_can_have(bad, field):
+    args = {"height": 1000, "width": 1000, "channels": 1, "readout_rate_hz": 20000,
+            "bit_depth": 8, "stride": 20, "mosaic": False}
+    with pytest.raises(ValidationError, match=field):
+        bandwidth_report(**{**args, **bad})
+
+
 # --------------------------------------------------------------------- mu-law
 
 def test_mu_law_endpoints():

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modspike
-from modspike import (ChunkedEncoder, EncoderConfig, GradientField, ModuloFrame, gradient, lar,
-                      unwrap_poisson)
+from modspike import (ChunkedEncoder, EncoderConfig, GradientField, ModuloFrame, gradient,
+                      laplacian, lar, unwrap_poisson)
 from modspike import unwrap as unwrap_module
 from modspike.unwrap import RESIDUAL_TOL
 
@@ -577,6 +577,7 @@ def test_lattice_decode_matches_recount(seed, window, data, bit_depth, channels,
         assert got.decoder == "lattice"
         assert np.array_equal(got.hdr.data, want.astype(np.float32))
         assert np.array_equal(got.rollover_map, want >> bit_depth)
+        assert got.residuals.as_tuple()[1:] == defined_residuals(want, cfg.modulus)
         image = np.mod(np.floor(gain * np.arange(window + 1)), cfg.modulus)
         off_image = np.setdiff1d(np.arange(cfg.modulus), image)
         if off_image.size:  # one code no count produces: back to Poisson
@@ -616,6 +617,80 @@ def direct_residuals(hdr, frame):
     centered = GradientField(gx=lar(gf.gx, modulus), gy=lar(gf.gy, modulus))
     return reference_unwrap.reconstruction_residuals(hdr.values(), frame.values(),
                                                      centered, modulus)
+
+
+def defined_residuals(values, modulus):
+    """(l_grad, l_lap) by definition, summed exactly in int64: m times the
+    mean |wraps| of the plain gradient and Laplacian of the integer
+    reconstruction `values`, with wraps(x) = (x - lar(x)) / m."""
+    v = np.asarray(values, np.int64)
+    gf = gradient(v)
+    return tuple(float(modulus * int(np.abs((d - lar(d, modulus)) // modulus).sum())) / d.size
+                 for d in (np.stack([gf.gx, gf.gy]), laplacian(v)))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The unwrapper's kernel calls in the order they run: ("differences",
+    axes, dtype) for each pair of forward differences, "split" for each int8
+    wrap split, "lar" for each plain lar and "integrate" for each
+    integration of a wrap field."""
+    calls = []
+    labels = {"_forward_differences": lambda a, axes: ("differences", axes, a.dtype.name),
+              "_lar_pow2": lambda values, modulus, wraps=False: "split" if wraps else "lar",
+              "_integrate_wraps": lambda wx, wy: "integrate"}
+    for name, label in labels.items():
+        def spy(*args, _real=getattr(unwrap_module, name), _label=label, **kwargs):
+            calls.append(_label(*args, **kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(unwrap_module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("route, decoder, kernels", [
+    ("lattice", "lattice", [("differences", (0, 1), "int32")]),
+    ("integrated", "poisson", [("differences", (1, 2), "int32"), "split", "split",
+                               "integrate", "split"]),
+    ("solved", "poisson", [("differences", (1, 2), "int32"), "split", "split",
+                           "integrate", ("differences", (0, 1), "int32")]),
+])
+def test_every_route_reports_the_one_definition(route, decoder, kernels, scene_maker,
+                                                kernel_calls):
+    # a lattice frame runs no Poisson front end, an integrated frame takes
+    # no differences of its reconstruction, and each reports the plain
+    # gradient and Laplacian of hdr against lar of the frame's
+    rng = np.random.default_rng(34)
+    if route == "lattice":
+        cfg = EncoderConfig(window=25, stride=25, gain=15.0, bit_depth=8)
+        bits = (rng.uniform(size=(25, 9, 7, 3)) < rng.uniform(size=(9, 7, 3))).astype(np.uint8)
+        frame = ChunkedEncoder(9, 7, 3, cfg).push(bits)[0]
+    else:
+        frame = wrap_frame(np.stack([scene_maker(rng, 24, 20, peak=4095) for _ in range(3)], 2))
+        if route == "solved":
+            frame = with_one_curl_plaquette(frame)
+    result = unwrap_poisson(frame)
+    assert result.decoder == decoder and kernel_calls == kernels
+    assert result.residuals.as_tuple() == direct_residuals(result.hdr, frame).as_tuple()
+
+
+@pytest.mark.parametrize("peak, dtype", [(2 ** 29 - 257, "int32"), (2 ** 29 - 1, "int64"),
+                                         (2 ** 30 + 3, "int64"), (2 ** 31 + 5, "int64")])
+def test_report_leaves_int32_before_a_laplacian_could_overflow(peak, dtype, kernel_calls):
+    # a dark pixel ringed by four at `peak` has Laplacian 4 * peak, which
+    # wraps(x) = (x + m/2) >> N offsets by m/2 = 128: the report stays int32
+    # while that stays below 2^31 and switches just above; at 2^30 the int32
+    # reconstruction's Laplacian alone would pass 2^31, and past 2^31 the
+    # reconstruction itself is int64
+    values = np.full((3, 3, 1), peak, np.int64)
+    values[1, 1] = 0
+    assert (4 * peak + 128 < 2 ** 31) == (dtype == "int32")
+    cfg = EncoderConfig(window=1, stride=1, gain=float(peak), bit_depth=8)
+    result = unwrap_poisson(ModuloFrame(np.mod(values, 256).astype(np.uint16), 8,
+                                        counted_by=cfg))
+    assert result.decoder == "lattice" and kernel_calls == [("differences", (0, 1), dtype)]
+    assert np.array_equal(result.rollover_map, values >> 8)
+    assert result.residuals.as_tuple()[1:] == defined_residuals(values, 256)
+    assert result.residuals.l_lap > 0
 
 
 def test_residuals_of_a_multichannel_frame_are_the_channel_means():
