@@ -11,13 +11,13 @@ Two routes produce wrapped frames:
 
   * `encode_stream` / `ChunkedEncoder` — the hardware-domain counterpart:
     per pixel, frame j = mod(floor(gain * spike count over window), 2^N).
-    The implementation keeps an unpacked ring of the last `window` planes
-    and a per-pixel running count in the narrowest unsigned type that
-    holds `window`, adding each entering plane and subtracting the
-    leaving one, so the cost is O(pixels) per spike frame for any window.
-    Each output frame is one lookup in a table of the wrapped code for
-    every count 0..window. Output is bit-identical to recounting every
-    window from scratch.
+    A window's count is the running spike count at its close minus the
+    running count at its start, so the implementation keeps one running
+    count per pixel and a copy of it for each window still open, in the
+    narrowest unsigned type that holds `window`. The cost is O(pixels)
+    per spike frame for any window. Each output frame is one lookup in a
+    table of the wrapped code for every count 0..window. Output is
+    bit-identical to recounting every window from scratch.
 
 Partial trailing windows are never emitted. For a stream of R frames the
 output holds floor((R - window)/stride) + 1 frames, at an effective rate
@@ -26,6 +26,7 @@ of readout_rate/stride.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,15 +119,17 @@ class ChunkedEncoder:
     been consumed. The concatenated emissions are bit-identical to
     encoding the whole stream at once.
 
-    State is a ring of the last `window` spike planes, unpacked and in
-    (C, H, W) layout, and a per-pixel count in the narrowest unsigned type
-    that holds `window`. A chunk is consumed in blocks that end where a
-    window closes: each block's planes are added to the counts and the
-    planes they overwrite in the ring are subtracted, so the cost is
-    O(pixels) per spike frame for any window. The counts are exact,
-    because the true count lies in [0, window]. A table built once maps
-    each count to its wrapped code, mod(floor(gain * count), 2^N). Every
-    emitted frame carries the config in `counted_by`.
+    State is a per-pixel count of every spike pushed so far, in (C, H, W)
+    layout and the narrowest unsigned type that holds `window`, and a copy
+    of it taken when each open window started: 1 + ceil(window/stride)
+    count planes at most, whatever the window. Window j starts after
+    j*stride spike frames and closes after window + j*stride. A chunk is
+    summed into the count in blocks that end at those events. At a close
+    the window's count is the current count minus its start copy; the
+    count may wrap, but the difference is exact, because the true count
+    lies in [0, window]. A table built once maps each count to its wrapped
+    code, mod(floor(gain * count), 2^N). Every emitted frame carries the
+    config in `counted_by`.
     """
 
     def __init__(self, height: int, width: int, channels: int,
@@ -138,8 +141,8 @@ class ChunkedEncoder:
         self._shape = (height, width, channels)
         self._cfg = cfg
         self._source_rate_hz = source_rate_hz
-        self._ring = np.zeros((cfg.window, channels, height, width), dtype=np.uint8)
-        self._counts = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
+        self._total = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
+        self._open: deque[np.ndarray] = deque()  # start copies of open windows, oldest first
         self._wrap = np.mod(cfg.prewrap_values(), cfg.modulus).astype(np.uint16)
         self._consumed = 0
         self._emitted: list[ModuloFrame] = []
@@ -147,26 +150,6 @@ class ChunkedEncoder:
     @property
     def frames_consumed(self) -> int:
         return self._consumed
-
-    def _next_close(self) -> int:
-        """1-based index of the next spike frame that closes a window."""
-        window, stride = self._cfg.window, self._cfg.stride
-        if self._consumed < window:
-            return window
-        return self._consumed + stride - (self._consumed - window) % stride
-
-    def _consume(self, block: np.ndarray) -> None:
-        """Add a (n, C, H, W) block of at most `window` planes to the ring."""
-        counts, ring = self._counts, self._ring
-        first = self._consumed % len(ring)
-        split = min(len(block), len(ring) - first)
-        for slots, planes in ((slice(first, first + split), block[:split]),
-                              (slice(0, len(block) - split), block[split:])):
-            if len(planes):
-                counts -= ring[slots].sum(0, dtype=counts.dtype)
-                counts += planes.sum(0, dtype=counts.dtype)
-                ring[slots] = planes
-        self._consumed += len(block)
 
     def push(self, chunk: np.ndarray, start_frame: int | None = None) -> list[ModuloFrame]:
         """Consume a (frames, H, W, C) chunk of {0,1} samples; return the
@@ -178,19 +161,27 @@ class ChunkedEncoder:
                 f"chunk: out-of-order chunk (starts at frame {start_frame}, "
                 f"expected {self._consumed + 1})")
         planes = np.moveaxis(check_bits(chunk, "chunk"), 3, 1)
+        window, stride = self._cfg.window, self._cfg.stride
         out: list[ModuloFrame] = []
         start = 0
-        while start < len(planes):
-            close = self._next_close()
-            stop = min(len(planes), start + close - self._consumed)
-            self._consume(planes[start:stop])
-            start = stop
+        while True:
+            close = window + len(self._emitted) * stride
+            event = min(close, (len(self._emitted) + len(self._open)) * stride)
+            stop = min(len(planes), start + event - self._consumed)
+            if stop > start:
+                self._total += planes[start:stop].sum(0, dtype=self._total.dtype)
+                self._consumed += stop - start
+                start = stop
+            if self._consumed < event:
+                return out
             if self._consumed == close:
-                frame = ModuloFrame(data=np.moveaxis(np.take(self._wrap, self._counts), 0, 2),
+                counts = self._total - self._open.popleft()
+                frame = ModuloFrame(data=np.moveaxis(np.take(self._wrap, counts), 0, 2),
                                     bit_depth=self._cfg.bit_depth, counted_by=self._cfg)
                 out.append(frame)
                 self._emitted.append(frame)
-        return out
+            else:
+                self._open.append(self._total.copy())
 
     def sequence(self) -> ModuloSequence:
         """All frames emitted so far, as a ModuloSequence."""
@@ -206,7 +197,7 @@ def encode_stream(stream: SpikeStream, cfg: EncoderConfig) -> ModuloSequence:
     """Encode a complete spike stream into wrapped frames.
 
     Frames are unpacked UNPACK_STEP at a time, so memory stays bounded by
-    the step and the window, not by the stream length.
+    the step and window/stride, not by the stream length.
     """
     enc = ChunkedEncoder(stream.height, stream.width, stream.channels, cfg,
                          source_rate_hz=stream.readout_rate_hz)

@@ -188,9 +188,6 @@ def _cosine_solve(compat: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
     from scipy.fft import dctn, idctn
 
     h, w = compat.shape[axes[0]], compat.shape[axes[1]]
-    if h * w <= 1:
-        compat.fill(0.0)
-        return compat
     spec = dctn(compat, type=2, norm="ortho", axes=axes, overwrite_x=True)
     lam_y = 2.0 * np.cos(np.pi * np.arange(h) / h) - 2.0
     lam_x = 2.0 * np.cos(np.pi * np.arange(w) / w) - 2.0

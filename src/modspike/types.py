@@ -59,9 +59,11 @@ def check_stride(stride: int, window: int, owner: str) -> None:
 
 
 def check_geometry(height: int, width: int, channels: int, owner: str) -> None:
-    """Sizes are nonnegative and channels are 1 or 3. A zero size is a valid
-    value that holds no samples; LHDR and SPKB round-trip it, MODQ refuses
-    it, because its file size would not bound the frame count."""
+    """Sizes are nonnegative integers and channels are 1 or 3. A zero size is
+    a valid value that holds no samples; LHDR and SPKB round-trip it, MODQ
+    refuses it, because its file size would not bound the frame count."""
+    for name, size in (("height", height), ("width", width), ("channels", channels)):
+        check_integer(size, f"{owner}.{name}")
     for name, size in (("height", height), ("width", width)):
         if not size >= 0:
             raise ValidationError(f"{owner}.{name}: must be >= 0, got {size}")

@@ -120,11 +120,13 @@ def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
     ("--config", "shot_noise=ture", "shot_noise"),
     ("--config", "reset_to_zero=", "reset_to_zero"),
     ("--config", "rng_seed=-1", "rng_seed"),
+    ("--config", "threshold", "threshold"),
     ("--seed", "-1", "rng_seed"),
     ("--motion", "translate:1", "translate:1"),
     ("--motion", "rotate:x", "rotate:x"),
     ("--motion", "translate:nan,0", "translate_px"),
     ("--motion", "rotate:inf", "rotate_deg"),
+    ("--motion", "spin:3", "spin:3"),
 ])
 def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag, value, named):
     out = tmp_path / "x.spkb"
@@ -133,6 +135,17 @@ def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag,
     assert code == 1
     assert err.startswith("modspike: error:") and named in err
     assert not out.exists()
+
+
+def test_simulate_mosaic_writes_half_resolution_three_channel_planes(capsys, tmp_path,
+                                                                    small_scene):
+    out = tmp_path / "mosaic.spkb"
+    code, _, _ = run_cli(capsys, "simulate", "--scene", str(small_scene), "--mosaic",
+                         "--config", "readout_rate_hz=1000,total_time_s=0.01,micro_intervals=10",
+                         "--out", str(out))
+    assert code == 0
+    stream = read_spikes(out)
+    assert (stream.height, stream.width, stream.channels, stream.frame_count) == (8, 8, 3, 10)
 
 
 def test_config_flags_accept_every_spelling_in_any_case():

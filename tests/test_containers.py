@@ -177,6 +177,13 @@ def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
         read_hdr(path)
 
 
+def test_write_modulo_refuses_an_empty_sequence(tmp_path):
+    path = tmp_path / "empty.modq"
+    with pytest.raises(FormatError, match="empty modulo sequence"):
+        write_modulo(path, ModuloSequence(frames=(), window=4, stride=4, gain=1.0))
+    assert not path.exists()
+
+
 # ------------------------------------------------------- writer header range
 
 def _modulo_with(**fields):

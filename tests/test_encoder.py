@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -165,6 +167,11 @@ def test_encode_rejects_short_stream():
         encode_stream(stream, EncoderConfig(window=25, stride=20))
 
 
+def test_frame_capacity_of_a_source_shorter_than_the_window():
+    assert frame_capacity(4, 5, 1) == 0
+    assert frame_capacity(5, 5, 1) == 1
+
+
 def test_effective_rate_and_frame_count_law():
     cfg = EncoderConfig(window=25, stride=20)
     for total in (25, 44, 45, 105, 333):
@@ -251,10 +258,29 @@ def test_out_of_order_chunk_rejected():
 @pytest.mark.parametrize("field, dims", [
     ("height", (0, 4, 1)), ("height", (-1, 4, 1)), ("width", (4, 0, 3)),
     ("width", (4, -3, 3)), ("channels", (4, 4, 2)), ("channels", (4, 4, 0)),
+    ("height", (4.0, 4, 1)), ("channels", (4, 4, 1.0)),
 ])
 def test_chunked_encoder_rejects_bad_geometry(field, dims):
     with pytest.raises(ValidationError, match=f"ChunkedEncoder.{field}"):
         ChunkedEncoder(*dims, EncoderConfig(window=4, stride=2))
+
+
+def test_encoder_state_does_not_grow_with_the_window():
+    # a window's count is the running count at its close minus a copy taken
+    # at its start, so W = S = 2000 keeps two uint16 count planes; keeping
+    # the window's spike planes instead would take 1000 count planes
+    cfg = EncoderConfig(window=2000, stride=2000, gain=1.0, bit_depth=12)
+    chunk = np.random.default_rng(26).integers(0, 2, size=(250, 64, 64, 3), dtype=np.uint8)
+    count_plane = 64 * 64 * 3 * 2
+    tracemalloc.start()
+    try:
+        enc = ChunkedEncoder(64, 64, 3, cfg)
+        emitted = [f for _ in range(17) for f in enc.push(chunk)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(emitted) == 2
+    assert peak < 16 * count_plane, peak
 
 
 @pytest.mark.parametrize("bad", [

@@ -167,6 +167,7 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (SpikeStream, (2, 3, 1, 2.0, 20000, np.zeros((2, 1, 1), np.uint8)), "SpikeStream.frame_count"),
     (SpikeStream, (2.0, 3, 1, 2, 20000, np.zeros((2, 1, 1), np.uint8)), "SpikeStream.height"),
     (ModuloSequence, ((), 4, 4, 1.0, 0.5), "ModuloSequence.source_rate_hz"),
+    (ModuloFrame, (np.zeros((2, 2)), 8), "ModuloFrame.data: samples must be integers"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "query_ideal-bits-neg", "query_ideal-bits-17",
         "ideal_window_counts-window-9", "push-chunk-dims", "mu_law_inverse-mu-0",
@@ -183,7 +184,8 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
         "encoder_config-stride-float", "encoder_config-bits-float", "query_spec-window-float",
         "modulo_frame-bits-float", "modulo_sequence-stride-float", "frame_capacity-window-float",
         "query_ideal-bits-float", "spike_stream-rate-float", "spike_stream-frames-float",
-        "spike_stream-height-float", "modulo_sequence-source-rate-float"])
+        "spike_stream-height-float", "modulo_sequence-source-rate-float",
+        "modulo_frame-data-float"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
