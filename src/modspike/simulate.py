@@ -41,20 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze,
-                    check_finite, check_geometry, check_ndim, check_positive)
+from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze, _frozen,
+                    check_finite, check_geometry, check_ndim, check_positive, plane_bytes)
 
 MOSAIC_POSITIONS = ((0, 0), (0, 1), (1, 0))  # (row, col) of R, G, B in a 2x2 block; (1, 1) unused
-
-
-def _frozen(arr: np.ndarray) -> bool:
-    """True when nothing can write to `arr`'s memory through numpy: it and
-    every array it views are read-only, down to one that owns its data."""
-    while arr is not None:
-        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
-            return False
-        arr = arr.base
-    return True
 
 
 @dataclass(frozen=True)
@@ -125,13 +115,18 @@ class Motion:
 
 
 # Planes are warped in blocks of about this many output samples, at least
-# one plane. Each warp thread allocates scratch for one block once, eight
-# float64-sized arrays of 512 KiB each for planes up to this size, and
-# reuses it for every block it takes, so its memory does not grow with the
-# clip length. Larger blocks mean fewer numpy calls, each of which the
+# one plane. Each warp thread allocates scratch for one block once, six
+# float64-sized arrays of 512 KiB each for planes up to this size, reuses
+# it for every block it takes and holds two fresh gathers of that size at
+# a time, so its memory does not grow with the clip length. Larger blocks mean fewer numpy calls, each of which the
 # threads take the GIL to start: on a 2-core host 2**16 warped a 128^2
 # clip 10-15% faster than 2**15.
 _WARP_BLOCK_SAMPLES = 2 ** 16
+
+# Integrate-and-fire runs a band of rows at a time holding about this
+# many samples over all channels: its float64 accumulator, drive and
+# scratch, 256 KiB each, stay in a core's cache through every step.
+_FIRE_TILE_SAMPLES = 2 ** 15
 
 
 def _usable_cores() -> int:
@@ -222,11 +217,11 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
     def warp_blocks(first: int) -> None:
         # one block's scratch, filled in place by every step below
         size = min(block, k_total)
-        scratch = np.empty((6, size, h, w))
+        scratch = np.empty((4, size, h, w))
         indices = np.empty((2, size, h, w), dtype=np.intp)
         for k0 in starts[first::workers]:
             n = min(block, k_total - k0)
-            wy0, wy1, wx0, wx1, t, part = scratch[:, :n]
+            wy0, wy1, wx0, wx1 = scratch[:, :n]
             idx, ix = indices[:, :n]
             m, off = mats[k0:k0 + n, :, :, None, None], offsets[k0:k0 + n, :, None, None]
             # source coordinates (offset + y*m0) + x*m1
@@ -238,12 +233,13 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
             idx += ix
             idx += row + 1
             for c, plane in enumerate(planes):
-                # ((p00*wy0)*wx0 + (p01*wy0)*wx1) + (p10*wy1)*wx0 + (p11*wy1)*wx1
-                np.take(plane, idx, out=t)
+                # ((p00*wy0)*wx0 + (p01*wy0)*wx1) + (p10*wy1)*wx0 + (p11*wy1)*wx1.
+                # Gathering with out= would gather into a private copy and copy back.
+                t = np.take(plane, idx)
                 t *= wy0
                 t *= wx0
                 for shift, wy, wx in ((1, wy0, wx1), (row, wy1, wx0), (row + 1, wy1, wx1)):
-                    np.take(plane[shift:], idx, out=part)
+                    part = np.take(plane[shift:], idx)
                     part *= wy
                     part *= wx
                     t += part
@@ -301,16 +297,25 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     intervals implied by the config. With `shot_noise` the per-interval
     drive is a Poisson draw with mean gain*U_k, seeded by `rng_seed`.
 
+    The state is channel-first, (C, rows, W) float64, and runs one tile at
+    a time: a band of rows holding about `_FIRE_TILE_SAMPLES` samples over
+    all channels, taken through every micro-interval before the next band.
+    Every band but the last fills whole bytes of each channel plane, so a
+    readout's fired bits pack straight into `SpikeStream.packed`. A static
+    clip's drive is computed once per tile. With `shot_noise` the tile is
+    the whole plane, drawn over (H, W, C) as a plane-at-a-time loop draws
+    it, so the random stream does not depend on the tiling.
+
     Reset-by-subtraction takes `floor_divide(acc, threshold)` quanta out of
-    each accumulator. While every accumulator lies in [0, 2*threshold), that
-    quotient is 0 below the threshold and exactly 1 at or above it (fmod is
-    exact there), so a compare and a subtraction give the same bits at a
-    fraction of the cost; any other step (an accumulator at or above
-    2*threshold, a negative one left by a huge quotient, NaN) runs the
-    division itself.
+    each accumulator. While every accumulator of a tile lies in [0,
+    2*threshold), that quotient is 0 below the threshold and exactly 1 at
+    or above it (fmod is exact there), so a compare and a subtraction give
+    the same bits at a fraction of the cost; any other step of the tile (an
+    accumulator at or above 2*threshold, a negative one left by a huge
+    quotient, NaN) runs the division itself.
     """
     r_frames = cfg.readout_frames
-    k_total = clip.micro_intervals
+    k_total, h, w, channels = clip.u.shape
     if k_total % r_frames != 0:
         raise ValidationError(
             f"IrradianceClip.micro_intervals: {k_total} not divisible by "
@@ -319,32 +324,51 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     rng = np.random.default_rng(cfg.rng_seed)
     eta = float(cfg.threshold)
     q = float(cfg.conversion_gain)
-    shape = (clip.height, clip.width, clip.channels)
-    acc = np.zeros(shape, dtype=np.float64)
-    drive = np.empty(shape, dtype=np.float64)
-    hit = np.empty(shape, dtype=bool)
-    bits = np.zeros((r_frames,) + shape, dtype=np.uint8)
-    nonnegative = True  # no accumulator below zero
-    for r in range(r_frames):
-        fired = bits[r].view(bool)
-        for j in range(sub):
-            np.multiply(clip.u[r * sub + j], q, out=drive, dtype=np.float64)
-            if cfg.shot_noise:
-                drive[...] = rng.poisson(drive)
-            acc += drive
-            if cfg.reset_to_zero:
-                np.greater_equal(acc, eta, out=hit)
-                acc[hit] = 0.0
-            elif nonnegative and acc.max() < 2 * eta:
-                np.greater_equal(acc, eta, out=hit)
-                acc -= np.multiply(hit, eta, out=drive)
-            else:
-                n = np.floor_divide(acc, eta)
-                acc -= n * eta
-                np.greater(n, 0, out=hit)
-                nonnegative = not acc.min() < 0
-            fired |= hit
-    return SpikeStream.from_bits(bits, readout_rate_hz=int(round(cfg.readout_rate_hz)))
+    u = np.moveaxis(clip.u, 3, 1)  # (K, C, H, W)
+    static = u.strides[0] == 0 and not cfg.shot_noise
+    packed = np.empty((r_frames, channels, plane_bytes(h, w)), dtype=np.uint8)
+    align = 8 // math.gcd(w, 8)  # rows a band grows by to keep whole bytes
+    band = (max(h, 1) if cfg.shot_noise else
+            max(align, _FIRE_TILE_SAMPLES // max(channels * w, 1) // align * align))
+    for top in range(0, h if w else 0, band):  # an empty plane has no tiles
+        tile = u[:, :, top:top + band]
+        acc = np.zeros(tile.shape[1:])
+        drive, scratch = np.empty((2,) + acc.shape)
+        fired, hit = np.empty((2,) + acc.shape, dtype=bool)
+        first = top * w // 8
+        if static:
+            np.multiply(tile[0], q, out=drive, dtype=np.float64)
+        nonnegative = True  # no accumulator of the tile below zero
+        for r in range(r_frames):
+            for j in range(sub):
+                k = r * sub + j
+                if cfg.shot_noise:
+                    mean = np.multiply(clip.u[k], q, dtype=np.float64)
+                    np.copyto(drive, np.moveaxis(rng.poisson(mean), 2, 0))
+                elif not static:
+                    np.multiply(tile[k], q, out=drive, dtype=np.float64)
+                acc += drive
+                hits = hit if j else fired  # the first sub-step writes the latch
+                if cfg.reset_to_zero:
+                    np.greater_equal(acc, eta, out=hits)
+                    acc[hits] = 0.0
+                elif nonnegative and acc.max() < 2 * eta:
+                    np.greater_equal(acc, eta, out=hits)
+                    np.copyto(scratch, hits)  # cheaper than multiplying the bools
+                    scratch *= eta
+                    acc -= scratch
+                else:
+                    n = np.floor_divide(acc, eta)
+                    acc -= n * eta
+                    np.greater(n, 0, out=hits)
+                    nonnegative = not acc.min() < 0
+                if j:
+                    fired |= hit
+            bits = np.packbits(fired.reshape(channels, -1), axis=-1, bitorder="little")
+            packed[r, :, first:first + bits.shape[1]] = bits
+    packed.setflags(write=False)
+    return SpikeStream(height=h, width=w, channels=channels, frame_count=r_frames,
+                       readout_rate_hz=int(round(cfg.readout_rate_hz)), packed=packed)
 
 
 def mosaic_sample(full: IrradianceClip) -> IrradianceClip:

@@ -327,6 +327,101 @@ def test_integrate_and_fire_nan_accumulator_matches_reference():
     assert not want.bits()[4:, 1, 1, 0].any() and want.bits()[2:, 0, 0, 0].any()
 
 
+# ----------------------------------- integrate-and-fire over several tiles
+
+def _fires_like_reference(clip, cfg):
+    got = integrate_and_fire(clip, cfg)
+    want = reference_simulate.integrate_and_fire(clip, cfg)
+    assert got.packed.tobytes() == want.packed.tobytes()
+    return got
+
+
+# planes larger than one tile at the module's tile size: 211 x 101 x 3 runs
+# as bands of 104, 104 and 3 rows (an odd width needs bands of 8 rows to
+# fill whole bytes), 331 x 157 x 1 as 208 and 123; neither H*W is a
+# multiple of 8, so the last byte of every plane is part-filled
+@pytest.mark.parametrize("h, w, c", [(211, 101, 3), (331, 157, 1)])
+@pytest.mark.parametrize("static, sub, reset_to_zero, shot_noise", [
+    (True, 1, False, False), (False, 3, False, False), (True, 3, True, False),
+    (False, 1, True, False), (True, 2, False, True), (False, 1, False, True)])
+def test_integrate_and_fire_matches_reference_over_several_tiles(h, w, c, static, sub,
+                                                                 reset_to_zero, shot_noise):
+    assert h * w * c > 1.5 * simulate._FIRE_TILE_SAMPLES and h * w % 8
+    r = 4
+    # drives near the threshold: steps take the compare and the division paths
+    clip = _random_clip(h + sub, r * sub, h, w, c, 1.9, static)
+    cfg = SensorConfig(threshold=1.0, readout_rate_hz=r, total_time_s=1.0,
+                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=h,
+                       reset_to_zero=reset_to_zero)
+    _fires_like_reference(clip, cfg)
+
+
+def test_each_tile_switches_to_division_on_its_own():
+    # only the bottom band's drives reach 40 thresholds: that band divides
+    # at every step, the two bands above it compare at every step
+    h, w, c, k = 211, 101, 3, 6
+    u = np.full((1, h, w, c), 0.5, dtype=np.float32)
+    u[:, -3:] = 40.0
+    u.setflags(write=False)
+    clip = IrradianceClip(u=np.broadcast_to(u, (k, h, w, c)))
+    cfg = SensorConfig(threshold=1.0, readout_rate_hz=k, total_time_s=1.0, micro_intervals=k)
+    shapes = []
+
+    def divide(acc, eta):
+        shapes.append(acc.shape)
+        return divide.ufunc(acc, eta)
+
+    divide.ufunc = np.floor_divide
+    with mock.patch.object(np, "floor_divide", divide):
+        got = integrate_and_fire(clip, cfg)
+    assert shapes == [(c, 3, w)] * k
+    assert got.packed.tobytes() == reference_simulate.integrate_and_fire(clip, cfg).packed.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), sub=st.integers(1, 3),
+       h=st.integers(1, 19), w=st.integers(1, 19), c=st.sampled_from([1, 3]),
+       tile=st.sampled_from([1, 8, 24, 100]),
+       scale=st.sampled_from([0.5, 1.9, 40.0]), threshold=st.sampled_from([1.0, 0.3]),
+       static=st.booleans(), shot_noise=st.booleans(), reset_to_zero=st.booleans())
+def test_integrate_and_fire_matches_reference_over_small_tiles(seed, r, sub, h, w, c, tile,
+                                                               scale, threshold, static,
+                                                               shot_noise, reset_to_zero):
+    # a small tile size makes bands of a few rows on planes of a few pixels
+    clip = _random_clip(seed, r * sub, h, w, c, scale * threshold, static, decades=2)
+    cfg = SensorConfig(threshold=threshold, readout_rate_hz=r, total_time_s=1.0,
+                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=seed,
+                       reset_to_zero=reset_to_zero)
+    with mock.patch.object(simulate, "_FIRE_TILE_SAMPLES", tile):
+        _fires_like_reference(clip, cfg)
+
+
+def test_integrate_and_fire_memory_is_the_packed_stream_and_a_few_tiles():
+    # 200 readouts of a static 256^2 x 3 clip: one byte per bit would be
+    # R*H*W*C = 39 MB; the packed stream is 4.9 MB, written as it is made
+    # and kept without a copy, and each band of rows holds a few buffers
+    # of at most _FIRE_TILE_SAMPLES float64 samples
+    r = 200
+    clip = _random_clip(0, r, 256, 256, 3, 1.5, static=True)
+    cfg = SensorConfig(threshold=1.0, readout_rate_hz=r, total_time_s=1.0, micro_intervals=r)
+    tracemalloc.start()
+    try:
+        stream = integrate_and_fire(clip, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = 2 ** 15 * 8
+    assert peak < stream.packed.nbytes + 8 * tile, (peak, stream.packed.nbytes)
+    assert simulate._FIRE_TILE_SAMPLES <= 2 ** 15
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 1), (4, 0, 3), (0, 0, 3)])
+def test_integrate_and_fire_of_an_empty_plane(shape):
+    cfg = SensorConfig(readout_rate_hz=5, total_time_s=1.0, micro_intervals=10)
+    stream = integrate_and_fire(IrradianceClip(u=np.zeros((10,) + shape, np.float32)), cfg)
+    assert stream.packed.shape == (5, shape[2], 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        window_stride=st.integers(1, 64).flatmap(
@@ -565,8 +660,8 @@ def test_warp_memory_does_not_grow_with_clip_length(workers):
     # each thread warps a block of planes at a time, in scratch it allocates
     # once: past the clip itself the memory is set by the thread count and
     # the plane size, not by K. A 256^2 plane is a block of its own, so a
-    # thread's scratch is eight float64 planes plus the copy np.take makes
-    # of its output; the float64 scene and its padded copy are shared
+    # thread holds six float64-sized scratch planes and the two gathers in
+    # flight; the float64 scene and its padded copy are shared
     plane = 256 * 256 * 8
     bound = workers * 9 * plane + 2.1 * plane
     short, long = _warp_peak_above_clip(4, workers), _warp_peak_above_clip(32, workers)

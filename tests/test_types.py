@@ -67,6 +67,27 @@ def test_spike_stream_bits_range_slicing():
     assert np.array_equal(stream.bits(10), bits[10:])
 
 
+def test_spike_stream_keeps_a_frozen_packed_array_and_copies_any_other():
+    def stream(packed):
+        return SpikeStream(height=3, width=3, channels=1, frame_count=2,
+                           readout_rate_hz=100, packed=packed)
+
+    frozen = np.zeros((2, 1, 2), np.uint8)
+    frozen.setflags(write=False)
+    assert stream(frozen).packed is frozen
+    writable = np.zeros((2, 1, 2), np.uint8)
+    view = writable[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    strided = np.zeros((2, 1, 4), np.uint8)[:, :, ::2]
+    strided.setflags(write=False)
+    for packed in (writable, view, strided, frozen.astype(np.int64)):
+        writable[0, 0, 0] = 0
+        kept = stream(packed).packed
+        assert kept is not packed and kept.flags.c_contiguous and not kept.flags.writeable
+        writable[0, 0, 0] = 1
+        assert kept[0, 0, 0] == 0
+
+
 def test_frozen_buffers_reject_writes():
     img = HdrImage(data=np.ones((2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
