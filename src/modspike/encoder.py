@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulate import IrradianceClip
-from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream,
-                    ValidationError, check_bit_depth, check_bits, check_dims,
-                    check_geometry, check_positive, check_stride, store_ints)
+from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
+                    _check_nonnegative_int, _check_type, check_bit_depth, check_bits,
+                    check_dims, check_geometry, check_positive, check_stride, store_ints)
 
 UNPACK_STEP = 512  # spike frames unpacked per push by encode_stream
 
@@ -65,15 +65,14 @@ class ModuloSequence:
 
     @property
     def effective_rate_hz(self) -> float:
-        return self.source_rate_hz / self.stride if self.source_rate_hz else 0.0
+        return self.source_rate_hz / self.stride
 
 
 def frame_capacity(source_frames: int, window: int, stride: int) -> int:
     """Number of complete windows in a source of `source_frames` frames."""
+    _check_nonnegative_int(source_frames, "frame_capacity.source_frames")
     check_stride(stride, window, "frame_capacity")
-    if source_frames < window:
-        return 0
-    return (source_frames - window) // stride + 1
+    return max(0, (source_frames - window) // stride + 1)
 
 
 def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
@@ -138,6 +137,8 @@ class ChunkedEncoder:
         # values may hold no samples, but an encoder needs at least one pixel
         check_positive(height, "ChunkedEncoder.height")
         check_positive(width, "ChunkedEncoder.width")
+        _check_type(cfg, EncoderConfig, "ChunkedEncoder.cfg")
+        _check_nonnegative_int(source_rate_hz, "ChunkedEncoder.source_rate_hz")
         self._shape = (height, width, channels)
         self._cfg = cfg
         self._source_rate_hz = source_rate_hz

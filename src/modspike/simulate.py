@@ -368,7 +368,7 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
             packed[r, :, first:first + bits.shape[1]] = bits
     packed.setflags(write=False)
     return SpikeStream(height=h, width=w, channels=channels, frame_count=r_frames,
-                       readout_rate_hz=int(round(cfg.readout_rate_hz)), packed=packed)
+                       readout_rate_hz=int(cfg.readout_rate_hz), packed=packed)
 
 
 def mosaic_sample(full: IrradianceClip) -> IrradianceClip:

@@ -43,6 +43,17 @@ def check_integer(value, name: str) -> None:
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
 
 
+def _check_nonnegative_int(value, name: str) -> None:
+    check_integer(value, name)
+    if not value >= 0:
+        raise ValidationError(f"{name}: must be >= 0, got {value}")
+
+
+def _check_type(value, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name}: must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def check_bit_depth(bit_depth: int, name: str) -> None:
     check_integer(bit_depth, name)
     if not 1 <= bit_depth <= 16:
@@ -62,11 +73,9 @@ def check_geometry(height: int, width: int, channels: int, owner: str) -> None:
     """Sizes are nonnegative integers and channels are 1 or 3. A zero size is
     a valid value that holds no samples; LHDR and SPKB round-trip it, MODQ
     refuses it, because its file size would not bound the frame count."""
-    for name, size in (("height", height), ("width", width), ("channels", channels)):
-        check_integer(size, f"{owner}.{name}")
-    for name, size in (("height", height), ("width", width)):
-        if not size >= 0:
-            raise ValidationError(f"{owner}.{name}: must be >= 0, got {size}")
+    _check_nonnegative_int(height, f"{owner}.height")
+    _check_nonnegative_int(width, f"{owner}.width")
+    check_integer(channels, f"{owner}.channels")
     if channels not in (1, 3):
         raise ValidationError(f"{owner}.channels: must be 1 or 3, got {channels}")
 
@@ -101,11 +110,11 @@ def check_bits(samples: np.ndarray, name: str) -> np.ndarray:
 
 
 def store_ints(value, *names: str) -> None:
-    """Check that each named field is an integer, then store it as a Python
-    int: 1 << np.uint8(8) is 0."""
+    """Check that each named field is an integer >= 0, as every integer field
+    of a value type is, then store it as a Python int: 1 << np.uint8(8) is 0."""
     for name in names:
         field = getattr(value, name)
-        check_integer(field, f"{type(value).__name__}.{name}")
+        _check_nonnegative_int(field, f"{type(value).__name__}.{name}")
         object.__setattr__(value, name, int(field))
 
 
@@ -135,25 +144,8 @@ def _as_raster(data, owner: str) -> np.ndarray:
     return data
 
 
-@dataclass(frozen=True)
-class HdrImage:
-    """Linear-radiance raster: the unknown high-dynamic-range signal.
-
-    `data` holds nonnegative, finite samples in arbitrary radiance units
-    (or integer digital counts when dtype is uint16).
-    """
-
-    data: np.ndarray  # (H, W, C), float32 or uint16, read-only
-
-    def __post_init__(self):
-        data = _as_raster(self.data, "HdrImage")
-        data = _freeze(data, np.uint16 if data.dtype == np.uint16 else np.float32)
-        if data.dtype == np.float32:
-            if not np.all(np.isfinite(data)):
-                raise ValidationError("HdrImage.data: samples must be finite")
-            if np.any(data < 0):
-                raise ValidationError("HdrImage.data: samples must be nonnegative")
-        object.__setattr__(self, "data", data)
+class _Raster:
+    """The geometry and float64 samples of an (H, W, C) `data` raster."""
 
     @property
     def height(self) -> int:
@@ -173,7 +165,26 @@ class HdrImage:
 
 
 @dataclass(frozen=True)
-class ModuloFrame:
+class HdrImage(_Raster):
+    """Linear-radiance raster: the unknown high-dynamic-range signal.
+
+    `data` holds nonnegative, finite samples in arbitrary radiance units
+    (or integer digital counts when dtype is uint16).
+    """
+
+    data: np.ndarray  # (H, W, C), float32 or uint16, read-only
+
+    def __post_init__(self):
+        data = _as_raster(self.data, "HdrImage")
+        data = _freeze(data, np.uint16 if data.dtype == np.uint16 else np.float32)
+        if data.dtype == np.float32 and data.size and not (
+                0 <= float(data.min()) <= float(data.max()) < math.inf):
+            raise ValidationError("HdrImage.data: samples must be finite and nonnegative")
+        object.__setattr__(self, "data", data)
+
+
+@dataclass(frozen=True)
+class ModuloFrame(_Raster):
     """N-bit wrapped observation: every sample lives in [0, 2^N).
 
     Samples are held as uint16 regardless of N; on-disk width follows N.
@@ -192,10 +203,7 @@ class ModuloFrame:
         store_ints(self, "bit_depth")
         check_bit_depth(self.bit_depth, "ModuloFrame.bit_depth")
         if self.counted_by is not None:
-            if not isinstance(self.counted_by, EncoderConfig):
-                raise ValidationError(
-                    "ModuloFrame.counted_by: must be an EncoderConfig or None, got "
-                    f"{type(self.counted_by).__name__}")
+            _check_type(self.counted_by, EncoderConfig, "ModuloFrame.counted_by")
             if self.counted_by.bit_depth != self.bit_depth:
                 raise ValidationError(
                     f"ModuloFrame.counted_by.bit_depth: {self.counted_by.bit_depth} "
@@ -210,23 +218,8 @@ class ModuloFrame:
         object.__setattr__(self, "data", _freeze(data, np.uint16))
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def modulus(self) -> int:
         return 1 << self.bit_depth
-
-    def values(self) -> np.ndarray:
-        return self.data.astype(np.float64)
 
 
 def plane_bytes(height: int, width: int) -> int:
@@ -281,6 +274,8 @@ class SpikeStream:
     def bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Unpack frames [start, stop) to a (n, H, W, C) uint8 array of {0,1}."""
         stop = self.frame_count if stop is None else stop
+        _check_nonnegative_int(start, "SpikeStream.bits.start")
+        _check_nonnegative_int(stop, "SpikeStream.bits.stop")
         packed = self.packed[start:stop]
         flat = np.unpackbits(packed, axis=-1, count=self.height * self.width,
                              bitorder="little")
@@ -301,7 +296,7 @@ class SensorConfig:
 
     threshold: float = 1.0          # firing quantum (radiance*time units after gain)
     conversion_gain: float = 1.0    # photoelectric gain applied to the integral
-    readout_rate_hz: float = 20_000.0
+    readout_rate_hz: float = 20_000.0  # a whole number of hertz
     total_time_s: float = 0.05
     micro_intervals: int = 1000
     shot_noise: bool = False
@@ -313,18 +308,15 @@ class SensorConfig:
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")
-        if self.rng_seed < 0:
-            raise ValidationError(f"SensorConfig.rng_seed: must be >= 0, got {self.rng_seed}")
+        if self.readout_rate_hz % 1:
+            raise ValidationError("SensorConfig.readout_rate_hz: must be a whole number of "
+                                  f"hertz, got {self.readout_rate_hz}")
         r_exact = self.readout_rate_hz * self.total_time_s
         r = round(r_exact)
         if r < 1 or not math.isclose(r_exact, r, rel_tol=0, abs_tol=1e-6):
             raise ValidationError(
                 "SensorConfig.readout_rate_hz*total_time_s: readout frame count "
                 f"must be a positive integer, got {r_exact}")
-        if self.micro_intervals < r:
-            raise ValidationError(
-                f"SensorConfig.micro_intervals: must be >= readout frame count {r}, "
-                f"got {self.micro_intervals}")
         if self.micro_intervals % r != 0:
             raise ValidationError(
                 f"SensorConfig.micro_intervals: must be divisible by readout frame "

@@ -3,11 +3,11 @@
 `unwrap_poisson` has two decoders. A frame counted by a spike encoder
 (`ModuloFrame.counted_by`) can only hold the codes of floor(gain * c) for
 counts c in 0..window. When those window + 1 values have distinct codes
-mod 2^N, the lattice decoder reads each pixel's value from a code -> value
-table: exact for any scene, with no half-period condition. Every other
-frame (no provenance, codes that do not identify values, or a code the
-encoder cannot produce) goes through the Poisson decoder, which recovers
-the scene in three steps:
+mod 2^N, the lattice decoder reads each pixel's wrap count from a code ->
+wrap-count table: exact for any scene, with no half-period condition.
+Every other frame (no provenance, codes that do not identify values, or a
+code the encoder cannot produce) goes through the Poisson decoder, which
+recovers the scene in three steps:
 
   1. centered gradient: lar(gradient(frame), 2^N), in int32 — identical
      to the centered gradient of the unwrapped scene wherever
@@ -202,20 +202,20 @@ def _snap(estimate: np.ndarray, obs: np.ndarray, modulus: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
-    """Read-only code -> pre-wrap value table of an encoder config, int64,
-    with -1 at codes no count produces; None when codes do not identify
-    values.
+    """Read-only code -> wrap-count table of an encoder config, int32, with
+    -1 at codes no count produces; None when codes do not identify values.
 
-    The values are `cfg.prewrap_values()`, the expression the encoder wraps.
-    The table is built only when their codes mod 2^N are distinct and the
-    largest value's wrap count fits the int32 rollover map. Built on first
-    use of a config and kept; at most 32 entries of 2^N * 8 bytes.
+    Each pre-wrap value v of `cfg.prewrap_values()`, the expression the
+    encoder wraps, puts floor(v / 2^N) at its code v mod 2^N. The table is
+    built only when those codes are distinct and the largest wrap count
+    fits int32. Built on first use of a config and kept; at most 32 entries
+    of 2^N * 4 bytes.
     """
     values = cfg.prewrap_values()
     if not values[-1] < 2.0 ** (31 + cfg.bit_depth):  # values rise with the count
         return None
-    table = np.full(cfg.modulus, -1, dtype=np.int64)
-    table[np.mod(values, cfg.modulus).astype(np.int64)] = values
+    table = np.full(cfg.modulus, -1, dtype=np.int32)
+    table[np.mod(values, cfg.modulus).astype(np.int64)] = values // cfg.modulus
     if np.count_nonzero(table >= 0) < values.size:
         return None
     table.setflags(write=False)
@@ -227,16 +227,13 @@ def _lattice_rollover(frame: ModuloFrame, codes: np.ndarray) -> np.ndarray | Non
     from its channel-first int32 `codes`, or None when the frame has no
     provenance, its config's codes do not identify values, or it holds a
     code the encoder cannot produce."""
-    if frame.counted_by is None:
-        return None
-    table = _lattice_table(frame.counted_by)
+    table = None if frame.counted_by is None else _lattice_table(frame.counted_by)
     if table is None:
         return None
-    values = np.take(table, codes)
-    if values.size and values.min() < 0:
+    rollover = np.take(table, codes)
+    if rollover.size and rollover.min() < 0:
         return None
-    values >>= frame.bit_depth
-    return values.astype(np.int32)
+    return rollover
 
 
 def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
@@ -299,15 +296,16 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     top = int(rollover.max()) if rollover.size else 0
     rollover_map = _channels_last(rollover)
     del rollover
-    hdr_values = np.multiply(rollover_map, modulus,
-                             dtype=np.int32 if (top + 1) * modulus <= 2 ** 31 else np.int64)
+    # int32 while the report's widest field, 4 * max(hdr_values) + m/2, fits
+    wide = 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31
+    hdr_values = np.multiply(rollover_map, modulus, dtype=np.int64 if wide else np.int32)
     hdr_values += frame.data
     hdr = HdrImage(data=hdr_values)
     l_mod = 0.0
     if (top + 1) * modulus > 2 ** 24:  # float32 may round a count off its residue class
         l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
     if div_wraps is None:
-        l_grad, l_lap = _reconstruction_residuals(hdr_values, modulus, top)
+        l_grad, l_lap = _reconstruction_residuals(hdr_values, modulus)
     else:  # the wrap counts integrate the wrap indicators: gradient(hdr) is centered
         l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
     residuals = ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
@@ -322,21 +320,18 @@ def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
     return float(scale * sum(int(np.abs(p).sum()) for p in parts)) / n if n else 0.0
 
 
-def _reconstruction_residuals(values: np.ndarray, modulus: int, top: int) -> tuple[float, float]:
-    """(l_grad, l_lap) of the integer reconstruction `values`, (H, W, C),
-    whose wrap counts are at most `top`: m * mean|wraps(gradient(values))|
-    and m * mean|wraps(laplacian(values))|, with wraps(x) = (x - lar(x)) / m
-    = (x + m/2) >> N.
+def _reconstruction_residuals(values: np.ndarray, modulus: int) -> tuple[float, float]:
+    """(l_grad, l_lap) of the integer reconstruction `values`, (H, W, C):
+    m * mean|wraps(gradient(values))| and m * mean|wraps(laplacian(values))|,
+    with wraps(x) = (x - lar(x)) / m = (x + m/2) >> N.
 
     values is congruent to the frame, so lar(gradient(values)) and
     lar(laplacian(values)) are lar(gradient(frame)) and lar(laplacian(frame)),
     and m * wraps(x) is the mismatch x - lar(x) between a derivative of the
-    reconstruction and its centered measurement. A Laplacian lies within
-    4 * max(values) of zero, so the fields are int32 unless that plus m/2
-    could pass 2^31, and int64 then.
+    reconstruction and its centered measurement. The fields take the dtype
+    of `values`, which must hold 4 * max(values) + m/2: `unwrap_poisson`
+    picks that width once, for the reconstruction itself.
     """
-    if 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31:
-        values = values.astype(np.int64, copy=False)
     gx, gy = _forward_differences(values, (0, 1))
     lap = _divergence(gx.copy(), gy, (0, 1))
     for field in (gx, gy, lap):

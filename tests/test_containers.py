@@ -201,7 +201,7 @@ def _spikes_with(frame_count=2, readout_rate_hz=20000, height=2, width=3):
 @pytest.mark.parametrize("write, value, field", [
     (write_modulo, _modulo_with(window=70000), "window"),
     (write_modulo, _modulo_with(window=70000, stride=70000), "window"),
-    (write_modulo, _modulo_with(source_rate_hz=-5), "source_rate_hz"),
+    (write_hdr, HdrImage(data=np.zeros((0, 1 << 32, 1), dtype=np.float32)), "width"),
     (write_modulo, _modulo_with(source_rate_hz=1 << 32), "source_rate_hz"),
     (write_modulo, _modulo_with(gain=1e39), "gain"),
     (write_spikes, _spikes_with(readout_rate_hz=1 << 32), "readout_rate_hz"),

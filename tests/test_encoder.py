@@ -406,3 +406,32 @@ def test_modulo_sequence_validates_mixed_frames():
     b = ModuloFrame(data=np.zeros((3, 2), dtype=np.int64), bit_depth=8)
     with pytest.raises(ValidationError, match="mixed"):
         ModuloSequence(frames=(a, b), window=4, stride=2, gain=1.0)
+
+
+def test_modulo_sequence_rejects_a_negative_source_rate():
+    with pytest.raises(ValidationError, match="ModuloSequence.source_rate_hz"):
+        ModuloSequence((), 4, 2, 1.0, -5)
+    assert ModuloSequence((), 4, 2, 1.0, 0).effective_rate_hz == 0.0
+
+
+@pytest.mark.parametrize("cfg, rate, field", [
+    (None, 0, "ChunkedEncoder.cfg"), ("W4/P4", 0, "ChunkedEncoder.cfg"),
+    (EncoderConfig(window=4, stride=4), 1.5, "ChunkedEncoder.source_rate_hz"),
+    (EncoderConfig(window=4, stride=4), -20000, "ChunkedEncoder.source_rate_hz"),
+])
+def test_chunked_encoder_checks_its_config_and_source_rate_up_front(cfg, rate, field):
+    with pytest.raises(ValidationError, match=field):
+        ChunkedEncoder(4, 4, 1, cfg, source_rate_hz=rate)
+
+
+def test_encode_stream_rejects_a_missing_config():
+    stream = SpikeStream.from_bits(np.zeros((4, 2, 2, 1), dtype=np.uint8), readout_rate_hz=100)
+    with pytest.raises(ValidationError, match="ChunkedEncoder.cfg"):
+        encode_stream(stream, None)
+
+
+@pytest.mark.parametrize("source_frames", [10.5, 10.0, -1])
+def test_frame_capacity_takes_a_nonnegative_integer_source(source_frames):
+    with pytest.raises(ValidationError, match="frame_capacity.source_frames"):
+        frame_capacity(source_frames, 4, 2)
+    assert frame_capacity(np.int64(0), 4, 2) == 0

@@ -247,3 +247,22 @@ def test_positive_fields_accept_huge_ints_and_finite_motion():
     motion = Motion(translate_px=[1e300, -1e300], rotate_deg=-1e6)
     assert motion.translate_px == (1e300, -1e300) and not motion.is_identity
     assert Motion(translate_px=np.zeros(2)).is_identity
+
+
+@pytest.mark.parametrize("start, stop, field", [
+    (0.5, None, "SpikeStream.bits.start"), (-3, None, "SpikeStream.bits.start"),
+    (0, -1, "SpikeStream.bits.stop"), (0, 2.0, "SpikeStream.bits.stop"),
+])
+def test_spike_stream_bits_takes_nonnegative_integer_bounds(start, stop, field):
+    stream = SpikeStream.from_bits(np.ones((4, 2, 2, 1), dtype=np.uint8), readout_rate_hz=100)
+    with pytest.raises(ValidationError, match=field):
+        stream.bits(start, stop)
+    # a stop past the last frame stays allowed: chunked readers ask for whole steps
+    assert stream.bits(np.int64(2), 100).shape == (2, 2, 2, 1)
+
+
+@pytest.mark.parametrize("rate, seconds, micro", [(1.4, 5.0, 7), (0.5, 2.0, 1)])
+def test_sensor_config_requires_a_whole_number_of_hertz(rate, seconds, micro):
+    with pytest.raises(ValidationError, match="SensorConfig.readout_rate_hz"):
+        SensorConfig(readout_rate_hz=rate, total_time_s=seconds, micro_intervals=micro)
+    assert SensorConfig(readout_rate_hz=20_000.0).readout_frames == 1000  # the CLI's value

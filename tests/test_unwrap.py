@@ -593,7 +593,10 @@ def test_lattice_table_is_cached_read_only_and_skips_collisions():
     table = _lattice_table(EncoderConfig(window=25, stride=20, gain=15.0, bit_depth=8))
     assert _lattice_table(EncoderConfig(window=25, stride=20, gain=15.0)) is table
     assert not table.flags.writeable
-    assert np.count_nonzero(table >= 0) == 26 and table[15 * 17 % 256] == 15 * 17
+    assert np.count_nonzero(table >= 0) == 26
+    # each code holds its count's wrap count: 15 * 17 = 255 never wrapped,
+    # 15 * 25 = 375 wrapped once to code 119
+    assert table[15 * 17 % 256] == 0 and table[15 * 25 % 256] == 1
     assert _lattice_table(EncoderConfig(window=25, stride=20, gain=16.0)) is None
     assert _lattice_table(EncoderConfig(window=300, stride=1, gain=1e300,
                                         bit_depth=16)) is None
