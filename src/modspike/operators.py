@@ -16,9 +16,12 @@ constant is resolved downstream by congruence snapping.
 Each public operator is a layout adapter over one private kernel that
 takes the (rows, columns) `axes` it works over: `_forward_differences`,
 `_divergence`, `_lar_pow2` (which can also split off wrap indicators) and
-`_cosine_solve`. The public functions run them over axes (0, 1) of an
-(H, W[, C]) raster, on copies of what a kernel writes over, the
-unwrapper over axes (1, 2) of its (C, H, W) int32 arrays.
+`_cosine_solve`. The difference kernels take C-contiguous arrays and
+take each difference in one pass over the flat array; the entries it
+gets wrong, across a line's end, are ones the kernel zeroes or
+overwrites. The public functions run them over axes (0, 1) of
+C-contiguous copies of an (H, W[, C]) raster, the unwrapper over axes
+(1, 2) of its (C, H, W) int16 or int32 arrays.
 
 The public functions are pure, process channels independently, and are
 deterministic. Float input is computed in float64; a float divergence is
@@ -40,6 +43,7 @@ first- and second-order measurements of the unwrapped scene.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,38 +72,43 @@ def _work_dtype(*arrays: np.ndarray) -> np.dtype:
 def _as_raster(img, dtype=None) -> np.ndarray:
     arr = np.asarray(img)
     check_ndim(arr, (2, 3), "raster")
-    return arr.astype(dtype or _work_dtype(arr), copy=False)
+    return np.ascontiguousarray(arr, dtype=dtype or _work_dtype(arr))
 
 
-def _steps(axes: tuple[int, int]):
-    """Indices of a[1:], a[:-1], a[:1] and a[-1:] along the columns, then
-    the rows, of `axes`."""
-    for axis in axes[::-1]:
-        lead = (slice(None),) * axis
-        yield (lead + (slice(1, None),), lead + (slice(None, -1),),
-               lead + (slice(None, 1),), lead + (slice(-1, None),))
+def _step(a: np.ndarray, axis: int):
+    """(s, first, last) for `axis` of C-contiguous `a`: the flat distance
+    between neighbours along it, and the index of its first and last line."""
+    lead = (slice(None),) * axis
+    return math.prod(a.shape[axis + 1:]), lead + (slice(None, 1),), lead + (slice(-1, None),)
+
+
+def _difference(a: np.ndarray, axis: int) -> np.ndarray:
+    """Forward difference of C-contiguous `a` in its own type along `axis`,
+    zero on the last line, where the flat pass crosses a line's end."""
+    s, _, last = _step(a, axis)
+    flat, g = a.reshape(-1), np.empty(a.shape, a.dtype)
+    np.subtract(flat[s:], flat[:flat.size - s], out=g.reshape(-1)[:flat.size - s])
+    g[last] = 0
+    return g
 
 
 def _forward_differences(a: np.ndarray, axes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences of `a` in its own type along the columns (gx) and
-    rows (gy) of its (rows, columns) `axes`, zero on the last column and row."""
-    gx, gy = np.empty_like(a), np.empty_like(a)
-    for g, (later, earlier, _, last) in zip((gx, gy), _steps(axes)):
-        np.subtract(a[later], a[earlier], out=g[earlier])
-        g[last] = 0
-    return gx, gy
+    """`_difference` along the columns (gx) and rows (gy) of the (rows,
+    columns) `axes` of `a`."""
+    return _difference(a, axes[1]), _difference(a, axes[0])
 
 
 def _divergence(gx: np.ndarray, gy: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-    """Backward-difference divergence of (gx, gy) over the (rows, columns)
-    `axes`, as dx + (gy[i] - gy[i-1]), into a fresh array. Spends gx, whose
-    storage takes the row differences once dx is out: no difference is
-    written over its own input, so numpy buffers no overlap."""
-    (x_later, x_earlier, x_first, _), (y_later, y_earlier, y_first, _) = _steps(axes)
-    div = np.empty_like(gx)
-    np.subtract(gx[x_later], gx[x_earlier], out=div[x_later])
+    """Backward-difference divergence of C-contiguous (gx, gy) over the
+    (rows, columns) `axes`, as dx + (gy[i] - gy[i-1]), into a fresh array.
+    Spends gx, whose storage takes the row differences once dx is out: no
+    difference is written over its own input, so numpy buffers no overlap."""
+    (sx, x_first, _), (sy, y_first, _) = _step(gx, axes[1]), _step(gx, axes[0])
+    fx, fy = gx.reshape(-1), gy.reshape(-1)
+    div = np.empty(gx.shape, gx.dtype)
+    np.subtract(fx[sx:], fx[:fx.size - sx], out=div.reshape(-1)[sx:])
     div[x_first] = gx[x_first]
-    np.subtract(gy[y_later], gy[y_earlier], out=gx[y_later])
+    np.subtract(fy[sy:], fy[:fy.size - sy], out=fx[sy:])
     gx[y_first] = gy[y_first]
     div += gx
     return div
@@ -131,9 +140,10 @@ def divergence(gf: GradientField) -> np.ndarray:
     check_dims(gx.shape, gy.shape, "GradientField gx, gy")
     check_ndim(gx, (2, 3), "GradientField")
     dtype = _work_dtype(gx, gy)
-    # the kernel spends a fresh copy of gx; adding 0 turns its -0.0 into
-    # 0.0, so no dx is -0.0 and no sum dx + dy is either
-    return _divergence(np.add(gx, 0, dtype=dtype), gy.astype(dtype, copy=False), (0, 1))
+    # the kernel spends a fresh C-contiguous copy of gx; adding 0 turns its
+    # -0.0 into 0.0, so no dx is -0.0 and no sum dx + dy is either
+    return _divergence(np.add(gx, 0, dtype=dtype, order="C"),
+                       np.ascontiguousarray(gy, dtype=dtype), (0, 1))
 
 
 def laplacian(img) -> np.ndarray:

@@ -15,6 +15,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,11 +309,13 @@ class SensorConfig:
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")
+            if getattr(self, name) > sys.float_info.max:  # an int of any size is finite
+                raise ValidationError(f"SensorConfig.{name}: must not exceed the largest float")
         if self.readout_rate_hz % 1:
             raise ValidationError("SensorConfig.readout_rate_hz: must be a whole number of "
                                   f"hertz, got {self.readout_rate_hz}")
         r_exact = self.readout_rate_hz * self.total_time_s
-        r = round(r_exact)
+        r = round(r_exact) if r_exact <= sys.float_info.max else 0  # else inf, or an int no float holds
         if r < 1 or not math.isclose(r_exact, r, rel_tol=0, abs_tol=1e-6):
             raise ValidationError(
                 "SensorConfig.readout_rate_hz*total_time_s: readout frame count "

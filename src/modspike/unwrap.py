@@ -9,10 +9,10 @@ Every other frame (no provenance, codes that do not identify values, or a
 code the encoder cannot produce) goes through the Poisson decoder, which
 recovers the scene in three steps:
 
-  1. centered gradient: lar(gradient(frame), 2^N), in int32 — identical
+  1. centered gradient: lar(gradient(frame), 2^N), in integers — identical
      to the centered gradient of the unwrapped scene wherever
      neighboring-pixel differences stay within half a period (the Itoh
-     condition); its divergence is an int32 field too;
+     condition); its divergence is an integer field too;
   2. least-squares integration: integrate the wrap field when it has no
      curl, else the cosine-basis solve. Without curl the int8 wrap
      indicators (gradient(frame) = centered + 2^N * wraps) are summed in
@@ -29,10 +29,13 @@ recovers the scene in three steps:
      that at least one pixel never wrapped. The integrated wrap counts
      are re-based the same way.
 
-Both decoders read one channel-first (C, H, W) int32 copy of the frame;
-the lattice lookup runs first, and only a frame it declines pays for the
-front end, which runs the `operators` kernels over the (H, W) axes. The
-snap is channel-batched except for the offset search, which runs per
+The lattice lookup runs first, straight on the frame's (H, W, C) codes,
+and gives the wrap-count map as returned. Only a frame it declines pays
+for the front end: one channel-first (C, H, W) copy of the codes, over
+whose (H, W) axes it runs the `operators` kernels. That copy is int16 up
+to 13 bits and int32 above: its widest field, the divergence of the
+centered gradient plus m/2, stays below 2.5 * m. The wrap indicators are
+int8, and their integral is int32. The snap is channel-batched except for the offset search, which runs per
 plane: its residues come from x - m*floor(x/m), equal to np.mod bit for
 bit at a fraction of its cost. The output is byte-identical to the
 per-channel float64 decoder in tests/reference_unwrap.py.
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _cosine_solve, _divergence, _forward_differences, _lar_pow2, lar
+from .operators import _cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2, lar
 from .types import EncoderConfig, HdrImage, ModuloFrame
 
 RESIDUAL_TOL = 1e-6
@@ -222,15 +225,15 @@ def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
     return table
 
 
-def _lattice_rollover(frame: ModuloFrame, codes: np.ndarray) -> np.ndarray | None:
-    """The (C, H, W) int32 wrap counts of an encoder-counted frame, read
-    from its channel-first int32 `codes`, or None when the frame has no
-    provenance, its config's codes do not identify values, or it holds a
-    code the encoder cannot produce."""
+def _lattice_rollover(frame: ModuloFrame) -> np.ndarray | None:
+    """The (H, W, C) int32 wrap counts of an encoder-counted frame, read
+    straight off its codes, or None when the frame has no provenance, its
+    config's codes do not identify values, or it holds a code the encoder
+    cannot produce."""
     table = None if frame.counted_by is None else _lattice_table(frame.counted_by)
     if table is None:
         return None
-    rollover = np.take(table, codes)
+    rollover = np.take(table, frame.data)
     if rollover.size and rollover.min() < 0:
         return None
     return rollover
@@ -247,9 +250,11 @@ def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
     returns u - mean(u) up to rounding, every pixel of estimate - frame
     shares one residue, and the snap rounds it onto k = -P. P is summed
     along the first row, then down each column; max(P) - P is k re-based
-    to a minimum of zero.
+    to a minimum of zero. wx is zero on the last column and wy on the last
+    row, so the curl test compares whole arrays: both differences are zero
+    there.
     """
-    if not np.array_equal(wx[:, 1:, :-1] - wx[:, :-1, :-1], wy[:, :-1, 1:] - wy[:, :-1, :-1]):
+    if not np.array_equal(_difference(wx, 1), _difference(wy, 2)):
         return None
     p = np.empty(wx.shape, np.int32)
     p[:, :1, :1] = 0
@@ -276,11 +281,13 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     least-squares integration of the centered wrapped gradient plus
     congruence snapping."""
     modulus = frame.modulus
-    obs = np.ascontiguousarray(frame.data.transpose(2, 0, 1), dtype=np.int32)  # (C, H, W)
-    rollover = _lattice_rollover(frame, obs)
-    decoder = "poisson" if rollover is None else "lattice"
+    rollover_map = _lattice_rollover(frame)
+    decoder = "poisson" if rollover_map is None else "lattice"
     div_wraps = None  # set only on an integrated frame
-    if rollover is None:
+    if rollover_map is None:
+        # int16 while the front end's widest field, div(centered gradient) + m/2 < 2.5 * m, fits
+        obs = np.ascontiguousarray(frame.data.transpose(2, 0, 1),  # (C, H, W)
+                                   dtype=np.int16 if 5 * modulus // 2 < 2 ** 15 else np.int32)
         gx, gy = _forward_differences(obs, (1, 2))
         wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
         div = _divergence(gx, gy, (1, 2))
@@ -291,11 +298,10 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
             rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
         else:
             div_wraps = _lar_pow2(div, modulus, wraps=True)
-        del div
-    del obs
-    top = int(rollover.max()) if rollover.size else 0
-    rollover_map = _channels_last(rollover)
-    del rollover
+        del div, obs
+        rollover_map = _channels_last(rollover)
+        del rollover
+    top = int(rollover_map.max()) if rollover_map.size else 0
     # int32 while the report's widest field, 4 * max(hdr_values) + m/2, fits
     wide = 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31
     hdr_values = np.multiply(rollover_map, modulus, dtype=np.int64 if wide else np.int32)

@@ -272,6 +272,46 @@ def test_public_operators_match_frozen_copies(data, dtype, shape, channels, fini
         assert a.tobytes() == b.tobytes()  # the in-place kernels work on copies
 
 
+def _strided_views(a):
+    """Views of `a`'s samples that are not C-contiguous: a transposed copy
+    transposed back, every other channel (or column) of a wider array, and
+    a copy walked backwards along both axes."""
+    transposed = np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1] + 1,), a.dtype)
+    wide[..., 1::2] = a
+    backwards = np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+    return {"transposed": transposed, "channel-sliced": wide[..., 1::2],
+            "negative-stride": backwards}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       dtype=st.sampled_from([np.float64, np.float32, np.int64, np.int32, np.int16, np.uint8]),
+       shape=st.one_of(st.tuples(st.just(1), _op_sides), st.tuples(_op_sides, st.just(1)),
+                       st.tuples(_op_sides, _op_sides),
+                       st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda s: 0 in s)),
+       channels=st.sampled_from([(), (1,), (3,)]),
+       modulus=st.sampled_from([2, 256, 100]))
+def test_operators_on_strided_views_match_contiguous_copies(data, dtype, shape, channels,
+                                                            modulus):
+    # the kernels take flat passes over C-contiguous arrays, so the public
+    # operators hand them contiguous copies of any other layout
+    floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), floats) \
+        if np.issubdtype(dtype, np.floating) else None
+    img, gx, gy = (data.draw(arrays(dtype, shape + channels, elements=elements))
+                   for _ in range(3))
+    want = [gradient(img).gx, gradient(img).gy, divergence(GradientField(gx, gy)),
+            laplacian(img), lar(img, modulus)]
+    for kind, (v_img, v_gx, v_gy) in zip(_strided_views(img), zip(
+            *(_strided_views(a).values() for a in (img, gx, gy)))):
+        assert min(shape) < 2 or not v_img.flags.c_contiguous
+        got = [gradient(v_img).gx, gradient(v_img).gy, divergence(GradientField(v_gx, v_gy)),
+               laplacian(v_img), lar(v_img, modulus)]
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), kind
+
+
 def test_float_input_keeps_float64_path():
     rng = np.random.default_rng(16)
     x = (rng.normal(size=(5, 6, 3)) * 300).astype(np.float32)

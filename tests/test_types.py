@@ -261,6 +261,19 @@ def test_spike_stream_bits_takes_nonnegative_integer_bounds(start, stop, field):
     assert stream.bits(np.int64(2), 100).shape == (2, 2, 2, 1)
 
 
+@pytest.mark.parametrize("rate, seconds, field", [
+    (10 ** 400, 0.05, "SensorConfig.readout_rate_hz"),
+    (20_000, 10 ** 400, "SensorConfig.total_time_s"),
+    (10 ** 300, 1e10, "SensorConfig.readout_rate_hz\\*total_time_s"),
+    (10 ** 300, 10 ** 300, "SensorConfig.readout_rate_hz\\*total_time_s"),
+], ids=["rate-1e400", "time-1e400", "float-product", "int-product"])
+def test_sensor_config_rejects_a_rate_or_time_past_float_range(rate, seconds, field):
+    # an int of any size is positive and finite, but the readout frame count
+    # is computed in floats: past their range it raised a raw OverflowError
+    with pytest.raises(ValidationError, match=field):
+        SensorConfig(readout_rate_hz=rate, total_time_s=seconds)
+
+
 @pytest.mark.parametrize("rate, seconds, micro", [(1.4, 5.0, 7), (0.5, 2.0, 1)])
 def test_sensor_config_requires_a_whole_number_of_hertz(rate, seconds, micro):
     with pytest.raises(ValidationError, match="SensorConfig.readout_rate_hz"):

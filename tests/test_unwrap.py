@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modspike
-from modspike import (ChunkedEncoder, EncoderConfig, GradientField, ModuloFrame, gradient,
-                      laplacian, lar, unwrap_poisson)
+from modspike import (ChunkedEncoder, EncoderConfig, GradientField, ModuloFrame, divergence,
+                      gradient, laplacian, lar, unwrap_poisson)
 from modspike import unwrap as unwrap_module
 from modspike.unwrap import RESIDUAL_TOL
 
@@ -652,9 +652,9 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("route, decoder, kernels", [
     ("lattice", "lattice", [("differences", (0, 1), "int32")]),
-    ("integrated", "poisson", [("differences", (1, 2), "int32"), "split", "split",
+    ("integrated", "poisson", [("differences", (1, 2), "int16"), "split", "split",
                                "integrate", "split"]),
-    ("solved", "poisson", [("differences", (1, 2), "int32"), "split", "split",
+    ("solved", "poisson", [("differences", (1, 2), "int16"), "split", "split",
                            "integrate", ("differences", (0, 1), "int32")]),
 ])
 def test_every_route_reports_the_one_definition(route, decoder, kernels, scene_maker,
@@ -674,6 +674,47 @@ def test_every_route_reports_the_one_definition(route, decoder, kernels, scene_m
     result = unwrap_poisson(frame)
     assert result.decoder == decoder and kernel_calls == kernels
     assert result.residuals.as_tuple() == direct_residuals(result.hdr, frame).as_tuple()
+
+
+def extreme_frames(bit_depth, channels, shape=(12, 10)):
+    """Frames whose front-end fields reach their widest: a checkerboard of
+    codes 0 and m - 1 (neighbour differences of +-(m - 1)), and f(y) + f(x + 1)
+    with f stepping by m/2 - 1 and -m/2 in turn, whose centered gradient
+    flips between m/2 - 1 and -m/2 on every step, so the divergence reaches
+    +-2(m - 1); that frame negated, and that frame with one plaquette of curl."""
+    m = 1 << bit_depth
+    h, w = shape
+    n = np.arange(max(h, w + 1))
+    f = np.where(n % 2, m // 2 - 1, 0) - n // 2
+    checker = (np.indices(shape).sum(0) % 2) * (m - 1)
+    steep = np.mod(f[:h, None] + f[None, 1:w + 1], m)
+    frames = [wrap_frame(np.repeat(img[:, :, None], channels, 2), bit_depth)
+              for img in (checker, steep, m - 1 - steep)]
+    return frames + [with_one_curl_plaquette(frames[1])]
+
+
+@pytest.mark.parametrize("bit_depth", [13, 14])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_frames_at_the_front_end_width_boundary_match_the_float_reference(bit_depth, channels):
+    # int16 holds the front end up to 2^13: there the widest field,
+    # 2(m - 1) + m/2 = 20478, fits; at 2^14 it would be 40958
+    m = 1 << bit_depth
+    frames = extreme_frames(bit_depth, channels)
+    gf = gradient(frames[0].values())
+    assert np.abs(gf.gx).max() == np.abs(gf.gy).max() == m - 1
+    centered = gradient(frames[1].values())
+    div = divergence(GradientField(lar(centered.gx, m), lar(centered.gy, m)))
+    assert div.max() == 2 * (m - 1) and div.min() == -2 * (m - 1)
+    assert np.count_nonzero(centered_gradient_curl(frames[3])) == 1
+    for frame in frames:
+        assert_matches_float_reference(frame)
+
+
+@pytest.mark.parametrize("bit_depth, dtype", [(1, "int16"), (8, "int16"), (13, "int16"),
+                                              (14, "int32"), (16, "int32")])
+def test_front_end_is_int16_up_to_13_bits(bit_depth, dtype, kernel_calls):
+    unwrap_poisson(extreme_frames(bit_depth, 3)[1])
+    assert kernel_calls[0] == ("differences", (1, 2), dtype)
 
 
 @pytest.mark.parametrize("peak, dtype", [(2 ** 29 - 257, "int32"), (2 ** 29 - 1, "int64"),
