@@ -29,16 +29,16 @@ recovers the scene in three steps:
      that at least one pixel never wrapped. The integrated wrap counts
      are re-based the same way.
 
-The lattice lookup runs first, straight on the frame's (H, W, C) codes,
-and gives the wrap-count map as returned. Only a frame it declines pays
-for the front end: one channel-first (C, H, W) copy of the codes, over
-whose (H, W) axes it runs the `operators` kernels. That copy is int16 up
-to 13 bits and int32 above: its widest field, the divergence of the
-centered gradient plus m/2, stays below 2.5 * m. The wrap indicators are
-int8, and their integral is int32. The snap is channel-batched except for the offset search, which runs per
-plane: its residues come from x - m*floor(x/m), equal to np.mod bit for
-bit at a fraction of its cost. The output is byte-identical to the
-per-channel float64 decoder in tests/reference_unwrap.py.
+The lattice lookup runs first, on the frame's (H, W, C) codes, and its
+result is the returned wrap-count map. Only a frame it declines makes a
+channel-first (C, H, W) copy of the codes, int16 up to 13 bits and int32
+above (the front end's widest field, the divergence of the centered
+gradient plus m/2, stays below 2.5 * m), and runs the `operators`
+kernels over its (H, W) axes; wrap indicators are int8, their integral
+int32. The snap is channel-batched except for the offset search, which
+runs per plane: its residues come from x - m*floor(x/m), equal to np.mod
+bit for bit at a fraction of its cost. The output is byte-identical to
+the per-channel float64 decoder in tests/reference_unwrap.py.
 
 The residual report is defined once, on the integer reconstruction
 v = frame + m * rollover that becomes `hdr`. The zeroth-order residual
