@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -84,10 +83,12 @@ def _pack(path, magic: bytes, *sources, **values) -> bytes:
     return _struct(fields).pack(magic, VERSION, *(values[name] for name, _ in fields))
 
 
-def _read(path, magic: bytes) -> tuple[dict, memoryview]:
+def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
     """The header fields of the `magic` container at `path`, by name, and its
-    payload; the common header is checked before the whole header's length."""
-    data = Path(path).read_bytes()
+    payload, a uint8 view of the file read once into a frozen array; the
+    common header is checked before the whole header's length."""
+    data = np.fromfile(path, np.uint8)
+    data.setflags(write=False)
     fields = _SIZES + _FIELDS[magic]
     for header in (_struct(_SIZES), _struct(fields)):
         if len(data) < header.size:
@@ -97,20 +98,27 @@ def _read(path, magic: bytes) -> tuple[dict, memoryview]:
             raise FormatError(f"{path}: bad magic {got!r} (expected {magic!r})")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-    return dict(zip((name for name, _ in fields), values)), memoryview(data)[header.size:]
+    return dict(zip((name for name, _ in fields), values)), data[header.size:]
 
 
-def _array(path, payload: memoryview, dtype: str, shape: tuple) -> np.ndarray:
+def _array(path, payload: np.ndarray, dtype: str, shape: tuple) -> np.ndarray:
     """The whole payload viewed as a native-order array of `shape`, after
-    checking that it holds exactly that many bytes."""
+    checking that it holds exactly that many bytes. The view is frozen, so a
+    value adopts it when it is aligned and of the value's dtype."""
     dtype = np.dtype(dtype)
     extra = len(payload) - math.prod(shape) * dtype.itemsize
     if extra < 0:
         raise FormatError(f"{path}: truncated payload")
     if extra:
         raise FormatError(f"{path}: payload length mismatch ({extra} extra bytes)")
-    data = np.frombuffer(payload, dtype).reshape(shape)
+    data = payload.view(dtype).reshape(shape)
     return data.astype(dtype.newbyteorder("="), copy=False)  # a view on little-endian hosts
+
+
+def _write(fh, data: np.ndarray, dtype: str) -> None:
+    """Write `data` as `dtype` from its own buffer, converting it first only
+    when its dtype or layout differ."""
+    fh.write(np.ascontiguousarray(data, dtype).data)
 
 
 def write_hdr(path, image: HdrImage) -> None:
@@ -118,7 +126,7 @@ def write_hdr(path, image: HdrImage) -> None:
     header = _pack(path, MAGIC_HDR, image, dtype=tag)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(image.data.astype(_HDR_DTYPES[tag]).tobytes())
+        _write(fh, image.data, _HDR_DTYPES[tag])
 
 
 def read_hdr(path) -> HdrImage:
@@ -133,7 +141,7 @@ def write_spikes(path, stream: SpikeStream) -> None:
     header = _pack(path, MAGIC_SPIKES, stream)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(stream.packed.tobytes())
+        _write(fh, stream.packed, "u1")
 
 
 def read_spikes(path) -> SpikeStream:
@@ -152,7 +160,7 @@ def write_modulo(path, seq: ModuloSequence) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         for frame in seq.frames:
-            fh.write(frame.data.astype(_samples(first.bit_depth)).tobytes())
+            _write(fh, frame.data, _samples(first.bit_depth))
 
 
 def read_modulo(path) -> ModuloSequence:

@@ -33,8 +33,9 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
-                    _check_nonnegative_int, _check_type, check_bit_depth, check_bits,
-                    check_dims, check_geometry, check_positive, check_stride, store_ints)
+                    _channels_last, _check_nonnegative_int, _check_type, check_bit_depth,
+                    check_bits, check_dims, check_geometry, check_positive, check_stride,
+                    store_ints)
 
 UNPACK_STEP = 512  # spike frames unpacked per push by encode_stream
 
@@ -127,8 +128,10 @@ class ChunkedEncoder:
     the window's count is the current count minus its start copy; the
     count may wrap, but the difference is exact, because the true count
     lies in [0, window]. A table built once maps each count to its wrapped
-    code, mod(floor(gain * count), 2^N). Every emitted frame carries the
-    config in `counted_by`.
+    code, mod(floor(gain * count), 2^N). The codes are written
+    channels-last one plane at a time and frozen, so the emitted frame
+    adopts them without a copy. Every emitted frame carries the config in
+    `counted_by`.
     """
 
     def __init__(self, height: int, width: int, channels: int,
@@ -161,7 +164,7 @@ class ChunkedEncoder:
             raise ValidationError(
                 f"chunk: out-of-order chunk (starts at frame {start_frame}, "
                 f"expected {self._consumed + 1})")
-        planes = np.moveaxis(check_bits(chunk, "chunk"), 3, 1)
+        planes = check_bits(np.moveaxis(chunk, 3, 1), "chunk")
         window, stride = self._cfg.window, self._cfg.stride
         out: list[ModuloFrame] = []
         start = 0
@@ -176,9 +179,10 @@ class ChunkedEncoder:
             if self._consumed < event:
                 return out
             if self._consumed == close:
-                counts = self._total - self._open.popleft()
-                frame = ModuloFrame(data=np.moveaxis(np.take(self._wrap, counts), 0, 2),
-                                    bit_depth=self._cfg.bit_depth, counted_by=self._cfg)
+                codes = _channels_last(np.take(self._wrap, self._total - self._open.popleft()))
+                codes.setflags(write=False)  # the frame adopts it: no second copy
+                frame = ModuloFrame(data=codes, bit_depth=self._cfg.bit_depth,
+                                    counted_by=self._cfg)
                 out.append(frame)
                 self._emitted.append(frame)
             else:

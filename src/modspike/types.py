@@ -1,8 +1,9 @@
 """Shared value types for the modulo-spike imaging pipeline.
 
-Everything here is an immutable value: wrapped numpy buffers are marked
-read-only at construction, configs are frozen dataclasses that validate
-eagerly. Instances are safe to share across threads.
+Everything here is an immutable value: a value adopts a numpy buffer that
+nothing can write to and copies any other once, read-only (`_freeze`);
+configs are frozen dataclasses that validate eagerly. Instances are safe
+to share across threads.
 
 Conventions:
   * rasters are row-major, channel-interleaved arrays of shape (H, W, C)
@@ -130,9 +131,23 @@ def _frozen(arr: np.ndarray) -> bool:
 
 
 def _freeze(data, dtype) -> np.ndarray:
-    """A read-only, C-contiguous copy of `data` as `dtype`, made in one pass."""
+    """`data` itself when nothing can write to it and it is an aligned,
+    C-contiguous `dtype` array, which a value can adopt as is; else a
+    read-only, C-contiguous copy of it as `dtype`, made in one pass."""
+    if (isinstance(data, np.ndarray) and data.dtype == dtype and data.flags.c_contiguous
+            and data.flags.aligned and _frozen(data)):
+        return data
     out = np.array(data, dtype=dtype, order="C")
     out.setflags(write=False)
+    return out
+
+
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """C-contiguous (H, W, C) copy of a (C, H, W) array, one plane at a
+    time: several times faster than numpy's transposing copy."""
+    out = np.empty(a.shape[1:] + a.shape[:1], a.dtype)
+    for c, plane in enumerate(a):
+        out[:, :, c] = plane
     return out
 
 
@@ -233,9 +248,7 @@ class SpikeStream:
     """Sequence of synchronous binary spike frames at a fixed readout rate.
 
     `packed` has shape (frame_count, channels, plane_bytes): each channel
-    plane is the frame's H*W bits packed row-major, LSB-first. A C-contiguous
-    uint8 array that is read-only all the way down its `.base` chain is kept
-    as given; any other input is copied once.
+    plane is the frame's H*W bits packed row-major, LSB-first.
     """
 
     height: int
@@ -250,9 +263,7 @@ class SpikeStream:
         check_positive(self.frame_count, "SpikeStream.frame_count")
         check_positive(self.readout_rate_hz, "SpikeStream.readout_rate_hz")
         check_geometry(self.height, self.width, self.channels, "SpikeStream")
-        packed = self.packed
-        if not (_frozen(packed) and packed.dtype == np.uint8 and packed.flags.c_contiguous):
-            packed = _freeze(packed, np.uint8)
+        packed = _freeze(self.packed, np.uint8)
         check_dims(packed.shape,
                    (self.frame_count, self.channels, plane_bytes(self.height, self.width)),
                    "SpikeStream.packed")

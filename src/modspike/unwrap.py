@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import _cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2, lar
-from .types import EncoderConfig, HdrImage, ModuloFrame
+from .types import EncoderConfig, HdrImage, ModuloFrame, _channels_last
 
 RESIDUAL_TOL = 1e-6
 
@@ -266,15 +266,6 @@ def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
     return p
 
 
-def _channels_last(a: np.ndarray) -> np.ndarray:
-    """C-contiguous (H, W, C) copy of a (C, H, W) array, one plane at a
-    time: several times faster than numpy's transposing copy."""
-    out = np.empty(a.shape[1:] + a.shape[:1], a.dtype)
-    for c, plane in enumerate(a):
-        out[:, :, c] = plane
-    return out
-
-
 def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     """Recover the scene congruent to `frame`: by table lookup for an
     encoder-counted frame whose codes identify its values, else via
@@ -321,9 +312,10 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
 
 def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
     """Mean absolute value of `scale` times integer arrays of one size,
-    summed exactly; 0 when they hold no samples."""
+    summed exactly over the parts not all zero; 0 when they hold no samples."""
     n = len(parts) * parts[0].size
-    return float(scale * sum(int(np.abs(p).sum()) for p in parts)) / n if n else 0.0
+    total = sum(int(np.abs(p).sum()) for p in parts if np.count_nonzero(p))
+    return float(scale * total) / n if n else 0.0
 
 
 def _reconstruction_residuals(values: np.ndarray, modulus: int) -> tuple[float, float]:

@@ -355,7 +355,10 @@ def _version(blob, version=2):
     (b"LHDR", _LHDR, None),
     (b"SPKB", _SPKB, None),
     (b"MODQ", _MODQ, None),
-    # cut inside the common header, the format header and the payload
+    # an empty file, then cuts inside the common header, the format header and the payload
+    (b"LHDR", b"", "truncated payload"),
+    (b"SPKB", b"", "truncated payload"),
+    (b"MODQ", b"", "truncated payload"),
     (b"LHDR", _LHDR[:10], "truncated payload"),
     (b"SPKB", _SPKB[:10], "truncated payload"),
     (b"MODQ", _MODQ[:10], "truncated payload"),
@@ -380,7 +383,7 @@ def _version(blob, version=2):
     (b"LHDR", _LHDR[:18] + b"\x09" + bytes(5), "unknown dtype tag 9"),
     (b"MODQ", _EMPTY_MODQ[:30], "truncated payload"),
     (b"MODQ", _EMPTY_MODQ + b"xx", r"\(0, 3, 1\) hold no samples"),
-], ids=["lhdr-valid", "spkb-valid", "modq-valid",
+], ids=["lhdr-valid", "spkb-valid", "modq-valid", "lhdr-empty", "spkb-empty", "modq-empty",
         "lhdr-cut-common", "spkb-cut-common", "modq-cut-common",
         "lhdr-cut-format", "spkb-cut-format", "modq-cut-format",
         "lhdr-cut-payload", "spkb-cut-payload", "modq-cut-payload",
@@ -426,6 +429,30 @@ _VALID = [
     (write_modulo, read_modulo, _small_sequence(8)),
     (write_modulo, read_modulo, _small_sequence(12)),
 ]
+
+
+def _arrays(value):
+    if isinstance(value, ModuloSequence):
+        return [frame.data for frame in value.frames]
+    return [value.packed if isinstance(value, SpikeStream) else value.data]
+
+
+@pytest.mark.parametrize("case", range(len(_VALID)))
+def test_read_values_are_frozen_down_their_base_chain(tmp_path, case):
+    write, read, value = _VALID[case]
+    write(tmp_path / "x", value)
+    for arr in _arrays(read(tmp_path / "x")):
+        while arr is not None:
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+            arr = arr.base
+
+
+@pytest.mark.parametrize("read", _READERS.values(), ids=[m.decode() for m in _READERS])
+def test_readers_raise_os_errors_on_a_missing_path_and_a_directory(tmp_path, read):
+    with pytest.raises(FileNotFoundError):
+        read(tmp_path / "missing")
+    with pytest.raises(IsADirectoryError):
+        read(tmp_path)
 
 
 @settings(max_examples=400, deadline=None)

@@ -360,6 +360,7 @@ def test_chunked_encoder_matches_naive_recount(geometry, bit_depth, gain, channe
     assert len(emitted) == len(oracle) == frame_capacity(total, window, stride)
     for frame, ref in zip(emitted, oracle):
         assert frame.data.dtype == np.uint16 and frame.data.flags.c_contiguous
+        assert frame.data.shape == (h, w, channels) and not frame.data.flags.writeable
         assert np.array_equal(frame.data, ref)
     assert enc.sequence().frames == tuple(emitted)
 

@@ -67,25 +67,66 @@ def test_spike_stream_bits_range_slicing():
     assert np.array_equal(stream.bits(10), bits[10:])
 
 
-def test_spike_stream_keeps_a_frozen_packed_array_and_copies_any_other():
-    def stream(packed):
-        return SpikeStream(height=3, width=3, channels=1, frame_count=2,
-                           readout_rate_hz=100, packed=packed)
+# (build a value from an array, the array it stores, stored dtype, shape)
+_ADOPTERS = {
+    "hdr-f32": (lambda a: HdrImage(data=a), lambda v: v.data, np.float32, (3, 4, 3)),
+    "hdr-u16": (lambda a: HdrImage(data=a), lambda v: v.data, np.uint16, (3, 4, 3)),
+    "modulo": (lambda a: ModuloFrame(data=a, bit_depth=8), lambda v: v.data, np.uint16,
+               (3, 4, 3)),
+    "spikes": (lambda a: SpikeStream(height=3, width=3, channels=1, frame_count=2,
+                                     readout_rate_hz=100, packed=a),
+               lambda v: v.packed, np.uint8, (2, 1, 2)),
+}
 
-    frozen = np.zeros((2, 1, 2), np.uint8)
-    frozen.setflags(write=False)
-    assert stream(frozen).packed is frozen
-    writable = np.zeros((2, 1, 2), np.uint8)
-    view = writable[:]
-    view.setflags(write=False)  # read-only, but its base is not
-    strided = np.zeros((2, 1, 4), np.uint8)[:, :, ::2]
-    strided.setflags(write=False)
-    for packed in (writable, view, strided, frozen.astype(np.int64)):
-        writable[0, 0, 0] = 0
-        kept = stream(packed).packed
-        assert kept is not packed and kept.flags.c_contiguous and not kept.flags.writeable
-        writable[0, 0, 0] = 1
-        assert kept[0, 0, 0] == 0
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _source(kind, dtype, shape):
+    """(array a value is built from, the array that owns its memory)."""
+    n = int(np.prod(shape))
+    if kind == "unaligned":  # a frozen uint8 buffer viewed at an odd offset
+        owner = _frozen(np.zeros(n * np.dtype(dtype).itemsize + 1, np.uint8))
+        return owner[1:].view(dtype).reshape(shape), owner
+    if kind == "strided":
+        owner = np.ones(shape[:-1] + (2 * shape[-1],), dtype)
+        return _frozen(owner)[..., ::2], owner
+    owner = np.ones(shape, np.int64 if kind == "dtype" else dtype)
+    if kind == "writable":
+        return owner, owner
+    if kind == "view":  # read-only, but its base is not
+        return _frozen(owner[:]), owner
+    return _frozen(owner), owner  # "frozen" and "dtype"
+
+
+@pytest.mark.parametrize("value, kind", [
+    (value, kind) for value, (_, _, dtype, _) in _ADOPTERS.items()
+    for kind in ("frozen", "writable", "view", "strided", "dtype", "unaligned")
+    if kind != "unaligned" or dtype != np.uint8])  # a byte is aligned at any offset
+def test_values_adopt_a_frozen_array_and_copy_any_other(value, kind):
+    make, stored, dtype, shape = _ADOPTERS[value]
+    arr, owner = _source(kind, dtype, shape)
+    want = np.array(arr)
+    kept = stored(make(arr))
+    assert kept.flags.c_contiguous and kept.flags.aligned and not kept.flags.writeable
+    assert kept.shape == shape and np.array_equal(kept, want)
+    if kind == "frozen":
+        assert kept is arr
+        return
+    assert kept is not arr and (kind == "dtype" or kept.dtype == dtype)
+    owner.setflags(write=True)  # the caller's memory changes later
+    owner.view(np.uint8)[...] = 7
+    assert np.array_equal(kept, want)
+
+
+def test_adopted_arrays_are_still_checked():
+    code = np.array([[256]], np.uint16)
+    with pytest.raises(ValidationError, match="2\\^8"):
+        ModuloFrame(data=_frozen(code), bit_depth=8)
+    with pytest.raises(ValidationError, match="finite"):
+        HdrImage(data=_frozen(np.array([[np.nan]], np.float32)))
 
 
 def test_frozen_buffers_reject_writes():
