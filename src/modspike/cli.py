@@ -212,7 +212,7 @@ def _cmd_pipeline(args) -> int:
     for i, frame in enumerate(seq.frames):
         result = unwrap_poisson(frame)
         containers.write_hdr(out_dir / f"recon_{i:04d}.lhdr", result.hdr)
-        ref = HdrImage(data=truth[i].astype(np.float32))
+        ref = HdrImage(data=truth[i])
         containers.write_hdr(out_dir / f"truth_{i:04d}.lhdr", ref)
         print(f"frame={i} converged={int(result.converged)}")
         _print_eval(ref, result.hdr, args.mu, args.peak_eval, prefix=f"frame_{i}_")

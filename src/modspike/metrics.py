@@ -28,15 +28,24 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
+def _check_peak(peak, value) -> float:
+    """`value`, a constant a metric squares or multiplies out of `peak`, if it
+    is a finite, nonzero float64; past that PSNR reads inf and SSIM nan."""
+    check_positive(peak, "peak")
+    if not 0 < value <= float(np.finfo(np.float64).max):  # exact for an int, too
+        raise ValidationError(f"peak: {peak} takes the metric out of the float64 range")
+    return value
+
+
 def psnr_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """10*log10(peak^2 / MSE); +inf when the images are identical."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
     check_samples(a.data, "HdrImage")
-    check_positive(peak, "peak")
+    _check_peak(peak, peak * peak)
     mse = float(np.mean((a.values() - b.values()) ** 2))
     if mse == 0.0:
         return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)
+    return 10.0 * np.log10(_check_peak(peak, peak * peak / mse))
 
 
 def _ssim_kernel() -> np.ndarray:
@@ -76,7 +85,7 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     `ndimage.correlate1d`."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
     check_samples(a.data, "HdrImage")
-    check_positive(peak, "peak")
+    _check_peak(peak, peak * peak)
     if a.height < SSIM_WINDOW or a.width < SSIM_WINDOW:
         raise ValidationError(
             f"HdrImage: SSIM needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got "
@@ -84,6 +93,7 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     kernel = _ssim_kernel()
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
+    _check_peak(peak, c1 * c2)
     xs = a.values()
     ys = b.values()
     scores = []

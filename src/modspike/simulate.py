@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,11 +181,11 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
     warping each plane and channel with it. A block of planes shares its
     gather indices and weights across channels.
 
-    Blocks are split over one thread per usable core, at most one per
-    block; the calling thread is one of them. Every plane is computed the
-    same way whichever thread takes it, and each thread writes only its
-    own planes, so `out` does not depend on the thread count. A failure
-    in any thread is raised here once all of them have stopped.
+    Blocks are split into one share per usable core, at most one per
+    block; the calling thread runs the first and a thread pool the rest.
+    Each share writes only its own planes, the same whichever thread runs
+    it, so `out` does not depend on the share count. A failure in any share
+    is raised here once all have stopped, the calling thread's first.
     """
     k_total = out.shape[0]
     h, w, channels = base.shape
@@ -245,24 +244,12 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
                     t += part
                 np.multiply(t, dt, out=out[k0:k0 + n, :, :, c])
 
-    errors = []
-
-    def run(first: int) -> None:
-        try:
-            warp_blocks(first)
-        except BaseException as exc:  # raised in the calling thread, once all have stopped
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(first,)) for first in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only motion needs it
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        shares = [pool.submit(warp_blocks, first) for first in range(1, workers)]
         warp_blocks(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for share in shares:
+        share.result()
 
 
 def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> IrradianceClip:

@@ -133,7 +133,9 @@ def _frozen(arr: np.ndarray) -> bool:
 def _freeze(data, dtype) -> np.ndarray:
     """`data` itself when nothing can write to it and it is an aligned,
     C-contiguous `dtype` array, which a value can adopt as is; else a
-    read-only, C-contiguous copy of it as `dtype`, made in one pass."""
+    read-only, C-contiguous copy of it as `dtype`, made in one pass. An
+    adopted array stays immutable only while its owner keeps it read-only;
+    the library's own producers keep no handle to what they hand over."""
     if (isinstance(data, np.ndarray) and data.dtype == dtype and data.flags.c_contiguous
             and data.flags.aligned and _frozen(data)):
         return data

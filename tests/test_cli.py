@@ -187,6 +187,24 @@ def test_eval_missing_file_fails(capsys, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize("peak, printed", [("1e160", ""), ("1e-200", ""),
+                                           ("1e80", "psnr_linear=1600\n"),
+                                           ("1e-80", "psnr_linear=-1600\n")])
+def test_eval_rejects_a_peak_the_metrics_cannot_hold(capsys, tmp_path, peak, printed):
+    # it printed psnr_linear=inf and then an OverflowError traceback, or
+    # -inf and nan with RuntimeWarnings and exit status 0. PSNR holds a
+    # wider range of peaks than SSIM, and its line still prints
+    ref, test = tmp_path / "ref.lhdr", tmp_path / "test.lhdr"
+    write_hdr(ref, HdrImage(data=np.zeros((16, 16), np.float32)))
+    write_hdr(test, HdrImage(data=np.ones((16, 16), np.float32)))
+    code, out, err = run_cli(capsys, "eval", "--ref", str(ref), "--test", str(test),
+                             "--peak", peak)
+    assert code == 1 and out == printed
+    assert err.startswith("modspike: error: peak: ") and len(err.splitlines()) == 1
+    code, out, _ = run_cli(capsys, "eval", "--ref", str(ref), "--test", str(test))
+    assert code == 0 and parse_kv(out)["psnr_linear"] == "72.2451"
+
+
 def test_pipeline_deterministic_across_runs(capsys, tmp_path):
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     outputs = []

@@ -152,6 +152,90 @@ def test_ssim_range():
         assert -1.0 <= ssim_linear(x, y, 1.0) <= 1.0
 
 
+# ------------------------------------------------------- the range of `peak`
+
+def _edge(ok, lo, hi):
+    """The adjacent float64s p < q in [lo, hi] where `ok` changes, for an
+    `ok` that changes once there: bisection over the bit patterns of
+    positive floats, which sort as their values do."""
+    a, b = (int(v) for v in np.array([lo, hi]).view(np.int64))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if ok(float(np.int64(mid).view(np.float64))) == ok(lo):
+            a = mid
+        else:
+            b = mid
+    return tuple(float(v) for v in np.array([a, b]).view(np.float64))
+
+
+# Each bound is where the formula's own float64 arithmetic leaves the
+# finite, nonzero range: peak*peak for PSNR (about 1.6e-162 and 1.3e154),
+# c1*c2 = (0.01*peak)**2 * (0.03*peak)**2 for SSIM (about 7.2e-80 and
+# 6.7e78), each as (bad, good) or (good, bad) around the edge.
+_PSNR_LOW, _PSNR_HIGH = (_edge(lambda p: 0 < p * p < math.inf, *span)
+                         for span in ((1e-200, 1.0), (1.0, 1e200)))
+_SSIM_LOW, _SSIM_HIGH = (_edge(lambda p: 0 < (0.01 * p) ** 2 * (0.03 * p) ** 2 < math.inf, *span)
+                         for span in ((1e-100, 1.0), (1.0, 1e100)))
+
+
+@pytest.mark.parametrize("good, bad", [_PSNR_LOW[::-1], _PSNR_HIGH])
+def test_psnr_takes_every_peak_whose_square_is_a_finite_nonzero_float(good, bad):
+    # mse 1: the ratio peak^2/mse is the square itself
+    zeros, ones = img(np.zeros((8, 8))), img(np.ones((8, 8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psnr_linear(zeros, ones, good) == 10.0 * np.log10(good * good)
+        assert psnr_linear(zeros, zeros, good) == math.inf
+        for a, b in ((zeros, ones), (zeros, zeros)):
+            with pytest.raises(ValidationError, match="^peak: "):
+                psnr_linear(a, b, bad)
+
+
+@pytest.mark.parametrize("good, bad", [_SSIM_LOW[::-1], _SSIM_HIGH])
+def test_ssim_takes_every_peak_whose_constants_are_finite_nonzero_floats(good, bad):
+    # identical images score exactly 1 at the last good peak, however flat
+    rng = np.random.default_rng(8)
+    images = [img(np.zeros((12, 12))), img(np.full((12, 12), 700.0)),
+              img(rng.uniform(0, 4095, (12, 12)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in images:
+            assert ssim_linear(a, a, good) == 1.0
+            with pytest.raises(ValidationError, match="^peak: "):
+                ssim_linear(a, a, bad)
+        assert -1.0 <= ssim_linear(images[1], images[2], good) <= 1.0
+
+
+@pytest.mark.parametrize("metric, peak", [
+    (psnr_linear, 1e155), (psnr_linear, 1e-200), (psnr_linear, 10 ** 200),
+    (psnr_linear, 10 ** 400), (ssim_linear, 1e80), (ssim_linear, 1e-80),
+    (ssim_linear, 1e160), (ssim_linear, 10 ** 400)],
+    ids=["psnr-1e155", "psnr-1e-200", "psnr-int-10**200", "psnr-int-10**400",
+         "ssim-1e80", "ssim-1e-80", "ssim-1e160", "ssim-int-10**400"])
+def test_metrics_reject_a_peak_their_arithmetic_cannot_hold(metric, peak):
+    # past the bounds PSNR read inf for different images, SSIM nan for
+    # identical ones, and a huge peak raised a raw OverflowError
+    zeros = img(np.zeros((12, 12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (zeros, img(np.ones((12, 12)))):
+            with pytest.raises(ValidationError, match="^peak: "):
+                metric(zeros, b, peak)
+
+
+@pytest.mark.parametrize("peak, values", [(1e150, (1.0, 1.0 + 2.0 ** -23)),
+                                          (1e-160, (0.0, 1000.0))])
+def test_psnr_rejects_a_peak_whose_ratio_to_the_error_leaves_the_floats(peak, values):
+    # peak^2 holds, but peak^2/mse overflows (it read inf, the sentinel of
+    # identical images) or underflows (it read -inf with a RuntimeWarning)
+    a, b = (img(np.full((8, 8), v)) for v in values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^peak: "):
+            psnr_linear(a, b, peak)
+        assert math.isfinite(psnr_linear(a, b, 1.0))
+
+
 # ------------------------------------------------------------------- psnr_mu
 
 def test_psnr_mu_identical_is_infinite():

@@ -578,6 +578,32 @@ def test_a_failing_warp_thread_raises_and_returns_no_clip(in_worker, nth):
     assert threading.active_count() == running
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_warp_starts_no_thread_beyond_one_per_core(workers):
+    # six one-plane blocks: the calling thread takes one share and at most
+    # workers - 1 more threads take the rest, all gone on return. One core
+    # starts no thread at all
+    source_axis = simulate._source_axis
+    seen = []
+
+    def counting(*args):
+        seen.append(threading.active_count())
+        return source_axis(*args)
+
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=6)
+    scene = HdrImage(data=np.ones((4, 4), np.float32))
+    running = threading.active_count()
+    with (mock.patch.object(simulate, "_source_axis", counting), _warp_threads(workers),
+          mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", 16)):
+        synthesize_clip(scene, Motion(translate_px=(1.0, 2.0), rotate_deg=3.0), cfg)
+    assert len(seen) == 12  # two axes a block
+    if workers == 1:
+        assert set(seen) == {running}
+    else:
+        assert running < max(seen) <= running + workers - 1
+    assert threading.active_count() == running
+
+
 def test_more_warp_threads_than_cores_switching_often_give_the_same_clip():
     # 64 one-plane blocks over 8 threads on any host, with the interpreter
     # switching threads as often as it can: every block is written once,
