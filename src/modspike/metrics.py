@@ -28,12 +28,12 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _check_peak(peak, value) -> float:
-    """`value`, a constant a metric squares or multiplies out of `peak`, if it
-    is a finite, nonzero float64; past that PSNR reads inf and SSIM nan."""
-    check_positive(peak, "peak")
+def _check_peak(peak, value, name: str = "peak") -> float:
+    """`value`, a constant a metric squares or multiplies out of `peak` (or
+    `mu`), if a finite, nonzero float64; past that PSNR reads inf, SSIM nan."""
+    check_positive(peak, name)
     if not 0 < value <= float(np.finfo(np.float64).max):  # exact for an int, too
-        raise ValidationError(f"peak: {peak} takes the metric out of the float64 range")
+        raise ValidationError(f"{name}: {peak} takes the metric out of the float64 range")
     return value
 
 
@@ -111,24 +111,30 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     return float(np.mean(scores))
 
 
+def _in_range(x: np.ndarray, name: str, value, dtype=np.float64) -> np.ndarray:
+    """`x`, samples >= 0 scaled by `name` = `value`, if none passes what `dtype` holds."""
+    if x.size and not x.max() <= float(np.finfo(dtype).max):
+        raise ValidationError(f"{name}: {value} takes the samples past {np.dtype(dtype).name}")
+    return x
+
+
 def mu_law(hdr: HdrImage, mu: float = DEFAULT_MU, peak: float = DEFAULT_PEAK) -> HdrImage:
     """Logarithmic tone map log(1 + mu*x)/log(1 + mu) of the peak-normalized
-    image."""
-    check_positive(mu, "mu")
-    check_positive(peak, "peak")
-    x = hdr.values() / peak
-    return HdrImage(data=np.log1p(mu * x) / np.log1p(mu))
+    image; `peak` or `mu` must keep every step finite."""
+    mu, peak = float(_check_peak(mu, mu, "mu")), float(_check_peak(peak, peak))
+    with np.errstate(over="ignore"):  # mu * x past float64 reads inf, which the store rejects
+        x = np.log1p(mu * _in_range(hdr.values() / peak, "peak", peak)) / np.log1p(mu)
+    return HdrImage(data=_in_range(x, "mu", mu, np.float32))
 
 
 def mu_law_inverse(mapped: HdrImage, mu: float = DEFAULT_MU,
                    peak: float = DEFAULT_PEAK) -> HdrImage:
     """Exact algebraic inverse of `mu_law`: x = (exp(y*log(1+mu)) - 1)/mu,
-    then denormalize by peak."""
-    check_positive(mu, "mu")
-    check_positive(peak, "peak")
-    y = mapped.values()
-    x = np.expm1(y * np.log1p(mu)) / mu
-    return HdrImage(data=x * peak)
+    then denormalize by peak; `mu` or `peak` must keep every step finite."""
+    mu, peak = float(_check_peak(mu, mu, "mu")), float(_check_peak(peak, peak))
+    with np.errstate(over="ignore"):  # x * peak past float64 reads inf, which the store rejects
+        x = _in_range(np.expm1(mapped.values() * np.log1p(mu)) / mu, "mu", mu) * peak
+    return HdrImage(data=_in_range(x, "peak", peak, np.float32))
 
 
 def psnr_mu(a: HdrImage, b: HdrImage, mu: float = DEFAULT_MU,

@@ -19,9 +19,9 @@ takes the (rows, columns) `axes` it works over: `_forward_differences`,
 `_cosine_solve`. The difference kernels take C-contiguous arrays and
 take each difference in one pass over the flat array; the entries it
 gets wrong, across a line's end, are ones the kernel zeroes or
-overwrites. The public functions run them over axes (0, 1) of
-C-contiguous copies of an (H, W[, C]) raster, the unwrapper over axes
-(1, 2) of its (C, H, W) int16 or int32 arrays.
+overwrites. The public functions and the unwrapper's front end run them
+over axes (0, 1) of C-contiguous (H, W[, C]) arrays, the unwrapper's
+solve over axes (1, 2) of a channel-first (C, H, W) copy.
 
 The public functions are pure, process channels independently, and are
 deterministic. Float input is computed in float64; a float divergence is

@@ -13,14 +13,13 @@ recovers the scene in three steps:
      to the centered gradient of the unwrapped scene wherever
      neighboring-pixel differences stay within half a period (the Itoh
      condition); its divergence is an integer field too;
-  2. least-squares integration: integrate the wrap field when it has no
-     curl, else the cosine-basis solve. Without curl the int8 wrap
-     indicators (gradient(frame) = centered + 2^N * wraps) are summed in
-     int32 along the first row and down each column: that is the
-     least-squares solution exactly, and gives step 3's wrap counts
-     directly. With curl the cosine-basis Poisson solve of the
-     divergence, the one float64 step, gives a mean-zero estimate of the
-     scene up to an additive constant per channel;
+  2. least-squares integration: integrate the wrap field when it has no curl,
+     else the cosine-basis solve. Without curl the int8 wrap indicators
+     (gradient(frame) = centered + 2^N * wraps) are summed along the first
+     row and down each column: that is the least-squares solution exactly,
+     and gives step 3's wrap counts directly. With curl the cosine-basis
+     Poisson solve of the divergence, the one float64 step, gives a mean-zero
+     estimate of the scene up to an additive constant per channel;
   3. congruence snapping: an exhaustive search over the 2^N unit offsets
      picks the constant whose shifted estimate best agrees with the
      observation modulo 2^N, the per-pixel wrap counts are rounded out
@@ -30,15 +29,16 @@ recovers the scene in three steps:
      are re-based the same way.
 
 The lattice lookup runs first, on the frame's (H, W, C) codes, and its
-result is the returned wrap-count map. Only a frame it declines makes a
-channel-first (C, H, W) copy of the codes, int16 up to 13 bits and int32
-above (the front end's widest field, the divergence of the centered
-gradient plus m/2, stays below 2.5 * m), and runs the `operators`
-kernels over its (H, W) axes; wrap indicators are int8, their integral
-int32. The snap is channel-batched except for the offset search, which
-runs per plane: its residues come from x - m*floor(x/m), equal to np.mod
-bit for bit at a fraction of its cost. The output is byte-identical to
-the per-channel float64 decoder in tests/reference_unwrap.py.
+result is the returned wrap-count map. A frame it declines is decoded in
+that layout too, with the `operators` kernels over axes (0, 1): codes in
+int16 up to 13 bits (the front end's widest field stays below 2.5 * m),
+int32 above, int8 wrap indicators, and their integral down the rows as a
+doubling scan in int16 while H + W - 2 < 2^15. Only the solve and the
+snap of a frame with curl run on channel-first (C, H, W) copies. The snap
+is channel-batched except for the offset search, which runs per plane:
+its residues come from x - m*floor(x/m), equal to np.mod bit for bit at a
+fraction of its cost. The output is byte-identical to the per-channel
+float64 decoder in tests/reference_unwrap.py.
 
 The residual report is defined once, on the integer reconstruction
 v = frame + m * rollover that becomes `hdr`. The zeroth-order residual
@@ -239,8 +239,18 @@ def _lattice_rollover(frame: ModuloFrame) -> np.ndarray | None:
     return rollover
 
 
+def _scan_rows(a: np.ndarray) -> np.ndarray:
+    """np.cumsum(a, axis=0) in a's type, as a doubling (Hillis-Steele) scan; spends `a`."""
+    b, s = np.empty_like(a), 1
+    while s < len(a):
+        b[:s] = a[:s]
+        np.add(a[s:], a[:-s], out=b[s:])
+        a, b, s = b, a, 2 * s
+    return a
+
+
 def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
-    """The (C, H, W) int32 wrap counts of a frame whose wrap indicators
+    """The (H, W, C) int32 wrap counts of a frame whose wrap indicators
     (gradient(frame) = centered + m * (wx, wy)) have no curl, or None when
     some plaquette has.
 
@@ -249,21 +259,22 @@ def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
     least-squares integral is u up to a constant: the cosine-basis solve
     returns u - mean(u) up to rounding, every pixel of estimate - frame
     shares one residue, and the snap rounds it onto k = -P. P is summed
-    along the first row, then down each column; max(P) - P is k re-based
-    to a minimum of zero. wx is zero on the last column and wy on the last
-    row, so the curl test compares whole arrays: both differences are zero
-    there.
+    along the first row, then down the rows, in int16 while |P| <= H + W - 2
+    fits; max(P) - P (>= 0, as P[0, 0] = 0), k re-based to a minimum of zero,
+    goes straight into the int32 map. wx is zero on the last column and wy on
+    the last row, so the curl test compares whole arrays.
     """
-    if not np.array_equal(_difference(wx, 1), _difference(wy, 2)):
+    if not np.array_equal(_difference(wx, 0), _difference(wy, 1)):
         return None
-    p = np.empty(wx.shape, np.int32)
-    p[:, :1, :1] = 0
-    np.cumsum(wx[:, :1, :-1], axis=2, dtype=np.int32, out=p[:, :1, 1:])
-    p[:, 1:] = wy[:, :-1]
-    np.cumsum(p, axis=1, dtype=np.int32, out=p)
-    if p.size:
-        np.subtract(p.max(axis=(1, 2), keepdims=True), p, out=p)
-    return p
+    h, w, c = wx.shape
+    p = np.empty(wx.shape, np.int16 if h + w - 2 < 2 ** 15 else np.int32)
+    p[:1, :1] = 0
+    np.cumsum(wx[:1, :-1], axis=1, dtype=p.dtype, out=p[:1, 1:])
+    p[1:] = wy[:-1]
+    p, k = _scan_rows(p), np.empty(wx.shape, np.int32)
+    top = p.max(axis=0, initial=0).max(axis=0, initial=0)  # over whole rows, then (W, C)
+    np.subtract(np.tile(top, w), p.reshape(h, w * c), out=k.reshape(h, w * c), dtype=np.int32)
+    return k
 
 
 def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
@@ -277,21 +288,19 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     div_wraps = None  # set only on an integrated frame
     if rollover_map is None:
         # int16 while the front end's widest field, div(centered gradient) + m/2 < 2.5 * m, fits
-        obs = np.ascontiguousarray(frame.data.transpose(2, 0, 1),  # (C, H, W)
-                                   dtype=np.int16 if 5 * modulus // 2 < 2 ** 15 else np.int32)
-        gx, gy = _forward_differences(obs, (1, 2))
+        obs = frame.data.astype(np.int16 if 5 * modulus // 2 < 2 ** 15 else np.int32)
+        gx, gy = _forward_differences(obs, (0, 1))
         wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
-        div = _divergence(gx, gy, (1, 2))
+        div = _divergence(gx, gy, (0, 1))
         del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
-        rollover = _integrate_wraps(*wraps)
+        rollover_map = _integrate_wraps(*wraps)
         del wraps
-        if rollover is None:
-            rollover = _snap(_cosine_solve(div.astype(np.float64), (1, 2)), obs, modulus)
+        if rollover_map is None:  # solved channel-first; the estimate replaces div, spent
+            div = _cosine_solve(div.transpose(2, 0, 1).astype(np.float64, order="C"), (1, 2))
+            rollover_map = _channels_last(_snap(div, obs.transpose(2, 0, 1), modulus))
         else:
             div_wraps = _lar_pow2(div, modulus, wraps=True)
         del div, obs
-        rollover_map = _channels_last(rollover)
-        del rollover
     top = int(rollover_map.max()) if rollover_map.size else 0
     # int32 while the report's widest field, 4 * max(hdr_values) + m/2, fits
     wide = 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31

@@ -353,3 +353,39 @@ def test_mu_law_rejects_bad_parameters():
         mu_law(img, mu=0.0)
     with pytest.raises(Exception, match="peak"):
         mu_law(img, peak=-1.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda big: mu_law(big, peak=1e-310), "peak"),  # samples / peak overflows
+    (lambda big: mu_law(big, peak=10 ** 400), "peak"),  # no float64 holds the peak
+    (lambda big: mu_law(big, mu=1e308), "mu"),  # mu * x overflows
+    (lambda big: mu_law(big, mu=1e-300, peak=1e-300), "mu"),  # the float32 store overflows
+    (lambda big: mu_law_inverse(img(np.ones((4, 4))), peak=1e308), "peak"),  # store
+    (lambda big: mu_law_inverse(img(np.ones((4, 4))), peak=1e300, mu=1.0), "peak"),  # x * peak
+    (lambda big: mu_law_inverse(big, mu=5000.0), "mu"),  # expm1(y * log1p(mu)) overflows
+    (lambda big: mu_law_inverse(img(np.full((4, 4), 1750.0)), mu=0.5), "mu"),  # ... / mu
+    (lambda big: psnr_mu(big, big, peak=1e-310), "peak"),
+    (lambda big: psnr_mu(big, big, mu=1e308), "mu"),
+], ids=["mu_law-peak-divide", "mu_law-peak-int", "mu_law-mu-multiply", "mu_law-store",
+        "inverse-peak-store", "inverse-peak-multiply", "inverse-mu-expm1",
+        "inverse-mu-divide", "psnr_mu-peak", "psnr_mu-mu"])
+def test_mu_law_rejects_parameters_that_leave_the_finite_range(call, name):
+    # these overflowed with a RuntimeWarning and then blamed HdrImage.data
+    big = img(np.full((4, 4), 1e6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            call(big)
+
+
+def test_mu_law_takes_extreme_parameters_its_arithmetic_holds():
+    big = img(np.full((4, 4), 1e6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1e306 / peak-normalized samples, times a small mu, fit float32 once mapped
+        mapped = mu_law(big, mu=1e-10, peak=1e-300)
+        assert math.isclose(float(mapped.values().max()), math.log1p(1e296) / math.log1p(1e-10),
+                            rel_tol=1e-6)
+        assert mu_law_inverse(img(np.ones((4, 4))), mu=1.0, peak=1e38).values().max() == \
+            np.float32(1e38)
+        assert psnr_mu(big, big, peak=1e-300, mu=1e-10) == math.inf

@@ -397,6 +397,89 @@ def test_straight_edge_is_curl_free_and_matches_the_float_reference(channels):
     assert np.count_nonzero(got.hdr.values() != img) == img.size // 2
 
 
+# every power of two up to 300, one either side of it, and 300
+_SCAN_HEIGHTS = sorted({h for k in range(9) for h in (2 ** k - 1, 2 ** k, 2 ** k + 1)} - {0}
+                       | {300})
+
+
+def assert_scan_is_cumsum(seed, height, width, channels, dtype):
+    from modspike.unwrap import _scan_rows
+    field = np.random.default_rng(seed).integers(-1, 2, size=(height, width, channels),
+                                                 dtype=np.int8)
+    got = _scan_rows(field.astype(dtype))
+    assert got.dtype == dtype and got.shape == field.shape
+    assert np.array_equal(got, np.cumsum(field, axis=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), height=st.integers(1, 300),
+       width=st.integers(1, 12), channels=st.sampled_from([1, 3]),
+       dtype=st.sampled_from([np.int16, np.int32]))
+def test_doubling_scan_equals_cumsum_down_the_rows(seed, height, width, channels, dtype):
+    # wrap indicators are -1, 0 or 1, so no partial sum leaves the scan's type
+    assert_scan_is_cumsum(seed, height, width, channels, dtype)
+
+
+@pytest.mark.parametrize("height", _SCAN_HEIGHTS)
+def test_doubling_scan_at_every_power_of_two_height(height):
+    # the steps double up to the last power of two below the height; one row
+    # more or less moves the last step's reach across the end
+    for channels, width in ((1, 1), (3, 5)):
+        assert_scan_is_cumsum(height, height, width, channels, np.int16)
+
+
+@pytest.mark.parametrize("width, dtype", [(2 ** 15, "int16"), (2 ** 15 + 1, "int32")])
+def test_integral_is_int16_while_every_partial_sum_fits(width, dtype, monkeypatch):
+    # |P| <= H + W - 2 for indicators of -1, 0 or 1: a 1 x 32768 frame is
+    # scanned in int16, one pixel wider in int32. Steps of 127 down a 8-bit
+    # ramp wrap on every other pixel, so P climbs to ~W/2.
+    scans = []
+
+    def spy(a, _real=unwrap_module._scan_rows):
+        scans.append(a.dtype.name)
+        return _real(a)
+
+    monkeypatch.setattr(unwrap_module, "_scan_rows", spy)
+    frame = wrap_frame(127 * np.arange(width - 1, -1, -1)[None, :, None])
+    got = assert_matches_float_reference(frame)
+    assert scans == [dtype] and got.converged
+    assert got.rollover_map.max() == 127 * (width - 1) // 256
+
+
+def test_integrated_frame_is_decoded_in_its_own_layout(scene_maker, monkeypatch):
+    # every kernel of an integrated frame works on C-contiguous arrays of the
+    # frame's (H, W, C) shape, and no transposing copy or `_channels_last`
+    # runs; a frame with curl makes its channel-first copies for the solve
+    seen, numpy_calls = [], []
+    for name in ("_forward_differences", "_divergence", "_lar_pow2", "_difference",
+                 "_integrate_wraps", "_scan_rows", "_channels_last"):
+        def spy(*args, _real=getattr(unwrap_module, name), _name=name, **kwargs):
+            seen.append((_name, {(a.shape, a.flags.c_contiguous)
+                                 for a in args if isinstance(a, np.ndarray)}))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(unwrap_module, name, spy)
+
+    class Numpy:
+        def __getattr__(self, name):
+            if name in ("transpose", "moveaxis", "swapaxes", "rollaxis", "ascontiguousarray",
+                        "asfortranarray", "einsum"):
+                numpy_calls.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(unwrap_module, "np", Numpy())
+    rng = np.random.default_rng(34)
+    frame = wrap_frame(np.stack([scene_maker(rng, 24, 20, peak=4095) for _ in range(3)], 2))
+    result = unwrap_poisson(frame)
+    assert result.decoder == "poisson" and result.rollover_map.flags.c_contiguous
+    names = [name for name, _ in seen]
+    assert "_integrate_wraps" in names and "_scan_rows" in names
+    assert "_channels_last" not in names and numpy_calls == []
+    assert all(arrays == {((24, 20, 3), True)} for _, arrays in seen)
+    seen.clear()
+    unwrap_poisson(with_one_curl_plaquette(frame))
+    assert [name for name, _ in seen].count("_channels_last") == 1
+
+
 @pytest.mark.parametrize("bit_depth", [2, 8, 11, 12, 16])
 @pytest.mark.parametrize("shape, channels", [((2, 2), 1), ((9, 13), 3)])
 def test_one_plaquette_of_curl_takes_the_solve(bit_depth, shape, channels, solver_calls):
@@ -652,9 +735,9 @@ def kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("route, decoder, kernels", [
     ("lattice", "lattice", [("differences", (0, 1), "int32")]),
-    ("integrated", "poisson", [("differences", (1, 2), "int16"), "split", "split",
+    ("integrated", "poisson", [("differences", (0, 1), "int16"), "split", "split",
                                "integrate", "split"]),
-    ("solved", "poisson", [("differences", (1, 2), "int16"), "split", "split",
+    ("solved", "poisson", [("differences", (0, 1), "int16"), "split", "split",
                            "integrate", ("differences", (0, 1), "int32")]),
 ])
 def test_every_route_reports_the_one_definition(route, decoder, kernels, scene_maker,
@@ -714,7 +797,7 @@ def test_frames_at_the_front_end_width_boundary_match_the_float_reference(bit_de
                                               (14, "int32"), (16, "int32")])
 def test_front_end_is_int16_up_to_13_bits(bit_depth, dtype, kernel_calls):
     unwrap_poisson(extreme_frames(bit_depth, 3)[1])
-    assert kernel_calls[0] == ("differences", (1, 2), dtype)
+    assert kernel_calls[0] == ("differences", (0, 1), dtype)
 
 
 @pytest.mark.parametrize("peak, dtype", [(2 ** 29 - 257, "int32"), (2 ** 29 - 1, "int64"),
