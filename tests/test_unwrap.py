@@ -431,7 +431,7 @@ def test_doubling_scan_at_every_power_of_two_height(height):
 @pytest.mark.parametrize("width, dtype", [(2 ** 15, "int16"), (2 ** 15 + 1, "int32")])
 def test_integral_is_int16_while_every_partial_sum_fits(width, dtype, monkeypatch):
     # |P| <= H + W - 2 for indicators of -1, 0 or 1: a 1 x 32768 frame is
-    # scanned in int16, one pixel wider in int32. Steps of 127 down a 8-bit
+    # scanned in int16, one pixel wider in int32. Steps of 127 down an 8-bit
     # ramp wrap on every other pixel, so P climbs to ~W/2.
     scans = []
 
