@@ -37,7 +37,7 @@ from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, Validati
                     check_bits, check_dims, check_geometry, check_positive, check_stride,
                     store_ints)
 
-UNPACK_STEP = 512  # spike frames unpacked per push by encode_stream
+_UNPACK_SAMPLES = 2 ** 20  # spike samples encode_stream unpacks per push: 1 MiB of {0,1} bytes
 
 
 @dataclass(frozen=True)
@@ -78,23 +78,35 @@ def frame_capacity(source_frames: int, window: int, stride: int) -> int:
 
 def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
     """Pre-wrap digital counts floor(gain * windowed integral), stacked into
-    a (frames, H, W, C) int64 array.
+    a read-only (frames, H, W, C) int64 array.
 
     Each window is reduced on its own, plane by plane in index order, with
     float64 accumulation; that is the rounding of an axis-0 sum over a
-    float64 copy of the window, without copying the clip.
+    float64 copy of the window, without copying the clip. Every window of
+    a static clip (stride-0 `u`) is the same reduction of the same values,
+    so window 0 is reduced once and broadcast over the frames (stride-0
+    result). A count at or past 2^63 has no int64 value: it raises
+    `ValidationError` naming the gain.
     """
     k_total = clip.micro_intervals
     if spec.window > k_total:
         raise ValidationError(
             f"QuerySpec.window: window {spec.window} exceeds clip micro-intervals {k_total}")
     count = frame_capacity(k_total, spec.window, spec.stride)
-    out = np.empty((count,) + clip.u.shape[1:], dtype=np.int64)
-    for i in range(count):
+    distinct = 1 if clip.u.strides[0] == 0 else count
+    out = np.empty((distinct,) + clip.u.shape[1:], dtype=np.int64)
+    for i in range(distinct):
         start = i * spec.stride
         total = clip.u[start:start + spec.window].sum(axis=0, dtype=np.float64)
-        out[i] = np.floor(spec.digital_gain * total)
-    return out
+        with np.errstate(over="ignore"):  # an infinite product is rejected below
+            total *= spec.digital_gain
+        if np.floor(total, out=total).max(initial=0.0) >= 2.0 ** 63:
+            raise ValidationError(
+                f"QuerySpec.digital_gain: {spec.digital_gain} times window {i}'s integral "
+                f"reaches 2^63 counts, past the int64 range")
+        out[i] = total
+    out.setflags(write=False)
+    return np.broadcast_to(out, (count,) + out.shape[1:])
 
 
 def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,
@@ -201,11 +213,13 @@ class ChunkedEncoder:
 def encode_stream(stream: SpikeStream, cfg: EncoderConfig) -> ModuloSequence:
     """Encode a complete spike stream into wrapped frames.
 
-    Frames are unpacked UNPACK_STEP at a time, so memory stays bounded by
-    the step and window/stride, not by the stream length.
+    Each push unpacks as many whole frames as fit in `_UNPACK_SAMPLES`
+    {0,1} bytes, and at least one, so memory stays bounded by that budget
+    and window/stride, not by the stream length or the plane size.
     """
     enc = ChunkedEncoder(stream.height, stream.width, stream.channels, cfg,
                          source_rate_hz=stream.readout_rate_hz)
-    for start in range(0, stream.frame_count, UNPACK_STEP):
-        enc.push(stream.bits(start, start + UNPACK_STEP))
+    step = max(1, _UNPACK_SAMPLES // (stream.height * stream.width * stream.channels))
+    for start in range(0, stream.frame_count, step):
+        enc.push(stream.bits(start, start + step))
     return enc.sequence()

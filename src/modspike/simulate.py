@@ -113,13 +113,14 @@ class Motion:
         return self.translate_px == (0.0, 0.0) and self.rotate_deg == 0.0
 
 
-# Planes are warped in blocks of about this many output samples, at least
-# one plane. Each warp thread allocates scratch for one block once, six
-# float64-sized arrays of 512 KiB each for planes up to this size, reuses
-# it for every block it takes and holds two fresh gathers of that size at
-# a time, so its memory does not grow with the clip length. Larger blocks mean fewer numpy calls, each of which the
-# threads take the GIL to start: on a 2-core host 2**16 warped a 128^2
-# clip 10-15% faster than 2**15.
+# Planes are warped in blocks of about this many output samples: whole
+# planes while a plane fits, else bands of rows of one plane. Each warp
+# thread allocates scratch for one block once, six float64-sized arrays
+# of at most 512 KiB, reuses it for every block it takes and holds two
+# fresh gathers of that size at a time, so its memory grows with neither
+# the clip length nor the plane size. Larger blocks mean fewer numpy
+# calls, each of which the threads take the GIL to start: on a 2-core
+# host 2**16 warped a 128^2 clip 10-15% faster than 2**15.
 _WARP_BLOCK_SAMPLES = 2 ** 16
 
 # Integrate-and-fire runs a band of rows at a time holding about this
@@ -179,11 +180,12 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
     `ndimage.affine_transform(order=1, mode="nearest")` gives, from the
     same operations in the same order, so the clip is bit-identical to
     warping each plane and channel with it. A block of planes shares its
-    gather indices and weights across channels.
+    gather indices and weights across channels. A plane larger than a
+    block is warped in bands of rows, a block each.
 
     Blocks are split into one share per usable core, at most one per
     block; the calling thread runs the first and a thread pool the rest.
-    Each share writes only its own planes, the same whichever thread runs
+    Each share writes only its own samples, the same whichever thread runs
     it, so `out` does not depend on the share count. A failure in any share
     is raised here once all have stopped, the calling thread's first.
     """
@@ -209,23 +211,25 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
     planes += 0.0
     row = w + 2
     yy, xx = np.arange(h, dtype=np.float64)[:, None], np.arange(w, dtype=np.float64)
-    block = max(1, _WARP_BLOCK_SAMPLES // (h * w))
-    starts = range(0, k_total, block)
+    block = max(1, _WARP_BLOCK_SAMPLES // (h * w))  # planes a block holds
+    band = min(h, max(1, _WARP_BLOCK_SAMPLES // w))  # its rows: h unless a plane is larger
+    starts = [(k0, r0) for k0 in range(0, k_total, block) for r0 in range(0, h, band)]
     workers = min(_usable_cores(), len(starts))
 
     def warp_blocks(first: int) -> None:
         # one block's scratch, filled in place by every step below
-        size = min(block, k_total)
-        scratch = np.empty((4, size, h, w))
-        indices = np.empty((2, size, h, w), dtype=np.intp)
-        for k0 in starts[first::workers]:
-            n = min(block, k_total - k0)
-            wy0, wy1, wx0, wx1 = scratch[:, :n]
-            idx, ix = indices[:, :n]
+        size = min(block, k_total) * band * w
+        scratch = np.empty((4, size))
+        indices = np.empty((2, size), dtype=np.intp)
+        for k0, r0 in starts[first::workers]:
+            n, r = min(block, k_total - k0), min(band, h - r0)
+            wy0, wy1, wx0, wx1 = scratch[:, :n * r * w].reshape(4, n, r, w)
+            idx, ix = indices[:, :n * r * w].reshape(2, n, r, w)
             m, off = mats[k0:k0 + n, :, :, None, None], offsets[k0:k0 + n, :, None, None]
             # source coordinates (offset + y*m0) + x*m1
             for axis, coord, floor, index, length in ((0, wy0, wy1, idx, h), (1, wx0, wx1, ix, w)):
-                np.add(off[:, axis], np.multiply(yy, m[:, axis, 0], out=coord), out=coord)
+                np.add(off[:, axis], np.multiply(yy[r0:r0 + r], m[:, axis, 0], out=coord),
+                       out=coord)
                 np.add(coord, np.multiply(xx, m[:, axis, 1], out=floor), out=coord)
                 _source_axis(coord, floor, index, length)
             idx *= row  # flat index into a padded plane: (iy + 1) * row + (ix + 1)
@@ -242,7 +246,7 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
                     part *= wy
                     part *= wx
                     t += part
-                np.multiply(t, dt, out=out[k0:k0 + n, :, :, c])
+                np.multiply(t, dt, out=out[k0:k0 + n, r0:r0 + r, :, c])
 
     from concurrent.futures import ThreadPoolExecutor  # loads logging: only motion needs it
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
@@ -257,8 +261,9 @@ def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> Irradi
 
     Interval k holds warp(base, motion at k/(K-1)) * (T/K) as float32. The
     warp is bilinear and global-affine, and its borders replicate the
-    nearest sample. It is computed with numpy alone, a block of planes at
-    a time on one thread per usable core, bit-identical to SciPy's
+    nearest sample. It is computed with numpy alone, a block of planes (or
+    a band of rows of a large plane) at a time on one thread per usable
+    core, bit-identical to SciPy's
     `ndimage.affine_transform(order=1, mode="nearest")` on the float64
     base whatever the thread count. Identity motion yields the single
     plane base * T/K broadcast over K (stride-0 `u`) and starts no

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip,
-                      ModuloSequence, QuerySpec, SpikeStream, ValidationError,
-                      encode_stream, frame_capacity, ideal_window_counts, query_ideal)
+                      ModuloSequence, QuerySpec, SpikeStream, ValidationError, encode_stream,
+                      encoder, frame_capacity, ideal_window_counts, query_ideal)
 
 
 def naive_encode(bits, cfg):
@@ -121,6 +123,78 @@ def test_query_ideal_of_a_binary_clip_equals_the_encoder(window, stride, gain, b
         assert np.array_equal(a.values(), b.values())
 
 
+def _one_pixel_clip(value, k, static):
+    """A (k, 2, 2, 1) clip, zero but for one pixel of `value`; `static`
+    broadcasts one read-only plane over k."""
+    plane = np.zeros((1, 2, 2, 1), np.float32)
+    plane[0, 1, 0, 0] = value
+    plane.setflags(write=False)
+    return IrradianceClip(u=np.broadcast_to(plane, (k, 2, 2, 1)) if static
+                          else np.repeat(plane, k, axis=0))
+
+
+@pytest.mark.parametrize("static", [False, True])
+@pytest.mark.parametrize("value, gain", [
+    (1e30, 1.0),           # a count far past int64
+    (2.0 ** 62, 1.0),      # two intervals of 2^62: exactly 2^63
+    (3e38, 1e300),         # gain times integral overflows float64
+])
+def test_counts_past_int64_are_rejected_by_name(static, value, gain):
+    # floor(gain * integral) at or past 2^63 has no int64 count: the cast
+    # wrapped it to -2^63 and query_ideal then emitted code 0
+    clip = _one_pixel_clip(value, 4, static)
+    spec = QuerySpec(window=2, stride=1, digital_gain=gain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"QuerySpec\.digital_gain"):
+            ideal_window_counts(clip, spec)
+        with pytest.raises(ValidationError, match=r"QuerySpec\.digital_gain"):
+            query_ideal(clip, spec, bit_depth=8)
+
+
+@pytest.mark.parametrize("static", [False, True])
+def test_the_largest_count_below_2_63_is_kept(static):
+    # 2^63 * (1 - 2^-53) is the largest float64 below 2^63: it floors to
+    # an int64 count exactly
+    clip = _one_pixel_clip(2.0 ** 62, 4, static)
+    counts = ideal_window_counts(clip, QuerySpec(window=2, stride=1,
+                                                 digital_gain=1.0 - 2.0 ** -53))
+    assert counts.shape == (3, 2, 2, 1)
+    assert (counts[:, 1, 0, 0] == 2 ** 63 - 2 ** 10).all()
+    assert (counts[:, 0, 0, 0] == 0).all()
+
+
+@pytest.mark.parametrize("static", [False, True])
+def test_ideal_counts_are_read_only_and_static_ones_one_plane(static):
+    clip = _one_pixel_clip(3.0, 10, static)
+    counts = ideal_window_counts(clip, QuerySpec(window=4, stride=3, digital_gain=2.0))
+    assert counts.shape == (3, 2, 2, 1) and counts.dtype == np.int64
+    assert not counts.flags.writeable
+    assert (counts.strides[0] == 0) == static
+    assert (counts[:, 1, 0, 0] == 24).all() and counts.sum() == 72
+
+
+def test_static_ideal_counts_hold_one_window():
+    # a static 250^2 x 3 clip of K = 1000: one float64 window sum and its
+    # int64 count, not one count plane per output frame (51 here, 76.5 MB)
+    plane = np.random.default_rng(27).uniform(0, 50, (1, 250, 250, 3)).astype(np.float32)
+    plane.setflags(write=False)
+    clip = IrradianceClip(u=np.broadcast_to(plane, (1000, 250, 250, 3)))
+    spec = QuerySpec(window=50, stride=19, digital_gain=3.0)
+    count_plane = 250 * 250 * 3 * 8
+    tracemalloc.start()
+    try:
+        counts = ideal_window_counts(clip, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (51, 250, 250, 3) and counts.strides[0] == 0
+    assert not counts.flags.writeable
+    assert peak <= 3 * count_plane, peak
+    want = np.floor(3.0 * clip.u[:50].sum(axis=0, dtype=np.float64))
+    assert np.array_equal(counts[50], want)
+
+
 # -------------------------------------------------------------- encode_stream
 
 def test_encode_all_zero_stream():
@@ -158,6 +232,65 @@ def test_encode_matches_naive_recount():
     assert len(seq) == len(oracle)
     for frame, ref in zip(seq.frames, oracle):
         assert np.array_equal(frame.data, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=st.integers(1, 12).flatmap(
+           lambda window: st.tuples(st.just(window), st.integers(1, window))),
+       extra=st.integers(0, 30), h=st.integers(1, 3), w=st.integers(1, 3),
+       c=st.sampled_from([1, 3]), step=st.integers(1, 45), spare=st.floats(0.0, 0.99),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(geometry=(5, 2), extra=9, h=2, w=3, c=3, step=1, spare=0.0, seed=0)  # 1 frame a push
+@example(geometry=(9, 7), extra=20, h=1, w=2, c=1, step=3, spare=0.5, seed=1)  # step < stride
+@example(geometry=(4, 3), extra=25, h=3, w=1, c=3, step=11, spare=0.9, seed=2)  # step > window
+def test_encode_stream_chunks_equal_one_push(geometry, extra, h, w, c, step, spare, seed):
+    # a budget of `step` frames and a fraction of one more unpacks `step`
+    # whole frames a push (one, when it is below a frame); wherever the
+    # pushes split the windows, the frames equal one push of the stream
+    window, stride = geometry
+    cfg = EncoderConfig(window=window, stride=stride, gain=2.5, bit_depth=4)
+    total = window + extra
+    stream = random_stream(np.random.default_rng(seed), frames=total, h=h, w=w, c=c)
+    budget = int((step + spare) * h * w * c)
+    pushed = []
+    push = ChunkedEncoder.push
+
+    def recording(self, chunk, start_frame=None):
+        pushed.append(len(chunk))
+        return push(self, chunk, start_frame)
+
+    with (mock.patch.object(encoder, "_UNPACK_SAMPLES", budget),
+          mock.patch.object(ChunkedEncoder, "push", recording)):
+        got = encode_stream(stream, cfg)
+    assert pushed == [min(step, total - start) for start in range(0, total, step)]
+    enc = ChunkedEncoder(h, w, c, cfg, source_rate_hz=stream.readout_rate_hz)
+    enc.push(stream.bits())
+    want = enc.sequence()
+    assert (got.window, got.stride, got.gain, got.source_rate_hz) == (
+        want.window, want.stride, want.gain, want.source_rate_hz)
+    assert len(got) == len(want) == frame_capacity(total, window, stride)
+    for a, b in zip(got.frames, want.frames):
+        assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+        assert a.data.tobytes() == b.data.tobytes() and a.counted_by == b.counted_by == cfg
+
+
+def test_encode_stream_memory_is_its_output_and_a_few_planes():
+    # 100 spike frames of 500^2 x 3: each push unpacks one frame (a plane
+    # of 750,000 samples is within the budget), not the whole stream (75 MB)
+    rng = np.random.default_rng(28)
+    packed = rng.integers(0, 256, (100, 3, 500 * 500 // 8), dtype=np.uint8)
+    stream = SpikeStream(height=500, width=500, channels=3, frame_count=100,
+                         readout_rate_hz=20000, packed=packed)
+    sample_plane = 500 * 500 * 3
+    tracemalloc.start()
+    try:
+        seq = encode_stream(stream, EncoderConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(f.data.nbytes for f in seq.frames)
+    assert len(seq) == 4 and output == 4 * 2 * sample_plane
+    assert peak - output <= 16 * sample_plane, peak - output
 
 
 def test_encode_rejects_short_stream():

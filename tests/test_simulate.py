@@ -492,6 +492,11 @@ def _warp_threads(workers):
 # 128^2 planes with the library's block size: the last block holds one plane
 @example(seed=6, h=128, w=128, c=1, k=13, dx=2.0, dy=1.0, rotate=1.0, decades=4, zeros=False,
          block_samples=None)
+# planes larger than a block, in bands of rows: 4, 4 and 1 of 9; one row each
+@example(seed=7, h=9, w=5, c=3, k=4, dx=1.5, dy=-2.5, rotate=20.0, decades=6, zeros=True,
+         block_samples=20)
+@example(seed=8, h=7, w=8, c=1, k=3, dx=-0.5, dy=0.25, rotate=-95.0, decades=3, zeros=False,
+         block_samples=1)
 def test_moving_clip_matches_reference(seed, h, w, c, k, dx, dy, rotate, decades, zeros,
                                        block_samples):
     rng = np.random.default_rng(seed)
@@ -668,14 +673,18 @@ def test_overflowing_motion_is_rejected_by_name(translate, rotate):
     assert np.isfinite(clip.u).all()
 
 
-def _warp_peak_above_clip(k, workers):
-    scene = HdrImage(data=np.random.default_rng(0).uniform(0, 900, (256, 256))
+def _warp_peak_above_clip(k, workers, side=256):
+    scene = HdrImage(data=np.random.default_rng(0).uniform(0, 900, (side, side))
                      .astype(np.float32))
     cfg = SensorConfig(readout_rate_hz=k, total_time_s=1.0, micro_intervals=k)
+    motion = Motion(translate_px=(3.0, -2.0), rotate_deg=5.0)
+    # the first moving warp imports its thread pool's modules: not in the trace
+    synthesize_clip(HdrImage(data=np.ones((2, 2), np.float32)), motion,
+                    SensorConfig(readout_rate_hz=2, total_time_s=1.0, micro_intervals=2))
     tracemalloc.start()
     try:
         with _warp_threads(workers):
-            clip = synthesize_clip(scene, Motion(translate_px=(3.0, -2.0), rotate_deg=5.0), cfg)
+            clip = synthesize_clip(scene, motion, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -695,6 +704,17 @@ def test_warp_memory_does_not_grow_with_clip_length(workers):
     assert short <= bound and long <= bound, (short, long, bound)
     if workers == 1:
         assert long < short + plane // 2, (short, long)
+
+
+@pytest.mark.parametrize("side", [512, 1000])
+def test_warp_memory_does_not_grow_with_the_plane(side):
+    # a plane larger than a block is warped in bands of rows, a block each:
+    # past the clip and the two shared float64 planes (the scene and its
+    # padded copy), each of two threads holds fewer than ten block-sized
+    # float64 arrays (scratch and gathers), not nine whole planes
+    plane, block = side * side * 8, simulate._WARP_BLOCK_SAMPLES * 8
+    peak = _warp_peak_above_clip(4, 2, side)
+    assert peak <= 2.1 * plane + 2 * 10 * block, (peak, plane, block)
 
 
 # -------------------------------------------- IrradianceClip memory and ownership

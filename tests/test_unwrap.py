@@ -211,13 +211,15 @@ def test_snap_rounds_ties_away_from_zero_like_the_reference():
     assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("curl", [False, True], ids=["integrated", "solved"])
-def test_poisson_decoder_warm_memory_peak(scene_maker, curl):
+@pytest.mark.parametrize("curl, bound", [(False, 1.25e6), (True, 2.75e6)],
+                         ids=["integrated", "solved"])
+def test_poisson_decoder_warm_memory_peak(scene_maker, curl, bound):
     # a 160^2 x 3 8-bit frame without provenance, as `modspike unwrap`
-    # reads it from MODQ: past the first call (caches built), the decoder's
-    # peak stays within 6.8 MB, about 11 float64 rasters of the frame, both
-    # when the frame is integrated and when one plaquette of curl sends it
-    # through the cosine-basis solve
+    # reads it from MODQ: past the first call (caches built), the decoder
+    # peaks at 1.00 MB when the frame is integrated and at 2.22 MB when one
+    # plaquette of curl sends it through the cosine-basis solve. Each bound
+    # is about 25% above its route, so one more float64 raster of the frame
+    # (0.61 MB) kept alive through the report fails either
     rng = np.random.default_rng(21)
     img = np.stack([scene_maker(rng, 160, 160, peak=4095) for _ in range(3)], axis=2)
     frame = wrap_frame(img)
@@ -233,7 +235,7 @@ def test_poisson_decoder_warm_memory_peak(scene_maker, curl):
         tracemalloc.stop()
     assert result.decoder == "poisson" and np.array_equal(result.hdr.values(), img)
     assert result.rollover_map.flags.c_contiguous and result.rollover_map.shape == img.shape
-    assert peak <= 6.8e6
+    assert peak <= bound, peak
 
 
 def test_unwrap_reports_counts_float32_cannot_hold():
