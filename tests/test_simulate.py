@@ -440,7 +440,7 @@ def test_ideal_window_counts_match_reference(seed, window_stride, h, w, c, extra
     spec = QuerySpec(window=window, stride=stride, digital_gain=gain)
     counts = np.floor(gain * reference_simulate.window_sums(clip, spec)).astype(np.int64)
     got = ideal_window_counts(clip, spec)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int64 and not got.flags.writeable
     assert np.array_equal(got, counts)
     seq = query_ideal(clip, spec, bit_depth=8)
     assert len(seq) == len(counts)
