@@ -15,9 +15,11 @@ Two routes produce wrapped frames:
     running count at its start, so the implementation keeps one running
     count per pixel and a copy of it for each window still open, in the
     narrowest unsigned type that holds `window`. The cost is O(pixels)
-    per spike frame for any window. Each output frame is one lookup in a
-    table of the wrapped code for every count 0..window. Output is
-    bit-identical to recounting every window from scratch.
+    per spike frame for any window. A whole-number gain whose product
+    with `window` stays below 2^53 codes each count by one wrapping uint16
+    multiply and a mask; any other gain reads a table of the wrapped code
+    for every count 0..window. Output is bit-identical to recounting
+    every window from scratch.
 
 Partial trailing windows are never emitted. For a stream of R frames the
 output holds floor((R - window)/stride) + 1 frames, at an effective rate
@@ -139,11 +141,15 @@ class ChunkedEncoder:
     summed into the count in blocks that end at those events. At a close
     the window's count is the current count minus its start copy; the
     count may wrap, but the difference is exact, because the true count
-    lies in [0, window]. A table built once maps each count to its wrapped
-    code, mod(floor(gain * count), 2^N). The codes are written
-    channels-last one plane at a time and frozen, so the emitted frame
-    adopts them without a copy. Every emitted frame carries the config in
-    `counted_by`.
+    lies in [0, window]. Its code, mod(floor(gain * count), 2^N), follows
+    one of two rules chosen once from the config. While gain is whole and
+    gain * window < 2^53, every gain * count is an exact float64 integer,
+    so the code is N-bit counter arithmetic: one wrapping uint16 multiply
+    by gain mod 2^16 per channel plane, then a mask. Any other gain reads
+    a table of the code for every count 0..window: float64 rounds a
+    product past 2^53, and a fractional gain floors it. The codes are
+    written channels-last one plane at a time and frozen, so the emitted
+    frame adopts them without a copy; it carries the config in `counted_by`.
     """
 
     def __init__(self, height: int, width: int, channels: int,
@@ -159,7 +165,10 @@ class ChunkedEncoder:
         self._source_rate_hz = source_rate_hz
         self._total = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
         self._open: deque[np.ndarray] = deque()  # start copies of open windows, oldest first
-        self._wrap = np.mod(cfg.prewrap_values(), cfg.modulus).astype(np.uint16)
+        # the rule (see above): gain mod 2^16 while every gain * count is exact, else a table
+        exact = cfg.gain % 1 == 0 and cfg.gain * cfg.window < 2 ** 53
+        self._step = int(cfg.gain) % 2 ** 16 if exact else None
+        self._wrap = None if exact else np.mod(cfg.prewrap_values(), cfg.modulus).astype(np.uint16)
         self._consumed = 0
         self._emitted: list[ModuloFrame] = []
 
@@ -176,7 +185,7 @@ class ChunkedEncoder:
             raise ValidationError(
                 f"chunk: out-of-order chunk (starts at frame {start_frame}, "
                 f"expected {self._consumed + 1})")
-        planes = check_bits(np.moveaxis(chunk, 3, 1), "chunk")
+        planes = check_bits(chunk.transpose(0, 3, 1, 2), "chunk")
         window, stride = self._cfg.window, self._cfg.stride
         out: list[ModuloFrame] = []
         start = 0
@@ -191,7 +200,14 @@ class ChunkedEncoder:
             if self._consumed < event:
                 return out
             if self._consumed == close:
-                codes = _channels_last(np.take(self._wrap, self._total - self._open.popleft()))
+                counts = self._total - self._open.popleft()
+                if self._step is None:
+                    codes = _channels_last(np.take(self._wrap, counts))
+                else:
+                    codes = np.empty(self._shape, np.uint16)
+                    for c, plane in enumerate(counts):
+                        np.multiply(plane, self._step, out=codes[:, :, c], dtype=np.uint16)
+                    codes &= self._cfg.modulus - 1
                 codes.setflags(write=False)  # the frame adopts it: no second copy
                 frame = ModuloFrame(data=codes, bit_depth=self._cfg.bit_depth,
                                     counted_by=self._cfg)

@@ -273,7 +273,8 @@ def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> Irradi
     dt = cfg.total_time_s / k_total
     base_arr = base.values()
     if motion.is_identity:
-        plane = (base_arr * dt).astype(np.float32)
+        base_arr *= dt  # in place: a fresh copy, and one float64 plane fewer at the peak
+        plane = base_arr.astype(np.float32)
         plane.setflags(write=False)
         return IrradianceClip(u=np.broadcast_to(plane, (k_total,) + plane.shape))
     u = np.empty((k_total,) + base_arr.shape, dtype=np.float32)

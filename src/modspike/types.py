@@ -194,8 +194,10 @@ class HdrImage(_Raster):
 
     def __post_init__(self):
         data = _as_raster(self.data, "HdrImage")
+        kind = data.dtype.kind  # an integer is a finite float32: only a signed one needs a check
+        valid = kind == "u" or kind == "i" and (not data.size or data.min() >= 0)
         data = _freeze(data, np.uint16 if data.dtype == np.uint16 else np.float32)
-        if data.dtype == np.float32 and data.size and not (
+        if not valid and data.size and not (
                 0 <= float(data.min()) <= float(data.max()) < math.inf):
             raise ValidationError("HdrImage.data: samples must be finite and nonnegative")
         object.__setattr__(self, "data", data)
@@ -229,7 +231,8 @@ class ModuloFrame(_Raster):
         data = _as_raster(self.data, "ModuloFrame")
         if not np.issubdtype(data.dtype, np.integer):
             raise ValidationError("ModuloFrame.data: samples must be integers")
-        if data.size and (data.min() < 0 or data.max() >= 1 << self.bit_depth):
+        if data.size and (data.dtype.kind == "i" and data.min() < 0
+                          or data.max() >= 1 << self.bit_depth):
             raise ValidationError(
                 f"ModuloFrame.data: samples must lie in [0, 2^{self.bit_depth})"
             )

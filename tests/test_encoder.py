@@ -463,6 +463,24 @@ def window_and_stride(draw):
 @example(geometry=(65536, 5000), bit_depth=16, gain=1.0, channels=1, h=1, w=1,
          extra=10000, density=0.95, seed=4, cuts=[30000], per_frame=False, contiguous=False,
          dtype=np.uint8)
+@example(geometry=(31, 5), bit_depth=16, gain=2.0 ** 48, channels=1, h=2, w=2, extra=20,
+         density=1.0, seed=6, cuts=[7], per_frame=False, contiguous=False,
+         dtype=np.uint8)  # gain * window < 2^53: arithmetic
+@example(geometry=(32, 5), bit_depth=16, gain=2.0 ** 48, channels=1, h=2, w=2, extra=20,
+         density=1.0, seed=6, cuts=[7], per_frame=False, contiguous=False,
+         dtype=np.uint8)  # gain * window = 2^53: table
+@example(geometry=(40, 9), bit_depth=16, gain=65536.0, channels=3, h=2, w=1, extra=30,
+         density=0.5, seed=7, cuts=[12], per_frame=False, contiguous=True,
+         dtype=np.uint8)  # gain = 0 mod 2^16
+@example(geometry=(40, 9), bit_depth=16, gain=65537.0, channels=3, h=2, w=1, extra=30,
+         density=0.5, seed=7, cuts=[12], per_frame=False, contiguous=True,
+         dtype=np.uint8)  # gain = 1 mod 2^16
+@example(geometry=(255, 100), bit_depth=8, gain=15.0, channels=3, h=2, w=2, extra=120,
+         density=0.95, seed=8, cuts=[90], per_frame=False, contiguous=False,
+         dtype=np.uint8)  # uint8 counts
+@example(geometry=(256, 100), bit_depth=8, gain=15.0, channels=3, h=2, w=2, extra=120,
+         density=0.95, seed=8, cuts=[90], per_frame=False, contiguous=False,
+         dtype=np.uint8)  # uint16 counts
 def test_chunked_encoder_matches_naive_recount(geometry, bit_depth, gain, channels, h, w,
                                                extra, density, seed, cuts, per_frame,
                                                contiguous, dtype):
@@ -488,6 +506,19 @@ def test_chunked_encoder_matches_naive_recount(geometry, bit_depth, gain, channe
         assert frame.data.shape == (h, w, channels) and not frame.data.flags.writeable
         assert np.array_equal(frame.data, ref)
     assert enc.sequence().frames == tuple(emitted)
+
+
+@pytest.mark.parametrize("gain, window, table", [
+    (15.0, 25, False), (2.5, 25, True), (2.0 ** 48, 31, False), (2.0 ** 48, 32, True)])
+def test_encoder_reads_a_table_only_where_arithmetic_is_inexact(gain, window, table):
+    # a whole gain with gain * window < 2^53 codes each count by wrapping uint16
+    # multiplication; a fractional gain, or a product float64 may round, looks it up
+    cfg = EncoderConfig(window=window, stride=window, gain=gain, bit_depth=8)
+    bits = np.ones((window, 2, 2, 3), dtype=np.uint8)
+    with mock.patch.object(np, "take", wraps=np.take) as take:
+        (frame,) = ChunkedEncoder(2, 2, 3, cfg).push(bits)
+    assert take.called == table
+    assert np.all(frame.data == np.mod(np.floor(gain * window), 256))
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,6 +32,15 @@ def test_hdr_image_rejects_negative_and_nonfinite():
         HdrImage(data=np.array([[np.nan]], dtype=np.float32))
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_hdr_image_rejects_negative_integers(dtype):
+    # integers are checked for sign before their float32 cast
+    with pytest.raises(ValidationError, match="HdrImage.data"):
+        HdrImage(data=np.array([[5, -1]], dtype=dtype))
+    img = HdrImage(data=np.array([[5, 0]], dtype=dtype))
+    assert img.data.dtype == np.float32 and img.data.tolist() == [[[5.0], [0.0]]]
+
+
 def test_hdr_image_rejects_bad_channels():
     with pytest.raises(ValidationError, match="channels"):
         HdrImage(data=np.zeros((2, 2, 2), dtype=np.float32))
