@@ -9,7 +9,7 @@ bandwidth accounting, and bit-exact container formats with a CLI driver.
 from .containers import (FormatError, read_hdr, read_modulo, read_spikes,
                          write_hdr, write_modulo, write_spikes)
 from .encoder import (ChunkedEncoder, ModuloSequence, encode_stream,
-                      frame_capacity, ideal_window_counts, query_ideal)
+                      frame_capacity, ideal_window_counts)
 from .metrics import (BandwidthReport, bandwidth_report, mu_law, mu_law_inverse,
                       psnr_linear, psnr_mu, ssim_linear)
 from .operators import GradientField, divergence, gradient, laplacian, lar, poisson_solve
@@ -54,7 +54,6 @@ __all__ = [
     "poisson_solve",
     "psnr_linear",
     "psnr_mu",
-    "query_ideal",
     "read_hdr",
     "read_modulo",
     "read_spikes",

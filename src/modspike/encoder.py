@@ -1,25 +1,17 @@
 """Sliding-window modulo encoding: the query phase.
 
-Two routes produce wrapped frames:
+`ChunkedEncoder` is the one producer of wrapped frames (`encode_stream` is
+a loop over its `push`): per pixel, frame j = mod(floor(gain * spike count
+over window j), 2^N), with 1-based window starts b_j = (j-1)*stride + 1.
+Stride == window degenerates to the classic exposure-coupled sensor on a
+fixed partition; stride < window decouples frame rate (rate/stride) from
+exposure (window length). The cost is O(pixels) per spike frame for any
+window, and the output is bit-identical to recounting every window from
+scratch (see `ChunkedEncoder` for how).
 
-  * `query_ideal` — windows over the ideal per-interval integrals:
-    frame i = mod(floor(gain * sum of U_k over the window), 2^N), with
-    1-based window starts b_i = (i-1)*stride + 1. Stride == window
-    degenerates to the classic exposure-coupled sensor on a fixed
-    partition; stride < window decouples frame rate (rate/stride) from
-    exposure (window length).
-
-  * `encode_stream` / `ChunkedEncoder` — the hardware-domain counterpart:
-    per pixel, frame j = mod(floor(gain * spike count over window), 2^N).
-    A window's count is the running spike count at its close minus the
-    running count at its start, so the implementation keeps one running
-    count per pixel and a copy of it for each window still open, in the
-    narrowest unsigned type that holds `window`. The cost is O(pixels)
-    per spike frame for any window. A whole-number gain whose product
-    with `window` stays below 2^53 codes each count by one wrapping uint16
-    multiply and a mask; any other gain reads a table of the wrapped code
-    for every count 0..window. Output is bit-identical to recounting
-    every window from scratch.
+`ideal_window_counts` is the one ideal-domain entry point, the pre-wrap
+truth: floor(gain * sum of U_k over the window) over the same windows of
+the ideal per-interval integrals.
 
 Partial trailing windows are never emitted. For a stream of R frames the
 output holds floor((R - window)/stride) + 1 frames, at an effective rate
@@ -35,9 +27,8 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
-                    _channels_last, _check_nonnegative_int, _check_type, check_bit_depth,
-                    check_bits, check_dims, check_geometry, check_positive, check_stride,
-                    store_ints)
+                    _channels_last, _check_nonnegative_int, _check_type, check_bits,
+                    check_dims, check_geometry, check_positive, check_stride, store_ints)
 
 _UNPACK_SAMPLES = 2 ** 20  # spike samples encode_stream unpacks per push: 1 MiB of {0,1} bytes
 
@@ -111,27 +102,13 @@ def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
     return np.broadcast_to(out, (count,) + out.shape[1:])
 
 
-def query_ideal(clip: IrradianceClip, spec: QuerySpec, bit_depth: int,
-                micro_rate_hz: int = 0) -> ModuloSequence:
-    """Wrapped frames from the ideal representation: each window's digital
-    count modulo 2^bit_depth. `micro_rate_hz` (micro-intervals per second)
-    is recorded as the source rate when known."""
-    check_bit_depth(bit_depth, "bit_depth")
-    counts = ideal_window_counts(clip, spec)
-    modulus = 1 << int(bit_depth)  # a numpy bit depth would wrap the shift
-    frames = tuple(ModuloFrame(data=np.mod(c, modulus), bit_depth=bit_depth) for c in counts)
-    return ModuloSequence(frames=frames, window=spec.window, stride=spec.stride,
-                          gain=spec.digital_gain, source_rate_hz=micro_rate_hz)
-
-
 class ChunkedEncoder:
     """Incremental sliding-window modulo encoder.
 
-    Accepts spike frames in arrival order (optionally cross-checked with
-    `start_frame`, the 1-based index of a chunk's first frame) and emits
-    each wrapped frame as soon as the last spike frame of its window has
-    been consumed. The concatenated emissions are bit-identical to
-    encoding the whole stream at once.
+    Accepts spike frames in arrival order and emits each wrapped frame as
+    soon as the last spike frame of its window has been consumed. The
+    concatenated emissions are bit-identical to encoding the whole stream
+    at once.
 
     State is a per-pixel count of every spike pushed so far, in (C, H, W)
     layout and the narrowest unsigned type that holds `window`, and a copy
@@ -172,19 +149,11 @@ class ChunkedEncoder:
         self._consumed = 0
         self._emitted: list[ModuloFrame] = []
 
-    @property
-    def frames_consumed(self) -> int:
-        return self._consumed
-
-    def push(self, chunk: np.ndarray, start_frame: int | None = None) -> list[ModuloFrame]:
+    def push(self, chunk: np.ndarray) -> list[ModuloFrame]:
         """Consume a (frames, H, W, C) chunk of {0,1} samples; return the
         wrapped frames completed by it."""
         chunk = np.asarray(chunk)
         check_dims(chunk.shape[1:], self._shape, "chunk (H, W, C)")
-        if start_frame is not None and start_frame != self._consumed + 1:
-            raise ValidationError(
-                f"chunk: out-of-order chunk (starts at frame {start_frame}, "
-                f"expected {self._consumed + 1})")
         planes = check_bits(chunk.transpose(0, 3, 1, 2), "chunk")
         window, stride = self._cfg.window, self._cfg.stride
         out: list[ModuloFrame] = []

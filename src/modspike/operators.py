@@ -13,15 +13,15 @@ the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so `poisson_solve` inverts it
 spectrally up to floating point. The solution is gauged to mean zero; the
 constant is resolved downstream by congruence snapping.
 
-Each public operator is a layout adapter over one private kernel that
-takes the (rows, columns) `axes` it works over: `_forward_differences`,
-`_divergence`, `_lar_pow2` (which can also split off wrap indicators) and
-`_cosine_solve`. The difference kernels take C-contiguous arrays and
-take each difference in one pass over the flat array; the entries it
-gets wrong, across a line's end, are ones the kernel zeroes or
-overwrites. The public functions and the unwrapper's front end run them
-over axes (0, 1) of C-contiguous (H, W[, C]) arrays, the unwrapper's
-solve over axes (1, 2) of a channel-first (C, H, W) copy.
+Each public operator is a layout adapter over one private kernel:
+`_forward_differences`, `_divergence`, `_lar_pow2` (which can also split
+off wrap indicators) and `_cosine_solve`. The difference kernels work
+over axes (0, 1) of C-contiguous (H, W[, C]) arrays and take each
+difference in one pass over the flat array; the entries it gets wrong,
+across a line's end, are ones the kernel zeroes or overwrites.
+`_cosine_solve` takes the (rows, columns) `axes` it works over: (0, 1)
+for `poisson_solve`, (1, 2) for the unwrapper's channel-first (C, H, W)
+copy.
 
 The public functions are pure, process channels independently, and are
 deterministic. Float input is computed in float64; a float divergence is
@@ -92,18 +92,17 @@ def _difference(a: np.ndarray, axis: int) -> np.ndarray:
     return g
 
 
-def _forward_differences(a: np.ndarray, axes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """`_difference` along the columns (gx) and rows (gy) of the (rows,
-    columns) `axes` of `a`."""
-    return _difference(a, axes[1]), _difference(a, axes[0])
+def _forward_differences(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_difference` along the columns (gx) and rows (gy) of (H, W[, C]) `a`."""
+    return _difference(a, 1), _difference(a, 0)
 
 
-def _divergence(gx: np.ndarray, gy: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-    """Backward-difference divergence of C-contiguous (gx, gy) over the
-    (rows, columns) `axes`, as dx + (gy[i] - gy[i-1]), into a fresh array.
+def _divergence(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence of C-contiguous (H, W[, C]) (gx, gy),
+    as dx + (gy[i] - gy[i-1]), into a fresh array.
     Spends gx, whose storage takes the row differences once dx is out: no
     difference is written over its own input, so numpy buffers no overlap."""
-    (sx, x_first, _), (sy, y_first, _) = _step(gx, axes[1]), _step(gx, axes[0])
+    (sx, x_first, _), (sy, y_first, _) = _step(gx, 1), _step(gx, 0)
     fx, fy = gx.reshape(-1), gy.reshape(-1)
     div = np.empty(gx.shape, gx.dtype)
     np.subtract(fx[sx:], fx[:fx.size - sx], out=div.reshape(-1)[sx:])
@@ -128,7 +127,7 @@ def _lar_pow2(values: np.ndarray, modulus: int, wraps: bool = False) -> np.ndarr
 
 def gradient(img) -> GradientField:
     """Forward differences along width (gx) and height (gy)."""
-    return GradientField(*_forward_differences(_as_raster(img), (0, 1)))
+    return GradientField(*_forward_differences(_as_raster(img)))
 
 
 def divergence(gf: GradientField) -> np.ndarray:
@@ -143,7 +142,7 @@ def divergence(gf: GradientField) -> np.ndarray:
     # the kernel spends a fresh C-contiguous copy of gx; adding 0 turns its
     # -0.0 into 0.0, so no dx is -0.0 and no sum dx + dy is either
     return _divergence(np.add(gx, 0, dtype=dtype, order="C"),
-                       np.ascontiguousarray(gy, dtype=dtype), (0, 1))
+                       np.ascontiguousarray(gy, dtype=dtype))
 
 
 def laplacian(img) -> np.ndarray:

@@ -283,6 +283,7 @@ def synthesize_clip(base: HdrImage, motion: Motion, cfg: SensorConfig) -> Irradi
     return IrradianceClip(u=u)
 
 
+@np.errstate(over="ignore")  # an infinite drive is rejected where it would go wrong
 def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     """Run the per-pixel integrate-and-fire loop and latch binary readouts.
 
@@ -305,7 +306,11 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     or above it (fmod is exact there), so a compare and a subtraction give
     the same bits at a fraction of the cost; any other step of the tile (an
     accumulator at or above 2*threshold, a negative one left by a huge
-    quotient, NaN) runs the division itself.
+    quotient) runs the division itself.
+
+    A drive it cannot represent, a shot-noise mean past the Poisson range
+    or (on the division path, which an infinite one takes) an accumulator
+    past float64 in thresholds, raises `ValidationError` naming the gain.
     """
     r_frames = cfg.readout_frames
     k_total, h, w, channels = clip.u.shape
@@ -337,7 +342,12 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
                 k = r * sub + j
                 if cfg.shot_noise:
                     mean = np.multiply(clip.u[k], q, dtype=np.float64)
-                    np.copyto(drive, np.moveaxis(rng.poisson(mean), 2, 0))
+                    try:
+                        draw = rng.poisson(mean)
+                    except ValueError:  # numpy's "lam value too large"
+                        raise ValidationError(f"SensorConfig.conversion_gain: {q} times the "
+                                              "irradiance is past the Poisson range") from None
+                    np.copyto(drive, np.moveaxis(draw, 2, 0))
                 elif not static:
                     np.multiply(tile[k], q, out=drive, dtype=np.float64)
                 acc += drive
@@ -351,6 +361,9 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
                     scratch *= eta
                     acc -= scratch
                 else:
+                    if not acc.max() / eta < math.inf:
+                        raise ValidationError(f"SensorConfig.conversion_gain: {q} times the "
+                                              f"irradiance is past float64 in thresholds of {eta}")
                     n = np.floor_divide(acc, eta)
                     acc -= n * eta
                     np.greater(n, 0, out=hits)

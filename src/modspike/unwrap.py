@@ -72,8 +72,6 @@ import numpy as np
 from .operators import _cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2, lar
 from .types import EncoderConfig, HdrImage, ModuloFrame, _channels_last
 
-RESIDUAL_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class ConsistencyResiduals:
@@ -99,9 +97,11 @@ class UnwrapResult:
     Past that hdr holds the nearest float32 values, and residuals.l_mod
     reports the samples no longer congruent to the frame.
 
-    `converged` means every residual is below RESIDUAL_TOL: the result is
-    consistent with the observation and with the half-period model. It
-    does not certify correctness. `decoder` names the path that ran,
+    `converged` means every residual is exactly 0: the result is
+    consistent with the observation and with the half-period model. Each
+    residual is a scale times an integer sum over the samples, so one
+    inconsistent sample in any number makes it nonzero. It does not
+    certify correctness. `decoder` names the path that ran,
     "lattice" (table lookup on an encoder-counted frame, exact) or
     "poisson" (the least-squares integral of the centered gradient,
     snapped onto the observation), however that integral was computed:
@@ -289,9 +289,9 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     if rollover_map is None:
         # int16 while the front end's widest field, div(centered gradient) + m/2 < 2.5 * m, fits
         obs = frame.data.astype(np.int16 if 5 * modulus // 2 < 2 ** 15 else np.int32)
-        gx, gy = _forward_differences(obs, (0, 1))
+        gx, gy = _forward_differences(obs)
         wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
-        div = _divergence(gx, gy, (0, 1))
+        div = _divergence(gx, gy)
         del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
         rollover_map = _integrate_wraps(*wraps)
         del wraps
@@ -316,7 +316,7 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
         l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
     residuals = ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
     return UnwrapResult(hdr=hdr, rollover_map=rollover_map, residuals=residuals,
-                        converged=residuals.max() < RESIDUAL_TOL, decoder=decoder)
+                        converged=not residuals.max(), decoder=decoder)
 
 
 def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
@@ -339,8 +339,8 @@ def _reconstruction_residuals(values: np.ndarray, modulus: int) -> tuple[float, 
     of `values`, which must hold 4 * max(values) + m/2: `unwrap_poisson`
     picks that width once, for the reconstruction itself.
     """
-    gx, gy = _forward_differences(values, (0, 1))
-    lap = _divergence(gx.copy(), gy, (0, 1))
+    gx, gy = _forward_differences(values)
+    lap = _divergence(gx.copy(), gy)
     for field in (gx, gy, lap):
         field += modulus // 2
         field >>= modulus.bit_length() - 1

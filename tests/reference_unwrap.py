@@ -19,7 +19,9 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from modspike import GradientField, HdrImage, ModuloFrame
-from modspike.unwrap import RESIDUAL_TOL, ConsistencyResiduals, UnwrapResult
+from modspike.unwrap import ConsistencyResiduals, UnwrapResult
+
+RESIDUAL_TOL = 1e-6  # the float decoder's convergence tolerance, frozen with it
 
 
 def _work_dtype(*arrays: np.ndarray) -> np.dtype:

@@ -12,7 +12,7 @@ from modspike import (ChunkedEncoder, EncoderConfig, HdrImage, IrradianceClip,
                       encode_stream, frame_capacity, gradient,
                       ideal_window_counts, integrate_and_fire, laplacian, lar,
                       mu_law, mu_law_inverse, bandwidth_report, poisson_solve,
-                      psnr_linear, psnr_mu, query_ideal, ssim_linear,
+                      psnr_linear, psnr_mu, ssim_linear,
                       synthesize_clip, unwrap_poisson, Motion)
 from scipy.ndimage import gaussian_filter
 
@@ -142,8 +142,7 @@ def test_criterion_6_bridge_equivalence():
         digital_gain = gain * cfg.conversion_gain / cfg.threshold
         spec = QuerySpec(window=25, stride=20, digital_gain=digital_gain)
         ideal_pre = ideal_window_counts(clip, spec)
-        ideal_seq = query_ideal(clip, spec, bit_depth=8)
-        assert len(seq) == len(ideal_seq) == ideal_pre.shape[0]
+        assert len(seq) == ideal_pre.shape[0]
 
         bits = stream.bits().astype(np.int64)
         for j, frame in enumerate(seq.frames):
@@ -152,7 +151,7 @@ def test_criterion_6_bridge_equivalence():
             diff = np.abs(hw_pre - ideal_pre[j])
             assert np.all(diff <= gain)
             same_band = (hw_pre // 256) == (ideal_pre[j] // 256)
-            wrapped_diff = frame.values().astype(np.int64) - ideal_seq.frames[j].data.astype(np.int64)
+            wrapped_diff = frame.values().astype(np.int64) - np.mod(ideal_pre[j], 256)
             assert np.array_equal(wrapped_diff[same_band],
                                   (hw_pre - ideal_pre[j])[same_band])
             assert np.all(np.abs(wrapped_diff[same_band]) <= gain)

@@ -165,6 +165,19 @@ def test_pipeline_negative_seed_fails_with_one_error_line(capsys, tmp_path):
     assert "rng_seed" in err
 
 
+@pytest.mark.parametrize("config", ["conversion_gain=1e300,shot_noise=true",
+                                    "conversion_gain=1e300,threshold=1e-300"])
+def test_simulate_unrepresentable_drive_fails_with_one_error_line(capsys, tmp_path,
+                                                                  small_scene, config):
+    spikes = tmp_path / "s.spkb"
+    code, out, err = run_cli(capsys, "simulate", "--scene", str(small_scene), "--config",
+                             f"{config},readout_rate_hz=1000,total_time_s=0.05",
+                             "--out", str(spikes))
+    assert code == 1 and out == "" and not spikes.exists()
+    assert err.startswith("modspike: error: SensorConfig.conversion_gain:")
+    assert len(err.splitlines()) == 1
+
+
 def test_encode_short_stream_fails_with_stderr(capsys, tmp_path, small_scene):
     spikes = tmp_path / "short.spkb"
     config = "threshold=0.02,readout_rate_hz=200,total_time_s=0.05,micro_intervals=10"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip,
                       ModuloSequence, QuerySpec, SpikeStream, ValidationError, encode_stream,
-                      encoder, frame_capacity, ideal_window_counts, query_ideal)
+                      encoder, frame_capacity, ideal_window_counts)
 
 
 def naive_encode(bits, cfg):
@@ -43,47 +43,36 @@ def constant_clip(value, k, h=3, w=3, c=1):
     return IrradianceClip(u=np.full((k, h, w, c), value, dtype=np.float32))
 
 
-# --------------------------------------------------------------- query_ideal
+# ------------------------------------------------------- ideal_window_counts
 
-def test_query_ideal_window_positions():
+def test_ideal_window_positions():
     clip = constant_clip(1.0, k=100)
-    seq = query_ideal(clip, QuerySpec(window=25, stride=20, digital_gain=1.0),
-                      bit_depth=8)
-    assert len(seq) == 4  # floor((100-25)/20)+1, windows start at 1,21,41,61
+    counts = ideal_window_counts(clip, QuerySpec(window=25, stride=20, digital_gain=1.0))
+    assert len(counts) == 4  # floor((100-25)/20)+1, windows start at 1,21,41,61
 
 
-def test_query_ideal_constant_wraps_to_44():
+def test_ideal_constant_wraps_to_44():
     # windowed digital sum 300 = 25 intervals of 12 counts -> mod 256 = 44
     clip = constant_clip(12.0, k=100)
-    seq = query_ideal(clip, QuerySpec(window=25, stride=20, digital_gain=1.0),
-                      bit_depth=8)
-    for frame in seq.frames:
-        assert np.all(frame.data == 44)
+    counts = ideal_window_counts(clip, QuerySpec(window=25, stride=20, digital_gain=1.0))
+    assert np.all(counts == 300) and np.all(np.mod(counts, 256) == 44)
 
 
-def test_query_ideal_stride_equals_window_matches_coupled_model():
+def test_ideal_stride_equals_window_matches_coupled_model():
     rng = np.random.default_rng(13)
     u = rng.integers(0, 8, size=(60, 4, 5, 1)).astype(np.float32)
     clip = IrradianceClip(u=u)
-    spec = QuerySpec(window=15, stride=15, digital_gain=3.0)
-    seq = query_ideal(clip, spec, bit_depth=8)
+    counts = ideal_window_counts(clip, QuerySpec(window=15, stride=15, digital_gain=3.0))
     oracle = coupled_forward(clip, exposure=15, gain=3.0, bit_depth=8)
-    assert len(seq) == len(oracle)
-    for frame, ref in zip(seq.frames, oracle):
-        assert np.array_equal(frame.values(), ref)
+    assert len(counts) == len(oracle)
+    for count, ref in zip(counts, oracle):
+        assert np.array_equal(np.mod(count, 256), ref)
 
 
-def test_query_ideal_rejects_window_beyond_clip():
+def test_ideal_rejects_window_beyond_clip():
     clip = constant_clip(1.0, k=10)
     with pytest.raises(ValidationError, match="window"):
-        query_ideal(clip, QuerySpec(window=11, stride=1), bit_depth=8)
-
-
-def test_query_ideal_records_micro_rate():
-    clip = constant_clip(1.0, k=100)
-    seq = query_ideal(clip, QuerySpec(window=25, stride=20), bit_depth=8,
-                      micro_rate_hz=400_000)
-    assert seq.effective_rate_hz == 20_000.0
+        ideal_window_counts(clip, QuerySpec(window=11, stride=1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,20 +96,18 @@ def test_ideal_windows_cover_the_documented_micro_intervals(geometry, extra):
 @pytest.mark.parametrize("window, stride, gain, bit_depth", [
     (25, 20, 15.0, 8), (7, 3, 2.5, 4), (4, 4, 1.0, 1),
 ])
-def test_query_ideal_of_a_binary_clip_equals_the_encoder(window, stride, gain, bit_depth):
-    # when each interval's integral is one spike or none, the ideal route and
-    # the hardware route count the same windows and wrap the same values
+def test_ideal_counts_of_a_binary_clip_wrap_to_the_encoder(window, stride, gain, bit_depth):
+    # when each interval's integral is one spike or none, the ideal counts
+    # and the hardware route count the same windows and wrap the same values
     rng = np.random.default_rng(window)
     bits = rng.integers(0, 2, size=(3 * window + 2, 4, 5, 3), dtype=np.uint8)
-    seq = query_ideal(IrradianceClip(u=bits.astype(np.float32)),
-                      QuerySpec(window=window, stride=stride, digital_gain=gain),
-                      bit_depth=bit_depth, micro_rate_hz=20000)
+    counts = ideal_window_counts(IrradianceClip(u=bits.astype(np.float32)),
+                                 QuerySpec(window=window, stride=stride, digital_gain=gain))
     cfg = EncoderConfig(window=window, stride=stride, gain=gain, bit_depth=bit_depth)
     want = encode_stream(SpikeStream.from_bits(bits, readout_rate_hz=20000), cfg)
-    assert len(seq) == len(want) and seq.effective_rate_hz == want.effective_rate_hz
-    for a, b in zip(seq.frames, want.frames):
-        assert a.bit_depth == b.bit_depth
-        assert np.array_equal(a.values(), b.values())
+    assert len(counts) == len(want)
+    for count, b in zip(counts, want.frames):
+        assert np.array_equal(np.mod(count, 1 << bit_depth), b.values())
 
 
 def _one_pixel_clip(value, k, static):
@@ -141,15 +128,13 @@ def _one_pixel_clip(value, k, static):
 ])
 def test_counts_past_int64_are_rejected_by_name(static, value, gain):
     # floor(gain * integral) at or past 2^63 has no int64 count: the cast
-    # wrapped it to -2^63 and query_ideal then emitted code 0
+    # wrapped it to -2^63, which wraps to code 0
     clip = _one_pixel_clip(value, 4, static)
     spec = QuerySpec(window=2, stride=1, digital_gain=gain)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=r"QuerySpec\.digital_gain"):
             ideal_window_counts(clip, spec)
-        with pytest.raises(ValidationError, match=r"QuerySpec\.digital_gain"):
-            query_ideal(clip, spec, bit_depth=8)
 
 
 @pytest.mark.parametrize("static", [False, True])
@@ -246,9 +231,9 @@ def test_encode_stream_chunks_equal_one_push(geometry, extra, h, w, c, step, spa
     pushed = []
     push = ChunkedEncoder.push
 
-    def recording(self, chunk, start_frame=None):
+    def recording(self, chunk):
         pushed.append(len(chunk))
-        return push(self, chunk, start_frame)
+        return push(self, chunk)
 
     with (mock.patch.object(encoder, "_UNPACK_SAMPLES", budget),
           mock.patch.object(ChunkedEncoder, "push", recording)):
@@ -371,15 +356,6 @@ def test_incremental_emission_timing():
     assert len(enc.push(bits[44:45])) == 1
 
 
-def test_out_of_order_chunk_rejected():
-    cfg = EncoderConfig(window=4, stride=2)
-    enc = ChunkedEncoder(2, 2, 1, cfg)
-    chunk = np.zeros((4, 2, 2, 1), dtype=np.uint8)
-    enc.push(chunk, start_frame=1)
-    with pytest.raises(ValidationError, match="out-of-order"):
-        enc.push(chunk, start_frame=9)
-
-
 @pytest.mark.parametrize("field, dims", [
     ("height", (0, 4, 1)), ("height", (-1, 4, 1)), ("width", (4, 0, 3)),
     ("width", (4, -3, 3)), ("channels", (4, 4, 2)), ("channels", (4, 4, 0)),
@@ -426,7 +402,6 @@ def test_push_rejects_samples_other_than_0_1(bad):
     clean.push(good[:1])
     with pytest.raises(ValidationError, match="samples must be 0 or 1"):
         enc.push(bad)
-    assert enc.frames_consumed == 1
     emitted, want = enc.push(good[1:]), clean.push(good[1:])
     assert [f.data.tobytes() for f in emitted] == [f.data.tobytes() for f in want]
     assert ([f.data.tobytes() for f in enc.sequence().frames]
@@ -498,7 +473,7 @@ def test_chunked_encoder_matches_naive_recount(geometry, bit_depth, gain, channe
     enc = ChunkedEncoder(h, w, channels, cfg)
     emitted = []
     for a, b in zip(bounds, bounds[1:]):
-        emitted += enc.push(bits[a:b], start_frame=a + 1)
+        emitted += enc.push(bits[a:b])
     oracle = naive_encode(raw, cfg)
     assert len(emitted) == len(oracle) == frame_capacity(total, window, stride)
     for frame, ref in zip(emitted, oracle):

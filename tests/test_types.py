@@ -7,8 +7,7 @@ import pytest
 from modspike import (ChunkedEncoder, EncoderConfig, GradientField, HdrImage, IrradianceClip,
                       ModuloFrame, ModuloSequence, Motion, QuerySpec, SensorConfig,
                       SpikeStream, ValidationError, divergence, frame_capacity,
-                      gradient, ideal_window_counts, lar, mu_law_inverse, poisson_solve,
-                      query_ideal)
+                      gradient, ideal_window_counts, lar, mu_law_inverse, poisson_solve)
 
 
 def test_hdr_image_basic():
@@ -193,8 +192,6 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (divergence, (GradientField(gx=np.zeros(5), gy=np.zeros(5)),), "GradientField"),
     (divergence, (GradientField(gx=np.zeros((2, 2)), gy=np.zeros((3, 2))),), "GradientField"),
     (lar, (np.zeros(3), 0), "modulus"),
-    (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), -1), "bit_depth"),
-    (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), 17), "bit_depth"),
     (ideal_window_counts, (_CLIP, QuerySpec(window=9, stride=1)), "QuerySpec.window"),
     (ChunkedEncoder(2, 2, 1, EncoderConfig(window=2, stride=1)).push,
      (np.zeros((1, 2, 3, 1), np.uint8),), "chunk \\(H, W, C\\): mixed dimensions"),
@@ -232,7 +229,6 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8.0), "ModuloFrame.bit_depth"),
     (ModuloSequence, ((), 4, 1.5, 1.0), "ModuloSequence.stride"),
     (frame_capacity, (10, 2.5, 1), "frame_capacity.window"),
-    (query_ideal, (_CLIP, QuerySpec(window=4, stride=2), 8.0), "bit_depth"),
     (SpikeStream, (2, 3, 1, 2, 20000.5, np.zeros((2, 1, 1), np.uint8)),
      "SpikeStream.readout_rate_hz"),
     (SpikeStream, (2, 3, 1, 2.0, 20000, np.zeros((2, 1, 1), np.uint8)), "SpikeStream.frame_count"),
@@ -240,10 +236,9 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (ModuloSequence, ((), 4, 4, 1.0, 0.5), "ModuloSequence.source_rate_hz"),
     (ModuloFrame, (np.zeros((2, 2)), 8), "ModuloFrame.data: samples must be integers"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
-        "lar-modulus-0", "query_ideal-bits-neg", "query_ideal-bits-17",
-        "ideal_window_counts-window-9", "push-chunk-dims", "mu_law_inverse-mu-0",
-        "from_bits-0.5", "from_bits-0.999", "from_bits-nan", "spike_stream-height-neg",
-        "spike_stream-width-neg",
+        "lar-modulus-0", "ideal_window_counts-window-9", "push-chunk-dims",
+        "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999", "from_bits-nan",
+        "spike_stream-height-neg", "spike_stream-width-neg",
         "modulo_sequence-stride-0", "frame_capacity-stride-0", "frame_capacity-window-0",
         "frame_capacity-window-neg", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type",
         "encoder_config-gain-inf", "sensor_config-threshold-inf",
@@ -254,7 +249,7 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
         "sensor_config-micro-intervals-float", "encoder_config-window-float",
         "encoder_config-stride-float", "encoder_config-bits-float", "query_spec-window-float",
         "modulo_frame-bits-float", "modulo_sequence-stride-float", "frame_capacity-window-float",
-        "query_ideal-bits-float", "spike_stream-rate-float", "spike_stream-frames-float",
+        "spike_stream-rate-float", "spike_stream-frames-float",
         "spike_stream-height-float", "modulo_sequence-source-rate-float",
         "modulo_frame-data-float"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
@@ -275,7 +270,6 @@ def test_numpy_integer_fields_are_stored_as_python_ints():
     assert EncoderConfig(bit_depth=u8(8)).modulus == 256
     assert ModuloFrame(np.zeros((4, 4), np.uint16), u8(8)).modulus == 256
     assert EncoderConfig(window=u8(255), stride=u8(20)).prewrap_values().size == 256
-    assert query_ideal(_CLIP, QuerySpec(window=4, stride=2), u8(8)).frames[0].modulus == 256
     values = [
         EncoderConfig(window=u8(25), stride=u8(20), bit_depth=u8(8)),
         QuerySpec(window=u8(4), stride=u8(2)),
