@@ -27,7 +27,7 @@ from .containers import FormatError
 from .encoder import encode_stream, ideal_window_counts
 from .metrics import DEFAULT_MU, DEFAULT_PEAK, bandwidth_report, psnr_linear, psnr_mu, ssim_linear
 from .simulate import Motion, integrate_and_fire, mosaic_sample, synthesize_clip
-from .types import EncoderConfig, HdrImage, QuerySpec, SensorConfig, ValidationError
+from .types import EncoderConfig, HdrImage, QuerySpec, SensorConfig, ValidationError, check_geometry
 from .unwrap import unwrap_poisson
 
 _ENCODER = EncoderConfig()  # the --window/--stride/--gain/--bits defaults
@@ -98,6 +98,7 @@ def _synthetic_scene(height: int, width: int, channels: int, peak: float,
                      seed: int) -> HdrImage:
     """Smooth integer-valued test scene: a few seeded Gaussian blobs on a
     dim floor, quantized to digital counts."""
+    check_geometry(height, width, channels, "pipeline")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width]
     field = np.zeros((height, width, channels))

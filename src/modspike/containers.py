@@ -154,8 +154,6 @@ def write_modulo(path, seq: ModuloSequence) -> None:
     if not seq.frames:
         raise FormatError(f"{path}: refusing to write an empty modulo sequence")
     first = seq.frames[0]
-    if not first.data.size:
-        raise FormatError(f"{path}: frames of shape {first.data.shape} hold no samples")
     header = _pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames))
     with open(path, "wb") as fh:
         fh.write(header)

@@ -93,7 +93,7 @@ def ideal_window_counts(clip: IrradianceClip, spec: QuerySpec) -> np.ndarray:
         total = clip.u[start:start + spec.window].sum(axis=0, dtype=np.float64)
         with np.errstate(over="ignore"):  # an infinite product is rejected below
             total *= spec.digital_gain
-        if np.floor(total, out=total).max(initial=0.0) >= 2.0 ** 63:
+        if np.floor(total, out=total).max() >= 2.0 ** 63:
             raise ValidationError(
                 f"QuerySpec.digital_gain: {spec.digital_gain} times window {i}'s integral "
                 f"reaches 2^63 counts, past the int64 range")
@@ -132,9 +132,6 @@ class ChunkedEncoder:
     def __init__(self, height: int, width: int, channels: int,
                  cfg: EncoderConfig, source_rate_hz: int = 0):
         check_geometry(height, width, channels, "ChunkedEncoder")
-        # values may hold no samples, but an encoder needs at least one pixel
-        check_positive(height, "ChunkedEncoder.height")
-        check_positive(width, "ChunkedEncoder.width")
         _check_type(cfg, EncoderConfig, "ChunkedEncoder.cfg")
         _check_nonnegative_int(source_rate_hz, "ChunkedEncoder.source_rate_hz")
         self._shape = (height, width, channels)

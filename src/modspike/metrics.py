@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import (HdrImage, ValidationError, check_bit_depth, check_dims, check_geometry,
-                    check_integer, check_positive, check_samples)
+                    check_integer, check_positive)
 
 DEFAULT_MU = 5000.0
 DEFAULT_PEAK = float(2 ** 12 - 1)  # 12-bit ground truth convention
@@ -40,7 +40,6 @@ def _check_peak(peak, value, name: str = "peak") -> float:
 def psnr_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """10*log10(peak^2 / MSE); +inf when the images are identical."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
-    check_samples(a.data, "HdrImage")
     _check_peak(peak, peak * peak)
     mse = float(np.mean((a.values() - b.values()) ** 2))
     if mse == 0.0:
@@ -84,7 +83,6 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     means are computed with numpy alone, bit-identical to SciPy's
     `ndimage.correlate1d`."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
-    check_samples(a.data, "HdrImage")
     _check_peak(peak, peak * peak)
     if a.height < SSIM_WINDOW or a.width < SSIM_WINDOW:
         raise ValidationError(
@@ -113,7 +111,7 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
 
 def _in_range(x: np.ndarray, name: str, value, dtype=np.float64) -> np.ndarray:
     """`x`, samples >= 0 scaled by `name` = `value`, if none passes what `dtype` holds."""
-    if x.size and not x.max() <= float(np.finfo(dtype).max):
+    if not x.max() <= float(np.finfo(dtype).max):
         raise ValidationError(f"{name}: {value} takes the samples past {np.dtype(dtype).name}")
     return x
 
@@ -169,8 +167,7 @@ def bandwidth_report(height: int, width: int, channels: int, readout_rate_hz: in
     readout rate. Encoded: N-bit frames at rate/stride; with `mosaic` the
     encoder sees half-resolution 3-channel input.
     """
-    for name, v in (("height", height), ("width", width), ("channels", channels),
-                    ("readout_rate_hz", readout_rate_hz), ("stride", stride)):
+    for name, v in (("readout_rate_hz", readout_rate_hz), ("stride", stride)):
         check_integer(v, name)
         check_positive(v, name)
     check_bit_depth(bit_depth, "bit_depth")

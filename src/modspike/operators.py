@@ -157,15 +157,16 @@ def lar(values, modulus: float):
 
     Depends only on the residue class mod `modulus`, and is exact for
     integer-valued float64 input. Integer input with an integer power-of-two
-    modulus stays integer.
+    modulus stays integer; a modulus past its work type leaves it unchanged.
     """
     check_positive(modulus, "modulus")
     arr = np.asarray(values)
     dtype = _work_dtype(arr)
     if (np.issubdtype(dtype, np.integer) and isinstance(modulus, (int, np.integer))
             and modulus & (modulus - 1) == 0):
-        out = arr.astype(dtype)
-        _lar_pow2(out, int(modulus))
+        out, m = arr.astype(dtype), int(modulus)
+        if m >> 8 * dtype.itemsize == 0:  # else every value lies in [-m/2, m/2) already
+            _lar_pow2(out, m)
         return out[()]  # a scalar for scalar input, as on the float path
     arr = arr.astype(np.float64, copy=False)
     half = modulus / 2.0

@@ -68,7 +68,7 @@ class IrradianceClip:
         check_geometry(*u.shape[1:], "IrradianceClip")
         # a broadcast axis repeats one sample: check it once
         distinct = u[tuple(slice(0, 1) if step == 0 else slice(None) for step in u.strides)]
-        if u.size and not 0 <= float(distinct.min()) <= float(distinct.max()) < math.inf:
+        if not 0 <= float(distinct.min()) <= float(distinct.max()) < math.inf:
             raise ValidationError("IrradianceClip.u: integrals must be finite and nonnegative")
         object.__setattr__(self, "u", u)
 
@@ -191,8 +191,6 @@ def _warp_clip(base: np.ndarray, motion: Motion, dt: float, out: np.ndarray) -> 
     """
     k_total = out.shape[0]
     h, w, channels = base.shape
-    if not base.size:
-        return
     with np.errstate(over="ignore", invalid="ignore"):
         mats, offsets = map(np.array, zip(*(
             _inverse_map(motion, k / (k_total - 1) if k_total > 1 else 0.0, h, w)
@@ -326,9 +324,9 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     static = u.strides[0] == 0 and not cfg.shot_noise
     packed = np.empty((r_frames, channels, plane_bytes(h, w)), dtype=np.uint8)
     align = 8 // math.gcd(w, 8)  # rows a band grows by to keep whole bytes
-    band = (max(h, 1) if cfg.shot_noise else
-            max(align, _FIRE_TILE_SAMPLES // max(channels * w, 1) // align * align))
-    for top in range(0, h if w else 0, band):  # an empty plane has no tiles
+    band = (h if cfg.shot_noise else
+            max(align, _FIRE_TILE_SAMPLES // (channels * w) // align * align))
+    for top in range(0, h, band):
         tile = u[:, :, top:top + band]
         acc = np.zeros(tile.shape[1:])
         drive, scratch = np.empty((2,) + acc.shape)

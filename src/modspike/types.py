@@ -11,6 +11,7 @@ Conventions:
     counts) may be stored as uint16
   * spike frames are bit-packed LSB-first, one plane per channel, each
     plane padded to a byte boundary
+  * every value holds a sample: sizes, frame counts and K are all >= 1
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ def check_stride(stride: int, window: int, owner: str) -> None:
 
 
 def check_geometry(height: int, width: int, channels: int, owner: str) -> None:
-    """Sizes are nonnegative integers and channels are 1 or 3. A zero size is
-    a valid value that holds no samples; LHDR and SPKB round-trip it, MODQ
-    refuses it, because its file size would not bound the frame count."""
-    _check_nonnegative_int(height, f"{owner}.height")
-    _check_nonnegative_int(width, f"{owner}.width")
+    """Height and width are integers >= 1 and channels are 1 or 3: a raster
+    holds at least one sample, as every sensor frame does."""
+    for name, size in (("height", height), ("width", width)):
+        check_integer(size, f"{owner}.{name}")
+        check_positive(size, f"{owner}.{name}")
     check_integer(channels, f"{owner}.channels")
     if channels not in (1, 3):
         raise ValidationError(f"{owner}.channels: must be 1 or 3, got {channels}")
@@ -86,12 +87,6 @@ def check_ndim(arr: np.ndarray, ndims: tuple[int, ...], name: str) -> None:
     if arr.ndim not in ndims:
         raise ValidationError(
             f"{name}: expected {' or '.join(map(str, ndims))} axes, got shape {arr.shape}")
-
-
-def check_samples(arr: np.ndarray, name: str) -> None:
-    """A statistic over `arr` needs at least one sample."""
-    if arr.size == 0:
-        raise ValidationError(f"{name}: no samples, shape {arr.shape}")
 
 
 def check_dims(got: tuple, want: tuple, name: str) -> None:
@@ -195,10 +190,9 @@ class HdrImage(_Raster):
     def __post_init__(self):
         data = _as_raster(self.data, "HdrImage")
         kind = data.dtype.kind  # an integer is a finite float32: only a signed one needs a check
-        valid = kind == "u" or kind == "i" and (not data.size or data.min() >= 0)
+        valid = kind == "u" or kind == "i" and data.min() >= 0
         data = _freeze(data, np.uint16 if data.dtype == np.uint16 else np.float32)
-        if not valid and data.size and not (
-                0 <= float(data.min()) <= float(data.max()) < math.inf):
+        if not valid and not 0 <= float(data.min()) <= float(data.max()) < math.inf:
             raise ValidationError("HdrImage.data: samples must be finite and nonnegative")
         object.__setattr__(self, "data", data)
 
@@ -231,8 +225,7 @@ class ModuloFrame(_Raster):
         data = _as_raster(self.data, "ModuloFrame")
         if not np.issubdtype(data.dtype, np.integer):
             raise ValidationError("ModuloFrame.data: samples must be integers")
-        if data.size and (data.dtype.kind == "i" and data.min() < 0
-                          or data.max() >= 1 << self.bit_depth):
+        if data.dtype.kind == "i" and data.min() < 0 or data.max() >= 1 << self.bit_depth:
             raise ValidationError(
                 f"ModuloFrame.data: samples must lie in [0, 2^{self.bit_depth})"
             )

@@ -153,7 +153,7 @@ def _floor_mod(x: np.ndarray, modulus: int) -> np.ndarray:
     np.floor(e, out=e)
     e *= -modulus
     e += x
-    if e.size and e.min() < 0:
+    if e.min() < 0:
         e[e < 0] = modulus
     return e
 
@@ -198,8 +198,7 @@ def _snap(estimate: np.ndarray, obs: np.ndarray, modulus: int) -> np.ndarray:
     diff += 0.5
     rollover = diff.astype(np.int32)  # truncation is floor here
     np.negative(rollover, out=rollover, where=negative)
-    if rollover.size:
-        rollover -= rollover.min(axis=(1, 2), keepdims=True)  # base-band anchor; also >= 0
+    rollover -= rollover.min(axis=(1, 2), keepdims=True)  # base-band anchor; also >= 0
     return rollover
 
 
@@ -234,7 +233,7 @@ def _lattice_rollover(frame: ModuloFrame) -> np.ndarray | None:
     if table is None:
         return None
     rollover = np.take(table, frame.data)
-    if rollover.size and rollover.min() < 0:
+    if rollover.min() < 0:
         return None
     return rollover
 
@@ -272,7 +271,7 @@ def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
     np.cumsum(wx[:1, :-1], axis=1, dtype=p.dtype, out=p[:1, 1:])
     p[1:] = wy[:-1]
     p, k = _scan_rows(p), np.empty(wx.shape, np.int32)
-    top = p.max(axis=0, initial=0).max(axis=0, initial=0)  # over whole rows, then (W, C)
+    top = p.max(axis=0).max(axis=0)  # over whole rows, then (W, C)
     np.subtract(np.tile(top, w), p.reshape(h, w * c), out=k.reshape(h, w * c), dtype=np.int32)
     return k
 
@@ -301,7 +300,7 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
         else:
             div_wraps = _lar_pow2(div, modulus, wraps=True)
         del div, obs
-    top = int(rollover_map.max()) if rollover_map.size else 0
+    top = int(rollover_map.max())
     # int32 while the report's widest field, 4 * max(hdr_values) + m/2, fits
     wide = 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31
     hdr_values = np.multiply(rollover_map, modulus, dtype=np.int64 if wide else np.int32)
@@ -321,10 +320,9 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
 
 def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
     """Mean absolute value of `scale` times integer arrays of one size,
-    summed exactly over the parts not all zero; 0 when they hold no samples."""
-    n = len(parts) * parts[0].size
+    summed exactly over the parts not all zero."""
     total = sum(int(np.abs(p).sum()) for p in parts if np.count_nonzero(p))
-    return float(scale * total) / n if n else 0.0
+    return float(scale * total) / (len(parts) * parts[0].size)
 
 
 def _reconstruction_residuals(values: np.ndarray, modulus: int) -> tuple[float, float]:

@@ -178,6 +178,15 @@ def test_simulate_unrepresentable_drive_fails_with_one_error_line(capsys, tmp_pa
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, size", [("height", "0"), ("width", "0"), ("height", "-3")])
+def test_pipeline_size_below_one_fails_with_one_error_line(capsys, tmp_path, field, size):
+    code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(tmp_path / "p"),
+                             f"--{field}", size)
+    assert code == 1 and out == ""
+    assert err.startswith(f"modspike: error: pipeline.{field}:")
+    assert len(err.splitlines()) == 1
+
+
 def test_encode_short_stream_fails_with_stderr(capsys, tmp_path, small_scene):
     spikes = tmp_path / "short.spkb"
     config = "threshold=0.02,readout_rate_hz=200,total_time_s=0.05,micro_intervals=10"

@@ -1,5 +1,7 @@
 import dataclasses
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modspike import (EncoderConfig, FormatError, HdrImage, ModuloFrame,
-                      ModuloSequence, SpikeStream, ValidationError, encode_stream,
+                      ModuloSequence, SpikeStream, ValidationError, containers, encode_stream,
                       read_hdr, plane_bytes, read_modulo, read_spikes, write_hdr,
                       write_modulo, write_spikes)
 
@@ -201,18 +203,10 @@ def _spikes_with(frame_count=2, readout_rate_hz=20000, height=2, width=3):
 @pytest.mark.parametrize("write, value, field", [
     (write_modulo, _modulo_with(window=70000), "window"),
     (write_modulo, _modulo_with(window=70000, stride=70000), "window"),
-    (write_hdr, HdrImage(data=np.zeros((0, 1 << 32, 1), dtype=np.float32)), "width"),
     (write_modulo, _modulo_with(source_rate_hz=1 << 32), "source_rate_hz"),
     (write_modulo, _modulo_with(gain=1e39), "gain"),
     (write_spikes, _spikes_with(readout_rate_hz=1 << 32), "readout_rate_hz"),
-    (write_spikes, _spikes_with(height=0, width=1 << 32), "width"),
-    # zero-width rasters hold no samples, so a 2^32 row count costs nothing
-    (write_spikes, _spikes_with(frame_count=1 << 32, width=0), "frame_count"),
-    (write_spikes, _spikes_with(height=1 << 32, width=0), "height"),
-    (write_hdr, HdrImage(data=np.zeros((1 << 32, 0, 1), dtype=np.float32)), "height"),
     (write_modulo, _modulo_with(gain=1e-50), "gain"),  # packs as f32 0.0
-    (write_modulo, _modulo_with(frames=(ModuloFrame(np.zeros((0, 4), np.uint16), 8),)),
-     r"\(0, 4, 1\) hold no samples"),
 ])
 def test_writer_rejects_unrepresentable_header_and_leaves_no_file(tmp_path, write, value,
                                                                   field):
@@ -241,6 +235,44 @@ def test_writer_header_check_keeps_an_existing_file(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("magic, field", [(b"LHDR", "height"), (b"LHDR", "width"),
+                                          (b"SPKB", "height"), (b"SPKB", "width"),
+                                          (b"SPKB", "frame_count")])
+def test_writers_check_sizes_against_u32(magic, field):
+    # no raster that fits in memory has 2^32 rows or columns, so the
+    # writers' size check is reached through a stand-in for the value
+    source = SimpleNamespace(height=2, width=3, channels=1, dtype=0, frame_count=2,
+                             readout_rate_hz=100)
+    setattr(source, field, (1 << 32) - 1)
+    tail = (struct.pack("<B", 0) if magic == b"LHDR"
+            else struct.pack("<II", source.frame_count, 100))
+    assert containers._pack("x.bin", magic, source) == (
+        struct.pack(_COMMON, magic, 1, source.height, source.width, 1) + tail)
+    setattr(source, field, 1 << 32)
+    with pytest.raises(FormatError, match=f"{field}=4294967296 does not fit"):
+        containers._pack("x.bin", magic, source)
+
+
+@pytest.mark.parametrize("magic, layout, fields", [(b"LHDR", "B", (0,)),
+                                                   (b"SPKB", "II", (2 ** 32 - 1, 100))])
+@pytest.mark.parametrize("h, w, field", [(2 ** 32 - 1, 0, "width"), (0, 2 ** 32 - 1, "height")])
+def test_reader_rejects_a_header_without_samples_before_allocating(tmp_path, magic, layout,
+                                                                    fields, h, w, field):
+    # such a header has an empty payload: the value it would build is
+    # refused on its geometry, before anything the size of the header's
+    # claims is allocated
+    path = tmp_path / "x.bin"
+    path.write_bytes(struct.pack(_COMMON + layout, magic, 1, h, w, 3, *fields))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=rf"\.{field}: must be positive"):
+            _READERS[magic](path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_writer_limits_are_inclusive(tmp_path):
     seq = _modulo_with(window=65535, stride=65535, source_rate_hz=(1 << 32) - 1)
     path = tmp_path / "edge.modq"
@@ -257,19 +289,13 @@ _U32 = st.integers(0, 2 ** 32 - 1)
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-@st.composite
-def _sizes(draw):
-    """(H, W, C): small enough to fill, or one size up to 2^32 - 1 and the other 0."""
-    channels = draw(st.sampled_from([1, 3]))
-    if draw(st.booleans()):
-        return draw(st.integers(0, 4)), draw(st.integers(0, 4)), channels
-    big = draw(_U32)
-    return ((big, 0) if draw(st.booleans()) else (0, big)) + (channels,)
+# (H, W, C); the u32 range of the sizes is covered by the `_pack` test above
+_SIZES = st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3]))
 
 
 @st.composite
 def _hdr_case(draw):
-    h, w, c = draw(_sizes())
+    h, w, c = draw(_SIZES)
     rng = np.random.default_rng(draw(_U32))
     wide = draw(st.booleans())
     data = (rng.integers(0, 1 << 16, (h, w, c)).astype(np.uint16) if wide
@@ -282,12 +308,10 @@ def _hdr_case(draw):
 
 @st.composite
 def _spikes_case(draw):
-    h, w, c = draw(_sizes())
-    frames = draw(_U32.filter(bool) if h * w == 0 else st.integers(1, 4))
+    h, w, c = draw(_SIZES)
+    frames = draw(st.integers(1, 4))
     rate = draw(_U32.filter(bool))
     rng = np.random.default_rng(draw(_U32))
-    # packed directly: a (frames, H, W, C) bits array of 2^32 - 1 frames by
-    # 2^32 - 1 rows is too big for numpy even when it holds no samples
     bits = rng.integers(0, 2, (frames, c, h * w), dtype=np.uint8)
     stream = SpikeStream(h, w, c, frames, rate, np.packbits(bits, axis=-1, bitorder="little"))
     blob = (struct.pack(_COMMON, b"SPKB", 1, h, w, c) + struct.pack("<II", frames, rate)
@@ -297,7 +321,7 @@ def _spikes_case(draw):
 
 @st.composite
 def _modulo_case(draw):
-    h, w, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+    h, w, c = draw(_SIZES)
     bit_depth = draw(st.integers(1, 16))
     window = draw(st.integers(1, 65535))
     stride = draw(st.integers(1, window))

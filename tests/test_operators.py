@@ -229,6 +229,23 @@ def test_integer_lar_power_of_two_matches_float(values, bits, shift):
     assert np.array_equal(got, lar(values.astype(np.float64), modulus))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32])
+def test_integer_lar_of_any_power_of_two_modulus_matches_python_ints(dtype):
+    # a modulus of 2^32 (2^64) leaves every int32 (int64) work value in
+    # [-m/2, m/2) as it is, rather than overflowing m/2; uint64 input takes
+    # the float64 path
+    info = np.iinfo(dtype)
+    values = np.array(sorted({info.min, info.min + 1, min(info.max, -1) if info.min else 0,
+                              0, 1, info.max - 1, info.max}), dtype)
+    for bits in range(30, 71):
+        m = 1 << bits
+        want = [(int(x) + m // 2) % m - m // 2 for x in values]
+        got = lar(values, m)
+        assert np.issubdtype(got.dtype, np.signedinteger) and got.tolist() == want
+        assert int(lar(values[-1], m)) == want[-1]  # a scalar takes the same path
+
+
 _op_sides = st.integers(1, 12)
 
 

@@ -435,13 +435,6 @@ def test_integrate_and_fire_memory_is_the_packed_stream_and_a_few_tiles():
     assert simulate._FIRE_TILE_SAMPLES <= 2 ** 15
 
 
-@pytest.mark.parametrize("shape", [(0, 4, 1), (4, 0, 3), (0, 0, 3)])
-def test_integrate_and_fire_of_an_empty_plane(shape):
-    cfg = SensorConfig(readout_rate_hz=5, total_time_s=1.0, micro_intervals=10)
-    stream = integrate_and_fire(IrradianceClip(u=np.zeros((10,) + shape, np.float32)), cfg)
-    assert stream.packed.shape == (5, shape[2], 0)
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        window_stride=st.integers(1, 64).flatmap(
@@ -657,14 +650,6 @@ def test_out_of_int64_coordinates_cast_quietly_in_every_thread():
         warnings.simplefilter("error")
         clip = synthesize_clip(scene, motion, cfg)
     assert clip.u.tobytes() == reference_simulate.synthesize_clip(scene, motion, cfg).u.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
-def test_moving_clip_of_zero_size_scene(shape):
-    cfg = SensorConfig(readout_rate_hz=5, total_time_s=1.0, micro_intervals=10)
-    clip = synthesize_clip(HdrImage(data=np.zeros(shape, np.float32)),
-                           Motion(translate_px=(1.0, 0.5), rotate_deg=3.0), cfg)
-    assert clip.u.shape == (10,) + shape[:2] + (shape[2] if len(shape) == 3 else 1,)
 
 
 @pytest.mark.parametrize("translate, rotate", [((1.7e308, 1.7e308), 45.0),

@@ -6,8 +6,9 @@ import pytest
 
 from modspike import (ChunkedEncoder, EncoderConfig, GradientField, HdrImage, IrradianceClip,
                       ModuloFrame, ModuloSequence, Motion, QuerySpec, SensorConfig,
-                      SpikeStream, ValidationError, divergence, frame_capacity,
-                      gradient, ideal_window_counts, lar, mu_law_inverse, poisson_solve)
+                      SpikeStream, ValidationError, bandwidth_report, divergence, frame_capacity,
+                      gradient, ideal_window_counts, lar, mu_law_inverse, plane_bytes,
+                      poisson_solve)
 
 
 def test_hdr_image_basic():
@@ -255,6 +256,29 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
+
+
+# every value and the two consumers of a bare geometry, built at (H, W, C)
+_SIZED = {
+    "HdrImage": lambda h, w, c: HdrImage(np.zeros((h, w, c), np.float32)),
+    "ModuloFrame": lambda h, w, c: ModuloFrame(np.zeros((h, w, c), np.uint16), 8),
+    "SpikeStream": lambda h, w, c: SpikeStream(h, w, c, 2, 100,
+                                               np.zeros((2, c, plane_bytes(h, w)), np.uint8)),
+    "IrradianceClip": lambda h, w, c: IrradianceClip(np.zeros((10, h, w, c), np.float32)),
+    "ChunkedEncoder": lambda h, w, c: ChunkedEncoder(h, w, c, EncoderConfig()),
+    "bandwidth_report": lambda h, w, c: bandwidth_report(h, w, c, 20000, 8, 20, mosaic=False),
+}
+
+
+@pytest.mark.parametrize("owner", list(_SIZED))
+@pytest.mark.parametrize("shape, field", [((0, 4, 1), "height"), ((4, 0, 3), "width"),
+                                          ((0, 0, 3), "height")])
+def test_a_geometry_without_samples_is_rejected_by_name(owner, shape, field):
+    # a sensor frame always has pixels: a zero height or width is refused
+    # where the value is built, so no layer needs an empty-raster path
+    with pytest.raises(ValidationError, match=rf"^{owner}\.{field}: must be positive"):
+        _SIZED[owner](*shape)
+    _SIZED[owner](1, 1, shape[2])  # one sample is enough
 
 
 def test_integer_fields_accept_numpy_integers():

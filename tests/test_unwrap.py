@@ -600,18 +600,6 @@ def test_moving_capture_pass_loads_no_scipy(tmp_path):
     assert run_fresh(code) == "True []"
 
 
-@pytest.mark.parametrize("counted_by", [None, EncoderConfig(window=25, stride=20)])
-@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
-def test_unwrap_zero_size_frame(counted_by, shape):
-    frame = ModuloFrame(np.zeros(shape, np.uint16), 8, counted_by=counted_by)
-    result = unwrap_poisson(frame)
-    assert result.decoder == ("poisson" if counted_by is None else "lattice")
-    want = shape if len(shape) == 3 else shape + (1,)
-    assert result.hdr.data.shape == result.rollover_map.shape == want
-    assert result.rollover_map.dtype == np.int32
-    assert result.residuals.as_tuple() == (0.0, 0.0, 0.0) and result.converged
-
-
 # ------------------------------------------------------------ lattice decoder
 
 def recount(bits, cfg):
