@@ -13,7 +13,7 @@ artifact gets a purpose-built little-endian container:
                                 row-major LSB-first, padded to a byte
     MODQ  modulo sequence     + bit_depth:u8 + window:u16 + stride:u16
                               + gain:f32 + source_rate_hz:u32
-                              + frame_count:u32 (frames hold >= 1 sample)
+                              + frame_count:u32 (>= 1 frames of >= 1 sample)
                               + frames as u8 when bit_depth <= 8, else u16
 
 Every writer/reader pair is a bijection on valid values. A writer checks
@@ -151,8 +151,6 @@ def read_spikes(path) -> SpikeStream:
 
 
 def write_modulo(path, seq: ModuloSequence) -> None:
-    if not seq.frames:
-        raise FormatError(f"{path}: refusing to write an empty modulo sequence")
     first = seq.frames[0]
     header = _pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames))
     with open(path, "wb") as fh:

@@ -48,6 +48,7 @@ class ModuloSequence:
         check_stride(self.stride, self.window, "ModuloSequence")
         check_positive(self.gain, "ModuloSequence.gain")
         frames = tuple(self.frames)
+        check_positive(len(frames), "ModuloSequence.frames")
         for f in frames[1:]:
             check_dims(f.data.shape + (f.bit_depth,),
                        frames[0].data.shape + (frames[0].bit_depth,),

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import check_dims, check_ndim, check_positive
+from .types import ValidationError, check_dims, check_ndim, check_positive
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,10 @@ def lar(values, modulus: float):
     """Least absolute remainder: map each value to its representative in
     [-modulus/2, modulus/2).
 
-    Depends only on the residue class mod `modulus`, and is exact for
-    integer-valued float64 input. Integer input with an integer power-of-two
-    modulus stays integer; a modulus past its work type leaves it unchanged.
+    Depends only on the residue class mod `modulus`. Integer input with an
+    integer power-of-two modulus stays integer; a modulus past its work type
+    leaves it unchanged. Other input takes float64, exact for integer values
+    and modulus while |value| + modulus <= 2^52; a modulus past 2^53 raises.
     """
     check_positive(modulus, "modulus")
     arr = np.asarray(values)
@@ -168,6 +169,8 @@ def lar(values, modulus: float):
         if m >> 8 * dtype.itemsize == 0:  # else every value lies in [-m/2, m/2) already
             _lar_pow2(out, m)
         return out[()]  # a scalar for scalar input, as on the float path
+    if modulus > 2 ** 53:
+        raise ValidationError(f"modulus: {modulus} is past 2^53, where float64 rounds")
     arr = arr.astype(np.float64, copy=False)
     half = modulus / 2.0
     return np.mod(arr + half, modulus) - half

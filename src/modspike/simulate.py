@@ -350,10 +350,7 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
                     np.multiply(tile[k], q, out=drive, dtype=np.float64)
                 acc += drive
                 hits = hit if j else fired  # the first sub-step writes the latch
-                if cfg.reset_to_zero:
-                    np.greater_equal(acc, eta, out=hits)
-                    acc[hits] = 0.0
-                elif nonnegative and acc.max() < 2 * eta:
+                if nonnegative and acc.max() < 2 * eta:
                     np.greater_equal(acc, eta, out=hits)
                     np.copyto(scratch, hits)  # cheaper than multiplying the bools
                     scratch *= eta

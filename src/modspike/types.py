@@ -31,13 +31,13 @@ class ValidationError(ValueError):
 # once, and raises ValidationError naming the field.
 
 def check_positive(value, name: str) -> None:
-    """0 < value < inf; exact for ints of any size, and NaN fails."""
-    if not 0 < value < math.inf:
+    """0 < value <= the largest float; exact for ints of any size, and NaN fails."""
+    if not 0 < value <= sys.float_info.max:
         raise ValidationError(f"{name}: must be positive and finite, got {value}")
 
 
 def check_finite(value, name: str) -> None:
-    if not -math.inf < value < math.inf:
+    if not -sys.float_info.max <= value <= sys.float_info.max:
         raise ValidationError(f"{name}: must be finite, got {value}")
 
 
@@ -298,10 +298,11 @@ class SensorConfig:
     """Integrate-and-fire sensor parameters.
 
     A pixel accumulates `conversion_gain` times the incident integral and
-    fires whenever the accumulator reaches `threshold`; firings are latched
-    into binary frames at `readout_rate_hz`. The capture of `total_time_s`
-    is resolved on `micro_intervals` sub-steps, which must refine the
-    readout grid exactly.
+    fires whenever the accumulator reaches `threshold`; each firing
+    subtracts one threshold, so the residual charge carries over. Firings
+    are latched into binary frames at `readout_rate_hz`. The capture of
+    `total_time_s` is resolved on `micro_intervals` sub-steps, which must
+    refine the readout grid exactly.
     """
 
     threshold: float = 1.0          # firing quantum (radiance*time units after gain)
@@ -311,15 +312,12 @@ class SensorConfig:
     micro_intervals: int = 1000
     shot_noise: bool = False
     rng_seed: int = 0
-    reset_to_zero: bool = False     # default is reset-by-subtraction
 
     def __post_init__(self):
         store_ints(self, "micro_intervals", "rng_seed")
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")
-            if getattr(self, name) > sys.float_info.max:  # an int of any size is finite
-                raise ValidationError(f"SensorConfig.{name}: must not exceed the largest float")
         if self.readout_rate_hz % 1:
             raise ValidationError("SensorConfig.readout_rate_hz: must be a whole number of "
                                   f"hertz, got {self.readout_rate_hz}")

@@ -69,14 +69,9 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
             if cfg.shot_noise:
                 drive = rng.poisson(drive).astype(np.float64)
             acc += drive
-            if cfg.reset_to_zero:
-                hit = acc >= eta
-                acc[hit] = 0.0
-                fired |= hit
-            else:
-                n = np.floor_divide(acc, eta)
-                acc -= n * eta
-                fired |= n > 0
+            n = np.floor_divide(acc, eta)
+            acc -= n * eta
+            fired |= n > 0
         bits[r] = fired
     return SpikeStream.from_bits(bits, readout_rate_hz=int(round(cfg.readout_rate_hz)))
 

@@ -1,4 +1,5 @@
 import filecmp
+import struct
 import subprocess
 import sys
 
@@ -90,6 +91,17 @@ def test_simulate_encode_unwrap_eval_chain(capsys, tmp_path, small_scene):
     assert kv["ssim_linear"] == "1"
 
 
+def test_unwrap_of_a_modq_without_frames_fails_with_one_error_line(capsys, tmp_path):
+    # such a header used to read back as an empty sequence: exit 0, no output
+    modq = tmp_path / "empty.modq"
+    modq.write_bytes(struct.pack("<4sHIIIBHHfII", b"MODQ", 1, 4, 4, 1, 8, 25, 20, 15.0, 0, 0))
+    out_dir = tmp_path / "frames"
+    code, out, err = run_cli(capsys, "unwrap", "--in", str(modq), "--out-dir", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith("modspike: error:") and len(err.splitlines()) == 1
+    assert "ModuloSequence.frames" in err
+
+
 def test_simulate_accepts_config_file(capsys, tmp_path, small_scene):
     cfg_file = tmp_path / "sensor.cfg"
     cfg_file.write_text(
@@ -114,11 +126,20 @@ def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
     assert "unknown key" in err
 
 
+def test_simulate_refuses_the_removed_reset_to_zero_key(capsys, tmp_path, small_scene):
+    # the sensor resets by subtraction only: reset-to-zero is no longer a key
+    out = tmp_path / "x.spkb"
+    code, stdout, err = run_cli(capsys, "simulate", "--scene", str(small_scene),
+                                "--config", "reset_to_zero=1", "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == "modspike: error: config: unknown key 'reset_to_zero'\n"
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--config", "threshold=abc", "threshold"),
     ("--config", "micro_intervals=1.5", "micro_intervals"),
     ("--config", "shot_noise=ture", "shot_noise"),
-    ("--config", "reset_to_zero=", "reset_to_zero"),
+    ("--config", "shot_noise=", "shot_noise"),
     ("--config", "rng_seed=-1", "rng_seed"),
     ("--config", "threshold", "threshold"),
     ("--seed", "-1", "rng_seed"),
@@ -150,8 +171,8 @@ def test_simulate_mosaic_writes_half_resolution_three_channel_planes(capsys, tmp
 
 def test_config_flags_accept_every_spelling_in_any_case():
     for on, off in (("1", "0"), ("True", "false"), ("YES", "no"), ("on", "OFF")):
-        cfg = _parse_sensor_config(f"shot_noise={on},reset_to_zero={off}")
-        assert (cfg.shot_noise, cfg.reset_to_zero) == (True, False)
+        assert _parse_sensor_config(f"shot_noise={on}").shot_noise is True
+        assert _parse_sensor_config(f"shot_noise={off}").shot_noise is False
     cfg = _parse_sensor_config("micro_intervals=2000,threshold=2")
     assert cfg == SensorConfig(micro_intervals=2000, threshold=2.0)
     assert type(cfg.micro_intervals) is int and type(cfg.threshold) is float

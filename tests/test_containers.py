@@ -179,11 +179,15 @@ def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
         read_hdr(path)
 
 
-def test_write_modulo_refuses_an_empty_sequence(tmp_path):
+def test_a_modulo_sequence_holds_a_frame(tmp_path):
+    # an empty sequence is no value, so no writer meets one; a MODQ header of
+    # zero frames used to read back as one that write_modulo then refused
+    with pytest.raises(ValidationError, match="ModuloSequence.frames"):
+        ModuloSequence(frames=(), window=4, stride=4, gain=1.0)
     path = tmp_path / "empty.modq"
-    with pytest.raises(FormatError, match="empty modulo sequence"):
-        write_modulo(path, ModuloSequence(frames=(), window=4, stride=4, gain=1.0))
-    assert not path.exists()
+    path.write_bytes(struct.pack("<4sHIIIBHHfII", b"MODQ", 1, 2, 4, 1, 8, 4, 4, 1.0, 0, 0))
+    with pytest.raises(ValidationError, match="ModuloSequence.frames"):
+        read_modulo(path)
 
 
 # ------------------------------------------------------- writer header range

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip,
+from modspike import (ChunkedEncoder, EncoderConfig, IrradianceClip, ModuloFrame,
                       ModuloSequence, QuerySpec, SpikeStream, ValidationError, encode_stream,
                       encoder, frame_capacity, ideal_window_counts)
 
@@ -533,7 +533,6 @@ def test_encode_extreme_bit_depths():
 
 
 def test_modulo_sequence_validates_mixed_frames():
-    from modspike import ModuloFrame
     a = ModuloFrame(data=np.zeros((2, 2), dtype=np.int64), bit_depth=8)
     b = ModuloFrame(data=np.zeros((3, 2), dtype=np.int64), bit_depth=8)
     with pytest.raises(ValidationError, match="mixed"):
@@ -543,7 +542,8 @@ def test_modulo_sequence_validates_mixed_frames():
 def test_modulo_sequence_rejects_a_negative_source_rate():
     with pytest.raises(ValidationError, match="ModuloSequence.source_rate_hz"):
         ModuloSequence((), 4, 2, 1.0, -5)
-    assert ModuloSequence((), 4, 2, 1.0, 0).effective_rate_hz == 0.0
+    frame = ModuloFrame(data=np.zeros((2, 2), dtype=np.uint16), bit_depth=8)
+    assert ModuloSequence((frame,), 4, 2, 1.0, 0).effective_rate_hz == 0.0
 
 
 @pytest.mark.parametrize("cfg, rate, field", [

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.ndimage import gaussian_filter
 
-from modspike import (GradientField, divergence, gradient, laplacian, lar,
+from modspike import (GradientField, ValidationError, divergence, gradient, laplacian, lar,
                       poisson_solve)
 
 int_rasters = arrays(
@@ -144,6 +144,25 @@ def test_lar_scalar_examples():
 def test_lar_rejects_nonpositive_modulus():
     with pytest.raises(ValueError):
         lar(1.0, 0)
+
+
+@pytest.mark.parametrize("values, modulus", [
+    (3.0, 2 ** 54), (-3.0, 2 ** 55), (3.0, 2 ** 70), (np.array([3], np.uint64), 2 ** 70),
+    (3, 2 ** 53 + 2), (3.0, 1e300)])
+def test_float_lar_refuses_a_modulus_past_2_53(values, modulus):
+    # x + m/2 rounds there: lar(3.0, 2**54) returned 4.0, lar(3.0, 2**70) 0.0
+    with pytest.raises(ValidationError, match="modulus"):
+        lar(values, modulus)
+    assert lar(3.0, 2 ** 53) == 3 and lar(-3.0, 2 ** 53) == -3  # the widest one it takes
+
+
+@given(st.integers(1, 2 ** 52), st.integers(-2 ** 52, 2 ** 52))
+@example(2 ** 52, 0).via("the widest modulus the bound admits")
+@example(3, 2 ** 52).via("the widest value, clamped to 2^52 - 3")
+def test_float_lar_matches_python_ints_within_its_exact_bound(modulus, x):
+    x = max(modulus - 2 ** 52, min(x, 2 ** 52 - modulus))  # |x| + modulus <= 2^52
+    assert lar(float(x), modulus) == (x + modulus // 2) % modulus - modulus // 2
+    assert lar(float(x), float(modulus)) == (x + modulus // 2) % modulus - modulus // 2
 
 
 @given(arrays(np.float64,

@@ -167,20 +167,6 @@ def test_shot_noise_is_seed_deterministic():
     assert not np.array_equal(a.packed, c.packed)
 
 
-def test_reset_to_zero_discards_residual():
-    # drive 1.5 quanta per interval: reset-to-zero throws away the surplus,
-    # reset-by-subtraction banks it into an extra firing every 2 intervals
-    k = 8
-    clip = _clip_from_planes(np.full((k, 1, 1), 1.5))
-    base = dict(threshold=1.0, readout_rate_hz=8, total_time_s=1.0,
-                micro_intervals=k)
-    keep = integrate_and_fire(clip, SensorConfig(**base))
-    zero = integrate_and_fire(clip, SensorConfig(**base, reset_to_zero=True))
-    assert keep.bits().sum() == zero.bits().sum() == k  # bits saturate anyway
-    oracle_true = sum(fire_oracle([1.5] * k, 1.0))
-    assert oracle_true == 12  # banked residuals fire extra
-
-
 def test_spikes_fire_only_in_readouts_covering_the_drive():
     # readout r (0-based) latches micro-intervals [r*sub, (r+1)*sub): a drive
     # of one quantum per interval on [a, b) fires exactly the readouts whose
@@ -276,18 +262,18 @@ def _random_clip(seed, k, h, w, c, scale, static, decades=1):
        scale=st.sampled_from([0.5, 1.0, 1.9, 3.0, 40.0]),
        threshold=st.sampled_from([1.0, 0.3, 0.7, 0.05]),
        gain=st.sampled_from([1.0, 1.3, 0.1]),
-       static=st.booleans(), shot_noise=st.booleans(), reset_to_zero=st.booleans())
+       static=st.booleans(), shot_noise=st.booleans())
 # drives up to 40 thresholds per step: the floor_divide fallback runs
 @example(seed=0, r=6, sub=2, h=2, w=3, c=3, scale=40.0, threshold=1.0, gain=1.0,
-         static=True, shot_noise=False, reset_to_zero=False)
+         static=True, shot_noise=False)
 @example(seed=1, r=8, sub=3, h=3, w=2, c=1, scale=3.0, threshold=0.3, gain=1.3,
-         static=False, shot_noise=True, reset_to_zero=False)
+         static=False, shot_noise=True)
 def test_integrate_and_fire_matches_reference(seed, r, sub, h, w, c, scale, threshold,
-                                              gain, static, shot_noise, reset_to_zero):
+                                              gain, static, shot_noise):
     clip = _random_clip(seed, r * sub, h, w, c, scale * threshold / gain, static)
     cfg = SensorConfig(threshold=threshold, conversion_gain=gain, readout_rate_hz=r,
                        total_time_s=1.0, micro_intervals=r * sub, shot_noise=shot_noise,
-                       rng_seed=seed, reset_to_zero=reset_to_zero)
+                       rng_seed=seed)
     got = integrate_and_fire(clip, cfg)
     want = reference_simulate.integrate_and_fire(clip, cfg)
     assert got.packed.tobytes() == want.packed.tobytes()
@@ -335,17 +321,6 @@ def test_integrate_and_fire_rejects_a_drive_it_cannot_represent(static, value, c
             integrate_and_fire(clip, cfg)
 
 
-def test_reset_to_zero_fires_every_step_on_an_infinite_drive():
-    # reset-to-zero fires at most once a step, so an infinite drive is as
-    # representable as any drive past the threshold
-    u = np.full((10, 1, 2, 1), 3e38, np.float32)
-    u[:, 0, 1] = 0.0
-    cfg = SensorConfig(conversion_gain=1e300, readout_rate_hz=10, total_time_s=1.0,
-                       micro_intervals=10, reset_to_zero=True)
-    bits = integrate_and_fire(IrradianceClip(u=u), cfg).bits()
-    assert bits[:, 0, 0, 0].all() and not bits[:, 0, 1, 0].any()
-
-
 # ----------------------------------- integrate-and-fire over several tiles
 
 def _fires_like_reference(clip, cfg):
@@ -359,21 +334,18 @@ def _fires_like_reference(clip, cfg):
 # fill whole bytes), 331 x 157 x 1 as 208 and 123; neither H*W is a
 # multiple of 8, so the last byte of every plane is part-filled
 @pytest.mark.parametrize("h, w, c", [(211, 101, 3), (331, 157, 1)])
-@pytest.mark.parametrize("static, sub, reset_to_zero, shot_noise", [
-    (True, 1, False, False), (False, 3, False, False), (True, 3, True, False),
-    (False, 1, True, False), (True, 2, False, True), (False, 1, False, True)])
+@pytest.mark.parametrize("static, sub, shot_noise", [
+    (True, 1, False), (False, 3, False), (True, 2, True), (False, 1, True)])
 # drives below 0.9 thresholds keep every accumulator below 2 thresholds, so
 # each step compares; below 1.9, nearly every band divides at every step
 @pytest.mark.parametrize("scale", [0.9, 1.9])
 def test_integrate_and_fire_matches_reference_over_several_tiles(h, w, c, static, sub,
-                                                                 reset_to_zero, shot_noise,
-                                                                 scale):
+                                                                 shot_noise, scale):
     assert h * w * c > 1.5 * simulate._FIRE_TILE_SAMPLES and h * w % 8
     r = 4
     clip = _random_clip(h + sub, r * sub, h, w, c, scale, static)
     cfg = SensorConfig(threshold=1.0, readout_rate_hz=r, total_time_s=1.0,
-                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=h,
-                       reset_to_zero=reset_to_zero)
+                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=h)
     _fires_like_reference(clip, cfg)
 
 
@@ -403,15 +375,14 @@ def test_each_tile_switches_to_division_on_its_own():
        h=st.integers(1, 19), w=st.integers(1, 19), c=st.sampled_from([1, 3]),
        tile=st.sampled_from([1, 8, 24, 100]),
        scale=st.sampled_from([0.5, 1.9, 40.0]), threshold=st.sampled_from([1.0, 0.3]),
-       static=st.booleans(), shot_noise=st.booleans(), reset_to_zero=st.booleans())
+       static=st.booleans(), shot_noise=st.booleans())
 def test_integrate_and_fire_matches_reference_over_small_tiles(seed, r, sub, h, w, c, tile,
                                                                scale, threshold, static,
-                                                               shot_noise, reset_to_zero):
+                                                               shot_noise):
     # a small tile size makes bands of a few rows on planes of a few pixels
     clip = _random_clip(seed, r * sub, h, w, c, scale * threshold, static, decades=2)
     cfg = SensorConfig(threshold=threshold, readout_rate_hz=r, total_time_s=1.0,
-                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=seed,
-                       reset_to_zero=reset_to_zero)
+                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=seed)
     with mock.patch.object(simulate, "_FIRE_TILE_SAMPLES", tile):
         _fires_like_reference(clip, cfg)
 

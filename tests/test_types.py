@@ -299,7 +299,8 @@ def test_numpy_integer_fields_are_stored_as_python_ints():
         QuerySpec(window=u8(4), stride=u8(2)),
         SensorConfig(micro_intervals=np.int64(2000), rng_seed=np.uint64(2 ** 63)),
         ModuloFrame(np.zeros((2, 2), np.uint16), u8(8)),
-        ModuloSequence((), u8(4), u8(2), 1.0, np.uint16(20_000)),
+        ModuloSequence((ModuloFrame(np.zeros((2, 2), np.uint16), 8),), u8(4), u8(2), 1.0,
+                       np.uint16(20_000)),
         SpikeStream(u8(200), u8(200), u8(1), u8(1), np.uint16(20_000),
                     np.zeros((1, 1, 5000), np.uint8)),
     ]
@@ -309,12 +310,31 @@ def test_numpy_integer_fields_are_stored_as_python_ints():
                 assert type(getattr(value, field.name)) is int, (value, field.name)
 
 
-def test_positive_fields_accept_huge_ints_and_finite_motion():
-    # the upper bound compares exactly: no float conversion of 10**400
-    assert SpikeStream(1, 1, 1, 10, 10**400, np.zeros((10, 1, 1), np.uint8))
+def test_positive_fields_refuse_huge_ints_and_accept_finite_motion():
+    # the upper bound is the largest float, compared exactly: no float
+    # conversion of 10**400, and no int that no float holds
+    with pytest.raises(ValidationError, match="SpikeStream.readout_rate_hz"):
+        SpikeStream(1, 1, 1, 10, 10**400, np.zeros((10, 1, 1), np.uint8))
+    assert SpikeStream(1, 1, 1, 10, 10**300, np.zeros((10, 1, 1), np.uint8))
+    with pytest.raises(ValidationError, match="Motion.rotate_deg"):
+        Motion(rotate_deg=-10**400)
     motion = Motion(translate_px=[1e300, -1e300], rotate_deg=-1e6)
     assert motion.translate_px == (1e300, -1e300) and not motion.is_identity
     assert Motion(translate_px=np.zeros(2)).is_identity
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: EncoderConfig(gain=10**400), "EncoderConfig.gain"),
+    (lambda: QuerySpec(window=4, stride=2, digital_gain=10**400), "QuerySpec.digital_gain"),
+    (lambda: Motion(translate_px=(10**400, 0)), "Motion.translate_px"),
+    (lambda: Motion(rotate_deg=10**400), "Motion.rotate_deg"),
+    (lambda: lar(3.0, 10**400), "modulus"),
+], ids=["encoder-gain", "digital-gain", "translate", "rotate", "lar-modulus"])
+def test_numbers_past_the_float_range_are_refused_where_they_enter(build, field):
+    # an int of any size used to pass as positive and finite, and then the
+    # encoder, the ideal counts, the warp or lar raised a raw OverflowError
+    with pytest.raises(ValidationError, match=field):
+        build()
 
 
 @pytest.mark.parametrize("start, stop, field", [
