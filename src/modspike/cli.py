@@ -38,22 +38,19 @@ def _parse_flag(text: str) -> bool:
     return ("0", "false", "no", "off", "1", "true", "yes", "on").index(text.lower()) >= 4
 
 
-# each SensorConfig field, parsed as the type of its default
+# each SensorConfig field but the seed (--seed sets it), parsed as the type of its default
 _SENSOR_KEYS = {f.name: _parse_flag if isinstance(f.default, bool) else type(f.default)
-                for f in fields(SensorConfig)}
+                for f in fields(SensorConfig) if f.name != "rng_seed"}
 
 
-def _parse_sensor_config(text: str | None, seed: int | None = None) -> SensorConfig:
+def _parse_sensor_config(text: str | None, seed: int = 0) -> SensorConfig:
     """Sensor config from `key=value` pairs, inline (comma/space separated)
-    or one per line in a file."""
-    given = {}
+    or one per line in a file, with shot-noise seed `seed`."""
+    given = {"rng_seed": seed}
     if text:
         if Path(text).is_file():
-            pairs = []
-            for line in Path(text).read_text().splitlines():
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    pairs.append(line)
+            lines = (line.split("#", 1)[0].strip() for line in Path(text).read_text().splitlines())
+            pairs = [line for line in lines if line]
         else:
             pairs = [p for chunk in text.split(",") for p in chunk.split() if p]
         for pair in pairs:
@@ -66,32 +63,32 @@ def _parse_sensor_config(text: str | None, seed: int | None = None) -> SensorCon
                 given[key] = _SENSOR_KEYS[key](value)
             except ValueError:
                 raise ValidationError(f"config: {key}: cannot parse {value!r}") from None
-    if seed is not None:
-        given["rng_seed"] = seed
     return SensorConfig(**given)
 
 
 def _parse_motion(text: str) -> Motion:
     """Motion spec: `none`, `translate:DX,DY`, `rotate:DEG`, or both joined
     with `+` (e.g. `translate:2,0+rotate:5`)."""
-    translate = (0.0, 0.0)
-    rotate = 0.0
+    given = {}  # Motion field -> value
     if text.strip().lower() in ("", "none", "identity"):
         return Motion()
     for part in text.split("+"):
         kind, _, args = part.partition(":")
         kind = kind.strip().lower()
-        if kind not in ("translate", "rotate"):
+        field = {"translate": "translate_px", "rotate": "rotate_deg"}.get(kind)
+        if field is None:
             raise ValidationError(f"motion: unknown component {part!r}")
+        if field in given:
+            raise ValidationError(f"motion: component {kind!r} given twice")
         try:
             if kind == "translate":
                 dx, dy = (float(v) for v in args.split(","))
-                translate = (dx, dy)
+                given[field] = (dx, dy)
             else:
-                rotate = float(args)
+                given[field] = float(args)
         except ValueError:
             raise ValidationError(f"motion: cannot parse component {part!r}") from None
-    return Motion(translate_px=translate, rotate_deg=rotate)
+    return Motion(**given)
 
 
 def _synthetic_scene(height: int, width: int, channels: int, peak: float,
@@ -175,9 +172,9 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    cfg = _parse_sensor_config(args.config, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _parse_sensor_config(args.config, seed=args.seed)
     if args.scene:
         scene = containers.read_hdr(args.scene)
     else:
@@ -243,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="none | translate:DX,DY | rotate:DEG | combined with +")
     p.add_argument("--config", default=None,
                    help="sensor config: key=value list or a file of key=value lines")
-    p.add_argument("--seed", type=int, default=None, help="override rng_seed")
+    p.add_argument("--seed", type=int, default=0, help="seed of the shot noise")
     p.add_argument("--mosaic", action="store_true",
                    help="sample through the 2x2 macro-pixel layout")
     p.add_argument("--out", required=True, help="output SPKB path")

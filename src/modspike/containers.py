@@ -16,11 +16,12 @@ artifact gets a purpose-built little-endian container:
                               + frame_count:u32 (>= 1 frames of >= 1 sample)
                               + frames as u8 when bit_depth <= 8, else u16
 
-Every writer/reader pair is a bijection on valid values. A writer checks
-every header field against its struct range before it opens the file, so
-a value the container cannot hold raises FormatError and leaves no file.
-The fields after the common header are `_FIELDS`, the one table the
-writers pack from and the readers unpack with.
+Every writer/reader pair is a bijection on valid values but MODQ's gain,
+held as f32: 0.1 reads back as 0.10000000149011612, 2.5 and 15.0 exactly.
+A writer checks every header field against its struct range before it
+opens the file, so a value the container cannot hold raises FormatError
+and leaves no file. The fields after the common header are `_FIELDS`,
+the one table the writers pack from and the readers unpack with.
 """
 
 from __future__ import annotations
@@ -104,14 +105,16 @@ def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
 def _array(path, payload: np.ndarray, dtype: str, shape: tuple) -> np.ndarray:
     """The whole payload viewed as a native-order array of `shape`, after
     checking that it holds exactly that many bytes. The view is frozen, so a
-    value adopts it when it is aligned and of the value's dtype."""
+    value adopts it when it is aligned and of the value's dtype. numpy cannot
+    shape every empty array, so an empty payload keeps only the zero sizes
+    of `shape` and takes 1 for the others; the value built on it refuses it."""
     dtype = np.dtype(dtype)
     extra = len(payload) - math.prod(shape) * dtype.itemsize
     if extra < 0:
         raise FormatError(f"{path}: truncated payload")
     if extra:
         raise FormatError(f"{path}: payload length mismatch ({extra} extra bytes)")
-    data = payload.view(dtype).reshape(shape)
+    data = payload.view(dtype).reshape(shape if len(payload) else [min(n, 1) for n in shape])
     return data.astype(dtype.newbyteorder("="), copy=False)  # a view on little-endian hosts
 
 
@@ -161,9 +164,7 @@ def write_modulo(path, seq: ModuloSequence) -> None:
 
 def read_modulo(path) -> ModuloSequence:
     h, payload = _read(path, MAGIC_MODULO)
-    shape = (h["height"], h["width"], h["channels"])
-    if not math.prod(shape):  # the file size would not bound frame_count
-        raise FormatError(f"{path}: frames of shape {shape} hold no samples")
-    data = _array(path, payload, _samples(h["bit_depth"]), (h["frame_count"],) + shape)
+    shape = (h["frame_count"], h["height"], h["width"], h["channels"])
+    data = _array(path, payload, _samples(h["bit_depth"]), shape)
     frames = tuple(ModuloFrame(data=frame, bit_depth=h["bit_depth"]) for frame in data)
     return ModuloSequence(frames, h["window"], h["stride"], h["gain"], h["source_rate_hz"])

@@ -6,7 +6,7 @@ both images first and scores them against peak 1. Identical inputs score
 infinite PSNR (a documented sentinel, not an error) and SSIM exactly 1.
 
 Bandwidth figures are exact bit counts per second: a raw spike stream
-costs height*width*rate bits/s (single-channel full-resolution readout),
+costs height*width*channels*rate bits/s (one plane for a mosaic sensor),
 while the encoded output costs pixels*channels*bits*rate/stride. The
 mosaic layout halves each spatial dimension and yields three channels.
 """
@@ -163,9 +163,9 @@ def bandwidth_report(height: int, width: int, channels: int, readout_rate_hz: in
                      bit_depth: int, stride: int, mosaic: bool) -> BandwidthReport:
     """Bandwidth of raw spike transmission vs. sliding-window modulo output.
 
-    Raw baseline: single-channel full-resolution binary frames at the
-    readout rate. Encoded: N-bit frames at rate/stride; with `mosaic` the
-    encoder sees half-resolution 3-channel input.
+    Raw baseline: binary frames of every channel (of one full-resolution
+    plane with `mosaic`) at the readout rate. Encoded: N-bit frames at
+    rate/stride; with `mosaic` the encoder sees 3 half-resolution channels.
     """
     for name, v in (("readout_rate_hz", readout_rate_hz), ("stride", stride)):
         check_integer(v, name)
@@ -175,7 +175,7 @@ def bandwidth_report(height: int, width: int, channels: int, readout_rate_hz: in
     if mosaic and (height % 2 or width % 2):
         raise ValidationError(
             f"height/width: mosaic needs even dimensions, got {height}x{width}")
-    raw_bps = height * width * readout_rate_hz
+    raw_bps = height * width * (1 if mosaic else channels) * readout_rate_hz
     if mosaic:
         pixels_bits = (height // 2) * (width // 2) * 3 * bit_depth
     else:

@@ -120,10 +120,36 @@ def test_simulate_accepts_config_file(capsys, tmp_path, small_scene):
 
 
 def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
-    code, _, err = run_cli(capsys, "simulate", "--scene", str(small_scene),
-                           "--config", "volts=9", "--out", str(tmp_path / "x.spkb"))
-    assert code != 0
-    assert "unknown key" in err
+    # the seed is no config key: --seed is its one route
+    out = tmp_path / "x.spkb"
+    for pair, key in (("volts=9", "volts"), ("rng_seed=-1", "rng_seed")):
+        code, stdout, err = run_cli(capsys, "simulate", "--scene", str(small_scene),
+                                    "--config", pair, "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == f"modspike: error: config: unknown key '{key}'\n"
+
+
+def test_pipeline_refuses_a_seed_in_its_config(capsys, tmp_path):
+    # its --seed defaults to 0 and used to override this key silently
+    out_dir = tmp_path / "p"
+    code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(out_dir), "--height", "8",
+                             "--width", "8", "--config", "shot_noise=1,rng_seed=5")
+    assert code == 1 and out == "" and not out_dir.exists()
+    assert err == "modspike: error: config: unknown key 'rng_seed'\n"
+
+
+def test_simulate_seed_sets_the_shot_noise(capsys, tmp_path, small_scene):
+    config = "shot_noise=1,threshold=0.02,readout_rate_hz=1000,total_time_s=0.02"
+    written = {}
+    for seed in (None, "0", "5", "6"):
+        out = tmp_path / f"seed_{seed}.spkb"
+        argv = () if seed is None else ("--seed", seed)
+        code, _, _ = run_cli(capsys, "simulate", "--scene", str(small_scene),
+                             "--config", config, *argv, "--out", str(out))
+        assert code == 0
+        written[seed] = out.read_bytes()
+    assert written["0"] == written[None]
+    assert written["5"] != written["6"]
 
 
 def test_simulate_refuses_the_removed_reset_to_zero_key(capsys, tmp_path, small_scene):
@@ -140,7 +166,6 @@ def test_simulate_refuses_the_removed_reset_to_zero_key(capsys, tmp_path, small_
     ("--config", "micro_intervals=1.5", "micro_intervals"),
     ("--config", "shot_noise=ture", "shot_noise"),
     ("--config", "shot_noise=", "shot_noise"),
-    ("--config", "rng_seed=-1", "rng_seed"),
     ("--config", "threshold", "threshold"),
     ("--seed", "-1", "rng_seed"),
     ("--motion", "translate:1", "translate:1"),
@@ -148,6 +173,9 @@ def test_simulate_refuses_the_removed_reset_to_zero_key(capsys, tmp_path, small_
     ("--motion", "translate:nan,0", "translate_px"),
     ("--motion", "rotate:inf", "rotate_deg"),
     ("--motion", "spin:3", "spin:3"),
+    # a repeated component used to overwrite the first: the capture ran static
+    ("--motion", "rotate:5+rotate:0", "component 'rotate' given twice"),
+    ("--motion", "translate:1,0+translate:2,0", "component 'translate' given twice"),
 ])
 def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag, value, named):
     out = tmp_path / "x.spkb"
@@ -257,7 +285,7 @@ def test_pipeline_deterministic_across_runs(capsys, tmp_path):
                                "--window", "10", "--stride", "5",
                                "--config",
                                "threshold=0.05,readout_rate_hz=1000,"
-                               "total_time_s=0.04,micro_intervals=40,rng_seed=7")
+                               "total_time_s=0.04,micro_intervals=40")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]

@@ -158,17 +158,6 @@ def test_modulo_wide_bit_depth_round_trip(tmp_path):
     assert np.array_equal(back.frames[0].data, frame.data)
 
 
-@pytest.mark.parametrize("frame_count", [3, 2 ** 32 - 1])
-def test_modulo_reader_refuses_frames_without_samples(tmp_path, frame_count):
-    # the payload of such frames is empty, so the file size cannot bound
-    # frame_count: the reader must refuse the geometry, not build the frames
-    path = tmp_path / "empty.modq"
-    path.write_bytes(struct.pack("<4sHIIIBHHfII", b"MODQ", 1, 0, 4, 1,
-                                 8, 4, 4, 1.0, 0, frame_count))
-    with pytest.raises(FormatError, match=r"\(0, 4, 1\) hold no samples"):
-        read_modulo(path)
-
-
 def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
     seq = _sequence()
     path = tmp_path / "x.modq"
@@ -230,6 +219,15 @@ def test_modulo_subnormal_gain_round_trips(tmp_path, gain):
     assert back.gain == float(np.float32(gain)) > 0.0
 
 
+@pytest.mark.parametrize("gain, read_back", [(0.1, 0.10000000149011612), (2.5, 2.5),
+                                              (15.0, 15.0)])
+def test_modulo_gain_reads_back_rounded_to_f32(tmp_path, gain, read_back):
+    # MODQ holds the gain as f32: the one field that is no bijection
+    path = tmp_path / "g.modq"
+    write_modulo(path, _modulo_with(gain=gain))
+    assert read_modulo(path).gain == read_back == float(np.float32(gain))
+
+
 def test_writer_header_check_keeps_an_existing_file(tmp_path):
     path = tmp_path / "m.modq"
     write_modulo(path, _modulo_with())
@@ -257,16 +255,22 @@ def test_writers_check_sizes_against_u32(magic, field):
         containers._pack("x.bin", magic, source)
 
 
-@pytest.mark.parametrize("magic, layout, fields", [(b"LHDR", "B", (0,)),
-                                                   (b"SPKB", "II", (2 ** 32 - 1, 100))])
+@pytest.mark.parametrize("magic, layout, fields", [
+    (b"LHDR", "B", (0,)),
+    (b"SPKB", "II", (2 ** 32 - 1, 100)),
+    # a MODQ file size cannot bound the frame count of such frames either
+    *(pytest.param(b"MODQ", "BHHfII", (bits, 4, 4, 1.0, 0, count), id=f"MODQ-{bits}bit-{count}")
+      for bits in (8, 12) for count in (3, 2 ** 32 - 1)),
+])
 @pytest.mark.parametrize("h, w, field", [(2 ** 32 - 1, 0, "width"), (0, 2 ** 32 - 1, "height")])
 def test_reader_rejects_a_header_without_samples_before_allocating(tmp_path, magic, layout,
                                                                     fields, h, w, field):
     # such a header has an empty payload: the value it would build is
     # refused on its geometry, before anything the size of the header's
-    # claims is allocated
+    # claims is allocated (MODQ's first frame refuses it); 2^32 - 1 channels
+    # take the header's other sizes past numpy's index range
     path = tmp_path / "x.bin"
-    path.write_bytes(struct.pack(_COMMON + layout, magic, 1, h, w, 3, *fields))
+    path.write_bytes(struct.pack(_COMMON + layout, magic, 1, h, w, 2 ** 32 - 1, *fields))
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match=rf"\.{field}: must be positive"):
@@ -407,10 +411,11 @@ def _version(blob, version=2):
     (b"LHDR", _version(_LHDR[:18]), "unsupported version 2"),
     (b"SPKB", _version(_SPKB[:22]), "unsupported version 2"),
     (b"MODQ", _version(_MODQ[:30]), "unsupported version 2"),
-    # the dtype tag and the sample geometry before the payload size
+    # the dtype tag before the payload size, and the payload size before
+    # the geometry of a MODQ frame
     (b"LHDR", _LHDR[:18] + b"\x09" + bytes(5), "unknown dtype tag 9"),
     (b"MODQ", _EMPTY_MODQ[:30], "truncated payload"),
-    (b"MODQ", _EMPTY_MODQ + b"xx", r"\(0, 3, 1\) hold no samples"),
+    (b"MODQ", _EMPTY_MODQ + b"xx", r"payload length mismatch \(2 extra bytes\)"),
 ], ids=["lhdr-valid", "spkb-valid", "modq-valid", "lhdr-empty", "spkb-empty", "modq-empty",
         "lhdr-cut-common", "spkb-cut-common", "modq-cut-common",
         "lhdr-cut-format", "spkb-cut-format", "modq-cut-format",

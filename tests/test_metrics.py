@@ -277,8 +277,9 @@ def test_bandwidth_mosaic_6_gbps_and_70_percent():
 
 
 def test_bandwidth_non_mosaic_uses_channels():
+    # a 3-channel sensor reads 3 raw planes, as integrate_and_fire emits them
     rep = bandwidth_report(100, 100, 3, 1000, 8, 10, mosaic=False)
-    assert rep.raw_bps == 100 * 100 * 1000
+    assert rep.raw_bps == 100 * 100 * 3 * 1000
     assert rep.modulo_bps == 100 * 100 * 3 * 8 * 1000 // 10
 
 
