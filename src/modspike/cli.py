@@ -172,9 +172,8 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    # every input is checked before the output directory is made
     cfg = _parse_sensor_config(args.config, seed=args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scene:
         scene = containers.read_hdr(args.scene)
     else:
@@ -186,15 +185,18 @@ def _cmd_pipeline(args) -> int:
         peak_radiance = float(scene.values().max())
         cfg = replace(cfg, threshold=max(
             peak_radiance * cfg.total_time_s / cfg.micro_intervals, 1e-12))
+    motion = _parse_motion(args.motion)
+    enc_cfg = _encoder_config(args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     containers.write_hdr(out_dir / "scene.lhdr", scene)
 
-    clip = synthesize_clip(scene, _parse_motion(args.motion), cfg)
+    clip = synthesize_clip(scene, motion, cfg)
     if args.mosaic:
         clip = mosaic_sample(clip)
     stream = integrate_and_fire(clip, cfg)
     containers.write_spikes(out_dir / "spikes.spkb", stream)
 
-    enc_cfg = _encoder_config(args)
     seq = encode_stream(stream, enc_cfg)
     containers.write_modulo(out_dir / "modulo.modq", seq)
     print(f"frames={len(seq)}")

@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from .encoder import ModuloSequence
-from .types import HdrImage, ModuloFrame, SpikeStream, plane_bytes
+from .types import HdrImage, ModuloFrame, SpikeStream, plane_bytes, sample_dtype
 
 MAGIC_HDR = b"LHDR"
 MAGIC_SPIKES = b"SPKB"
@@ -58,8 +58,8 @@ def _struct(fields) -> struct.Struct:
     return struct.Struct("<4sH" + "".join(code for _, code in fields))
 
 
-def _samples(bit_depth: int) -> str:
-    return "<u2" if bit_depth > 8 else "u1"  # the on-disk dtype of MODQ samples
+def _samples(bit_depth: int) -> np.dtype:
+    return sample_dtype(bit_depth).newbyteorder("<")  # the on-disk dtype of MODQ samples
 
 
 def _pack(path, magic: bytes, *sources, **values) -> bytes:
@@ -163,8 +163,14 @@ def write_modulo(path, seq: ModuloSequence) -> None:
 
 
 def read_modulo(path) -> ModuloSequence:
+    """Each frame owns one frozen copy of its samples, so no frame pins the
+    file's buffer, which is freed once read. Frames that viewed the buffer
+    decoded slower: glibc then trimmed and regrew its heap every other frame."""
     h, payload = _read(path, MAGIC_MODULO)
     shape = (h["frame_count"], h["height"], h["width"], h["channels"])
-    data = _array(path, payload, _samples(h["bit_depth"]), shape)
-    frames = tuple(ModuloFrame(data=frame, bit_depth=h["bit_depth"]) for frame in data)
-    return ModuloSequence(frames, h["window"], h["stride"], h["gain"], h["source_rate_hz"])
+    frames = []
+    for frame in _array(path, payload, _samples(h["bit_depth"]), shape):
+        frame = frame.copy()
+        frame.setflags(write=False)  # the frame adopts it: no second copy
+        frames.append(ModuloFrame(data=frame, bit_depth=h["bit_depth"]))
+    return ModuloSequence(tuple(frames), h["window"], h["stride"], h["gain"], h["source_rate_hz"])

@@ -6,8 +6,9 @@ over window j), 2^N), with 1-based window starts b_j = (j-1)*stride + 1.
 Stride == window degenerates to the classic exposure-coupled sensor on a
 fixed partition; stride < window decouples frame rate (rate/stride) from
 exposure (window length). The cost is O(pixels) per spike frame for any
-window, and the output is bit-identical to recounting every window from
-scratch (see `ChunkedEncoder` for how).
+window, the output is bit-identical to recounting every window from
+scratch (see `ChunkedEncoder` for how), and the codes are made at their
+MODQ width (`sample_dtype`): one byte per sample up to 8 bits.
 
 `ideal_window_counts` is the one ideal-domain entry point, the pre-wrap
 truth: floor(gain * sum of U_k over the window) over the same windows of
@@ -27,8 +28,8 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
-                    _channels_last, _check_nonnegative_int, _check_type, check_bits,
-                    check_dims, check_geometry, check_positive, check_stride, store_ints)
+                    _channels_last, _check_nonnegative_int, _check_type, check_bits, check_dims,
+                    check_geometry, check_positive, check_stride, sample_dtype, store_ints)
 
 _UNPACK_SAMPLES = 2 ** 20  # spike samples encode_stream unpacks per push: 1 MiB of {0,1} bytes
 
@@ -119,15 +120,16 @@ class ChunkedEncoder:
     summed into the count in blocks that end at those events. At a close
     the window's count is the current count minus its start copy; the
     count may wrap, but the difference is exact, because the true count
-    lies in [0, window]. Its code, mod(floor(gain * count), 2^N), follows
-    one of two rules chosen once from the config. While gain is whole and
-    gain * window < 2^53, every gain * count is an exact float64 integer,
-    so the code is N-bit counter arithmetic: one wrapping uint16 multiply
-    by gain mod 2^16 per channel plane, then a mask. Any other gain reads
-    a table of the code for every count 0..window: float64 rounds a
-    product past 2^53, and a fractional gain floors it. The codes are
-    written channels-last one plane at a time and frozen, so the emitted
-    frame adopts them without a copy; it carries the config in `counted_by`.
+    lies in [0, window]. Its code, mod(floor(gain * count), 2^N), is made
+    in the frame's `sample_dtype(N)` by one of two rules chosen once from
+    the config. While gain is whole and gain * window < 2^53, every
+    gain * count is an exact float64 integer, so the code is N-bit counter
+    arithmetic: one multiply by gain mod 2^N per channel plane, wrapping in
+    that type, then a mask. Any other gain reads a table of that type: the
+    code of every count 0..window, as float64 rounds a product past 2^53,
+    and a fractional gain floors it. The codes are written channels-last
+    one plane at a time and frozen, so the emitted frame adopts them
+    without a copy; it carries the config in `counted_by`.
     """
 
     def __init__(self, height: int, width: int, channels: int,
@@ -140,10 +142,11 @@ class ChunkedEncoder:
         self._source_rate_hz = source_rate_hz
         self._total = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
         self._open: deque[np.ndarray] = deque()  # start copies of open windows, oldest first
-        # the rule (see above): gain mod 2^16 while every gain * count is exact, else a table
+        # the rule (see above): gain mod 2^N while every gain * count is exact, else a table
+        self._codes = codes = sample_dtype(cfg.bit_depth)
         exact = cfg.gain % 1 == 0 and cfg.gain * cfg.window < 2 ** 53
-        self._step = int(cfg.gain) % 2 ** 16 if exact else None
-        self._wrap = None if exact else np.mod(cfg.prewrap_values(), cfg.modulus).astype(np.uint16)
+        self._step = int(cfg.gain) % cfg.modulus if exact else None
+        self._wrap = None if exact else np.mod(cfg.prewrap_values(), cfg.modulus).astype(codes)
         self._consumed = 0
         self._emitted: list[ModuloFrame] = []
 
@@ -171,9 +174,9 @@ class ChunkedEncoder:
                 if self._step is None:
                     codes = _channels_last(np.take(self._wrap, counts))
                 else:
-                    codes = np.empty(self._shape, np.uint16)
+                    codes = np.empty(self._shape, self._codes)
                     for c, plane in enumerate(counts):
-                        np.multiply(plane, self._step, out=codes[:, :, c], dtype=np.uint16)
+                        np.multiply(plane, self._step, out=codes[:, :, c], dtype=self._codes)
                     codes &= self._cfg.modulus - 1
                 codes.setflags(write=False)  # the frame adopts it: no second copy
                 frame = ModuloFrame(data=codes, bit_depth=self._cfg.bit_depth,

@@ -106,6 +106,11 @@ def check_bits(samples: np.ndarray, name: str) -> np.ndarray:
     return samples.astype(np.uint8, copy=False)
 
 
+def sample_dtype(bit_depth: int) -> np.dtype:
+    """Every N-bit code's type, the narrowest holding 2^N - 1: uint8 to 8 bits, else uint16."""
+    return np.dtype(np.uint8 if bit_depth <= 8 else np.uint16)
+
+
 def store_ints(value, *names: str) -> None:
     """Check that each named field is an integer >= 0, as every integer field
     of a value type is, then store it as a Python int: 1 << np.uint8(8) is 0."""
@@ -201,7 +206,10 @@ class HdrImage(_Raster):
 class ModuloFrame(_Raster):
     """N-bit wrapped observation: every sample lives in [0, 2^N).
 
-    Samples are held as uint16 regardless of N; on-disk width follows N.
+    Samples are held in `sample_dtype(N)`, their MODQ width (uint8 up to 8
+    bits: arithmetic on `data` wraps at 256 unless widened). A caller's frozen
+    array of that type, uint8 too, is adopted and stays immutable only while
+    the caller keeps it read-only.
     `counted_by` is the config of the spike encoder that counted the frame,
     and only `ChunkedEncoder` sets it. Each sample is then
     mod(floor(gain * count), 2^N) for a count in 0..window, which lets
@@ -209,7 +217,7 @@ class ModuloFrame(_Raster):
     not store it, so a frame read from a file has none.
     """
 
-    data: np.ndarray  # (H, W, C) uint16, read-only
+    data: np.ndarray  # (H, W, C) sample_dtype(bit_depth), read-only
     bit_depth: int
     counted_by: EncoderConfig | None = None
 
@@ -229,7 +237,7 @@ class ModuloFrame(_Raster):
             raise ValidationError(
                 f"ModuloFrame.data: samples must lie in [0, 2^{self.bit_depth})"
             )
-        object.__setattr__(self, "data", _freeze(data, np.uint16))
+        object.__setattr__(self, "data", _freeze(data, sample_dtype(self.bit_depth)))
 
     @property
     def modulus(self) -> int:

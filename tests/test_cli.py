@@ -236,6 +236,25 @@ def test_pipeline_size_below_one_fails_with_one_error_line(capsys, tmp_path, fie
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--height", "0", "pipeline.height: must be positive and finite, got 0"),
+    ("--motion", "bogus", "motion: unknown component 'bogus'"),
+    ("--bits", "17", "EncoderConfig.bit_depth: must be in 1..16, got 17"),
+    ("--scene", "nope.lhdr", "No such file or directory")],
+    ids=["height-0", "motion-bogus", "bits-17", "missing-scene"])
+def test_pipeline_bad_input_fails_before_making_its_out_dir(capsys, tmp_path, flag, value,
+                                                            error):
+    # each used to leave the directory behind: empty, with scene.lhdr, or
+    # with scene.lhdr and spikes.spkb after the whole simulation
+    out_dir = tmp_path / "p"
+    value = str(tmp_path / value) if flag == "--scene" else value
+    code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(out_dir), "--height", "8",
+                             "--width", "8", flag, value)
+    assert code == 1 and out == "" and not out_dir.exists()
+    assert err.startswith("modspike: error:") and error in err
+    assert len(err.splitlines()) == 1
+
+
 def test_encode_short_stream_fails_with_stderr(capsys, tmp_path, small_scene):
     spikes = tmp_path / "short.spkb"
     config = "threshold=0.02,readout_rate_hz=200,total_time_s=0.05,micro_intervals=10"

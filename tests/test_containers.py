@@ -158,6 +158,38 @@ def test_modulo_wide_bit_depth_round_trip(tmp_path):
     assert np.array_equal(back.frames[0].data, frame.data)
 
 
+@pytest.mark.parametrize("bit_depth, dtype", [(8, np.uint8), (12, np.uint16)])
+def test_modulo_frames_are_read_at_their_wire_width(tmp_path, bit_depth, dtype):
+    # each frame owns one read-only copy of its samples, in the narrowest
+    # type that holds them, and pins no buffer the file was read into
+    path = tmp_path / "m.modq"
+    write_modulo(path, _sequence(bit_depth=bit_depth))
+    frames = read_modulo(path).frames
+    assert len(frames) == 2 and not np.shares_memory(frames[0].data, frames[1].data)
+    for frame in frames:
+        assert frame.data.dtype == dtype and not frame.data.flags.writeable
+        assert frame.data.base is None and frame.data.flags.c_contiguous
+
+
+def test_read_modulo_of_8bit_frames_peaks_at_twice_the_file_size(tmp_path):
+    # the file's buffer and one copy of each frame; the payload used to be
+    # widened to uint16 frame by frame: three times the file
+    rng = np.random.default_rng(4)
+    codes = rng.integers(0, 256, (100, 64, 64, 3), dtype=np.uint8)
+    frames = tuple(ModuloFrame(data=c, bit_depth=8) for c in codes)
+    path = tmp_path / "m100.modq"
+    write_modulo(path, ModuloSequence(frames=frames, window=25, stride=20, gain=15.0))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        seq = read_modulo(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a.data, b) for a, b in zip(seq.frames, codes))
+    assert 1.9 * size < peak < 2.1 * size, (peak, size)
+
+
 def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
     seq = _sequence()
     path = tmp_path / "x.modq"

@@ -266,7 +266,8 @@ def test_encode_stream_memory_is_its_output_and_a_few_planes():
     finally:
         tracemalloc.stop()
     output = sum(f.data.nbytes for f in seq.frames)
-    assert len(seq) == 4 and output == 4 * 2 * sample_plane
+    assert all(f.data.dtype == np.uint8 for f in seq.frames)  # 8-bit codes: one byte each
+    assert len(seq) == 4 and output == 4 * sample_plane
     assert peak - output <= 16 * sample_plane, peak - output
 
 
@@ -477,10 +478,30 @@ def test_chunked_encoder_matches_naive_recount(geometry, bit_depth, gain, channe
     oracle = naive_encode(raw, cfg)
     assert len(emitted) == len(oracle) == frame_capacity(total, window, stride)
     for frame, ref in zip(emitted, oracle):
-        assert frame.data.dtype == np.uint16 and frame.data.flags.c_contiguous
+        assert frame.data.dtype == (np.uint8 if bit_depth <= 8 else np.uint16)
+        assert frame.data.flags.c_contiguous
         assert frame.data.shape == (h, w, channels) and not frame.data.flags.writeable
         assert np.array_equal(frame.data, ref)
     assert enc.sequence().frames == tuple(emitted)
+
+
+@pytest.mark.parametrize("gain", [15.0, 2.5])
+@pytest.mark.parametrize("window, stride", [(255, 40), (256, 40), (300, 7), (1000, 333)])
+def test_windows_past_255_feed_uint16_counts_into_uint8_codes(gain, window, stride):
+    # counts past 255 are held in uint16; the 8-bit codes they make are uint8,
+    # by the wrapping multiply (whole gain) and by the table (2.5)
+    cfg = EncoderConfig(window=window, stride=stride, gain=gain, bit_depth=8)
+    rng = np.random.default_rng(window)
+    raw = (rng.random((window + 2 * stride, 3, 2, 3)) < 0.9).astype(np.uint8)
+    raw[:window, 0, 0, 0] = 1  # one pixel counts every spike of window 0
+    enc = ChunkedEncoder(3, 2, 3, cfg)
+    frames = enc.push(raw[:window // 2]) + enc.push(raw[window // 2:])
+    oracle = naive_encode(raw, cfg)
+    assert enc._total.dtype == (np.uint8 if window <= 255 else np.uint16)
+    assert len(frames) == len(oracle) == 3
+    for frame, ref in zip(frames, oracle):
+        assert frame.data.dtype == np.uint8 and np.array_equal(frame.data, ref)
+    assert frames[0].data[0, 0, 0] == np.floor(gain * window) % 256
 
 
 @pytest.mark.parametrize("gain, window, table", [

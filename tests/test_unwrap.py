@@ -676,6 +676,24 @@ def test_lattice_decode_matches_recount(seed, window, data, bit_depth, channels,
                                unwrap_poisson(ModuloFrame(codes, bit_depth)))
 
 
+def test_codes_0_and_255_decode_past_the_uint8_range():
+    # 8-bit codes are stored as uint8, so code + 256 * wraps must be formed
+    # in a wider type: in uint8, 0 + 256 would read back as 0
+    codes = np.array([[[0, 255, 0], [255, 0, 255]], [[255, 0, 0], [0, 255, 255]]], np.uint8)
+    poisson = unwrap_poisson(ModuloFrame(codes, 8))
+    want = reference_unwrap.unwrap_poisson(ModuloFrame(codes, 8))
+    assert poisson.decoder == "poisson" and poisson.converged
+    assert poisson.hdr.data.tobytes() == want.hdr.data.tobytes()
+    assert np.array_equal(poisson.hdr.values(), codes + 256.0 * poisson.rollover_map)
+    assert poisson.hdr.values().max() == 256
+    # 257 * c has code c and wrap count c: code 255 holds 65535 counts
+    cfg = EncoderConfig(window=255, stride=255, gain=257.0, bit_depth=8)
+    lattice = unwrap_poisson(ModuloFrame(codes, 8, counted_by=cfg))
+    assert lattice.decoder == "lattice"
+    assert np.array_equal(lattice.hdr.values(), 257.0 * codes)
+    assert np.array_equal(lattice.rollover_map, codes)
+
+
 def test_lattice_table_is_cached_read_only_and_skips_collisions():
     from modspike.unwrap import _lattice_table
     table = _lattice_table(EncoderConfig(window=25, stride=20, gain=15.0, bit_depth=8))
