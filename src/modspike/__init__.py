@@ -12,7 +12,7 @@ from .encoder import (ChunkedEncoder, ModuloSequence, encode_stream,
                       frame_capacity, ideal_window_counts)
 from .metrics import (BandwidthReport, bandwidth_report, mu_law, mu_law_inverse,
                       psnr_linear, psnr_mu, ssim_linear)
-from .operators import GradientField, divergence, gradient, laplacian, lar, poisson_solve
+from .operators import GradientField, divergence, gradient, lar, poisson_solve
 from .simulate import (IrradianceClip, Motion, integrate_and_fire, mosaic_sample,
                        synthesize_clip)
 from .types import (EncoderConfig, HdrImage, ModuloFrame, QuerySpec,
@@ -45,7 +45,6 @@ __all__ = [
     "gradient",
     "ideal_window_counts",
     "integrate_and_fire",
-    "laplacian",
     "lar",
     "mosaic_sample",
     "mu_law",

@@ -16,6 +16,7 @@ Exit code 0 means success.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -48,7 +49,7 @@ def _parse_sensor_config(text: str | None, seed: int = 0) -> SensorConfig:
     or one per line in a file, with shot-noise seed `seed`."""
     given = {"rng_seed": seed}
     if text:
-        if Path(text).is_file():
+        if os.path.isfile(text):  # False, not OSError, for text too long to be a path
             lines = (line.split("#", 1)[0].strip() for line in Path(text).read_text().splitlines())
             pairs = [line for line in lines if line]
         else:
@@ -59,6 +60,8 @@ def _parse_sensor_config(text: str | None, seed: int = 0) -> SensorConfig:
             key, value = (s.strip() for s in pair.split("=", 1))
             if key not in _SENSOR_KEYS:
                 raise ValidationError(f"config: unknown key {key!r}")
+            if key in given:
+                raise ValidationError(f"config: key {key!r} given twice")
             try:
                 given[key] = _SENSOR_KEYS[key](value)
             except ValueError:
@@ -91,8 +94,8 @@ def _parse_motion(text: str) -> Motion:
     return Motion(**given)
 
 
-def _synthetic_scene(height: int, width: int, channels: int, peak: float,
-                     seed: int) -> HdrImage:
+def _synthetic_scene(channels: int, seed: int, height: int = 64, width: int = 64,
+                     peak: float = 1000.0) -> HdrImage:
     """Smooth integer-valued test scene: a few seeded Gaussian blobs on a
     dim floor, quantized to digital counts."""
     check_geometry(height, width, channels, "pipeline")
@@ -174,11 +177,14 @@ def _cmd_bandwidth(args) -> int:
 def _cmd_pipeline(args) -> int:
     # every input is checked before the output directory is made
     cfg = _parse_sensor_config(args.config, seed=args.seed)
+    shape = {k: v for k in ("height", "width", "peak") if (v := getattr(args, k)) is not None}
     if args.scene:
         scene = containers.read_hdr(args.scene)
+        if shape:
+            raise ValidationError(f"pipeline: --{next(iter(shape))} shapes the synthetic "
+                                  f"scene and cannot be given with --scene")
     else:
-        scene = _synthetic_scene(args.height, args.width, 3 if args.mosaic else 1,
-                                 args.peak, args.seed)
+        scene = _synthetic_scene(3 if args.mosaic else 1, args.seed, **shape)
     if args.config is None:
         # calibrate the firing quantum so the brightest pixel spikes about
         # once per readout interval
@@ -280,10 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--scene", default=None, help="optional LHDR scene (else synthetic)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--peak", type=float, default=1000.0,
-                   help="peak digital counts of the synthetic scene")
+    p.add_argument("--height", type=int, help="synthetic scene height (default 64)")
+    p.add_argument("--width", type=int, help="synthetic scene width (default 64)")
+    p.add_argument("--peak", type=float,
+                   help="peak digital counts of the synthetic scene (default 1000)")
     p.add_argument("--motion", default="none")
     p.add_argument("--config", default=None)
     p.add_argument("--mosaic", action="store_true")

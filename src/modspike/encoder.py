@@ -28,15 +28,16 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
-                    _channels_last, _check_nonnegative_int, _check_type, check_bits, check_dims,
-                    check_geometry, check_positive, check_stride, sample_dtype, store_ints)
+                    _check_nonnegative_int, _check_type, check_bits, check_dims, check_geometry,
+                    check_positive, check_stride, sample_dtype, store_ints)
 
 _UNPACK_SAMPLES = 2 ** 20  # spike samples encode_stream unpacks per push: 1 MiB of {0,1} bytes
 
 
 @dataclass(frozen=True)
 class ModuloSequence:
-    """Ordered wrapped frames plus the window/stride/gain that produced them."""
+    """Ordered wrapped frames plus the window/stride/gain that produced them;
+    a frame's `counted_by`, when set, must be exactly that config."""
 
     frames: tuple[ModuloFrame, ...]
     window: int
@@ -54,6 +55,11 @@ class ModuloSequence:
             check_dims(f.data.shape + (f.bit_depth,),
                        frames[0].data.shape + (frames[0].bit_depth,),
                        "ModuloSequence.frames (H, W, C, bit_depth)")
+        cfg = EncoderConfig(self.window, self.stride, self.gain, frames[0].bit_depth)
+        for i, f in enumerate(frames):
+            if f.counted_by not in (None, cfg):
+                raise ValidationError(
+                    f"ModuloSequence.frames: frame {i} was counted by {f.counted_by}, not {cfg}")
         object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
@@ -120,16 +126,16 @@ class ChunkedEncoder:
     summed into the count in blocks that end at those events. At a close
     the window's count is the current count minus its start copy; the
     count may wrap, but the difference is exact, because the true count
-    lies in [0, window]. Its code, mod(floor(gain * count), 2^N), is made
-    in the frame's `sample_dtype(N)` by one of two rules chosen once from
-    the config. While gain is whole and gain * window < 2^53, every
-    gain * count is an exact float64 integer, so the code is N-bit counter
-    arithmetic: one multiply by gain mod 2^N per channel plane, wrapping in
-    that type, then a mask. Any other gain reads a table of that type: the
-    code of every count 0..window, as float64 rounds a product past 2^53,
-    and a fractional gain floors it. The codes are written channels-last
-    one plane at a time and frozen, so the emitted frame adopts them
-    without a copy; it carries the config in `counted_by`.
+    lies in [0, window]. That count is stacked channels-last once, and its
+    code, mod(floor(gain * count), 2^N), is made from it in the frame's
+    `sample_dtype(N)` by one of two rules chosen once from the config.
+    While gain is whole and gain * window < 2^53, every gain * count is an
+    exact float64 integer, so the code is N-bit counter arithmetic: one
+    multiply by gain mod 2^N, wrapping in that type, then a mask. Any other
+    gain reads a table of that type: the code of every count 0..window, as
+    float64 rounds a product past 2^53, and a fractional gain floors it.
+    The codes are frozen, so the emitted frame adopts them without a copy;
+    it carries the config in `counted_by`.
     """
 
     def __init__(self, height: int, width: int, channels: int,
@@ -170,13 +176,11 @@ class ChunkedEncoder:
             if self._consumed < event:
                 return out
             if self._consumed == close:
-                counts = self._total - self._open.popleft()
+                counts = np.stack(self._total - self._open.popleft(), axis=-1)
                 if self._step is None:
-                    codes = _channels_last(np.take(self._wrap, counts))
+                    codes = np.take(self._wrap, counts)
                 else:
-                    codes = np.empty(self._shape, self._codes)
-                    for c, plane in enumerate(counts):
-                        np.multiply(plane, self._step, out=codes[:, :, c], dtype=self._codes)
+                    codes = np.multiply(counts, self._step, dtype=self._codes)
                     codes &= self._cfg.modulus - 1
                 codes.setflags(write=False)  # the frame adopts it: no second copy
                 frame = ModuloFrame(data=codes, bit_depth=self._cfg.bit_depth,

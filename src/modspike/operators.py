@@ -1,17 +1,17 @@
 """Discrete differential operators, the least-absolute-remainder map, and a
 Neumann Poisson solver.
 
-The discretization is fixed so the three operators close algebraically:
+The discretization is fixed so the two operators close algebraically:
 
   * gradient  — forward differences, last row/column zero-padded
   * divergence — backward differences (negative adjoint of the gradient)
-  * laplacian  = divergence(gradient(.)), exactly the 5-point stencil with
-    reflecting (Neumann) boundaries
 
-With that choice the Laplacian is diagonalized by the type-II cosine basis:
-the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so `poisson_solve` inverts it
-spectrally up to floating point. The solution is gauged to mean zero; the
-constant is resolved downstream by congruence snapping.
+so the Laplacian is divergence(gradient(.)), exactly the 5-point stencil
+with reflecting (Neumann) boundaries. With that choice it is diagonalized
+by the type-II cosine basis: the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so
+`poisson_solve` inverts it spectrally up to floating point. The solution
+is gauged to mean zero; the constant is resolved downstream by congruence
+snapping.
 
 Each public operator is a layout adapter over one private kernel:
 `_forward_differences`, `_divergence`, `_lar_pow2` (which can also split
@@ -25,14 +25,14 @@ copy.
 
 The public functions are pure, process channels independently, and are
 deterministic. Float input is computed in float64; a float divergence is
-summed as dx + (gy[i] - gy[i-1]) and holds no -0.0. `gradient`,
-`divergence` and `laplacian` keep integer input in integers: a signed
-type of at least 32 bits (the input's own type when it is already that;
-unsigned types go one size up, and uint64 falls back to float64), exact
-as long as the differences fit the type (for int32 input, keep magnitudes
-below 2^29). `lar` keeps integer input in those same types when the
-modulus is a power of two, as every `ModuloFrame` modulus is; any other
-modulus takes the float64 path. `poisson_solve` always works in float64.
+summed as dx + (gy[i] - gy[i-1]) and holds no -0.0. `gradient` and
+`divergence` keep integer input in integers: a signed type of at least 32
+bits (the input's own type when it is already that; unsigned types go one
+size up, and uint64 falls back to float64), exact as long as the
+differences fit the type (for int32 input, keep magnitudes below 2^29).
+`lar` keeps integer input in those same types when the modulus is a power
+of two, as every `ModuloFrame` modulus is; any other modulus takes the
+float64 path. `poisson_solve` always works in float64.
 
 A key arithmetic fact used throughout: the least absolute remainder of a
 sum depends only on the residues of its terms, so wrapping an integer
@@ -145,12 +145,6 @@ def divergence(gf: GradientField) -> np.ndarray:
                        np.ascontiguousarray(gy, dtype=dtype))
 
 
-def laplacian(img) -> np.ndarray:
-    """5-point Neumann Laplacian, computed as divergence(gradient(img)); its
-    entries sum to zero by telescoping."""
-    return divergence(gradient(img))
-
-
 def lar(values, modulus: float):
     """Least absolute remainder: map each value to its representative in
     [-modulus/2, modulus/2).
@@ -177,7 +171,8 @@ def lar(values, modulus: float):
 
 
 def poisson_solve(rhs) -> np.ndarray:
-    """Least-squares solve of laplacian(x) = rhs under Neumann boundaries.
+    """Least-squares solve of divergence(gradient(x)) = rhs under Neumann
+    boundaries.
 
     The right-hand side is projected onto the compatible subspace by
     removing its per-channel mean; the returned x has mean exactly zero
@@ -192,10 +187,10 @@ def poisson_solve(rhs) -> np.ndarray:
 
 
 def _cosine_solve(compat: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-    """The mean-zero x with laplacian(x) = compat over the (rows, columns)
-    `axes` of a float64 array that already sums to zero over them, channel
-    by channel: `poisson_solve`'s projected rhs, or the unwrapper's
-    integer divergence, which needs no projection. Solved in place:
+    """The mean-zero x with divergence(gradient(x)) = compat over the
+    (rows, columns) `axes` of a float64 array that already sums to zero
+    over them, channel by channel: `poisson_solve`'s projected rhs, or the
+    unwrapper's integer divergence, which needs no projection. Solved in place:
     `compat` is overwritten and returned.
     """
     from scipy.fft import dctn, idctn

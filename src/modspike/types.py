@@ -144,15 +144,6 @@ def _freeze(data, dtype) -> np.ndarray:
     return out
 
 
-def _channels_last(a: np.ndarray) -> np.ndarray:
-    """C-contiguous (H, W, C) copy of a (C, H, W) array, one plane at a
-    time: several times faster than numpy's transposing copy."""
-    out = np.empty(a.shape[1:] + a.shape[:1], a.dtype)
-    for c, plane in enumerate(a):
-        out[:, :, c] = plane
-    return out
-
-
 def _as_raster(data, owner: str) -> np.ndarray:
     data = np.asarray(data)
     check_ndim(data, (2, 3), f"{owner}.data")

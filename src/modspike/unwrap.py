@@ -49,9 +49,9 @@ comparing wrapped derivatives of output and input says nothing; the
 first- and second-order residuals compare v's plain gradient and
 Laplacian against those centered measurements instead (the Itoh
 condition applied to the output): m * mean|wraps(gradient(v))| and
-m * mean|wraps(laplacian(v))|, with wraps(x) = (x - lar(x)) / m. Under the
-half-period condition both are literal zeros for integer scenes; fields
-with curl leave a nonzero mismatch and clear `converged`. An integrated
+m * mean|wraps(divergence(gradient(v)))|, with wraps(x) = (x - lar(x)) / m.
+Under the half-period condition both are literal zeros for integer
+scenes; fields with curl leave a nonzero mismatch and clear `converged`. An integrated
 frame takes no differences of v: its wrap counts integrate the wrap
 indicators exactly, so its gradient mismatch is 0 and its Laplacian
 mismatch is m times the wraps of the frame's divergence. The residuals
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import _cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2, lar
-from .types import EncoderConfig, HdrImage, ModuloFrame, _channels_last
+from .types import EncoderConfig, HdrImage, ModuloFrame
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
         del wraps
         if rollover_map is None:  # solved channel-first; the estimate replaces div, spent
             div = _cosine_solve(div.transpose(2, 0, 1).astype(np.float64, order="C"), (1, 2))
-            rollover_map = _channels_last(_snap(div, obs.transpose(2, 0, 1), modulus))
+            rollover_map = np.stack(_snap(div, obs.transpose(2, 0, 1), modulus), axis=-1)
         else:
             div_wraps = _lar_pow2(div, modulus, wraps=True)
         del div, obs
@@ -327,11 +327,12 @@ def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:
 
 def _reconstruction_residuals(values: np.ndarray, modulus: int) -> tuple[float, float]:
     """(l_grad, l_lap) of the integer reconstruction `values`, (H, W, C):
-    m * mean|wraps(gradient(values))| and m * mean|wraps(laplacian(values))|,
-    with wraps(x) = (x - lar(x)) / m = (x + m/2) >> N.
+    m * mean|wraps(gradient(values))| and m * mean|wraps(lap(values))|,
+    with lap = divergence(gradient(.)) and wraps(x) = (x - lar(x)) / m =
+    (x + m/2) >> N.
 
     values is congruent to the frame, so lar(gradient(values)) and
-    lar(laplacian(values)) are lar(gradient(frame)) and lar(laplacian(frame)),
+    lar(lap(values)) are lar(gradient(frame)) and lar(lap(frame)),
     and m * wraps(x) is the mismatch x - lar(x) between a derivative of the
     reconstruction and its centered measurement. The fields take the dtype
     of `values`, which must hold 4 * max(values) + m/2: `unwrap_poisson`

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import reference_unwrap
 
-from modspike import (EncoderConfig, HdrImage, SensorConfig, encode_stream, read_hdr,
-                      read_modulo, read_spikes, unwrap_poisson, write_hdr)
+from modspike import (EncoderConfig, HdrImage, SensorConfig, ValidationError, encode_stream,
+                      read_hdr, read_modulo, read_spikes, unwrap_poisson, write_hdr)
 from modspike.cli import _parse_sensor_config, main
 
 
@@ -176,6 +176,10 @@ def test_simulate_refuses_the_removed_reset_to_zero_key(capsys, tmp_path, small_
     # a repeated component used to overwrite the first: the capture ran static
     ("--motion", "rotate:5+rotate:0", "component 'rotate' given twice"),
     ("--motion", "translate:1,0+translate:2,0", "component 'translate' given twice"),
+    # a repeated config key used to overwrite the first, as the motion did
+    ("--config", "threshold=1.0,threshold=2.0", "config: key 'threshold' given twice"),
+    ("--config", "shot_noise=1 readout_rate_hz=1000 shot_noise=1",
+     "config: key 'shot_noise' given twice"),
 ])
 def test_simulate_rejects_unparsable_values(capsys, tmp_path, small_scene, flag, value, named):
     out = tmp_path / "x.spkb"
@@ -204,6 +208,23 @@ def test_config_flags_accept_every_spelling_in_any_case():
     cfg = _parse_sensor_config("micro_intervals=2000,threshold=2")
     assert cfg == SensorConfig(micro_intervals=2000, threshold=2.0)
     assert type(cfg.micro_intervals) is int and type(cfg.threshold) is float
+
+
+def test_config_file_refuses_a_repeated_key(tmp_path):
+    cfg_file = tmp_path / "sensor.cfg"
+    cfg_file.write_text("threshold = 1.0\nshot_noise = 0\nthreshold = 2.0  # later\n")
+    with pytest.raises(ValidationError, match=r"^config: key 'threshold' given twice$"):
+        _parse_sensor_config(str(cfg_file))
+
+
+def test_config_longer_than_a_file_name_is_read_inline(capsys, tmp_path, small_scene):
+    # the file check used to raise OSError (file name too long) past 255 bytes
+    text = "threshold=0.02," + " " * 300 + "readout_rate_hz=1000"
+    assert _parse_sensor_config(text) == SensorConfig(threshold=0.02, readout_rate_hz=1000)
+    spikes = tmp_path / "s.spkb"
+    code, out, err = run_cli(capsys, "simulate", "--scene", str(small_scene), "--config",
+                             text + ",total_time_s=0.05", "--out", str(spikes))
+    assert (code, out, err) == (0, "frames=50\nreadout_rate_hz=1000\n", "")
 
 
 def test_pipeline_negative_seed_fails_with_one_error_line(capsys, tmp_path):
@@ -253,6 +274,29 @@ def test_pipeline_bad_input_fails_before_making_its_out_dir(capsys, tmp_path, fl
     assert code == 1 and out == "" and not out_dir.exists()
     assert err.startswith("modspike: error:") and error in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [("--height", "40", "--width", "40", "--peak", "7"),
+                                   ("--width", "64"), ("--peak", "1000")],
+                         ids=["all", "width", "peak"])
+def test_pipeline_refuses_synthetic_scene_flags_with_a_scene(capsys, tmp_path, small_scene,
+                                                             flags):
+    # they used to be ignored: the file's 16x16 scene was captured regardless
+    out_dir = tmp_path / "p"
+    code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(out_dir), "--scene",
+                             str(small_scene), *flags)
+    assert code == 1 and out == "" and not out_dir.exists()
+    assert err == (f"modspike: error: pipeline: {flags[0]} shapes the synthetic scene and "
+                   f"cannot be given with --scene\n")
+
+
+def test_pipeline_synthetic_scene_defaults_to_64_by_64_at_peak_1000(capsys, tmp_path):
+    out_dir = tmp_path / "p"
+    code, _, _ = run_cli(capsys, "pipeline", "--out-dir", str(out_dir), "--config",
+                         "threshold=1,readout_rate_hz=1000,total_time_s=0.025,micro_intervals=25")
+    assert code == 0
+    scene = read_hdr(out_dir / "scene.lhdr")
+    assert scene.data.shape == (64, 64, 1) and scene.data.max() == 1000.0
 
 
 def test_encode_short_stream_fails_with_stderr(capsys, tmp_path, small_scene):

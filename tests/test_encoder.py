@@ -560,6 +560,23 @@ def test_modulo_sequence_validates_mixed_frames():
         ModuloSequence(frames=(a, b), window=4, stride=2, gain=1.0)
 
 
+def test_modulo_sequence_refuses_frames_counted_under_another_config():
+    # such a sequence used to be accepted, and write_modulo then stored
+    # W100/S7/g2.5 for frames that decode on the W25/g15 lattice
+    counted = encode_stream(random_stream(np.random.default_rng(9), 90),
+                            EncoderConfig(25, 20, 15.0, 8)).frames
+    for window, stride, gain in ((100, 7, 2.5), (26, 20, 15.0), (25, 19, 15.0),
+                                 (25, 20, 15.000001)):
+        with pytest.raises(ValidationError, match=r"^ModuloSequence.frames: frame 0 was "
+                                                  r"counted by EncoderConfig\(window=25"):
+            ModuloSequence(frames=counted, window=window, stride=stride, gain=gain)
+    plain = ModuloFrame(data=counted[1].data, bit_depth=8)
+    assert len(ModuloSequence((plain,) + counted, 25, 20, 15)) == 5
+    assert len(ModuloSequence((plain,), 100, 7, 2.5)) == 1
+    with pytest.raises(ValidationError, match="frame 1 was counted by"):
+        ModuloSequence((plain,) + counted, 100, 7, 2.5)
+
+
 def test_modulo_sequence_rejects_a_negative_source_rate():
     with pytest.raises(ValidationError, match="ModuloSequence.source_rate_hz"):
         ModuloSequence((), 4, 2, 1.0, -5)
