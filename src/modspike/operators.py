@@ -15,10 +15,11 @@ snapping.
 
 Each public operator is a layout adapter over one private kernel:
 `_forward_differences`, `_divergence`, `_lar_pow2` (which can also split
-off wrap indicators) and `_cosine_solve`. The difference kernels work
-over axes (0, 1) of C-contiguous (H, W[, C]) arrays and take each
-difference in one pass over the flat array; the entries it gets wrong,
-across a line's end, are ones the kernel zeroes or overwrites.
+off the wrap indicators that `_wraps` computes alone) and `_cosine_solve`.
+The difference kernels work over axes (0, 1) of C-contiguous (H, W[, C])
+arrays and take each difference in one pass over the flat array; the
+entries it gets wrong, across a line's end, are ones the kernel zeroes or
+overwrites.
 `_cosine_solve` takes the (rows, columns) `axes` it works over: (0, 1)
 for `poisson_solve`, (1, 2) for the unwrapper's channel-first (C, H, W)
 copy.
@@ -113,13 +114,21 @@ def _divergence(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return div
 
 
+def _wraps(values: np.ndarray, modulus: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The wrap indicators wraps(x) = (x - lar(x)) / m = (x + m/2) >> N of
+    signed integers x, for a power-of-two modulus m = 2^N, shifted in x's
+    type into `out`, else over x. Either way `values` is left at x + m/2."""
+    values += modulus // 2
+    return np.right_shift(values, modulus.bit_length() - 1, out=values if out is None else out)
+
+
 def _lar_pow2(values: np.ndarray, modulus: int, wraps: bool = False) -> np.ndarray | None:
     """lar(values, modulus) in place over signed integers, for a power-of-two
-    modulus: ((x + m/2) & (m - 1)) - m/2. With `wraps`, returns the wrap
-    indicators (values - lar(values)) / modulus as int8."""
-    values += modulus // 2
-    split = np.right_shift(values, modulus.bit_length() - 1,
-                           out=np.empty(values.shape, np.int8)) if wraps else None
+    modulus: ((x + m/2) & (m - 1)) - m/2. With `wraps`, returns
+    `_wraps(values)` as int8."""
+    split = _wraps(values, modulus, np.empty(values.shape, np.int8)) if wraps else None
+    if split is None:  # else `_wraps` has added m/2
+        values += modulus // 2
     values &= modulus - 1
     values -= modulus // 2
     return split

@@ -3,11 +3,12 @@
 `unwrap_poisson` has two decoders. A frame counted by a spike encoder
 (`ModuloFrame.counted_by`) can only hold the codes of floor(gain * c) for
 counts c in 0..window. When those window + 1 values have distinct codes
-mod 2^N, the lattice decoder reads each pixel's wrap count from a code ->
-wrap-count table: exact for any scene, with no half-period condition.
-Every other frame (no provenance, codes that do not identify values, or a
-code the encoder cannot produce) goes through the Poisson decoder, which
-recovers the scene in three steps:
+mod 2^N, the lattice decoder reads each pixel's pre-wrap value from a
+code -> value table: exact for any scene, with no half-period condition;
+its wrap counts are those values shifted right by N. Every other frame
+(no provenance, codes that do not identify values, or a code the encoder
+cannot produce) goes through the Poisson decoder, which recovers the
+scene in three steps:
 
   1. centered gradient: lar(gradient(frame), 2^N), in integers — identical
      to the centered gradient of the unwrapped scene wherever
@@ -29,8 +30,8 @@ recovers the scene in three steps:
      are re-based the same way.
 
 The lattice lookup runs first, on the frame's (H, W, C) codes, and its
-result is the returned wrap-count map. A frame it declines is decoded in
-that layout too, with the `operators` kernels over axes (0, 1): codes in
+result is the integer reconstruction itself. A frame it declines is
+decoded in that layout too, with the `operators` kernels over axes (0, 1): codes in
 int16 up to 13 bits (the front end's widest field stays below 2.5 * m),
 int32 above, int8 wrap indicators, and their integral down the rows as a
 doubling scan in int16 while H + W - 2 < 2^15. Only the solve and the
@@ -41,7 +42,9 @@ fraction of its cost. The output is byte-identical to the per-channel
 float64 decoder in tests/reference_unwrap.py.
 
 The residual report is defined once, on the integer reconstruction
-v = frame + m * rollover that becomes `hdr`. The zeroth-order residual
+v = frame + m * rollover that becomes `hdr`, held in the first of int16,
+int32 and int64 that holds its widest field, 4 * max(v) + m/2
+(`_width`). The zeroth-order residual
 (mean centered remainder of hdr - frame) checks that the float32 samples
 returned are still congruent to the frame, which fails only once counts
 pass 2^24. Congruence forces lar(gradient(v)) = lar(gradient(frame)), so
@@ -69,7 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2, lar
+from .operators import (_cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2,
+                        _wraps, lar)
 from .types import EncoderConfig, HdrImage, ModuloFrame
 
 
@@ -102,7 +106,7 @@ class UnwrapResult:
     residual is a scale times an integer sum over the samples, so one
     inconsistent sample in any number makes it nonzero. It does not
     certify correctness. `decoder` names the path that ran,
-    "lattice" (table lookup on an encoder-counted frame, exact) or
+    "lattice" (a code -> value lookup on an encoder-counted frame, exact) or
     "poisson" (the least-squares integral of the centered gradient,
     snapped onto the observation), however that integral was computed:
     summed in integers when the wrap field has no curl, else by the
@@ -110,7 +114,7 @@ class UnwrapResult:
     """
 
     hdr: HdrImage
-    rollover_map: np.ndarray  # (H, W, C) int32, >= 0
+    rollover_map: np.ndarray  # (H, W, C) int32, >= 0, whatever the reconstruction's width
     residuals: ConsistencyResiduals
     converged: bool
     decoder: str = "poisson"
@@ -202,40 +206,47 @@ def _snap(estimate: np.ndarray, obs: np.ndarray, modulus: int) -> np.ndarray:
     return rollover
 
 
+def _width(top: int, modulus: int) -> type:
+    """The first of int16, int32 and int64 that holds 4 * top + m/2: the
+    residual report's widest field (the Laplacian of values in [0, top],
+    offset by m/2), so the type a reconstruction up to `top` is built in."""
+    return next(t for t in (np.int16, np.int32, np.int64)
+                if 4 * top + modulus // 2 <= np.iinfo(t).max)
+
+
 @functools.lru_cache(maxsize=32)
 def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
-    """Read-only code -> wrap-count table of an encoder config, int32, with
-    -1 at codes no count produces; None when codes do not identify values.
+    """Read-only code -> value table of an encoder config, in the `_width`
+    of its largest value, with -1 at codes no count produces; None when
+    codes do not identify values.
 
     Each pre-wrap value v of `cfg.prewrap_values()`, the expression the
-    encoder wraps, puts floor(v / 2^N) at its code v mod 2^N. The table is
-    built only when those codes are distinct and the largest wrap count
-    fits int32. Built on first use of a config and kept; at most 32 entries
-    of 2^N * 4 bytes.
+    encoder wraps, sits at its code v mod 2^N. The table is built only when
+    those codes are distinct and the largest wrap count floor(v / 2^N) fits
+    int32. Built on first use of a config and kept; at most 32 entries of
+    at most 2^N * 8 bytes.
     """
     values = cfg.prewrap_values()
     if not values[-1] < 2.0 ** (31 + cfg.bit_depth):  # values rise with the count
         return None
-    table = np.full(cfg.modulus, -1, dtype=np.int32)
-    table[np.mod(values, cfg.modulus).astype(np.int64)] = values // cfg.modulus
+    table = np.full(cfg.modulus, -1, dtype=_width(int(values[-1]), cfg.modulus))
+    table[np.mod(values, cfg.modulus).astype(np.int64)] = values
     if np.count_nonzero(table >= 0) < values.size:
         return None
     table.setflags(write=False)
     return table
 
 
-def _lattice_rollover(frame: ModuloFrame) -> np.ndarray | None:
-    """The (H, W, C) int32 wrap counts of an encoder-counted frame, read
-    straight off its codes, or None when the frame has no provenance, its
-    config's codes do not identify values, or it holds a code the encoder
-    cannot produce."""
+def _lattice_values(frame: ModuloFrame) -> np.ndarray | None:
+    """The (H, W, C) pre-wrap values of an encoder-counted frame, read
+    straight off its codes in the table's type, or None when the frame has
+    no provenance, its config's codes do not identify values, or it holds a
+    code the encoder cannot produce."""
     table = None if frame.counted_by is None else _lattice_table(frame.counted_by)
     if table is None:
         return None
-    rollover = np.take(table, frame.data)
-    if rollover.min() < 0:
-        return None
-    return rollover
+    values = np.take(table, frame.data)
+    return None if values.min() < 0 else values
 
 
 def _scan_rows(a: np.ndarray) -> np.ndarray:
@@ -282,10 +293,10 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     least-squares integration of the centered wrapped gradient plus
     congruence snapping."""
     modulus = frame.modulus
-    rollover_map = _lattice_rollover(frame)
-    decoder = "poisson" if rollover_map is None else "lattice"
+    values = _lattice_values(frame)
+    decoder = "poisson" if values is None else "lattice"
     div_wraps = None  # set only on an integrated frame
-    if rollover_map is None:
+    if values is None:
         # int16 while the front end's widest field, div(centered gradient) + m/2 < 2.5 * m, fits
         obs = frame.data.astype(np.int16 if 5 * modulus // 2 < 2 ** 15 else np.int32)
         gx, gy = _forward_differences(obs)
@@ -298,19 +309,21 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
             div = _cosine_solve(div.transpose(2, 0, 1).astype(np.float64, order="C"), (1, 2))
             rollover_map = np.stack(_snap(div, obs.transpose(2, 0, 1), modulus), axis=-1)
         else:
-            div_wraps = _lar_pow2(div, modulus, wraps=True)
+            div_wraps = _wraps(div, modulus)  # over div, spent
         del div, obs
-    top = int(rollover_map.max())
-    # int32 while the report's widest field, 4 * max(hdr_values) + m/2, fits
-    wide = 4 * ((top + 1) * modulus - 1) + modulus // 2 >= 2 ** 31
-    hdr_values = np.multiply(rollover_map, modulus, dtype=np.int64 if wide else np.int32)
-    hdr_values += frame.data
-    hdr = HdrImage(data=hdr_values)
+        peak = (int(rollover_map.max()) + 1) * modulus - 1  # bounds every value
+        values = np.multiply(rollover_map, modulus, dtype=_width(peak, modulus))
+        values += frame.data
+    else:  # shifted in the values' own type, whose int64 values pass int32, then stored
+        rollover_map = np.right_shift(values, modulus.bit_length() - 1,
+                                      out=np.empty(values.shape, np.int32))
+        peak = int(values.max())
+    hdr = HdrImage(data=values)
     l_mod = 0.0
-    if (top + 1) * modulus > 2 ** 24:  # float32 may round a count off its residue class
+    if peak >= 2 ** 24:  # float32 may round a count off its residue class
         l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
     if div_wraps is None:
-        l_grad, l_lap = _reconstruction_residuals(hdr_values, modulus)
+        l_grad, l_lap = _reconstruction_residuals(values, modulus)
     else:  # the wrap counts integrate the wrap indicators: gradient(hdr) is centered
         l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
     residuals = ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
@@ -335,12 +348,11 @@ def _reconstruction_residuals(values: np.ndarray, modulus: int) -> tuple[float, 
     lar(lap(values)) are lar(gradient(frame)) and lar(lap(frame)),
     and m * wraps(x) is the mismatch x - lar(x) between a derivative of the
     reconstruction and its centered measurement. The fields take the dtype
-    of `values`, which must hold 4 * max(values) + m/2: `unwrap_poisson`
-    picks that width once, for the reconstruction itself.
+    of `values`, which must hold 4 * max(values) + m/2: `_width` picks
+    that width once, for the reconstruction itself.
     """
     gx, gy = _forward_differences(values)
     lap = _divergence(gx.copy(), gy)
     for field in (gx, gy, lap):
-        field += modulus // 2
-        field >>= modulus.bit_length() - 1
+        _wraps(field, modulus)
     return _mean_abs(gx, gy, scale=modulus), _mean_abs(lap, scale=modulus)

@@ -700,9 +700,10 @@ def test_lattice_table_is_cached_read_only_and_skips_collisions():
     assert _lattice_table(EncoderConfig(window=25, stride=20, gain=15.0)) is table
     assert not table.flags.writeable
     assert np.count_nonzero(table >= 0) == 26
-    # each code holds its count's wrap count: 15 * 17 = 255 never wrapped,
-    # 15 * 25 = 375 wrapped once to code 119
-    assert table[15 * 17 % 256] == 0 and table[15 * 25 % 256] == 1
+    # each code holds its count's pre-wrap value, in int16 as 4 * 375 + 128
+    # fits: 15 * 17 = 255 never wrapped, 15 * 25 = 375 wrapped once to code 119
+    assert table.dtype == np.int16
+    assert table[15 * 17 % 256] == 255 and table[15 * 25 % 256] == 375
     assert _lattice_table(EncoderConfig(window=25, stride=20, gain=16.0)) is None
     assert _lattice_table(EncoderConfig(window=300, stride=1, gain=1e300,
                                         bit_depth=16)) is None
@@ -741,12 +742,14 @@ def defined_residuals(values, modulus):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The unwrapper's kernel calls in the order they run: ("differences",
-    dtype) for each pair of forward differences, "split" for each int8
-    wrap split, "lar" for each plain lar and "integrate" for each
-    integration of a wrap field."""
+    dtype) for each pair of forward differences, "split" for each lar with
+    an int8 wrap split, "lar" for each plain lar, "wraps" for each wrap
+    field taken alone and "integrate" for each integration of a wrap
+    field."""
     calls = []
     labels = {"_forward_differences": lambda a: ("differences", a.dtype.name),
               "_lar_pow2": lambda values, modulus, wraps=False: "split" if wraps else "lar",
+              "_wraps": lambda values, modulus, out=None: "wraps",
               "_integrate_wraps": lambda wx, wy: "integrate"}
     for name, label in labels.items():
         def spy(*args, _real=getattr(unwrap_module, name), _label=label, **kwargs):
@@ -756,12 +759,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def report_calls(dtype):
+    """`kernel_calls` of a report that differences a reconstruction of `dtype`."""
+    return [("differences", dtype), "wraps", "wraps", "wraps"]
+
+
 @pytest.mark.parametrize("route, decoder, kernels", [
-    ("lattice", "lattice", [("differences", "int32")]),
+    ("lattice", "lattice", report_calls("int16")),
     ("integrated", "poisson", [("differences", "int16"), "split", "split",
-                               "integrate", "split"]),
-    ("solved", "poisson", [("differences", "int16"), "split", "split",
-                           "integrate", ("differences", "int32")]),
+                               "integrate", "wraps"]),
+    ("solved", "poisson", [("differences", "int16"), "split", "split", "integrate"]
+     + report_calls("int16")),
 ])
 def test_every_route_reports_the_one_definition(route, decoder, kernels, scene_maker,
                                                 kernel_calls):
@@ -823,24 +831,69 @@ def test_front_end_is_int16_up_to_13_bits(bit_depth, dtype, kernel_calls):
     assert kernel_calls[0] == ("differences", dtype)
 
 
-@pytest.mark.parametrize("peak, dtype", [(2 ** 29 - 257, "int32"), (2 ** 29 - 1, "int64"),
+@pytest.mark.parametrize("peak, dtype", [(8159, "int16"), (8160, "int32"),
+                                         (2 ** 29 - 257, "int32"), (2 ** 29 - 1, "int64"),
                                          (2 ** 30 + 3, "int64"), (2 ** 31 + 5, "int64")])
 def test_report_leaves_int32_before_a_laplacian_could_overflow(peak, dtype, kernel_calls):
     # a dark pixel ringed by four at `peak` has Laplacian 4 * peak, which
-    # wraps(x) = (x + m/2) >> N offsets by m/2 = 128: the report stays int32
-    # while that stays below 2^31 and switches just above; at 2^30 the int32
-    # reconstruction's Laplacian alone would pass 2^31, and past 2^31 the
-    # reconstruction itself is int64
+    # wraps(x) = (x + m/2) >> N offsets by m/2 = 128: the report is int16
+    # while that stays below 2^15, int32 while it stays below 2^31, and
+    # switches just above each; at 2^30 the int32 reconstruction's Laplacian
+    # alone would pass 2^31, and past 2^31 the reconstruction itself is int64
     values = np.full((3, 3, 1), peak, np.int64)
     values[1, 1] = 0
-    assert (4 * peak + 128 < 2 ** 31) == (dtype == "int32")
+    assert (4 * peak + 128 < 2 ** 15) == (dtype == "int16")
+    assert (4 * peak + 128 < 2 ** 31) == (dtype != "int64")
     cfg = EncoderConfig(window=1, stride=1, gain=float(peak), bit_depth=8)
     result = unwrap_poisson(ModuloFrame(np.mod(values, 256).astype(np.uint16), 8,
                                         counted_by=cfg))
-    assert result.decoder == "lattice" and kernel_calls == [("differences", dtype)]
+    assert result.decoder == "lattice"
+    assert kernel_calls == report_calls(dtype)
+    assert result.rollover_map.dtype == np.int32
     assert np.array_equal(result.rollover_map, values >> 8)
     assert result.residuals.as_tuple()[1:] == defined_residuals(values, 256)
     assert result.residuals.l_lap > 0
+
+
+@pytest.mark.parametrize("window, gain, dtype", [(41, 199.0, "int16"), (40, 204.0, "int32")])
+def test_lattice_values_take_the_narrowest_type_the_report_holds(window, gain, dtype,
+                                                                 kernel_calls):
+    # the top value is 199 * 41 = 8159, whose widest report field
+    # 4 * 8159 + 128 = 32764 fits int16, or 204 * 40 = 8160, which passes it;
+    # a dark pixel ringed by four at the top reaches that field
+    cfg = EncoderConfig(window=window, stride=window, gain=gain, bit_depth=8)
+    top = int(np.floor(gain * window))
+    assert lattice_decodes(cfg) and (4 * top + 128 < 2 ** 15) == (dtype == "int16")
+    counts = np.random.default_rng(window).integers(0, window + 1, (6, 7, 3))
+    counts[1:4, 2:5] = window
+    counts[2, 3] = 0
+    bits = (np.arange(window)[:, None, None, None] < counts).astype(np.uint8)
+    frame = ChunkedEncoder(6, 7, 3, cfg).push(bits)[0]
+    want = recount(bits, cfg)[0].astype(np.int64)
+    assert divergence(gradient(want)).max() == 4 * top
+    result = unwrap_poisson(frame)
+    assert result.decoder == "lattice"
+    assert kernel_calls == report_calls(dtype)
+    assert result.hdr.data.tobytes() == want.astype(np.float32).tobytes()
+    assert result.rollover_map.dtype == np.int32
+    assert np.array_equal(result.rollover_map, want >> 8)
+    assert result.residuals.as_tuple()[1:] == defined_residuals(want, 256)
+
+
+@pytest.mark.parametrize("top, dtype", [(30, "int16"), (31, "int32")])
+def test_poisson_reconstruction_takes_the_narrowest_type_the_report_holds(top, dtype,
+                                                                          kernel_calls):
+    # wrap counts up to 30 bound an 8-bit reconstruction by 31 * 256 - 1 =
+    # 7935, whose widest report field 4 * 7935 + 128 = 31868 fits int16; one
+    # more wrap passes 2^15. A plateau at that bound, reached by steps within
+    # half a period, with one plaquette of curl so the report takes differences
+    peak = (top + 1) * 256 - 1
+    assert (4 * peak + 128 < 2 ** 15) == (dtype == "int16")
+    ramp = np.minimum(np.add.outer(100 * np.arange(9), 120 * np.arange(70)), peak)
+    frame = with_one_curl_plaquette(wrap_frame(np.stack([ramp[::-1], ramp[:, ::-1], ramp], 2)))
+    got = assert_matches_float_reference(frame)
+    assert got.rollover_map.max() == top
+    assert kernel_calls[-4:] == report_calls(dtype)
 
 
 def test_residuals_of_a_multichannel_frame_are_the_channel_means():
