@@ -20,13 +20,18 @@ Every writer/reader pair is a bijection on valid values but MODQ's gain,
 held as f32: 0.1 reads back as 0.10000000149011612, 2.5 and 15.0 exactly.
 A writer checks every header field against its struct range before it
 opens the file, so a value the container cannot hold raises FormatError
-and leaves no file. The fields after the common header are `_FIELDS`,
-the one table the writers pack from and the readers unpack with.
+and leaves no file. A reader checks the header, then the payload length
+against the file's size, before it allocates any sample; it then reads
+each raster (the LHDR image, the SPKB packed bits, each MODQ frame)
+straight from the file into its own frozen array, which the value adopts.
+The fields after the common header are `_FIELDS`, the one table the
+writers pack from and the readers unpack with.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -47,7 +52,7 @@ _FIELDS = {
     MAGIC_MODULO: (("bit_depth", "B"), ("window", "H"), ("stride", "H"), ("gain", "f"),
                    ("source_rate_hz", "I"), ("frame_count", "I")),
 }
-_HDR_DTYPES = ("<f4", "<u2")  # indexed by the LHDR dtype tag
+_HDR_DTYPES = (np.dtype("<f4"), np.dtype("<u2"))  # indexed by the LHDR dtype tag
 
 
 class FormatError(ValueError):
@@ -84,38 +89,45 @@ def _pack(path, magic: bytes, *sources, **values) -> bytes:
     return _struct(fields).pack(magic, VERSION, *(values[name] for name, _ in fields))
 
 
-def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
+def _read(path, magic: bytes, layout) -> tuple[dict, list[np.ndarray]]:
     """The header fields of the `magic` container at `path`, by name, and its
-    payload, a uint8 view of the file read once into a frozen array; the
-    common header is checked before the whole header's length."""
-    data = np.fromfile(path, np.uint8)
-    data.setflags(write=False)
+    rasters: `layout(fields)` gives their on-disk dtype and (count, *shape).
+    The common header is checked before the whole header's length, `layout`
+    after both, and the payload length against the file's size before any
+    sample is allocated. Each raster is then read from the file straight into
+    a fresh array, native-order and frozen, which a value adopts as is.
+    numpy cannot shape every empty array, so an empty payload keeps only the
+    zero sizes of (count, *shape) and takes 1 for the others; the value built
+    on it refuses it."""
     fields = _SIZES + _FIELDS[magic]
-    for header in (_struct(_SIZES), _struct(fields)):
-        if len(data) < header.size:
+    with open(path, "rb") as fh:
+        head = fh.read(_struct(fields).size)
+        for header in (_struct(_SIZES), _struct(fields)):
+            if len(head) < header.size:
+                raise FormatError(f"{path}: truncated payload")
+            got, version, *values = header.unpack_from(head)
+            if got != magic:
+                raise FormatError(f"{path}: bad magic {got!r} (expected {magic!r})")
+            if version != VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+        h = dict(zip((name for name, _ in fields), values))
+        dtype, shape = layout(h)
+        payload = os.fstat(fh.fileno()).st_size - len(head)
+        extra = payload - math.prod(shape) * dtype.itemsize
+        if extra < 0:
             raise FormatError(f"{path}: truncated payload")
-        got, version, *values = header.unpack_from(data)
-        if got != magic:
-            raise FormatError(f"{path}: bad magic {got!r} (expected {magic!r})")
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-    return dict(zip((name for name, _ in fields), values)), data[header.size:]
-
-
-def _array(path, payload: np.ndarray, dtype: str, shape: tuple) -> np.ndarray:
-    """The whole payload viewed as a native-order array of `shape`, after
-    checking that it holds exactly that many bytes. The view is frozen, so a
-    value adopts it when it is aligned and of the value's dtype. numpy cannot
-    shape every empty array, so an empty payload keeps only the zero sizes
-    of `shape` and takes 1 for the others; the value built on it refuses it."""
-    dtype = np.dtype(dtype)
-    extra = len(payload) - math.prod(shape) * dtype.itemsize
-    if extra < 0:
-        raise FormatError(f"{path}: truncated payload")
-    if extra:
-        raise FormatError(f"{path}: payload length mismatch ({extra} extra bytes)")
-    data = payload.view(dtype).reshape(shape if len(payload) else [min(n, 1) for n in shape])
-    return data.astype(dtype.newbyteorder("="), copy=False)  # a view on little-endian hosts
+        if extra:
+            raise FormatError(f"{path}: payload length mismatch ({extra} extra bytes)")
+        count, *shape = shape if payload else [min(n, 1) for n in shape]
+        rasters = []
+        for _ in range(count):
+            raster = np.empty(shape, dtype)
+            if fh.readinto(raster) < raster.nbytes:  # the file shrank since it was sized
+                raise FormatError(f"{path}: truncated payload")
+            raster = raster.astype(dtype.newbyteorder("="), copy=False)  # no copy on little-endian
+            raster.setflags(write=False)
+            rasters.append(raster)
+    return h, rasters
 
 
 def _write(fh, data: np.ndarray, dtype: str) -> None:
@@ -133,11 +145,12 @@ def write_hdr(path, image: HdrImage) -> None:
 
 
 def read_hdr(path) -> HdrImage:
-    h, payload = _read(path, MAGIC_HDR)
-    if h["dtype"] >= len(_HDR_DTYPES):
-        raise FormatError(f"{path}: unknown dtype tag {h['dtype']}")
-    shape = (h["height"], h["width"], h["channels"])
-    return HdrImage(data=_array(path, payload, _HDR_DTYPES[h["dtype"]], shape))
+    def layout(h):
+        if h["dtype"] >= len(_HDR_DTYPES):
+            raise FormatError(f"{path}: unknown dtype tag {h['dtype']}")
+        return _HDR_DTYPES[h["dtype"]], (1, h["height"], h["width"], h["channels"])
+    _, (data,) = _read(path, MAGIC_HDR, layout)
+    return HdrImage(data=data)
 
 
 def write_spikes(path, stream: SpikeStream) -> None:
@@ -148,9 +161,9 @@ def write_spikes(path, stream: SpikeStream) -> None:
 
 
 def read_spikes(path) -> SpikeStream:
-    h, payload = _read(path, MAGIC_SPIKES)
-    shape = (h["frame_count"], h["channels"], plane_bytes(h["height"], h["width"]))
-    return SpikeStream(packed=_array(path, payload, "u1", shape), **h)
+    h, (packed,) = _read(path, MAGIC_SPIKES, lambda h: (np.dtype("u1"), (
+        1, h["frame_count"], h["channels"], plane_bytes(h["height"], h["width"]))))
+    return SpikeStream(packed=packed, **h)
 
 
 def write_modulo(path, seq: ModuloSequence) -> None:
@@ -163,14 +176,11 @@ def write_modulo(path, seq: ModuloSequence) -> None:
 
 
 def read_modulo(path) -> ModuloSequence:
-    """Each frame owns one frozen copy of its samples, so no frame pins the
-    file's buffer, which is freed once read. Frames that viewed the buffer
-    decoded slower: glibc then trimmed and regrew its heap every other frame."""
-    h, payload = _read(path, MAGIC_MODULO)
-    shape = (h["frame_count"], h["height"], h["width"], h["channels"])
-    frames = []
-    for frame in _array(path, payload, _samples(h["bit_depth"]), shape):
-        frame = frame.copy()
-        frame.setflags(write=False)  # the frame adopts it: no second copy
-        frames.append(ModuloFrame(data=frame, bit_depth=h["bit_depth"]))
-    return ModuloSequence(tuple(frames), h["window"], h["stride"], h["gain"], h["source_rate_hz"])
+    """Each frame is read into an array of its own, so no frame views a
+    buffer shared with the others. Frames that viewed one buffer of the
+    whole file decoded slower: glibc then trimmed and regrew its heap every
+    other frame."""
+    h, frames = _read(path, MAGIC_MODULO, lambda h: (
+        _samples(h["bit_depth"]), (h["frame_count"], h["height"], h["width"], h["channels"])))
+    frames = tuple(ModuloFrame(data=frame, bit_depth=h["bit_depth"]) for frame in frames)
+    return ModuloSequence(frames, h["window"], h["stride"], h["gain"], h["source_rate_hz"])

@@ -317,7 +317,7 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
             f"IrradianceClip.micro_intervals: {k_total} not divisible by "
             f"readout frame count {r_frames}")
     sub = k_total // r_frames
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.rng_seed) if cfg.shot_noise else None  # imports numpy.random
     eta = float(cfg.threshold)
     q = float(cfg.conversion_gain)
     u = np.moveaxis(clip.u, 3, 1)  # (K, C, H, W)

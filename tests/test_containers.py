@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from modspike import (EncoderConfig, FormatError, HdrImage, ModuloFrame,
                       ModuloSequence, SpikeStream, ValidationError, containers, encode_stream,
-                      read_hdr, plane_bytes, read_modulo, read_spikes, write_hdr,
+                      read_hdr, plane_bytes, read_modulo, read_spikes, types, write_hdr,
                       write_modulo, write_spikes)
 
 
@@ -65,6 +65,24 @@ def test_hdr_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(FormatError, match="mismatch"):
         read_hdr(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint16])
+def test_read_hdr_allocates_its_samples_once(tmp_path, dtype):
+    # the payload starts at the odd offset 19, so a view of a buffer holding
+    # the whole file is unaligned and HdrImage used to copy it: twice the payload
+    data = np.random.default_rng(5).integers(0, 4096, (256, 256, 3)).astype(dtype)
+    path = tmp_path / "a.lhdr"
+    write_hdr(path, HdrImage(data=data))
+    tracemalloc.start()
+    try:
+        back = read_hdr(path).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.dtype == dtype and np.array_equal(back, data)
+    assert peak < 1.1 * data.nbytes, (peak, data.nbytes)
+    assert back.flags.aligned and back.flags.c_contiguous and types._frozen(back)
 
 
 @settings(max_examples=20, deadline=None)
@@ -171,9 +189,11 @@ def test_modulo_frames_are_read_at_their_wire_width(tmp_path, bit_depth, dtype):
         assert frame.data.base is None and frame.data.flags.c_contiguous
 
 
-def test_read_modulo_of_8bit_frames_peaks_at_twice_the_file_size(tmp_path):
-    # the file's buffer and one copy of each frame; the payload used to be
-    # widened to uint16 frame by frame: three times the file
+def test_read_modulo_of_8bit_frames_peaks_at_the_file_size(tmp_path):
+    # each frame is read straight into its own array: one copy of the
+    # payload; the whole file used to be read into one buffer first and each
+    # frame copied out of it (twice the file), and before that widened to
+    # uint16 frame by frame (three times)
     rng = np.random.default_rng(4)
     codes = rng.integers(0, 256, (100, 64, 64, 3), dtype=np.uint8)
     frames = tuple(ModuloFrame(data=c, bit_depth=8) for c in codes)
@@ -187,7 +207,7 @@ def test_read_modulo_of_8bit_frames_peaks_at_twice_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert all(np.array_equal(a.data, b) for a, b in zip(seq.frames, codes))
-    assert 1.9 * size < peak < 2.1 * size, (peak, size)
+    assert 0.99 * size < peak < 1.1 * size, (peak, size)
 
 
 def test_reading_modq_as_spikes_fails_on_magic(tmp_path):
@@ -306,6 +326,27 @@ def test_reader_rejects_a_header_without_samples_before_allocating(tmp_path, mag
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match=rf"\.{field}: must be positive"):
+            _READERS[magic](path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("magic, layout, fields", [
+    (b"LHDR", "B", (2 ** 32 - 1, 64, 3, 0)),
+    (b"SPKB", "II", (64, 64, 3, 2 ** 32 - 1, 100)),
+    (b"MODQ", "BHHfII", (64, 64, 3, 8, 4, 4, 1.0, 0, 2 ** 32 - 1)),
+], ids=["LHDR-geometry", "SPKB-frame_count", "MODQ-frame_count"])
+def test_reader_refuses_a_header_larger_than_its_file_before_allocating(tmp_path, magic,
+                                                                          layout, fields):
+    # the payload size is checked against the file's before any raster is
+    # read, so a header claiming terabytes costs nothing
+    path = tmp_path / "x.bin"
+    path.write_bytes(struct.pack(_COMMON + layout, magic, 1, *fields) + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated payload"):
             _READERS[magic](path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -600,6 +600,18 @@ def test_moving_capture_pass_loads_no_scipy(tmp_path):
     assert run_fresh(code) == "True []"
 
 
+def test_noise_free_capture_leaves_numpy_random_unloaded():
+    # only shot noise draws from a generator, and building the first one
+    # imports numpy.random (about 10 ms in a fresh interpreter)
+    code = ("import sys, numpy as np, modspike as ms\n"
+            "clip = ms.IrradianceClip(u=np.full((4, 8, 8, 3), 0.5, np.float32))\n"
+            "for noise in (False, True):\n"
+            "    ms.integrate_and_fire(clip, ms.SensorConfig(readout_rate_hz=4, total_time_s=1.0, "
+            "micro_intervals=4, shot_noise=noise))\n"
+            "    print('numpy.random' in sys.modules)")
+    assert run_fresh(code).split() == ["False", "True"]
+
+
 # ------------------------------------------------------------ lattice decoder
 
 def recount(bits, cfg):
