@@ -166,16 +166,13 @@ def _cmd_eval(args) -> int:
 def _cmd_bandwidth(args) -> int:
     report = bandwidth_report(args.height, args.width, args.channels,
                               args.readout_hz, args.bits, args.stride, args.mosaic)
-    print(f"raw_bps={report.raw_bps}")
-    print(f"modulo_bps={report.modulo_bps}")
-    print(f"reduction_ratio={report.reduction_ratio}")
-    print(f"raw_gbps={report.raw_gbps}")
-    print(f"modulo_gbps={report.modulo_gbps}")
+    for key in ("raw_bps", "modulo_bps", "reduction_ratio", "raw_gbps", "modulo_gbps"):
+        print(f"{key}={getattr(report, key)}")
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    # every input is checked before the output directory is made
+    # every input is checked, and every stage run, before the output directory is made
     cfg = _parse_sensor_config(args.config, seed=args.seed)
     shape = {k: v for k in ("height", "width", "peak") if (v := getattr(args, k)) is not None}
     if args.scene:
@@ -193,27 +190,25 @@ def _cmd_pipeline(args) -> int:
             peak_radiance * cfg.total_time_s / cfg.micro_intervals, 1e-12))
     motion = _parse_motion(args.motion)
     enc_cfg = _encoder_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    containers.write_hdr(out_dir / "scene.lhdr", scene)
-
     clip = synthesize_clip(scene, motion, cfg)
     if args.mosaic:
         clip = mosaic_sample(clip)
     stream = integrate_and_fire(clip, cfg)
-    containers.write_spikes(out_dir / "spikes.spkb", stream)
-
     seq = encode_stream(stream, enc_cfg)
-    containers.write_modulo(out_dir / "modulo.modq", seq)
-    print(f"frames={len(seq)}")
-    print(f"effective_rate_hz={seq.effective_rate_hz}")
-
     # reference: ideal windowed digital counts, aligned with the encoder
     # windows (gain g corresponds to digital gain g*q/threshold)
     sub = clip.micro_intervals // cfg.readout_frames
     spec = QuerySpec(window=enc_cfg.window * sub, stride=enc_cfg.stride * sub,
                      digital_gain=enc_cfg.gain * cfg.conversion_gain / cfg.threshold)
     truth = ideal_window_counts(clip, spec)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    containers.write_hdr(out_dir / "scene.lhdr", scene)
+    containers.write_spikes(out_dir / "spikes.spkb", stream)
+    containers.write_modulo(out_dir / "modulo.modq", seq)
+    print(f"frames={len(seq)}")
+    print(f"effective_rate_hz={seq.effective_rate_hz}")
 
     for i, frame in enumerate(seq.frames):
         result = unwrap_poisson(frame)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -101,6 +102,9 @@ def _read(path, magic: bytes, layout) -> tuple[dict, list[np.ndarray]]:
     on it refuses it."""
     fields = _SIZES + _FIELDS[magic]
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe's size reads 0, so its payload cannot be sized
+            raise FormatError(f"{path}: not a regular file")
         head = fh.read(_struct(fields).size)
         for header in (_struct(_SIZES), _struct(fields)):
             if len(head) < header.size:
@@ -112,7 +116,7 @@ def _read(path, magic: bytes, layout) -> tuple[dict, list[np.ndarray]]:
                 raise FormatError(f"{path}: unsupported version {version}")
         h = dict(zip((name for name, _ in fields), values))
         dtype, shape = layout(h)
-        payload = os.fstat(fh.fileno()).st_size - len(head)
+        payload = st.st_size - len(head)
         extra = payload - math.prod(shape) * dtype.itemsize
         if extra < 0:
             raise FormatError(f"{path}: truncated payload")
@@ -130,18 +134,18 @@ def _read(path, magic: bytes, layout) -> tuple[dict, list[np.ndarray]]:
     return h, rasters
 
 
-def _write(fh, data: np.ndarray, dtype: str) -> None:
-    """Write `data` as `dtype` from its own buffer, converting it first only
-    when its dtype or layout differ."""
-    fh.write(np.ascontiguousarray(data, dtype).data)
+def _write(path, header: bytes, dtype, *rasters: np.ndarray) -> None:
+    """Write `header`, then each raster as `dtype` from its own buffer,
+    converting a raster first only when its dtype or layout differ."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for raster in rasters:
+            fh.write(np.ascontiguousarray(raster, dtype).data)
 
 
 def write_hdr(path, image: HdrImage) -> None:
     tag = int(image.data.dtype == np.uint16)
-    header = _pack(path, MAGIC_HDR, image, dtype=tag)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        _write(fh, image.data, _HDR_DTYPES[tag])
+    _write(path, _pack(path, MAGIC_HDR, image, dtype=tag), _HDR_DTYPES[tag], image.data)
 
 
 def read_hdr(path) -> HdrImage:
@@ -154,10 +158,7 @@ def read_hdr(path) -> HdrImage:
 
 
 def write_spikes(path, stream: SpikeStream) -> None:
-    header = _pack(path, MAGIC_SPIKES, stream)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        _write(fh, stream.packed, "u1")
+    _write(path, _pack(path, MAGIC_SPIKES, stream), "u1", stream.packed)
 
 
 def read_spikes(path) -> SpikeStream:
@@ -168,11 +169,8 @@ def read_spikes(path) -> SpikeStream:
 
 def write_modulo(path, seq: ModuloSequence) -> None:
     first = seq.frames[0]
-    header = _pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for frame in seq.frames:
-            _write(fh, frame.data, _samples(first.bit_depth))
+    _write(path, _pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames)),
+           _samples(first.bit_depth), *(frame.data for frame in seq.frames))
 
 
 def read_modulo(path) -> ModuloSequence:

@@ -385,10 +385,8 @@ def mosaic_sample(full: IrradianceClip) -> IrradianceClip:
             f"{full.height}x{full.width}")
     static = full.u.strides[0] == 0
     src = full.u[:1] if static else full.u
-    out = np.empty((src.shape[0], full.height // 2, full.width // 2, 3), dtype=np.float32)
-    for c, pos in enumerate(MOSAIC_POSITIONS):
-        src_c = c if full.channels == 3 else 0
-        out[:, :, :, c] = src[:, pos[0]::2, pos[1]::2, src_c]
+    out = np.stack([src[:, y::2, x::2, c if full.channels == 3 else 0]
+                    for c, (y, x) in enumerate(MOSAIC_POSITIONS)], axis=-1)
     out.setflags(write=False)
     if static:
         out = np.broadcast_to(out, (full.micro_intervals,) + out.shape[1:])

@@ -197,11 +197,8 @@ def _snap(estimate: np.ndarray, obs: np.ndarray, modulus: int) -> np.ndarray:
     offsets = [np.argmin(_offset_objective(d, modulus)) for d in diff]
     diff += np.array(offsets, dtype=np.float64)[:, None, None]
     diff /= modulus
-    negative = diff < 0
-    np.abs(diff, out=diff)
-    diff += 0.5
-    rollover = diff.astype(np.int32)  # truncation is floor here
-    np.negative(rollover, out=rollover, where=negative)
+    diff += np.copysign(0.5, diff)
+    rollover = diff.astype(np.int32)  # truncation toward zero: ties round away from it
     rollover -= rollover.min(axis=(1, 2), keepdims=True)  # base-band anchor; also >= 0
     return rollover
 

@@ -257,20 +257,22 @@ def test_pipeline_size_below_one_fails_with_one_error_line(capsys, tmp_path, fie
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag, value, error", [
-    ("--height", "0", "pipeline.height: must be positive and finite, got 0"),
-    ("--motion", "bogus", "motion: unknown component 'bogus'"),
-    ("--bits", "17", "EncoderConfig.bit_depth: must be in 1..16, got 17"),
-    ("--scene", "nope.lhdr", "No such file or directory")],
-    ids=["height-0", "motion-bogus", "bits-17", "missing-scene"])
-def test_pipeline_bad_input_fails_before_making_its_out_dir(capsys, tmp_path, flag, value,
-                                                            error):
+@pytest.mark.parametrize("flags, error", [
+    (("--height", "0"), "pipeline.height: must be positive and finite, got 0"),
+    (("--motion", "bogus"), "motion: unknown component 'bogus'"),
+    (("--bits", "17"), "EncoderConfig.bit_depth: must be in 1..16, got 17"),
+    (("--scene", "nope.lhdr"), "No such file or directory"),
+    (("--mosaic", "--height", "15"), "mosaic sampling needs even dimensions, got 15x8"),
+    (("--window", "2000"), "stream: 1000 frames is shorter than window 2000")],
+    ids=["height-0", "motion-bogus", "bits-17", "missing-scene", "mosaic-odd-height",
+         "window-past-capture"])
+def test_pipeline_bad_input_fails_before_making_its_out_dir(capsys, tmp_path, flags, error):
     # each used to leave the directory behind: empty, with scene.lhdr, or
     # with scene.lhdr and spikes.spkb after the whole simulation
     out_dir = tmp_path / "p"
-    value = str(tmp_path / value) if flag == "--scene" else value
+    flags = [str(tmp_path / f) if f.endswith(".lhdr") else f for f in flags]
     code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(out_dir), "--height", "8",
-                             "--width", "8", flag, value)
+                             "--width", "8", *flags)
     assert code == 1 and out == "" and not out_dir.exists()
     assert err.startswith("modspike: error:") and error in err
     assert len(err.splitlines()) == 1

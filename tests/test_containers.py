@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -559,6 +560,39 @@ def test_readers_raise_os_errors_on_a_missing_path_and_a_directory(tmp_path, rea
         read(tmp_path / "missing")
     with pytest.raises(IsADirectoryError):
         read(tmp_path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+@pytest.mark.parametrize("magic, blob", [(b"LHDR", _LHDR), (b"SPKB", _SPKB), (b"MODQ", _MODQ)],
+                         ids=["LHDR", "SPKB", "MODQ"])
+def test_readers_refuse_a_pipe_as_not_a_regular_file(magic, blob):
+    # a pipe's size reads 0: a valid container read through one used to
+    # fail as "truncated payload"
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, blob)
+        with pytest.raises(FormatError, match=f"^/dev/fd/{read_end}: not a regular file$"):
+            _READERS[magic](f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("case", range(len(_VALID)))
+def test_reader_refuses_a_file_that_shrank_after_it_was_sized(tmp_path, monkeypatch, case):
+    # the size check passes on the size from before the cut, so the last
+    # raster's read comes up short
+    write, read, value = _VALID[case]
+    path = tmp_path / "x"
+    write(path, value)
+    size = path.stat().st_size
+    os.truncate(path, size - 1)
+    fstat = os.fstat
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_mode=fstat(fd).st_mode,
+                                                              st_size=size))
+        with pytest.raises(FormatError, match="truncated payload"):
+            read(path)
 
 
 @settings(max_examples=400, deadline=None)

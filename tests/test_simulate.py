@@ -1,4 +1,5 @@
 import itertools
+import os
 import sys
 import threading
 import tracemalloc
@@ -606,6 +607,19 @@ def test_more_warp_threads_than_cores_switching_often_give_the_same_clip():
                 got = _bounded(lambda: synthesize_clip(scene, motion, cfg))
         finally:
             sys.setswitchinterval(interval)
+    assert got.u.tobytes() == want.u.tobytes()
+
+
+def test_a_host_without_affinity_masks_warps_on_every_core_to_the_same_clip(monkeypatch):
+    cfg = SensorConfig(readout_rate_hz=10, total_time_s=0.1, micro_intervals=64)
+    scene = HdrImage(data=np.random.default_rng(7).uniform(0, 900, (8, 8, 3))
+                     .astype(np.float32))
+    motion = Motion(translate_px=(2.5, -1.5), rotate_deg=20.0)
+    with mock.patch.object(simulate, "_WARP_BLOCK_SAMPLES", 64):
+        want = synthesize_clip(scene, motion, cfg)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert simulate._usable_cores() == (os.cpu_count() or 1)
+        got = synthesize_clip(scene, motion, cfg)
     assert got.u.tobytes() == want.u.tobytes()
 
 
