@@ -203,10 +203,12 @@ def _cmd_pipeline(args) -> int:
     truth = ideal_window_counts(clip, spec)
 
     out_dir = Path(args.out_dir)
+    files = [(out_dir / name, contents(out_dir / name, value)) for name, contents, value in (
+        ("scene.lhdr", containers._lhdr, scene), ("spikes.spkb", containers._spkb, stream),
+        ("modulo.modq", containers._modq, seq))]  # every header is range-checked here
     out_dir.mkdir(parents=True, exist_ok=True)
-    containers.write_hdr(out_dir / "scene.lhdr", scene)
-    containers.write_spikes(out_dir / "spikes.spkb", stream)
-    containers.write_modulo(out_dir / "modulo.modq", seq)
+    for path, contents in files:
+        containers._write(path, *contents)
     print(f"frames={len(seq)}")
     print(f"effective_rate_hz={seq.effective_rate_hz}")
 

@@ -6,7 +6,7 @@ artifact gets a purpose-built little-endian container:
 
     common header   magic[4] version:u16 height:u32 width:u32 channels:u32
 
-    LHDR  radiance raster     + dtype:u8 (0 = f32, 1 = u16)
+    LHDR  radiance raster     + dtype:u8 (0 = f32, 1 = u16, 2 = u64)
                               + row-major channel-interleaved payload
     SPKB  spike stream        + frame_count:u32 + readout_rate_hz:u32
                               + per frame, per channel: H*W bits packed
@@ -53,7 +53,7 @@ _FIELDS = {
     MAGIC_MODULO: (("bit_depth", "B"), ("window", "H"), ("stride", "H"), ("gain", "f"),
                    ("source_rate_hz", "I"), ("frame_count", "I")),
 }
-_HDR_DTYPES = (np.dtype("<f4"), np.dtype("<u2"))  # indexed by the LHDR dtype tag
+_HDR_DTYPES = (np.dtype("<f4"), np.dtype("<u2"), np.dtype("<u8"))  # indexed by the LHDR tag
 
 
 class FormatError(ValueError):
@@ -143,9 +143,27 @@ def _write(path, header: bytes, dtype, *rasters: np.ndarray) -> None:
             fh.write(np.ascontiguousarray(raster, dtype).data)
 
 
+# The contents of a value's file, as `_write`'s (header, dtype, *rasters): the
+# header is packed and range-checked, and nothing is written, so a caller can
+# check every file it will write before it creates any.
+
+def _lhdr(path, image: HdrImage) -> tuple:
+    tag = _HDR_DTYPES.index(image.data.dtype.newbyteorder("<"))
+    return _pack(path, MAGIC_HDR, image, dtype=tag), _HDR_DTYPES[tag], image.data
+
+
+def _spkb(path, stream: SpikeStream) -> tuple:
+    return _pack(path, MAGIC_SPIKES, stream), "u1", stream.packed
+
+
+def _modq(path, seq: ModuloSequence) -> tuple:
+    first = seq.frames[0]
+    return (_pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames)),
+            _samples(first.bit_depth), *(frame.data for frame in seq.frames))
+
+
 def write_hdr(path, image: HdrImage) -> None:
-    tag = int(image.data.dtype == np.uint16)
-    _write(path, _pack(path, MAGIC_HDR, image, dtype=tag), _HDR_DTYPES[tag], image.data)
+    _write(path, *_lhdr(path, image))
 
 
 def read_hdr(path) -> HdrImage:
@@ -158,7 +176,7 @@ def read_hdr(path) -> HdrImage:
 
 
 def write_spikes(path, stream: SpikeStream) -> None:
-    _write(path, _pack(path, MAGIC_SPIKES, stream), "u1", stream.packed)
+    _write(path, *_spkb(path, stream))
 
 
 def read_spikes(path) -> SpikeStream:
@@ -168,9 +186,7 @@ def read_spikes(path) -> SpikeStream:
 
 
 def write_modulo(path, seq: ModuloSequence) -> None:
-    first = seq.frames[0]
-    _write(path, _pack(path, MAGIC_MODULO, first, seq, frame_count=len(seq.frames)),
-           _samples(first.bit_depth), *(frame.data for frame in seq.frames))
+    _write(path, *_modq(path, seq))
 
 
 def read_modulo(path) -> ModuloSequence:

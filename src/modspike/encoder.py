@@ -51,12 +51,13 @@ class ModuloSequence:
         check_positive(self.gain, "ModuloSequence.gain")
         frames = tuple(self.frames)
         check_positive(len(frames), "ModuloSequence.frames")
-        for f in frames[1:]:
-            check_dims(f.data.shape + (f.bit_depth,),
-                       frames[0].data.shape + (frames[0].bit_depth,),
+        for i, f in enumerate(frames):  # frame 0 sets the (H, W, C, N) and config of the rest
+            _check_type(f, ModuloFrame, f"ModuloSequence.frames[{i}]")
+            if i == 0:
+                dims = f.data.shape + (f.bit_depth,)
+                cfg = EncoderConfig(self.window, self.stride, self.gain, f.bit_depth)
+            check_dims(f.data.shape + (f.bit_depth,), dims,
                        "ModuloSequence.frames (H, W, C, bit_depth)")
-        cfg = EncoderConfig(self.window, self.stride, self.gain, frames[0].bit_depth)
-        for i, f in enumerate(frames):
             if f.counted_by not in (None, cfg):
                 raise ValidationError(
                     f"ModuloSequence.frames: frame {i} was counted by {f.counted_by}, not {cfg}")

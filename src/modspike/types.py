@@ -7,8 +7,9 @@ to share across threads.
 
 Conventions:
   * rasters are row-major, channel-interleaved arrays of shape (H, W, C)
-  * radiance is stored as float32; integer-quantized scenes (digital
-    counts) may be stored as uint16
+  * radiance is stored as float32; integer digital counts are stored as
+    uint16 when given as uint16, else as float32 while every count stays
+    below 2^24, and as uint64 from there on, where float32 would round
   * spike frames are bit-packed LSB-first, one plane per channel, each
     plane padded to a byte boundary
   * every value holds a sample: sizes, frame counts and K are all >= 1
@@ -106,6 +107,17 @@ def check_bits(samples: np.ndarray, name: str) -> np.ndarray:
     return samples.astype(np.uint8, copy=False)
 
 
+def check_codes(samples: np.ndarray, bit_depth: int, name: str) -> None:
+    """Every sample is an integer in [0, 2^bit_depth): scanned only where
+    the samples' type can hold a value outside that range, so uint8 codes
+    of 8 bits or more take no pass."""
+    if not np.issubdtype(samples.dtype, np.integer):
+        raise ValidationError(f"{name}: samples must be integers")
+    top, info = 1 << bit_depth, np.iinfo(samples.dtype)
+    if info.min < 0 and samples.min() < 0 or info.max >= top and samples.max() >= top:
+        raise ValidationError(f"{name}: samples must lie in [0, 2^{bit_depth})")
+
+
 def sample_dtype(bit_depth: int) -> np.dtype:
     """Every N-bit code's type, the narrowest holding 2^N - 1: uint8 to 8 bits, else uint16."""
     return np.dtype(np.uint8 if bit_depth <= 8 else np.uint16)
@@ -177,17 +189,23 @@ class _Raster:
 class HdrImage(_Raster):
     """Linear-radiance raster: the unknown high-dynamic-range signal.
 
-    `data` holds nonnegative, finite samples in arbitrary radiance units
-    (or integer digital counts when dtype is uint16).
+    `data` holds nonnegative, finite samples in arbitrary radiance units,
+    as float32, or integer digital counts: uint16 input stays uint16, and
+    any other integer input whose largest count is 2^24 or more, past the
+    integers float32 holds exactly, is stored as uint64. Every other
+    raster, integer or not, is stored as float32.
     """
 
-    data: np.ndarray  # (H, W, C), float32 or uint16, read-only
+    data: np.ndarray  # (H, W, C), float32, uint16 or uint64, read-only
 
     def __post_init__(self):
         data = _as_raster(self.data, "HdrImage")
-        kind = data.dtype.kind  # an integer is a finite float32: only a signed one needs a check
+        kind = data.dtype.kind  # an integer is finite: only a signed one needs a check
         valid = kind == "u" or kind == "i" and data.min() >= 0
-        data = _freeze(data, np.uint16 if data.dtype == np.uint16 else np.float32)
+        # integers float32 would round (2^24 and up) are kept exactly, as uint64
+        wide = valid and data.dtype.itemsize > 2 and data.max() >= 2 ** 24
+        data = _freeze(data, np.uint64 if wide else
+                       np.uint16 if data.dtype == np.uint16 else np.float32)
         if not valid and not 0 <= float(data.min()) <= float(data.max()) < math.inf:
             raise ValidationError("HdrImage.data: samples must be finite and nonnegative")
         object.__setattr__(self, "data", data)
@@ -222,12 +240,7 @@ class ModuloFrame(_Raster):
                     f"ModuloFrame.counted_by.bit_depth: {self.counted_by.bit_depth} "
                     f"differs from the frame's {self.bit_depth}")
         data = _as_raster(self.data, "ModuloFrame")
-        if not np.issubdtype(data.dtype, np.integer):
-            raise ValidationError("ModuloFrame.data: samples must be integers")
-        if data.dtype.kind == "i" and data.min() < 0 or data.max() >= 1 << self.bit_depth:
-            raise ValidationError(
-                f"ModuloFrame.data: samples must lie in [0, 2^{self.bit_depth})"
-            )
+        check_codes(data, self.bit_depth, "ModuloFrame.data")
         object.__setattr__(self, "data", _freeze(data, sample_dtype(self.bit_depth)))
 
     @property
@@ -260,7 +273,9 @@ class SpikeStream:
         check_positive(self.frame_count, "SpikeStream.frame_count")
         check_positive(self.readout_rate_hz, "SpikeStream.readout_rate_hz")
         check_geometry(self.height, self.width, self.channels, "SpikeStream")
-        packed = _freeze(self.packed, np.uint8)
+        packed = np.asarray(self.packed)
+        check_codes(packed, 8, "SpikeStream.packed")
+        packed = _freeze(packed, np.uint8)
         check_dims(packed.shape,
                    (self.frame_count, self.channels, plane_bytes(self.height, self.width)),
                    "SpikeStream.packed")

@@ -39,16 +39,18 @@ snap of a frame with curl run on channel-first (C, H, W) copies. The snap
 is channel-batched except for the offset search, which runs per plane:
 its residues come from x - m*floor(x/m), equal to np.mod bit for bit at a
 fraction of its cost. The output is byte-identical to the per-channel
-float64 decoder in tests/reference_unwrap.py.
+float64 decoder in tests/reference_unwrap.py, but for the `hdr` of a
+frame past 2^24 counts, which the reference rounds to float32.
 
 The residual report is defined once, on the integer reconstruction
 v = frame + m * rollover that becomes `hdr`, held in the first of int16,
 int32 and int64 that holds its widest field, 4 * max(v) + m/2
-(`_width`). The zeroth-order residual
-(mean centered remainder of hdr - frame) checks that the float32 samples
-returned are still congruent to the frame, which fails only once counts
-pass 2^24. Congruence forces lar(gradient(v)) = lar(gradient(frame)), so
-comparing wrapped derivatives of output and input says nothing; the
+(`_width`). `hdr` stores v exactly (as float32 below 2^24 counts, else
+as uint64), so the zeroth-order residual, the mean centered remainder
+of hdr - frame, is 0 by construction and never computed; the field stays
+for the `l_mod=` key of `modspike unwrap`. Congruence forces
+lar(gradient(v)) = lar(gradient(frame)), so comparing wrapped
+derivatives of output and input says nothing; the
 first- and second-order residuals compare v's plain gradient and
 Laplacian against those centered measurements instead (the Itoh
 condition applied to the output): m * mean|wraps(gradient(v))| and
@@ -79,7 +81,8 @@ from .types import EncoderConfig, HdrImage, ModuloFrame
 
 @dataclass(frozen=True)
 class ConsistencyResiduals:
-    """Mean absolute consistency residuals at zeroth/first/second order."""
+    """Mean absolute consistency residuals at zeroth/first/second order;
+    `unwrap_poisson` returns its reconstruction exactly, so l_mod is 0."""
 
     l_mod: float
     l_grad: float
@@ -96,10 +99,9 @@ class ConsistencyResiduals:
 class UnwrapResult:
     """Reconstruction plus per-pixel wrap counts and consistency report.
 
-    hdr = frame + rollover_map * 2^N holds elementwise, exactly, whenever
-    float32 stores those counts exactly, which every count below 2^24 is.
-    Past that hdr holds the nearest float32 values, and residuals.l_mod
-    reports the samples no longer congruent to the frame.
+    hdr = frame + rollover_map * 2^N holds elementwise, exactly, at any
+    count: `hdr.data` is float32 while every count stays below 2^24 and
+    uint64 from there on (`HdrImage`), so residuals.l_mod is always 0.
 
     `converged` means every residual is exactly 0: the result is
     consistent with the observation and with the half-period model. Each
@@ -314,16 +316,12 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
     else:  # shifted in the values' own type, whose int64 values pass int32, then stored
         rollover_map = np.right_shift(values, modulus.bit_length() - 1,
                                       out=np.empty(values.shape, np.int32))
-        peak = int(values.max())
-    hdr = HdrImage(data=values)
-    l_mod = 0.0
-    if peak >= 2 ** 24:  # float32 may round a count off its residue class
-        l_mod = _mean_abs(lar(hdr.data.astype(np.int64) - frame.data, modulus))
+    hdr = HdrImage(data=values)  # frame + m * rollover_map exactly: l_mod is 0 by construction
     if div_wraps is None:
         l_grad, l_lap = _reconstruction_residuals(values, modulus)
     else:  # the wrap counts integrate the wrap indicators: gradient(hdr) is centered
         l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
-    residuals = ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
+    residuals = ConsistencyResiduals(l_mod=0.0, l_grad=l_grad, l_lap=l_lap)
     return UnwrapResult(hdr=hdr, rollover_map=rollover_map, residuals=residuals,
                         converged=not residuals.max(), decoder=decoder)
 

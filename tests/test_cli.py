@@ -9,6 +9,7 @@ import reference_unwrap
 
 from modspike import (EncoderConfig, HdrImage, SensorConfig, ValidationError, encode_stream,
                       read_hdr, read_modulo, read_spikes, unwrap_poisson, write_hdr)
+from modspike import cli
 from modspike.cli import _parse_sensor_config, main
 
 
@@ -263,12 +264,16 @@ def test_pipeline_size_below_one_fails_with_one_error_line(capsys, tmp_path, fie
     (("--bits", "17"), "EncoderConfig.bit_depth: must be in 1..16, got 17"),
     (("--scene", "nope.lhdr"), "No such file or directory"),
     (("--mosaic", "--height", "15"), "mosaic sampling needs even dimensions, got 15x8"),
-    (("--window", "2000"), "stream: 1000 frames is shorter than window 2000")],
+    (("--window", "2000"), "stream: 1000 frames is shorter than window 2000"),
+    (("--gain", "1e-50"), "modulo.modq: gain=1e-50 does not fit the container's 'f' header"),
+    (("--config", "readout_rate_hz=5e9,total_time_s=1e-8,micro_intervals=50"),
+     "spikes.spkb: readout_rate_hz=5000000000 does not fit the container's 'I' header")],
     ids=["height-0", "motion-bogus", "bits-17", "missing-scene", "mosaic-odd-height",
-         "window-past-capture"])
+         "window-past-capture", "gain-below-f32", "rate-past-u32"])
 def test_pipeline_bad_input_fails_before_making_its_out_dir(capsys, tmp_path, flags, error):
     # each used to leave the directory behind: empty, with scene.lhdr, or
-    # with scene.lhdr and spikes.spkb after the whole simulation
+    # with scene.lhdr and spikes.spkb after the whole simulation; a header a
+    # container cannot hold is refused before the first file is written
     out_dir = tmp_path / "p"
     flags = [str(tmp_path / f) if f.endswith(".lhdr") else f for f in flags]
     code, out, err = run_cli(capsys, "pipeline", "--out-dir", str(out_dir), "--height", "8",
@@ -372,6 +377,29 @@ def test_pipeline_synthetic_scene_unwraps_exactly(capsys, tmp_path):
     recon = read_hdr(out_dir / "recon_0000.lhdr")
     truth = read_hdr(out_dir / "truth_0000.lhdr")
     assert recon.data.shape == truth.data.shape
+
+
+def test_pipeline_writes_truth_counts_past_2_24_exactly(capsys, tmp_path, monkeypatch):
+    # at gain 10^6 the 16-bit truth frames hold counts past 2^24, which a
+    # float32 LHDR would round: they are written as u64 and read back as is
+    truths = []
+
+    def spy(*args, _real=cli.ideal_window_counts):
+        truths.append(_real(*args))
+        return truths[-1]
+
+    monkeypatch.setattr(cli, "ideal_window_counts", spy)
+    code, _, _ = run_cli(capsys, "pipeline", "--out-dir", str(tmp_path), "--height", "16",
+                         "--width", "16", "--gain", "1000000", "--bits", "16")
+    (truth,) = truths
+    files = sorted(tmp_path.glob("truth_*.lhdr"))
+    assert code == 0 and len(files) == len(truth)
+    for path, want in zip(files, truth):
+        assert want.max() >= 2 ** 24
+        assert path.read_bytes()[18] == 2  # the LHDR dtype tag of u64
+        back = read_hdr(path)
+        assert back.data.dtype == np.uint64
+        assert np.array_equal(back.data.astype(np.int64), want)
 
 
 def test_pipeline_step_edge_decodes_exactly_on_the_count_lattice(capsys, tmp_path):

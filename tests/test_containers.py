@@ -38,6 +38,22 @@ def test_hdr_u16_12bit_round_trip(tmp_path):
     assert back.data.max() <= 4095
 
 
+def test_hdr_u64_counts_round_trip_as_tag_2_and_tag_3_is_unknown(tmp_path):
+    # counts float32 would round are written as u64, tag 2, and read back as is
+    counts = np.array([[0, 2 ** 24], [2 ** 24 + 1, 2 ** 64 - 1]], np.uint64)
+    path = tmp_path / "c.lhdr"
+    write_hdr(path, HdrImage(data=counts))
+    blob = path.read_bytes()
+    assert blob[18] == 2 and len(blob) == 19 + counts.size * 8
+    back = read_hdr(path)
+    assert back.data.dtype == np.uint64 and np.array_equal(back.data[:, :, 0], counts)
+    write_hdr(path, back)
+    assert path.read_bytes() == blob
+    path.write_bytes(blob[:18] + bytes([3]) + blob[19:])
+    with pytest.raises(FormatError, match="unknown dtype tag 3"):
+        read_hdr(path)
+
+
 def test_hdr_truncated_payload(tmp_path):
     img = HdrImage(data=np.ones((4, 4), dtype=np.float32))
     path = tmp_path / "t.lhdr"
@@ -379,11 +395,15 @@ _SIZES = st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3])
 def _hdr_case(draw):
     h, w, c = draw(_SIZES)
     rng = np.random.default_rng(draw(_U32))
-    wide = draw(st.booleans())
-    data = (rng.integers(0, 1 << 16, (h, w, c)).astype(np.uint16) if wide
-            else rng.uniform(0, 1e6, (h, w, c)).astype(np.float32))
-    blob = (struct.pack(_COMMON, b"LHDR", 1, h, w, c) + struct.pack("<B", int(wide))
-            + data.astype("<u2" if wide else "<f4").tobytes())
+    tag = draw(st.integers(0, 2))  # f32, u16, u64
+    if tag == 2:  # counts past 2^24, up to the largest u64
+        data = rng.integers(0, 1 << 64, (h, w, c), dtype=np.uint64)
+        data.flat[0] |= np.uint64(1 << 24)
+    else:
+        data = (rng.integers(0, 1 << 16, (h, w, c)).astype(np.uint16) if tag
+                else rng.uniform(0, 1e6, (h, w, c)).astype(np.float32))
+    blob = (struct.pack(_COMMON, b"LHDR", 1, h, w, c) + struct.pack("<B", tag)
+            + data.astype(("<f4", "<u2", "<u8")[tag]).tobytes())
     image = HdrImage(data=data)
     return write_hdr, read_hdr, image, image, blob
 

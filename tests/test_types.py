@@ -41,6 +41,24 @@ def test_hdr_image_rejects_negative_integers(dtype):
     assert img.data.dtype == np.float32 and img.data.tolist() == [[[5.0], [0.0]]]
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint64])
+def test_hdr_image_keeps_counts_float32_would_round_as_uint64(dtype):
+    # below 2^24 an integer raster is float32, with the bytes it always had;
+    # from 2^24 on, where float32 rounds, every count is kept as uint64
+    below = np.array([[0, 7], [2 ** 24 - 1, 5]], dtype)
+    img = HdrImage(data=below)
+    assert img.data.tobytes() == below.astype(np.float32).tobytes()
+    top = np.iinfo(dtype).max
+    past = np.array([[0, 2 ** 24 + 1], [top, 5]], dtype)
+    img = HdrImage(data=past)
+    assert img.data.dtype == np.uint64 and not img.data.flags.writeable
+    assert img.data[:, :, 0].tolist() == [[0, 2 ** 24 + 1], [top, 5]]
+    assert HdrImage(data=np.array([[2 ** 24]], dtype)).data.dtype == np.uint64
+    if np.iinfo(dtype).min < 0:  # a negative count next to one past 2^24 is still refused
+        with pytest.raises(ValidationError, match="HdrImage.data"):
+            HdrImage(data=np.array([[top, -1]], dtype))
+
+
 def test_hdr_image_rejects_bad_channels():
     with pytest.raises(ValidationError, match="channels"):
         HdrImage(data=np.zeros((2, 2, 2), dtype=np.float32))
@@ -190,6 +208,7 @@ def test_query_spec_bounds():
 
 _IMG = HdrImage(data=np.ones((2, 2), dtype=np.float32))
 _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
+_FRAME = ModuloFrame(np.zeros((2, 2), np.uint8), 8)
 
 
 @pytest.mark.parametrize("fn, bad, field", [
@@ -241,6 +260,13 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
     (SpikeStream, (2.0, 3, 1, 2, 20000, np.zeros((2, 1, 1), np.uint8)), "SpikeStream.height"),
     (ModuloSequence, ((), 4, 4, 1.0, 0.5), "ModuloSequence.source_rate_hz"),
     (ModuloFrame, (np.zeros((2, 2)), 8), "ModuloFrame.data: samples must be integers"),
+    # each used to be stored as another byte: -1 as 255, 300 as 44, 1.7 as 1
+    (SpikeStream, (1, 1, 1, 1, 10, np.array([[[-1]]])), r"SpikeStream.packed: .* \[0, 2\^8\)"),
+    (SpikeStream, (1, 1, 1, 1, 10, np.array([[[300]]])), r"SpikeStream.packed: .* \[0, 2\^8\)"),
+    (SpikeStream, (1, 1, 1, 1, 10, np.array([[[1.7]]])), "SpikeStream.packed: .* integers"),
+    # each used to raise AttributeError: 'str' object has no attribute 'data'
+    (ModuloSequence, (("x", _FRAME), 4, 2, 1.0), r"ModuloSequence.frames\[0\]: .* ModuloFrame"),
+    (ModuloSequence, ((_FRAME, "x"), 4, 2, 1.0), r"ModuloSequence.frames\[1\]: .* ModuloFrame"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "ideal_window_counts-window-9", "push-chunk-dims",
         "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999", "from_bits-nan",
@@ -257,7 +283,9 @@ _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
         "modulo_frame-bits-float", "modulo_sequence-stride-float", "frame_capacity-window-float",
         "spike_stream-rate-float", "spike_stream-frames-float",
         "spike_stream-height-float", "modulo_sequence-source-rate-float",
-        "modulo_frame-data-float"])
+        "modulo_frame-data-float", "spike_stream-packed-neg", "spike_stream-packed-300",
+        "spike_stream-packed-float", "modulo_sequence-frame-0-str",
+        "modulo_sequence-frame-1-str"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)

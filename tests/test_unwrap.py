@@ -237,19 +237,30 @@ def test_poisson_decoder_warm_memory_peak(scene_maker, curl, bound):
     assert peak <= bound, peak
 
 
-def test_unwrap_reports_counts_float32_cannot_hold():
-    # a 16-bit strip climbing past 2^24 counts unwraps exactly, but the
-    # float32 samples returned round 270 of them off the frame's residue
-    # class; the zeroth-order residual must see what is returned
+def test_unwrap_returns_counts_float32_cannot_hold():
+    # a 16-bit strip climbing past 2^24 counts unwraps exactly, and hdr
+    # holds every count as it is: float32 would round 270 of them off the
+    # frame's residue class
     img = 30011 * np.arange(1100, dtype=np.int64)[None, :]  # peak ~3.3e7
     frame = wrap_frame(img, bit_depth=16)
     result = unwrap_poisson(frame)
+    assert np.count_nonzero((img[0].astype(np.float32).astype(np.int64) - img[0]) % 65536) == 270
     assert np.array_equal(result.rollover_map[0, :, 0], img[0] // 65536)
-    assert np.array_equal(result.hdr.data[0, :, 0], img[0].astype(np.float32))
-    stored = result.hdr.data[0, :, 0].astype(np.int64)
-    assert np.count_nonzero((stored - img[0]) % 65536) == 270
-    assert result.residuals.l_mod > 0
-    assert not result.converged
+    assert result.hdr.data.dtype == np.uint64
+    assert np.array_equal(result.hdr.data[0, :, 0].astype(np.int64), img[0])
+    assert result.residuals.as_tuple() == (0.0, 0.0, 0.0)
+    assert result.converged
+
+
+def test_16_bit_ramp_past_2_24_returns_every_sample():
+    # float32 rounded 19 of these 600 samples, l_mod read 0.032 and the
+    # frame did not converge, although every wrap count was right
+    img = np.linspace(0, 17_970_600, 600).astype(np.int64)[None, :]
+    result = unwrap_poisson(wrap_frame(img, bit_depth=16))
+    assert np.count_nonzero(img.astype(np.float32).astype(np.int64) != img) == 19
+    assert np.count_nonzero(result.hdr.data[:, :, 0].astype(np.int64) != img) == 0
+    assert result.residuals.l_mod == 0.0
+    assert result.converged
 
 
 def _parity_scene(seed, bit_depth, shape, channels, smooth):
@@ -265,6 +276,18 @@ def _parity_scene(seed, bit_depth, shape, channels, smooth):
     cols = np.cumsum(rng.integers(-step, step + 1, size=(1, w, channels)), axis=1)
     img = rows + cols
     return np.minimum(img - img.min(axis=(0, 1), keepdims=True), 2 ** 24 - 1)
+
+
+def _climbing_scene(seed, bit_depth, shape, channels):
+    """Integer scene with no 2^24 clamp: a separable sum of walks that rise
+    by a quarter to half a period every step, so a long 16-bit strip climbs
+    past 2^24 counts with no curl."""
+    rng = np.random.default_rng(seed)
+    modulus = 1 << bit_depth
+    h, w = shape
+    steps = (modulus // 4, modulus // 2)
+    return (np.cumsum(rng.integers(*steps, size=(h, 1, channels)), axis=0)
+            + np.cumsum(rng.integers(*steps, size=(1, w, channels)), axis=1))
 
 
 _sides = st.integers(2, 40)
@@ -316,22 +339,22 @@ def solver_calls(monkeypatch):
 
 
 def assert_matches_float_reference(frame):
-    """Every `UnwrapResult` field equals the float reference's. Past 2^24
-    counts the reference, which reports l_mod on float64 values, cannot see
-    the float32 rounding of the samples returned, so l_mod is checked on
-    those samples instead. Returns the library's result."""
+    """Every `UnwrapResult` field equals the float reference's, and `hdr`
+    is frame + 2^N * rollover_map exactly. The reference rounds its `hdr`
+    to float32, so the two `hdr`s are compared byte for byte only below
+    2^24 counts. Returns the library's result."""
     want = reference_unwrap.unwrap_poisson(frame)
     got = unwrap_poisson(frame)
-    assert got.hdr.data.tobytes() == want.hdr.data.tobytes()
+    exact = frame.data + (got.rollover_map.astype(np.int64) << frame.bit_depth)
+    assert np.array_equal(got.hdr.data.astype(np.int64), exact)
+    if exact.max() < 2 ** 24:
+        assert got.hdr.data.tobytes() == want.hdr.data.tobytes()
     assert got.rollover_map.dtype == want.rollover_map.dtype == np.int32
     assert got.rollover_map.flags.c_contiguous
     assert np.array_equal(got.rollover_map, want.rollover_map)
     assert got.decoder == want.decoder == "poisson"
-    l_mod = float(np.abs(lar(got.hdr.data.astype(np.int64) - frame.data, frame.modulus)).mean())
-    assert got.residuals.as_tuple() == (l_mod,) + want.residuals.as_tuple()[1:]
-    assert got.converged == (got.residuals.max() == 0.0)
-    if not l_mod:
-        assert want.residuals.l_mod == 0.0 and got.converged == want.converged
+    assert got.residuals.as_tuple() == want.residuals.as_tuple()
+    assert got.converged == want.converged == (got.residuals.max() == 0.0)
     return got
 
 
@@ -372,23 +395,21 @@ def test_curl_free_frames_match_the_float_reference(seed, bit_depth, shape, chan
 
 @pytest.mark.parametrize("shape, channels", [((1, 1100), 1), ((1100, 1), 3), ((3, 900), 3)])
 def test_curl_free_frames_past_2_24_match_the_float_reference(shape, channels):
-    # 16-bit steps just under half a period climb past 2^24 counts
-    rng = np.random.default_rng(41)
-    h, w = shape
-    img = (np.cumsum(rng.integers(16384, 32768, size=(h, 1, channels)), axis=0)
-           + np.cumsum(rng.integers(16384, 32768, size=(1, w, channels)), axis=1))
+    # 16-bit steps just under half a period climb past 2^24 counts, which
+    # hdr holds exactly where the reference's float32 rounds them
+    img = _climbing_scene(41, 16, shape, channels)
     assert img.max() >= 2 ** 24
     frame = wrap_frame(img, bit_depth=16)
     assert not np.any(centered_gradient_curl(frame))
     got = assert_matches_float_reference(frame)
-    assert got.residuals.l_mod > 0 and not got.converged
+    assert got.hdr.data.dtype == np.uint64
+    assert np.array_equal(got.hdr.data.astype(np.int64), img)
 
 
-def test_one_sample_off_its_residue_class_clears_converged():
+def test_a_count_of_2_24_plus_1_is_returned_exactly():
     # a 1701^2 raised-cosine product peaking at 2^24 + 1, which float32
-    # rounds to 2^24: every wrap count is right, but one sample of hdr in
-    # 2.9 million leaves the frame's residue class, l_mod = 1/n = 3.5e-7,
-    # which a tolerance of 1e-6 let converge
+    # would round to 2^24, off the frame's residue class: one sample in 2.9
+    # million, which used to clear converged with l_mod = 1/n = 3.5e-7
     n = 1701
     b = (1 - np.cos(2 * np.pi * np.arange(n) / (n - 1))) / 2
     v = np.floor((2 ** 24 + 1) * np.outer(b, b)).astype(np.int64)[:, :, None]
@@ -396,8 +417,37 @@ def test_one_sample_off_its_residue_class_clears_converged():
     result = unwrap_poisson(wrap_frame(v, bit_depth=16))
     assert result.decoder == "poisson"
     assert np.array_equal(result.rollover_map, v >> 16)
-    assert result.residuals.as_tuple() == (1 / n ** 2, 0.0, 0.0)
-    assert not result.converged
+    assert result.hdr.data.dtype == np.uint64
+    assert np.array_equal(result.hdr.data.astype(np.int64), v)
+    assert result.residuals.as_tuple() == (0.0, 0.0, 0.0)
+    assert result.converged
+
+
+_strips = st.integers(2, 1100)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       bit_depth=st.integers(1, 16),
+       shape=st.one_of(st.just((1, 1)), st.tuples(st.just(1), _strips),
+                       st.tuples(_strips, st.just(1)), st.tuples(_sides, _sides)),
+       channels=st.sampled_from([1, 3]),
+       scene=st.sampled_from(["noise", "walk", "climb"]))
+@example(seed=41, bit_depth=16, shape=(1, 1100), channels=1, scene="climb")  # past 2^24
+@example(seed=41, bit_depth=16, shape=(1100, 1), channels=3, scene="climb")  # past 2^24
+@example(seed=41, bit_depth=16, shape=(40, 40), channels=3, scene="noise")  # curl: solved
+@example(seed=6, bit_depth=1, shape=(1, 1), channels=1, scene="walk")
+def test_hdr_is_the_frame_plus_its_wraps_at_any_count(seed, bit_depth, shape, channels, scene):
+    # hdr = frame + 2^N * rollover_map holds exactly whatever the decode,
+    # right or wrong, so l_mod is 0 on every frame
+    img = (_climbing_scene(seed, bit_depth, shape, channels) if scene == "climb"
+           else _parity_scene(seed, bit_depth, shape, channels, smooth=scene == "walk"))
+    frame = wrap_frame(img, bit_depth)
+    got = unwrap_poisson(frame)
+    want = frame.data + (got.rollover_map.astype(np.int64) << bit_depth)
+    assert got.hdr.data.dtype == (np.uint64 if want.max() >= 2 ** 24 else np.float32)
+    assert np.array_equal(got.hdr.data.astype(np.int64), want)
+    assert got.residuals.l_mod == 0.0
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -676,7 +726,8 @@ def test_lattice_decode_matches_recount(seed, window, data, bit_depth, channels,
             continue
         want = want.astype(np.int64)
         assert got.decoder == "lattice"
-        assert np.array_equal(got.hdr.data, want.astype(np.float32))
+        assert got.hdr.data.dtype == (np.uint64 if want.max() >= 2 ** 24 else np.float32)
+        assert np.array_equal(got.hdr.data.astype(np.int64), want)
         assert np.array_equal(got.rollover_map, want >> bit_depth)
         assert got.residuals.as_tuple()[1:] == defined_residuals(want, cfg.modulus)
         image = np.mod(np.floor(gain * np.arange(window + 1)), cfg.modulus)
