@@ -17,14 +17,13 @@ from .simulate import (IrradianceClip, Motion, integrate_and_fire, mosaic_sample
                        synthesize_clip)
 from .types import (EncoderConfig, HdrImage, ModuloFrame, QuerySpec,
                     SensorConfig, SpikeStream, ValidationError, plane_bytes)
-from .unwrap import ConsistencyResiduals, UnwrapResult, unwrap_poisson
+from .unwrap import UnwrapResult, unwrap_poisson
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthReport",
     "ChunkedEncoder",
-    "ConsistencyResiduals",
     "EncoderConfig",
     "FormatError",
     "GradientField",

@@ -143,9 +143,7 @@ def _cmd_unwrap(args) -> int:
     for i, frame in enumerate(seq.frames):
         result = unwrap_poisson(frame)
         containers.write_hdr(out_dir / f"frame_{i:04d}.lhdr", result.hdr)
-        print(f"frame={i} l_mod={result.residuals.l_mod:.9g} "
-              f"l_grad={result.residuals.l_grad:.9g} "
-              f"l_lap={result.residuals.l_lap:.9g} "
+        print(f"frame={i} l_mod=0 l_grad={result.l_grad:.9g} l_lap={result.l_lap:.9g} "
               f"converged={int(result.converged)}")
     return 0
 

@@ -62,7 +62,7 @@ class IrradianceClip:
     def __post_init__(self):
         u = self.u
         if not (_frozen(u) and u.dtype == np.float32):
-            u = _freeze(u, np.float32)
+            u = _freeze(u, np.float32, "IrradianceClip.u")
         check_ndim(u, (4,), "IrradianceClip.u")
         check_positive(u.shape[0], "IrradianceClip.micro_intervals")
         check_geometry(*u.shape[1:], "IrradianceClip")

@@ -142,15 +142,20 @@ def _frozen(arr: np.ndarray) -> bool:
     return True
 
 
-def _freeze(data, dtype) -> np.ndarray:
+def _freeze(data, dtype, name: str) -> np.ndarray:
     """`data` itself when nothing can write to it and it is an aligned,
     C-contiguous `dtype` array, which a value can adopt as is; else a
-    read-only, C-contiguous copy of it as `dtype`, made in one pass. An
-    adopted array stays immutable only while its owner keeps it read-only;
-    the library's own producers keep no handle to what they hand over."""
+    read-only, C-contiguous copy of it as `dtype`, made in one pass, after
+    refusing by dtype samples the cast would mangle (complex, object, text,
+    dates). An adopted array stays immutable only while its owner keeps it
+    read-only; the library's own producers keep no handle to what they hand
+    over."""
     if (isinstance(data, np.ndarray) and data.dtype == dtype and data.flags.c_contiguous
             and data.flags.aligned and _frozen(data)):
         return data
+    data = np.asarray(data)
+    if data.dtype.kind not in "biuf":
+        raise ValidationError(f"{name}: samples must be real numbers, got {data.dtype}")
     out = np.array(data, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
@@ -205,7 +210,7 @@ class HdrImage(_Raster):
         # integers float32 would round (2^24 and up) are kept exactly, as uint64
         wide = valid and data.dtype.itemsize > 2 and data.max() >= 2 ** 24
         data = _freeze(data, np.uint64 if wide else
-                       np.uint16 if data.dtype == np.uint16 else np.float32)
+                       np.uint16 if data.dtype == np.uint16 else np.float32, "HdrImage.data")
         if not valid and not 0 <= float(data.min()) <= float(data.max()) < math.inf:
             raise ValidationError("HdrImage.data: samples must be finite and nonnegative")
         object.__setattr__(self, "data", data)
@@ -241,7 +246,8 @@ class ModuloFrame(_Raster):
                     f"differs from the frame's {self.bit_depth}")
         data = _as_raster(self.data, "ModuloFrame")
         check_codes(data, self.bit_depth, "ModuloFrame.data")
-        object.__setattr__(self, "data", _freeze(data, sample_dtype(self.bit_depth)))
+        object.__setattr__(self, "data", _freeze(data, sample_dtype(self.bit_depth),
+                                                   "ModuloFrame.data"))
 
     @property
     def modulus(self) -> int:
@@ -275,7 +281,7 @@ class SpikeStream:
         check_geometry(self.height, self.width, self.channels, "SpikeStream")
         packed = np.asarray(self.packed)
         check_codes(packed, 8, "SpikeStream.packed")
-        packed = _freeze(packed, np.uint8)
+        packed = _freeze(packed, np.uint8, "SpikeStream.packed")
         check_dims(packed.shape,
                    (self.frame_count, self.channels, plane_bytes(self.height, self.width)),
                    "SpikeStream.packed")

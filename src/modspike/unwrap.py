@@ -47,8 +47,8 @@ v = frame + m * rollover that becomes `hdr`, held in the first of int16,
 int32 and int64 that holds its widest field, 4 * max(v) + m/2
 (`_width`). `hdr` stores v exactly (as float32 below 2^24 counts, else
 as uint64), so the zeroth-order residual, the mean centered remainder
-of hdr - frame, is 0 by construction and never computed; the field stays
-for the `l_mod=` key of `modspike unwrap`. Congruence forces
+of hdr - frame, is 0 by construction: it is neither computed nor held
+(`modspike unwrap` prints it as the literal `l_mod=0`). Congruence forces
 lar(gradient(v)) = lar(gradient(frame)), so comparing wrapped
 derivatives of output and input says nothing; the
 first- and second-order residuals compare v's plain gradient and
@@ -80,30 +80,16 @@ from .types import EncoderConfig, HdrImage, ModuloFrame
 
 
 @dataclass(frozen=True)
-class ConsistencyResiduals:
-    """Mean absolute consistency residuals at zeroth/first/second order;
-    `unwrap_poisson` returns its reconstruction exactly, so l_mod is 0."""
-
-    l_mod: float
-    l_grad: float
-    l_lap: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.l_mod, self.l_grad, self.l_lap)
-
-    def max(self) -> float:
-        return max(self.as_tuple())
-
-
-@dataclass(frozen=True)
 class UnwrapResult:
     """Reconstruction plus per-pixel wrap counts and consistency report.
 
     hdr = frame + rollover_map * 2^N holds elementwise, exactly, at any
     count: `hdr.data` is float32 while every count stays below 2^24 and
-    uint64 from there on (`HdrImage`), so residuals.l_mod is always 0.
+    uint64 from there on (`HdrImage`), so the zeroth-order residual is 0
+    and not reported. `l_grad` and `l_lap` are the mean absolute
+    first- and second-order consistency residuals.
 
-    `converged` means every residual is exactly 0: the result is
+    `converged` means both residuals are exactly 0: the result is
     consistent with the observation and with the half-period model. Each
     residual is a scale times an integer sum over the samples, so one
     inconsistent sample in any number makes it nonzero. It does not
@@ -117,9 +103,10 @@ class UnwrapResult:
 
     hdr: HdrImage
     rollover_map: np.ndarray  # (H, W, C) int32, >= 0, whatever the reconstruction's width
-    residuals: ConsistencyResiduals
+    l_grad: float
+    l_lap: float
     converged: bool
-    decoder: str = "poisson"
+    decoder: str
 
 
 def _circulant(v: np.ndarray) -> np.ndarray:
@@ -321,9 +308,8 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
         l_grad, l_lap = _reconstruction_residuals(values, modulus)
     else:  # the wrap counts integrate the wrap indicators: gradient(hdr) is centered
         l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
-    residuals = ConsistencyResiduals(l_mod=0.0, l_grad=l_grad, l_lap=l_lap)
-    return UnwrapResult(hdr=hdr, rollover_map=rollover_map, residuals=residuals,
-                        converged=not residuals.max(), decoder=decoder)
+    return UnwrapResult(hdr=hdr, rollover_map=rollover_map, l_grad=l_grad, l_lap=l_lap,
+                        converged=not (l_grad or l_lap), decoder=decoder)
 
 
 def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:

@@ -15,13 +15,29 @@ unwrapper. The parity gates compare against these copies, so they do not
 move with the library.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.fft import dctn, idctn
 
 from modspike import GradientField, HdrImage, ModuloFrame
-from modspike.unwrap import ConsistencyResiduals, UnwrapResult
 
 RESIDUAL_TOL = 1e-6  # the float decoder's convergence tolerance, frozen with it
+
+
+@dataclass(frozen=True)
+class ReferenceResult:
+    """`modspike.UnwrapResult`'s fields, plus the zeroth-order residual
+    `l_mod`: the mean centered remainder of hdr - frame, measured here in
+    float64 and not by construction."""
+
+    hdr: HdrImage
+    rollover_map: np.ndarray
+    l_mod: float
+    l_grad: float
+    l_lap: float
+    converged: bool
+    decoder: str
 
 
 def _work_dtype(*arrays: np.ndarray) -> np.dtype:
@@ -127,17 +143,18 @@ def snap_channel(estimate: np.ndarray, observed: np.ndarray, modulus: int) -> np
 
 
 def reconstruction_residuals(hdr_values: np.ndarray, obs: np.ndarray,
-                             centered: GradientField, modulus: int) -> ConsistencyResiduals:
+                             centered: GradientField, modulus: int) -> tuple[float, float, float]:
+    """(l_mod, l_grad, l_lap) of the float64 reconstruction `hdr_values`."""
     l_mod = float(np.mean(np.abs(lar(hdr_values - obs, modulus))))
     gh = gradient(hdr_values)
     l_grad = float(np.mean(np.abs(np.stack([gh.gx - centered.gx,
                                             gh.gy - centered.gy]))))
     l_lap = float(np.mean(np.abs(laplacian(hdr_values)
                                  - lar(laplacian(obs), modulus))))
-    return ConsistencyResiduals(l_mod=l_mod, l_grad=l_grad, l_lap=l_lap)
+    return l_mod, l_grad, l_lap
 
 
-def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResult:
+def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> ReferenceResult:
     modulus = frame.modulus
     obs = frame.values()
     gf = gradient(obs)
@@ -149,5 +166,5 @@ def unwrap_poisson(frame: ModuloFrame, tol: float = RESIDUAL_TOL) -> UnwrapResul
     hdr_values = obs + rollover.astype(np.float64) * modulus
     hdr = HdrImage(data=hdr_values.astype(np.float32))
     residuals = reconstruction_residuals(hdr_values, obs, centered, modulus)
-    return UnwrapResult(hdr=hdr, rollover_map=rollover, residuals=residuals,
-                        converged=residuals.max() < tol)
+    return ReferenceResult(hdr, rollover, *residuals, converged=max(residuals) < tol,
+                           decoder="poisson")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import reference_unwrap
 
-from modspike import (EncoderConfig, HdrImage, SensorConfig, ValidationError, encode_stream,
-                      read_hdr, read_modulo, read_spikes, unwrap_poisson, write_hdr)
+from modspike import (EncoderConfig, HdrImage, ModuloFrame, ModuloSequence, SensorConfig,
+                      ValidationError, encode_stream, read_hdr, read_modulo, read_spikes,
+                      unwrap_poisson, write_hdr, write_modulo)
 from modspike import cli
 from modspike.cli import _parse_sensor_config, main
 
@@ -90,6 +91,21 @@ def test_simulate_encode_unwrap_eval_chain(capsys, tmp_path, small_scene):
     kv = parse_kv(out)
     assert kv["psnr_linear"] == "inf"
     assert kv["ssim_linear"] == "1"
+
+
+def test_unwrap_prints_each_frames_residuals_byte_for_byte(capsys, tmp_path):
+    # a frame with curl: both residuals nonzero, so every key=value field is pinned
+    i, j = np.mgrid[0:32, 0:32]
+    scene = (i + j) * 40 + np.random.default_rng(0).integers(0, 400, (32, 32))
+    frame = ModuloFrame((scene % 256).astype(np.uint8), 8)
+    modq = tmp_path / "curl.modq"
+    write_modulo(modq, ModuloSequence(frames=(frame, frame), window=25, stride=20, gain=15.0,
+                                      source_rate_hz=20_000))
+    code, out, err = run_cli(capsys, "unwrap", "--in", str(modq),
+                             "--out-dir", str(tmp_path / "frames"))
+    assert code == 0 and err == ""
+    assert out == ("frame=0 l_mod=0 l_grad=36 l_lap=212.5 converged=0\n"
+                   "frame=1 l_mod=0 l_grad=36 l_lap=212.5 converged=0\n")
 
 
 def test_unwrap_of_a_modq_without_frames_fails_with_one_error_line(capsys, tmp_path):

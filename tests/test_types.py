@@ -209,6 +209,24 @@ def test_query_spec_bounds():
 _IMG = HdrImage(data=np.ones((2, 2), dtype=np.float32))
 _CLIP = IrradianceClip(u=np.ones((8, 2, 2, 1), dtype=np.float32))
 _FRAME = ModuloFrame(np.zeros((2, 2), np.uint8), 8)
+# (H, W) samples that are not real numbers: each value used to keep only the
+# real part, raise a raw TypeError (dict) or ValueError (str), or parse text
+_NOT_REAL = {
+    "complex": np.array([[1 + 5j, 2]]),
+    "complex-list": [[1 + 5j, 2]],
+    "object-dict": np.array([[{}, 2]], dtype=object),
+    "object-str": np.array([["a", 2]], dtype=object),
+    "object-float": np.array([[1.0, 2]], dtype=object),
+    "str": np.array([["1", "2"]]),
+    "datetime": np.array([[1, 2]], dtype="datetime64[s]"),
+}
+
+
+def _clip_of(samples):
+    """The (1, H, W, 1) clip of (H, W) samples; a list stays a list."""
+    if isinstance(samples, list):
+        return IrradianceClip(u=[[[[x] for x in row] for row in samples]])
+    return IrradianceClip(u=samples[None, :, :, None])
 
 
 @pytest.mark.parametrize("fn, bad, field", [
@@ -267,6 +285,10 @@ _FRAME = ModuloFrame(np.zeros((2, 2), np.uint8), 8)
     # each used to raise AttributeError: 'str' object has no attribute 'data'
     (ModuloSequence, (("x", _FRAME), 4, 2, 1.0), r"ModuloSequence.frames\[0\]: .* ModuloFrame"),
     (ModuloSequence, ((_FRAME, "x"), 4, 2, 1.0), r"ModuloSequence.frames\[1\]: .* ModuloFrame"),
+    *[(HdrImage, (bad,), "HdrImage.data: samples must be real numbers")
+      for bad in _NOT_REAL.values()],
+    *[(_clip_of, (bad,), "IrradianceClip.u: samples must be real numbers")
+      for bad in _NOT_REAL.values()],
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "ideal_window_counts-window-9", "push-chunk-dims",
         "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999", "from_bits-nan",
@@ -285,7 +307,8 @@ _FRAME = ModuloFrame(np.zeros((2, 2), np.uint8), 8)
         "spike_stream-height-float", "modulo_sequence-source-rate-float",
         "modulo_frame-data-float", "spike_stream-packed-neg", "spike_stream-packed-300",
         "spike_stream-packed-float", "modulo_sequence-frame-0-str",
-        "modulo_sequence-frame-1-str"])
+        "modulo_sequence-frame-1-str", *[f"hdr_image-{k}" for k in _NOT_REAL],
+        *[f"irradiance_clip-{k}" for k in _NOT_REAL]])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
