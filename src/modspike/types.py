@@ -335,6 +335,10 @@ class SensorConfig:
 
     def __post_init__(self):
         store_ints(self, "micro_intervals", "rng_seed")
+        flag = self.shot_noise
+        if not isinstance(flag, (bool, np.bool_)):  # a string such as "no" is truthy
+            raise ValidationError(f"SensorConfig.shot_noise: must be a bool, got {flag!r}")
+        object.__setattr__(self, "shot_noise", bool(flag))
         for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
                      "micro_intervals"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")

@@ -4,11 +4,10 @@
 (`ModuloFrame.counted_by`) can only hold the codes of floor(gain * c) for
 counts c in 0..window. When those window + 1 values have distinct codes
 mod 2^N, the lattice decoder reads each pixel's pre-wrap value from a
-code -> value table: exact for any scene, with no half-period condition;
-its wrap counts are those values shifted right by N. Every other frame
-(no provenance, codes that do not identify values, or a code the encoder
-cannot produce) goes through the Poisson decoder, which recovers the
-scene in three steps:
+code -> value table: exact for any scene, with no half-period condition.
+Every other frame (no provenance, codes that do not identify values, or a
+code the encoder cannot produce) goes through the Poisson decoder, which
+recovers the scene in three steps:
 
   1. centered gradient: lar(gradient(frame), 2^N), in integers — identical
      to the centered gradient of the unwrapped scene wherever
@@ -43,11 +42,11 @@ float64 decoder in tests/reference_unwrap.py, but for the `hdr` of a
 frame past 2^24 counts, which the reference rounds to float32.
 
 The residual report is defined once, on the integer reconstruction
-v = frame + m * rollover that becomes `hdr`, held in the first of int16,
-int32 and int64 that holds its widest field, 4 * max(v) + m/2
-(`_width`). `hdr` stores v exactly (as float32 below 2^24 counts, else
-as uint64), so the zeroth-order residual, the mean centered remainder
-of hdr - frame, is 0 by construction: it is neither computed nor held
+v = frame + m * k (k the wrap counts) that becomes `hdr`, held in the
+first of int16, int32 and int64 that holds its widest field,
+4 * max(v) + m/2 (`_width`). `hdr` stores v exactly (as float32 below
+2^24 counts, else as uint64), so the zeroth-order residual, the mean
+centered remainder of hdr - frame, is 0 by construction: it is neither computed nor held
 (`modspike unwrap` prints it as the literal `l_mod=0`). Congruence forces
 lar(gradient(v)) = lar(gradient(frame)), so comparing wrapped
 derivatives of output and input says nothing; the
@@ -81,13 +80,14 @@ from .types import EncoderConfig, HdrImage, ModuloFrame
 
 @dataclass(frozen=True)
 class UnwrapResult:
-    """Reconstruction plus per-pixel wrap counts and consistency report.
+    """Reconstruction plus consistency report.
 
-    hdr = frame + rollover_map * 2^N holds elementwise, exactly, at any
-    count: `hdr.data` is float32 while every count stays below 2^24 and
-    uint64 from there on (`HdrImage`), so the zeroth-order residual is 0
-    and not reported. `l_grad` and `l_lap` are the mean absolute
-    first- and second-order consistency residuals.
+    hdr - frame is 2^N times the per-pixel wrap count (on the Poisson
+    decoder, zero at some pixel of each channel), exactly at any count:
+    `hdr.data` is float32 below 2^24 counts and uint64 from there on
+    (`HdrImage`), so the zeroth-order residual is 0 and not reported.
+    `l_grad` and `l_lap` are the mean absolute first- and second-order
+    consistency residuals.
 
     `converged` means both residuals are exactly 0: the result is
     consistent with the observation and with the half-period model. Each
@@ -102,7 +102,6 @@ class UnwrapResult:
     """
 
     hdr: HdrImage
-    rollover_map: np.ndarray  # (H, W, C) int32, >= 0, whatever the reconstruction's width
     l_grad: float
     l_lap: float
     converged: bool
@@ -208,9 +207,10 @@ def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
 
     Each pre-wrap value v of `cfg.prewrap_values()`, the expression the
     encoder wraps, sits at its code v mod 2^N. The table is built only when
-    those codes are distinct and the largest wrap count floor(v / 2^N) fits
-    int32. Built on first use of a config and kept; at most 32 entries of
-    at most 2^N * 8 bytes.
+    those codes are distinct and v < 2^(31+N), the range of the Poisson
+    decoder's int32 wrap counts, where v is exact in float64 and `_width`'s
+    int64 holds 4 * v + m/2. Built on first use of a config and kept; at
+    most 32 entries of at most 2^N * 8 bytes.
     """
     values = cfg.prewrap_values()
     if not values[-1] < 2.0 ** (31 + cfg.bit_depth):  # values rise with the count
@@ -257,17 +257,18 @@ def _integrate_wraps(wx: np.ndarray, wy: np.ndarray) -> np.ndarray | None:
     shares one residue, and the snap rounds it onto k = -P. P is summed
     along the first row, then down the rows, in int16 while |P| <= H + W - 2
     fits; max(P) - P (>= 0, as P[0, 0] = 0), k re-based to a minimum of zero,
-    goes straight into the int32 map. wx is zero on the last column and wy on
-    the last row, so the curl test compares whole arrays.
+    is stored straight as the int32 counts. wx is zero on the last column and
+    wy on the last row, so the curl test compares whole arrays.
     """
     if not np.array_equal(_difference(wx, 0), _difference(wy, 1)):
         return None
     h, w, c = wx.shape
+    k = np.empty(wx.shape, np.int32)  # first, so it fills the hole gx and gy left
     p = np.empty(wx.shape, np.int16 if h + w - 2 < 2 ** 15 else np.int32)
     p[:1, :1] = 0
     np.cumsum(wx[:1, :-1], axis=1, dtype=p.dtype, out=p[:1, 1:])
     p[1:] = wy[:-1]
-    p, k = _scan_rows(p), np.empty(wx.shape, np.int32)
+    p = _scan_rows(p)
     top = p.max(axis=0).max(axis=0)  # over whole rows, then (W, C)
     np.subtract(np.tile(top, w), p.reshape(h, w * c), out=k.reshape(h, w * c), dtype=np.int32)
     return k
@@ -288,28 +289,27 @@ def unwrap_poisson(frame: ModuloFrame) -> UnwrapResult:
         gx, gy = _forward_differences(obs)
         wraps = (_lar_pow2(gx, modulus, wraps=True), _lar_pow2(gy, modulus, wraps=True))
         div = _divergence(gx, gy)
-        del gx, gy  # each buffer is dropped once spent: the peak sets the fresh pages per frame
-        rollover_map = _integrate_wraps(*wraps)
-        del wraps
-        if rollover_map is None:  # solved channel-first; the estimate replaces div, spent
+        del gx, gy  # spent: the wrap counts take their hole
+        rollover = _integrate_wraps(*wraps)
+        if rollover is None:  # solved channel-first; the estimate replaces div, spent
             div = _cosine_solve(div.transpose(2, 0, 1).astype(np.float64, order="C"), (1, 2))
-            rollover_map = np.stack(_snap(div, obs.transpose(2, 0, 1), modulus), axis=-1)
+            rollover = np.stack(_snap(div, obs.transpose(2, 0, 1), modulus), axis=-1)
         else:
             div_wraps = _wraps(div, modulus)  # over div, spent
-        del div, obs
-        peak = (int(rollover_map.max()) + 1) * modulus - 1  # bounds every value
-        values = np.multiply(rollover_map, modulus, dtype=_width(peak, modulus))
+        peak = (int(rollover.max()) + 1) * modulus - 1  # bounds every value
+        values = np.multiply(rollover, modulus, dtype=_width(peak, modulus))
         values += frame.data
-    else:  # shifted in the values' own type, whose int64 values pass int32, then stored
-        rollover_map = np.right_shift(values, modulus.bit_length() - 1,
-                                      out=np.empty(values.shape, np.int32))
-    hdr = HdrImage(data=values)  # frame + m * rollover_map exactly: l_mod is 0 by construction
+        # dropped only once `values` holds its block: no hole of this frame's then
+        # fits hdr's samples, which land above its buffers, so releasing them leaves
+        # holes under hdr, not a heap top that glibc trims and the next frame faults
+        # back in (about 120 pages a decode_hdr frame; see README)
+        del wraps, div, obs
+    hdr = HdrImage(data=values)  # frame + m * wrap counts exactly: l_mod is 0 by construction
     if div_wraps is None:
         l_grad, l_lap = _reconstruction_residuals(values, modulus)
     else:  # the wrap counts integrate the wrap indicators: gradient(hdr) is centered
         l_grad, l_lap = 0.0, _mean_abs(div_wraps, scale=modulus)
-    return UnwrapResult(hdr=hdr, rollover_map=rollover_map, l_grad=l_grad, l_lap=l_lap,
-                        converged=not (l_grad or l_lap), decoder=decoder)
+    return UnwrapResult(hdr, l_grad, l_lap, converged=not (l_grad or l_lap), decoder=decoder)
 
 
 def _mean_abs(*parts: np.ndarray, scale: int = 1) -> float:

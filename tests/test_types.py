@@ -200,6 +200,20 @@ def test_sensor_config_micro_interval_divisibility():
         SensorConfig(readout_rate_hz=20000, total_time_s=0.05, micro_intervals=500)
 
 
+@pytest.mark.parametrize("flag", ["no", "false", "", 2, 1, 0, 1.0, None, np.int64(0)])
+def test_sensor_config_shot_noise_refuses_anything_but_a_bool(flag):
+    # "no" and "false" used to be stored as given, and integrate_and_fire,
+    # testing their truth, drew shot noise; 2 was stored as 2
+    with pytest.raises(ValidationError, match=r"^SensorConfig\.shot_noise: must be a bool"):
+        SensorConfig(shot_noise=flag)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_sensor_config_shot_noise_stores_a_python_bool(flag):
+    stored = SensorConfig(shot_noise=flag).shot_noise
+    assert type(stored) is bool and stored == flag
+
+
 def test_query_spec_bounds():
     QuerySpec(window=25, stride=20)
     with pytest.raises(ValidationError, match="stride"):
