@@ -28,10 +28,13 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _check_peak(peak, value, name: str = "peak") -> float:
-    """`value`, a constant a metric squares or multiplies out of `peak` (or
-    `mu`), if a finite, nonzero float64; past that PSNR reads inf, SSIM nan."""
+def _check_peak(peak, value=None, name: str = "peak") -> float:
+    """`value` (peak * peak when not given), a constant a metric squares or
+    multiplies out of `peak` (or `mu`), if a finite, nonzero float64; past
+    that PSNR reads inf, SSIM nan. `peak` is checked first, so its square
+    is taken only of a number."""
     check_positive(peak, name)
+    value = peak * peak if value is None else value
     if not 0 < value <= float(np.finfo(np.float64).max):  # exact for an int, too
         raise ValidationError(f"{name}: {peak} takes the metric out of the float64 range")
     return value
@@ -40,7 +43,7 @@ def _check_peak(peak, value, name: str = "peak") -> float:
 def psnr_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """10*log10(peak^2 / MSE); +inf when the images are identical."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
-    _check_peak(peak, peak * peak)
+    _check_peak(peak)
     mse = float(np.mean((a.values() - b.values()) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -83,7 +86,7 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     means are computed with numpy alone, bit-identical to SciPy's
     `ndimage.correlate1d`."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
-    _check_peak(peak, peak * peak)
+    _check_peak(peak)
     if a.height < SSIM_WINDOW or a.width < SSIM_WINDOW:
         raise ValidationError(
             f"HdrImage: SSIM needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got "

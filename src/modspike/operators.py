@@ -13,27 +13,28 @@ by the type-II cosine basis: the 1-D eigenvalues are 2*cos(pi*k/n) - 2, so
 is gauged to mean zero; the constant is resolved downstream by congruence
 snapping.
 
-Each public operator is a layout adapter over one private kernel:
-`_forward_differences`, `_divergence`, `_lar_pow2` (which can also split
-off the wrap indicators that `_wraps` computes alone) and `_cosine_solve`.
-The difference kernels work over axes (0, 1) of C-contiguous (H, W[, C])
-arrays and take each difference in one pass over the flat array; the
-entries it gets wrong, across a line's end, are ones the kernel zeroes or
-overwrites.
+`gradient`, `divergence` and `poisson_solve` are float64 layout adapters
+over the private kernels `_forward_differences`, `_divergence` and
+`_cosine_solve`; `_lar_pow2` (which can also split off the wrap indicators
+that `_wraps` computes alone) is `lar` in place over signed integers, for
+a power-of-two modulus. The unwrapper runs these kernels, in its own int16
+and int32 work types for all but the solve; nothing in the library calls
+a public operator. The difference kernels work over axes (0, 1) of
+C-contiguous (H, W[, C]) arrays and take each difference in one pass over
+the flat array; the entries it gets wrong, across a line's end, are ones
+the kernel zeroes or overwrites.
 `_cosine_solve` takes the (rows, columns) `axes` it works over: (0, 1)
 for `poisson_solve`, (1, 2) for the unwrapper's channel-first (C, H, W)
 copy.
 
 The public functions are pure, process channels independently, and are
-deterministic. Float input is computed in float64; a float divergence is
-summed as dx + (gy[i] - gy[i-1]) and holds no -0.0. `gradient` and
-`divergence` keep integer input in integers: a signed type of at least 32
-bits (the input's own type when it is already that; unsigned types go one
-size up, and uint64 falls back to float64), exact as long as the
-differences fit the type (for int32 input, keep magnitudes below 2^29).
-`lar` keeps integer input in those same types when the modulus is a power
-of two, as every `ModuloFrame` modulus is; any other modulus takes the
-float64 path. `poisson_solve` always works in float64.
+deterministic. They compute in float64 and return float64 for any real
+input, so a divergence is summed as dx + (gy[i] - gy[i-1]) and holds no
+-0.0. Bool, integer and float samples are taken; complex, object, text and
+date samples are refused with `ValidationError` naming the argument, and so
+are integer samples at or past +-2^50. Inside that bound every gradient,
+divergence and Laplacian of integers is exact in float64, and so is `lar`
+for any power-of-two modulus up to 2^53.
 
 A key arithmetic fact used throughout: the least absolute remainder of a
 sum depends only on the residues of its terms, so wrapping an integer
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ValidationError, check_dims, check_ndim, check_positive
+from .types import ValidationError, check_dims, check_ndim, check_positive, check_real
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,26 @@ class GradientField:
     gy: np.ndarray
 
 
-def _work_dtype(*arrays: np.ndarray) -> np.dtype:
-    """Signed integer type of at least 32 bits for all-integer input, else
-    float64."""
-    dtype = np.result_type(*arrays)
-    if np.issubdtype(dtype, np.integer):
-        return np.promote_types(dtype, np.int32)
-    return np.dtype(np.float64)
+_EXACT = 2 ** 50
 
 
-def _as_raster(img, dtype=None) -> np.ndarray:
-    arr = np.asarray(img)
-    check_ndim(arr, (2, 3), "raster")
-    return np.ascontiguousarray(arr, dtype=dtype or _work_dtype(arr))
+def _real(values, name: str) -> np.ndarray:
+    """`values` as an array of real numbers (`check_real`), integers strictly
+    inside +-2^50, where float64 holds every sum the operators take; scanned
+    only where the type can hold a value past that."""
+    arr = check_real(values, name)
+    if arr.dtype.kind in "iu" and np.iinfo(arr.dtype).max >= _EXACT and not (
+            -_EXACT < arr.min(initial=0) and arr.max(initial=0) < _EXACT):
+        raise ValidationError(f"{name}: integer samples must lie strictly inside +-2^50")
+    return arr
+
+
+def _as_raster(img, name: str = "raster") -> np.ndarray:
+    """`img`'s (H, W[, C]) samples as the C-contiguous float64 array the
+    kernels take (`img` itself when it is one), after `_real`."""
+    arr = _real(img, name)
+    check_ndim(arr, (2, 3), name)
+    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 def _step(a: np.ndarray, axis: int):
@@ -144,37 +152,26 @@ def divergence(gf: GradientField) -> np.ndarray:
 
     divergence(gradient(x)) equals the 5-point Neumann Laplacian of x.
     """
-    gx, gy = np.asarray(gf.gx), np.asarray(gf.gy)
+    gx, gy = _as_raster(gf.gx, "GradientField.gx"), _as_raster(gf.gy, "GradientField.gy")
     check_dims(gx.shape, gy.shape, "GradientField gx, gy")
-    check_ndim(gx, (2, 3), "GradientField")
-    dtype = _work_dtype(gx, gy)
-    # the kernel spends a fresh C-contiguous copy of gx; adding 0 turns its
-    # -0.0 into 0.0, so no dx is -0.0 and no sum dx + dy is either
-    return _divergence(np.add(gx, 0, dtype=dtype, order="C"),
-                       np.ascontiguousarray(gy, dtype=dtype))
+    # the kernel spends a fresh copy of gx; adding 0 turns its -0.0 into
+    # 0.0, so no dx is -0.0 and no sum dx + dy is either
+    return _divergence(gx + 0, gy)
 
 
 def lar(values, modulus: float):
     """Least absolute remainder: map each value to its representative in
-    [-modulus/2, modulus/2).
+    [-modulus/2, modulus/2), as float64.
 
-    Depends only on the residue class mod `modulus`. Integer input with an
-    integer power-of-two modulus stays integer; a modulus past its work type
-    leaves it unchanged. Other input takes float64, exact for integer values
-    and modulus while |value| + modulus <= 2^52; a modulus past 2^53 raises.
+    Depends only on the residue class mod `modulus`. Exact for integer
+    values and modulus while |value| + modulus/2 < 2^52 (2^53 for an even
+    modulus), so for every integer sample `_real` takes and any
+    power-of-two modulus up to 2^53; a modulus past 2^53 raises.
     """
     check_positive(modulus, "modulus")
-    arr = np.asarray(values)
-    dtype = _work_dtype(arr)
-    if (np.issubdtype(dtype, np.integer) and isinstance(modulus, (int, np.integer))
-            and modulus & (modulus - 1) == 0):
-        out, m = arr.astype(dtype), int(modulus)
-        if m >> 8 * dtype.itemsize == 0:  # else every value lies in [-m/2, m/2) already
-            _lar_pow2(out, m)
-        return out[()]  # a scalar for scalar input, as on the float path
     if modulus > 2 ** 53:
         raise ValidationError(f"modulus: {modulus} is past 2^53, where float64 rounds")
-    arr = arr.astype(np.float64, copy=False)
+    arr = _real(values, "values").astype(np.float64, copy=False)
     half = modulus / 2.0
     return np.mod(arr + half, modulus) - half
 
@@ -189,7 +186,7 @@ def poisson_solve(rhs) -> np.ndarray:
     Neumann Laplacian in the type-II cosine basis. scipy.fft is imported
     on the first call.
     """
-    arr = _as_raster(rhs, np.float64)
+    arr = _as_raster(rhs)
     if arr.shape[0] * arr.shape[1] <= 1:
         return np.zeros_like(arr)
     return _cosine_solve(arr - arr.mean(axis=(0, 1), keepdims=True), (0, 1))

@@ -31,19 +31,29 @@ class ValidationError(ValueError):
 # Field checkers: each invariant shared across the package is checked here,
 # once, and raises ValidationError naming the field.
 
+def _number(value, name: str):
+    """`value`, a Python or numpy int or float but not a bool, to compare
+    with float bounds: a string, an array or None would raise a raw
+    TypeError (or ValueError) there. A numpy float is widened to a Python
+    float, as a float32 compared with the largest float overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name}: must be a number, got {value!r}")
+    return float(value) if isinstance(value, np.floating) else value
+
+
 def check_positive(value, name: str) -> None:
     """0 < value <= the largest float; exact for ints of any size, and NaN fails."""
-    if not 0 < value <= sys.float_info.max:
+    if not 0 < _number(value, name) <= sys.float_info.max:
         raise ValidationError(f"{name}: must be positive and finite, got {value}")
 
 
 def check_finite(value, name: str) -> None:
-    if not -sys.float_info.max <= value <= sys.float_info.max:
+    if not -sys.float_info.max <= _number(value, name) <= sys.float_info.max:
         raise ValidationError(f"{name}: must be finite, got {value}")
 
 
 def check_integer(value, name: str) -> None:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
 
 
@@ -142,21 +152,26 @@ def _frozen(arr: np.ndarray) -> bool:
     return True
 
 
+def check_real(data, name: str) -> np.ndarray:
+    """`data` as an array, after refusing by its dtype alone samples that a
+    cast to a number type would mangle: complex, object, text, dates."""
+    data = np.asarray(data)
+    if data.dtype.kind not in "biuf":
+        raise ValidationError(f"{name}: samples must be real numbers, got {data.dtype}")
+    return data
+
+
 def _freeze(data, dtype, name: str) -> np.ndarray:
     """`data` itself when nothing can write to it and it is an aligned,
     C-contiguous `dtype` array, which a value can adopt as is; else a
     read-only, C-contiguous copy of it as `dtype`, made in one pass, after
-    refusing by dtype samples the cast would mangle (complex, object, text,
-    dates). An adopted array stays immutable only while its owner keeps it
-    read-only; the library's own producers keep no handle to what they hand
-    over."""
+    `check_real`. An adopted array stays immutable only while its owner
+    keeps it read-only; the library's own producers keep no handle to what
+    they hand over."""
     if (isinstance(data, np.ndarray) and data.dtype == dtype and data.flags.c_contiguous
             and data.flags.aligned and _frozen(data)):
         return data
-    data = np.asarray(data)
-    if data.dtype.kind not in "biuf":
-        raise ValidationError(f"{name}: samples must be real numbers, got {data.dtype}")
-    out = np.array(data, dtype=dtype, order="C")
+    out = np.array(check_real(data, name), dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

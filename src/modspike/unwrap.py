@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (_cosine_solve, _difference, _divergence, _forward_differences, _lar_pow2,
-                        _wraps, lar)
+                        _wraps)
 from .types import EncoderConfig, HdrImage, ModuloFrame
 
 
@@ -117,7 +117,8 @@ def _circulant(v: np.ndarray) -> np.ndarray:
 
 def _offset_kernels(modulus: int) -> tuple[np.ndarray, np.ndarray]:
     """|lar(b)| and the sign of lar(b), +1 at 0, for each residue b in [0, modulus)."""
-    centered = lar(np.arange(modulus), modulus)
+    centered = np.arange(modulus)
+    _lar_pow2(centered, modulus)
     return np.abs(centered).astype(np.float64), np.where(centered >= 0, 1.0, -1.0)
 
 

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.ndimage import gaussian_filter
 
 from modspike import GradientField, ValidationError, divergence, gradient, lar, poisson_solve
+from modspike.operators import _divergence, _forward_differences, _lar_pow2, _wraps
 
 int_rasters = arrays(
     np.int64,
@@ -59,16 +60,17 @@ def test_gradient_zero_padding_invariant():
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
 @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (6, 7), (6, 7, 3)])
 def test_gradient_padding_ignores_leftover_memory(dtype, shape):
-    # the differences go into uninitialized buffers: right after two freed
-    # buffers of the same size held nonzero values, the padded last column
-    # and row must still read zero
+    # the differences go into uninitialized float64 buffers: right after
+    # three freed float64 buffers of the same size held nonzero values (the
+    # float64 copy of integer input takes one), the padded last column and
+    # row must still read zero
     img = np.random.default_rng(3).integers(0, 1000, size=shape).astype(dtype)
     want = reference_unwrap.gradient(img)
-    stale = [np.full(shape, 77, dtype) for _ in range(2)]
+    stale = [np.full(shape, 77.0) for _ in range(3)]
     del stale
     got = gradient(img)
-    assert got.gx.tobytes() == want.gx.tobytes()
-    assert got.gy.tobytes() == want.gy.tobytes()
+    assert got.gx.tobytes() == want.gx.astype(np.float64).tobytes()
+    assert got.gy.tobytes() == want.gy.astype(np.float64).tobytes()
 
 
 # -------------------------------------------------------------- divergence
@@ -130,8 +132,8 @@ def test_lar_scalar_examples():
     assert lar(200.0, 256) == -56.0
     assert lar(-128.0, 256) == -128.0
     assert lar(128.0, 256) == -128.0  # half-open interval [-m/2, m/2)
-    for scalar in (np.int64(300), 300, -300.0):  # a scalar in, a numpy scalar out
-        assert type(lar(scalar, 256)) is type(reference_unwrap.lar(scalar, 256))
+    for scalar in (np.int64(300), 300, 300.0, np.uint8(44)):  # a scalar in, a float64 scalar out
+        assert type(lar(scalar, 256)) is np.float64 and lar(scalar, 256) == 44
 
 
 def test_lar_rejects_nonpositive_modulus():
@@ -211,51 +213,148 @@ def test_poisson_of_wrapped_laplacian_bit_identical(img):
 
 # ------------------------------------------------------- integer rasters
 
-@settings(max_examples=60, deadline=None)
-@given(int_rasters, st.sampled_from([np.int32, np.int64, np.uint16]),
-       st.booleans())
-def test_integer_operators_stay_integer_and_match_float(img, dtype, three_channels):
-    if three_channels:
-        img = np.stack([img, img[::-1], img[:, ::-1]], axis=-1)
-    ints, floats = img.astype(dtype), img.astype(np.float64)
-    gi, gf = gradient(ints), gradient(floats)
-    pairs = ((gi.gx, gf.gx), (gi.gy, gf.gy), (divergence(gi), divergence(gf)),
-             (divergence(gradient(ints)), divergence(gradient(floats))))
+# unwrap_poisson's front end holds a frame's codes in int16 while its widest
+# field, the divergence of the centered gradient plus m/2, stays below
+# 2.5 * m < 2^15 (up to 13 bits), and in int32 above
+_FRONT_END = [(bits, np.int16 if 5 * (1 << bits) // 2 < 2 ** 15 else np.int32)
+              for bits in range(1, 17)]
+_raster_shapes = st.tuples(st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 3]))
+
+
+@pytest.mark.parametrize("bits, dtype", _FRONT_END, ids=[f"{b}bit" for b, _ in _FRONT_END])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), shape=_raster_shapes)
+def test_front_end_kernels_match_the_float_operators(bits, dtype, data, shape):
+    # the integer facts the unwrapper relies on, on the kernels it runs and
+    # in the type it runs them in: the kernels' gradient, Laplacian, centered
+    # gradient with its wrap indicators, divergence and its wraps equal the
+    # public float64 operators' on the same codes
+    m = 1 << bits
+    codes = data.draw(arrays(dtype, shape, elements=st.integers(0, m - 1)))
+    want = gradient(codes)
+    gx, gy = _forward_differences(codes)
+    assert gx.dtype == gy.dtype == dtype
+    assert np.array_equal(gx, want.gx) and np.array_equal(gy, want.gy)
+    assert np.array_equal(_divergence(gx.copy(), gy), divergence(want))
+    centered = GradientField(lar(want.gx, m), lar(want.gy, m))
+    for field, got, want_centered in ((want.gx, gx, centered.gx), (want.gy, gy, centered.gy)):
+        plain = got.copy()
+        assert _lar_pow2(plain, m) is None and np.array_equal(plain, want_centered)
+        wraps = _lar_pow2(got, m, wraps=True)
+        assert wraps.dtype == np.int8 and got.dtype == dtype
+        assert np.array_equal(got, want_centered)
+        assert np.array_equal(wraps, (field - want_centered) / m)
+    div, want_div = _divergence(gx, gy), divergence(centered)
+    assert div.dtype == dtype and np.array_equal(div, want_div)
+    plain = div.copy()
+    _lar_pow2(plain, m)
+    assert np.array_equal(plain, lar(want_div, m))
+    assert np.array_equal(_wraps(div, m), (want_div - lar(want_div, m)) / m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bits=st.integers(1, 16), shape=_raster_shapes,
+       top=st.one_of(st.integers(0, 2 ** 12), st.integers(0, (2 ** 31 - 1 - 2 ** 15) // 4)))
+def test_report_kernels_match_the_float_operators(data, bits, shape, top):
+    # the residual report's facts, in the type `_width` picks for a
+    # reconstruction up to `top` (int16 or int32 here): the kernels'
+    # gradient and Laplacian and the wraps of each equal the float64 ones
+    from modspike.unwrap import _width
+    m = 1 << bits
+    dtype = _width(top, m)
+    assert dtype in (np.int16, np.int32)
+    values = data.draw(arrays(dtype, shape, elements=st.integers(0, top)))
+    want = gradient(values)
+    gx, gy = _forward_differences(values)
+    lap = _divergence(gx.copy(), gy)
+    for got, field in ((gx, want.gx), (gy, want.gy), (lap, divergence(want))):
+        assert got.dtype == dtype and np.array_equal(got, field)
+        assert np.array_equal(_wraps(got, m), (field - lar(field, m)) / m)
+
+
+# every (bit depth, type) the front end or `_width` can pair: int16 while it
+# holds m/2, int32 at every depth
+_LAR_TYPES = [(bits, t) for t in (np.int16, np.int32) for bits in range(1, 17)
+              if (1 << bits) // 2 <= np.iinfo(t).max]
+
+
+@pytest.mark.parametrize("bits, dtype", _LAR_TYPES,
+                         ids=[f"{b}bit-{np.dtype(t).name}" for b, t in _LAR_TYPES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_lar_kernels_match_float_lar_wherever_x_plus_half_fits(bits, dtype, data):
+    # `_lar_pow2` and `_wraps` add m/2 in the input's type: every signed
+    # value up to the type's top minus m/2 gives float lar's answer
+    m, info = 1 << bits, np.iinfo(dtype)
+    values = data.draw(arrays(dtype, st.integers(1, 40),
+                              elements=st.integers(info.min, info.max - m // 2)))
+    centered = lar(values, m)
+    got = values.copy()
+    _lar_pow2(got, m)
+    assert got.dtype == dtype and np.array_equal(got, centered)
+    shifted = values.copy()
+    split = _wraps(shifted, m)
+    assert split is shifted and np.array_equal(split, (values - centered) / m)
+
+
+_BOUND = 2 ** 50
+
+
+def _int_gradient(rows):
+    """Forward differences of a list of rows of Python ints, zero-padded."""
+    h, w = len(rows), len(rows[0])
+    gx = [[rows[i][j + 1] - rows[i][j] if j + 1 < w else 0 for j in range(w)] for i in range(h)]
+    gy = [[rows[i + 1][j] - rows[i][j] if i + 1 < h else 0 for j in range(w)] for i in range(h)]
+    return gx, gy
+
+
+def _int_divergence(gx, gy):
+    """Backward-difference divergence of lists of rows of Python ints."""
+    return [[gx[i][j] - (gx[i][j - 1] if j else 0) + gy[i][j] - (gy[i - 1][j] if i else 0)
+             for j in range(len(gx[0]))] for i in range(len(gx))]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_public_operators_are_exact_inside_2_50_and_refuse_it(dtype):
+    # inside +-2^50 every sum the operators take stays below 2^53, where
+    # float64 holds integers exactly: each result equals Python-int
+    # arithmetic. At 2^50 each operator refuses the samples
+    top, low = _BOUND - 1, 0 if dtype is np.uint64 else -(_BOUND - 1)
+    rows = [[top, low, top, 0], [low, top, 1, low], [top, top, low, top]]
+    img = np.array(rows, dtype)
+    gx, gy = _int_gradient(rows)
+    got = gradient(img)
+    assert got.gx.dtype == got.gy.dtype == np.float64
+    assert got.gx.tolist() == gx and got.gy.tolist() == gy
+    assert divergence(gradient(img)).tolist() == _int_divergence(gx, gy)
+    field = GradientField(img, img[::-1])
+    assert divergence(field).tolist() == _int_divergence(rows, rows[::-1])
+    for m in (1, 2, 3, 100, 256, 2 ** 16, 2 ** 52, 2 ** 53):
+        assert lar(img, m).tolist() == [[(x + m // 2) % m - m // 2 for x in row] for row in rows]
+    assert poisson_solve(img).tobytes() == poisson_solve(img.astype(np.float64)).tobytes()
+    for edge in ([_BOUND] if dtype is np.uint64 else [_BOUND, -_BOUND]):
+        bad = img.copy()
+        bad[1, 2] = edge
+        for call in (lambda: gradient(bad), lambda: poisson_solve(bad),
+                     lambda: divergence(GradientField(bad, img)),
+                     lambda: divergence(GradientField(img, bad)), lambda: lar(bad, 256)):
+            with pytest.raises(ValidationError, match=r"strictly inside \+-2\^50"):
+                call()
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                   np.uint16, np.uint32, np.uint64, np.float16, np.float32,
+                                   np.float64])
+def test_public_operators_compute_in_float64_for_any_real_input(dtype):
+    top = 1 if dtype is bool else 100
+    x = np.random.default_rng(4).integers(0, top + 1, (5, 6, 3)).astype(dtype)
+    f = x.astype(np.float64)
+    pairs = [(gradient(x).gx, gradient(f).gx), (gradient(x).gy, gradient(f).gy),
+             (divergence(GradientField(x, x)), divergence(GradientField(f, f))),
+             (divergence(gradient(x)), divergence(gradient(f))),
+             (lar(x, 16), lar(f, 16)), (poisson_solve(x), poisson_solve(f))]
     for got, want in pairs:
-        assert np.issubdtype(got.dtype, np.signedinteger)
-        assert got.dtype.itemsize >= 4
-        assert np.array_equal(got, want)
-
-
-@settings(max_examples=80, deadline=None)
-@given(arrays(st.sampled_from([np.int32, np.int64, np.uint16]),
-              array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
-              elements=st.integers(0, 2 ** 15)),
-       st.integers(0, 16), st.integers(-2 ** 30, 2 ** 30))
-def test_integer_lar_power_of_two_matches_float(values, bits, shift):
-    modulus = 1 << bits
-    if values.dtype != np.uint16:
-        values = values + values.dtype.type(shift // 2)
-    got = lar(values, modulus)
-    assert np.issubdtype(got.dtype, np.signedinteger)
-    assert np.array_equal(got, lar(values.astype(np.float64), modulus))
-
-
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
-                                   np.uint8, np.uint16, np.uint32])
-def test_integer_lar_of_any_power_of_two_modulus_matches_python_ints(dtype):
-    # a modulus of 2^32 (2^64) leaves every int32 (int64) work value in
-    # [-m/2, m/2) as it is, rather than overflowing m/2; uint64 input takes
-    # the float64 path
-    info = np.iinfo(dtype)
-    values = np.array(sorted({info.min, info.min + 1, min(info.max, -1) if info.min else 0,
-                              0, 1, info.max - 1, info.max}), dtype)
-    for bits in range(30, 71):
-        m = 1 << bits
-        want = [(int(x) + m // 2) % m - m // 2 for x in values]
-        got = lar(values, m)
-        assert np.issubdtype(got.dtype, np.signedinteger) and got.tolist() == want
-        assert int(lar(values[-1], m)) == want[-1]  # a scalar takes the same path
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 _op_sides = st.integers(1, 12)
@@ -273,6 +372,12 @@ def _same_samples(got, want, finite):
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def _inside(*arrays):
+    """True when no integer sample lies at or past +-2^50."""
+    return all(a.dtype.kind == "f" or -_BOUND < a.min(initial=0) and a.max(initial=0) < _BOUND
+               for a in arrays)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(),
        dtype=st.sampled_from([np.float64, np.int64, np.int32, np.uint16, np.uint8]),
@@ -282,6 +387,9 @@ def _same_samples(got, want, finite):
        finite=st.booleans(),
        modulus=st.sampled_from([1, 2, 256, 1 << 16, np.int64(8), 100, 256.0]))
 def test_public_operators_match_frozen_copies(data, dtype, shape, channels, finite, modulus):
+    # integer samples are drawn over the type's whole range. Inside +-2^50
+    # the result is the frozen copy's, run on the samples as int64 (whose
+    # sums there are exact), cast to float64; past it the operator refuses
     floats = st.floats(-1e300, 1e300) if finite else st.floats()  # no overflow when finite
     elements = st.one_of(st.sampled_from([0.0, -0.0]), floats) if dtype is np.float64 else None
     img, gx, gy = (data.draw(arrays(dtype, shape + channels, elements=elements))
@@ -289,14 +397,21 @@ def test_public_operators_match_frozen_copies(data, dtype, shape, channels, fini
     finite = finite or dtype is not np.float64
     before = [a.copy() for a in (img, gx, gy)]
     field = GradientField(gx=gx, gy=gy)
+    ref = reference_unwrap
+    r_img, r_gx, r_gy = (a.astype(np.int64) if a.dtype.kind in "iu" else a for a in (img, gx, gy))
+    cases = [(_inside(img), lambda: gradient(img).gx, lambda: ref.gradient(r_img).gx),
+             (_inside(img), lambda: gradient(img).gy, lambda: ref.gradient(r_img).gy),
+             (_inside(gx, gy), lambda: divergence(field),
+              lambda: ref.divergence(GradientField(r_gx, r_gy))),
+             (_inside(img), lambda: divergence(gradient(img)), lambda: ref.laplacian(r_img)),
+             (_inside(img), lambda: lar(img, modulus), lambda: ref.lar(r_img, modulus))]
     with np.errstate(all="ignore"):
-        got, want = gradient(img), reference_unwrap.gradient(img)
-        pairs = [(got.gx, want.gx), (got.gy, want.gy),
-                 (divergence(field), reference_unwrap.divergence(field)),
-                 (divergence(gradient(img)), reference_unwrap.laplacian(img)),
-                 (lar(img, modulus), reference_unwrap.lar(img, modulus))]
-    for got, want in pairs:
-        _same_samples(got, want, finite)
+        for exact, got, want in cases:
+            if exact:
+                _same_samples(got(), want().astype(np.float64), finite)
+            else:
+                with pytest.raises(ValidationError, match="2\\^50"):
+                    got()
     for a, b in zip((img, gx, gy), before):
         assert a.tobytes() == b.tobytes()  # the in-place kernels work on copies
 
@@ -324,21 +439,37 @@ def _strided_views(a):
 def test_operators_on_strided_views_match_contiguous_copies(data, dtype, shape, channels,
                                                             modulus):
     # the kernels take flat passes over C-contiguous arrays, so the public
-    # operators hand them contiguous copies of any other layout
+    # operators hand them contiguous float64 copies of any other layout; a
+    # view is refused exactly where its contiguous copy is (int64 samples
+    # at or past +-2^50)
     floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
     elements = st.one_of(st.sampled_from([0.0, -0.0]), floats) \
         if np.issubdtype(dtype, np.floating) else None
     img, gx, gy = (data.draw(arrays(dtype, shape + channels, elements=elements))
                    for _ in range(3))
-    want = [gradient(img).gx, gradient(img).gy, divergence(GradientField(gx, gy)),
-            divergence(gradient(img)), lar(img, modulus)]
+    want = _outcomes(img, gx, gy, modulus)
+    assert all(w is ValidationError or w[0] == np.float64 for w in want)
+    assert dtype is np.int64 or ValidationError not in want
     for kind, (v_img, v_gx, v_gy) in zip(_strided_views(img), zip(
             *(_strided_views(a).values() for a in (img, gx, gy)))):
         assert min(shape) < 2 or not v_img.flags.c_contiguous
-        got = [gradient(v_img).gx, gradient(v_img).gy, divergence(GradientField(v_gx, v_gy)),
-               divergence(gradient(v_img)), lar(v_img, modulus)]
-        for g, w in zip(got, want):
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), kind
+        assert _outcomes(v_img, v_gx, v_gy, modulus) == want, kind
+
+
+def _outcomes(img, gx, gy, modulus):
+    """(dtype, shape, bytes) of each public operator's result on these
+    samples, or ValidationError where it refuses them."""
+    out = []
+    for call in (lambda: gradient(img).gx, lambda: gradient(img).gy,
+                 lambda: divergence(GradientField(gx, gy)), lambda: divergence(gradient(img)),
+                 lambda: lar(img, modulus)):
+        try:
+            got = call()
+        except ValidationError:
+            out.append(ValidationError)
+        else:
+            out.append((got.dtype, got.shape, got.tobytes()))
+    return out
 
 
 def test_float_input_keeps_float64_path():
@@ -357,14 +488,27 @@ def test_float_input_keeps_float64_path():
         assert np.array_equal(out, np.mod(ints + modulus / 2.0, modulus) - modulus / 2.0)
 
 
-def test_uint64_input_takes_the_float64_path():
-    # no signed integer type holds every uint64 value, so lar takes the
-    # float64 path, as gradient and divergence do
+def test_uint64_input_past_2_50_is_refused():
+    # uint64 input used to take the float64 path and round past 2^53: lar
+    # of 2^53 + 1 gave 0. Now 2^63 is refused, and smaller samples give
+    # the float path's result
     values = np.array([[5, 300, 2 ** 63]], np.uint64)
-    floats = values.astype(np.float64)
-    assert divergence(gradient(values)).dtype == np.float64
-    assert np.array_equal(lar(values, 256), lar(floats, 256))
-    assert lar(values, 256).dtype == np.float64
+    for call in (lambda: gradient(values), lambda: poisson_solve(values),
+                 lambda: divergence(GradientField(values, values)), lambda: lar(values, 256),
+                 lambda: lar(np.array([2 ** 53 + 1], np.uint64), 256)):
+        with pytest.raises(ValidationError, match="2\\^50"):
+            call()
+    small = values[:, :2]
+    assert lar(small, 256).dtype == np.float64
+    assert np.array_equal(lar(small, 256), lar(small.astype(np.float64), 256))
+    assert np.array_equal(divergence(gradient(small)), divergence(gradient(small.astype(float))))
+
+
+def test_int32_gradient_no_longer_overflows():
+    # int32 input was differenced in int32: gx of [2^30, -2^30, 2^30] read
+    # -2^31 where +2^31 is due
+    gf = gradient(np.array([[2 ** 30, -2 ** 30, 2 ** 30]], np.int32))
+    assert gf.gx.tolist() == [[-2 ** 31, 2 ** 31, 0]]
 
 
 # ----------------------------------------------------------- poisson solve

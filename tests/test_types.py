@@ -7,8 +7,8 @@ import pytest
 from modspike import (ChunkedEncoder, EncoderConfig, GradientField, HdrImage, IrradianceClip,
                       ModuloFrame, ModuloSequence, Motion, QuerySpec, SensorConfig,
                       SpikeStream, ValidationError, bandwidth_report, divergence, frame_capacity,
-                      gradient, ideal_window_counts, lar, mu_law_inverse, plane_bytes,
-                      poisson_solve)
+                      gradient, ideal_window_counts, lar, mu_law, mu_law_inverse, plane_bytes,
+                      poisson_solve, psnr_linear, ssim_linear)
 
 
 def test_hdr_image_basic():
@@ -303,6 +303,18 @@ def _clip_of(samples):
       for bad in _NOT_REAL.values()],
     *[(_clip_of, (bad,), "IrradianceClip.u: samples must be real numbers")
       for bad in _NOT_REAL.values()],
+    # the public operators share that refusal: each kept only the real part
+    # (complex), raised a raw TypeError (object) or parsed the text (str)
+    *[(gradient, (bad,), "raster: samples must be real numbers") for bad in _NOT_REAL.values()],
+    *[(poisson_solve, (bad,), "raster: samples must be real numbers")
+      for bad in _NOT_REAL.values()],
+    *[(divergence, (GradientField(gx=bad, gy=np.zeros((1, 2))),),
+       "GradientField.gx: samples must be real numbers") for bad in _NOT_REAL.values()],
+    *[(divergence, (GradientField(gx=np.zeros((1, 2)), gy=bad),),
+       "GradientField.gy: samples must be real numbers") for bad in _NOT_REAL.values()],
+    *[(lar, (bad, 256), "values: samples must be real numbers") for bad in _NOT_REAL.values()],
+    # an int no numpy integer holds is an object array: lar gave -128 for 2^70 + 1
+    (lar, (2 ** 70 + 1, 256), "values: samples must be real numbers"),
 ], ids=["gradient-1d", "poisson_solve-1d", "divergence-1d", "divergence-mixed",
         "lar-modulus-0", "ideal_window_counts-window-9", "push-chunk-dims",
         "mu_law_inverse-mu-0", "from_bits-0.5", "from_bits-0.999", "from_bits-nan",
@@ -322,7 +334,9 @@ def _clip_of(samples):
         "modulo_frame-data-float", "spike_stream-packed-neg", "spike_stream-packed-300",
         "spike_stream-packed-float", "modulo_sequence-frame-0-str",
         "modulo_sequence-frame-1-str", *[f"hdr_image-{k}" for k in _NOT_REAL],
-        *[f"irradiance_clip-{k}" for k in _NOT_REAL]])
+        *[f"irradiance_clip-{k}" for k in _NOT_REAL],
+        *[f"{op}-{k}" for op in ("gradient", "poisson_solve", "divergence-gx", "divergence-gy",
+                                 "lar") for k in _NOT_REAL], "lar-int-2^70"])
 def test_bad_input_raises_validation_error_naming_the_field(fn, bad, field):
     with pytest.raises(ValidationError, match=field):
         fn(*bad)
@@ -405,6 +419,40 @@ def test_numbers_past_the_float_range_are_refused_where_they_enter(build, field)
     # encoder, the ideal counts, the warp or lar raised a raw OverflowError
     with pytest.raises(ValidationError, match=field):
         build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: EncoderConfig(gain="15"), "EncoderConfig.gain"),
+    (lambda: SensorConfig(threshold="1"), "SensorConfig.threshold"),
+    (lambda: SensorConfig(threshold=np.array([1.0, 2.0])), "SensorConfig.threshold"),
+    (lambda: QuerySpec(5, 5, digital_gain="2"), "QuerySpec.digital_gain"),
+    (lambda: ModuloSequence((_FRAME,), 4, 2, gain="1"), "ModuloSequence.gain"),
+    (lambda: Motion(rotate_deg=None), "Motion.rotate_deg"),
+    (lambda: Motion(translate_px=("a", 1.0)), "Motion.translate_px"),
+    (lambda: lar(np.zeros(3), "4"), "modulus"),
+    (lambda: mu_law(_IMG, mu="5"), "mu"),
+    (lambda: psnr_linear(_IMG, _IMG, "1"), "peak"),
+    (lambda: ssim_linear(_IMG, _IMG, "1"), "peak"),
+    (lambda: EncoderConfig(window=True, stride=True), "EncoderConfig.window"),
+    (lambda: EncoderConfig(gain=True), "EncoderConfig.gain"),
+    (lambda: ModuloFrame(np.zeros((2, 2), np.uint8), True), "ModuloFrame.bit_depth"),
+    (lambda: lar(np.zeros(3), np.True_), "modulus"),
+], ids=["encoder-gain-str", "sensor-threshold-str", "sensor-threshold-array",
+        "digital-gain-str", "sequence-gain-str", "motion-rotate-none", "motion-translate-str",
+        "lar-modulus-str", "mu-law-mu-str", "psnr-peak-str", "ssim-peak-str",
+        "encoder-window-bool", "encoder-gain-bool", "frame-bits-bool", "lar-modulus-numpy-bool"])
+def test_scalar_settings_refuse_values_that_are_not_real_numbers(build, field):
+    # each raised a raw TypeError or ValueError, or stored a bool as a number
+    with pytest.raises(ValidationError, match=field):
+        build()
+
+
+def test_scalar_settings_take_numpy_numbers():
+    # the number check is an isinstance test: numpy ints and floats pass it
+    assert EncoderConfig(gain=np.float32(2.5)).gain == 2.5
+    assert SensorConfig(threshold=np.float64(0.5), conversion_gain=np.int64(2)).threshold == 0.5
+    assert Motion(translate_px=np.array([1.0, -2.0]), rotate_deg=np.float16(3)).translate_px[1] == -2
+    assert lar(300.0, np.int32(256)) == 44.0
 
 
 @pytest.mark.parametrize("start, stop, field", [
