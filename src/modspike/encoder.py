@@ -28,8 +28,8 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
-                    _check_nonnegative_int, _check_type, check_bits, check_dims, check_geometry,
-                    check_positive, check_stride, sample_dtype, store_ints)
+                    _check_type, check_bits, check_dims, check_geometry, check_int,
+                    check_positive, sample_dtype, store_ints)
 
 _UNPACK_SAMPLES = 2 ** 20  # spike samples encode_stream unpacks per push: 1 MiB of {0,1} bytes
 
@@ -46,11 +46,10 @@ class ModuloSequence:
     source_rate_hz: int = 0  # 0 when the source rate is not meaningful
 
     def __post_init__(self):
-        store_ints(self, "window", "stride", "source_rate_hz")
-        check_stride(self.stride, self.window, "ModuloSequence")
+        store_ints(self, window=1, stride=(1, self.window), source_rate_hz=0)
         check_positive(self.gain, "ModuloSequence.gain")
         frames = tuple(self.frames)
-        check_positive(len(frames), "ModuloSequence.frames")
+        check_int(len(frames), "ModuloSequence.frames", 1)
         for i, f in enumerate(frames):  # frame 0 sets the (H, W, C, N) and config of the rest
             _check_type(f, ModuloFrame, f"ModuloSequence.frames[{i}]")
             if i == 0:
@@ -73,8 +72,9 @@ class ModuloSequence:
 
 def frame_capacity(source_frames: int, window: int, stride: int) -> int:
     """Number of complete windows in a source of `source_frames` frames."""
-    _check_nonnegative_int(source_frames, "frame_capacity.source_frames")
-    check_stride(stride, window, "frame_capacity")
+    source_frames = check_int(source_frames, "frame_capacity.source_frames")
+    window = check_int(window, "frame_capacity.window", 1)
+    stride = check_int(stride, "frame_capacity.stride", 1, window)
     return max(0, (source_frames - window) // stride + 1)
 
 
@@ -141,12 +141,11 @@ class ChunkedEncoder:
 
     def __init__(self, height: int, width: int, channels: int,
                  cfg: EncoderConfig, source_rate_hz: int = 0):
-        check_geometry(height, width, channels, "ChunkedEncoder")
+        height, width, channels = check_geometry(height, width, channels, "ChunkedEncoder")
         _check_type(cfg, EncoderConfig, "ChunkedEncoder.cfg")
-        _check_nonnegative_int(source_rate_hz, "ChunkedEncoder.source_rate_hz")
+        self._source_rate_hz = check_int(source_rate_hz, "ChunkedEncoder.source_rate_hz")
         self._shape = (height, width, channels)
         self._cfg = cfg
-        self._source_rate_hz = source_rate_hz
         self._total = np.zeros((channels, height, width), dtype=np.min_scalar_type(cfg.window))
         self._open: deque[np.ndarray] = deque()  # start copies of open windows, oldest first
         # the rule (see above): gain mod 2^N while every gain * count is exact, else a table

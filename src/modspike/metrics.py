@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import (HdrImage, ValidationError, check_bit_depth, check_dims, check_geometry,
-                    check_integer, check_positive)
+from .types import HdrImage, ValidationError, check_dims, check_geometry, check_int, check_positive
 
 DEFAULT_MU = 5000.0
 DEFAULT_PEAK = float(2 ** 12 - 1)  # 12-bit ground truth convention
@@ -170,11 +169,10 @@ def bandwidth_report(height: int, width: int, channels: int, readout_rate_hz: in
     plane with `mosaic`) at the readout rate. Encoded: N-bit frames at
     rate/stride; with `mosaic` the encoder sees 3 half-resolution channels.
     """
-    for name, v in (("readout_rate_hz", readout_rate_hz), ("stride", stride)):
-        check_integer(v, name)
-        check_positive(v, name)
-    check_bit_depth(bit_depth, "bit_depth")
-    check_geometry(height, width, channels, "bandwidth_report")
+    readout_rate_hz = check_int(readout_rate_hz, "readout_rate_hz", 1)
+    stride = check_int(stride, "stride", 1)
+    bit_depth = check_int(bit_depth, "bit_depth", 1, 16)
+    height, width, channels = check_geometry(height, width, channels, "bandwidth_report")
     if mosaic and (height % 2 or width % 2):
         raise ValidationError(
             f"height/width: mosaic needs even dimensions, got {height}x{width}")

@@ -152,11 +152,13 @@ def divergence(gf: GradientField) -> np.ndarray:
 
     divergence(gradient(x)) equals the 5-point Neumann Laplacian of x.
     """
-    gx, gy = _as_raster(gf.gx, "GradientField.gx"), _as_raster(gf.gy, "GradientField.gy")
+    gx = _real(gf.gx, "GradientField.gx")
+    check_ndim(gx, (2, 3), "GradientField.gx")
+    gy = _as_raster(gf.gy, "GradientField.gy")
     check_dims(gx.shape, gy.shape, "GradientField gx, gy")
-    # the kernel spends a fresh copy of gx; adding 0 turns its -0.0 into
-    # 0.0, so no dx is -0.0 and no sum dx + dy is either
-    return _divergence(gx + 0, gy)
+    # the kernel spends a fresh float64 copy of gx, cast in the same pass;
+    # adding 0 turns its -0.0 into 0.0, so no dx is -0.0 and no dx + dy is
+    return _divergence(np.add(gx, 0, dtype=np.float64, order="C"), gy)
 
 
 def lar(values, modulus: float):

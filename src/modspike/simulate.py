@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze, _frozen,
-                    check_finite, check_geometry, check_ndim, check_positive, plane_bytes)
+                    check_finite, check_geometry, check_int, check_ndim, plane_bytes)
 
 MOSAIC_POSITIONS = ((0, 0), (0, 1), (1, 0))  # (row, col) of R, G, B in a 2x2 block; (1, 1) unused
 
@@ -64,7 +64,7 @@ class IrradianceClip:
         if not (_frozen(u) and u.dtype == np.float32):
             u = _freeze(u, np.float32, "IrradianceClip.u")
         check_ndim(u, (4,), "IrradianceClip.u")
-        check_positive(u.shape[0], "IrradianceClip.micro_intervals")
+        check_int(u.shape[0], "IrradianceClip.micro_intervals", 1)
         check_geometry(*u.shape[1:], "IrradianceClip")
         # a broadcast axis repeats one sample: check it once
         distinct = u[tuple(slice(0, 1) if step == 0 else slice(None) for step in u.strides)]

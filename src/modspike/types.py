@@ -13,6 +13,9 @@ Conventions:
   * spike frames are bit-packed LSB-first, one plane per channel, each
     plane padded to a byte boundary
   * every value holds a sample: sizes, frame counts and K are all >= 1
+  * every integer field is checked once, by `check_int` against the bounds
+    its owner states, and stored as a Python int; no integer setting but
+    a seed exceeds the largest float
 """
 
 from __future__ import annotations
@@ -52,15 +55,15 @@ def check_finite(value, name: str) -> None:
         raise ValidationError(f"{name}: must be finite, got {value}")
 
 
-def check_integer(value, name: str) -> None:
+def check_int(value, name: str, low: int = 0, high: float = sys.float_info.max) -> int:
+    """`value`, a Python or numpy integer but not a bool, in low..high, as a
+    Python int: 1 << np.uint8(8) is 0. The default high, the largest float,
+    keeps every float conversion of the value finite; compared exactly."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
-
-
-def _check_nonnegative_int(value, name: str) -> None:
-    check_integer(value, name)
-    if not value >= 0:
-        raise ValidationError(f"{name}: must be >= 0, got {value}")
+    if not low <= value <= high:
+        raise ValidationError(f"{name}: must be in {low}..{high}, got {value}")
+    return int(value)
 
 
 def _check_type(value, cls: type, name: str) -> None:
@@ -68,30 +71,15 @@ def _check_type(value, cls: type, name: str) -> None:
         raise ValidationError(f"{name}: must be of type {cls.__name__}, got {type(value).__name__}")
 
 
-def check_bit_depth(bit_depth: int, name: str) -> None:
-    check_integer(bit_depth, name)
-    if not 1 <= bit_depth <= 16:
-        raise ValidationError(f"{name}: must be in 1..16, got {bit_depth}")
-
-
-def check_stride(stride: int, window: int, owner: str) -> None:
-    check_integer(window, f"{owner}.window")
-    check_integer(stride, f"{owner}.stride")
-    if not stride >= 1:
-        raise ValidationError(f"{owner}.stride: must be >= 1, got {stride}")
-    if not stride <= window:
-        raise ValidationError(f"{owner}.stride: stride exceeds window ({stride} > {window})")
-
-
-def check_geometry(height: int, width: int, channels: int, owner: str) -> None:
-    """Height and width are integers >= 1 and channels are 1 or 3: a raster
-    holds at least one sample, as every sensor frame does."""
-    for name, size in (("height", height), ("width", width)):
-        check_integer(size, f"{owner}.{name}")
-        check_positive(size, f"{owner}.{name}")
-    check_integer(channels, f"{owner}.channels")
+def check_geometry(height, width, channels, owner: str) -> tuple[int, int, int]:
+    """(height, width, channels) as Python ints, after checking that height
+    and width are integers >= 1 and channels 1 or 3: a raster holds at least
+    one sample, as every sensor frame does."""
+    height, width = check_int(height, f"{owner}.height", 1), check_int(width, f"{owner}.width", 1)
+    channels = check_int(channels, f"{owner}.channels")
     if channels not in (1, 3):
         raise ValidationError(f"{owner}.channels: must be 1 or 3, got {channels}")
+    return height, width, channels
 
 
 def check_ndim(arr: np.ndarray, ndims: tuple[int, ...], name: str) -> None:
@@ -133,13 +121,15 @@ def sample_dtype(bit_depth: int) -> np.dtype:
     return np.dtype(np.uint8 if bit_depth <= 8 else np.uint16)
 
 
-def store_ints(value, *names: str) -> None:
-    """Check that each named field is an integer >= 0, as every integer field
-    of a value type is, then store it as a Python int: 1 << np.uint8(8) is 0."""
-    for name in names:
-        field = getattr(value, name)
-        _check_nonnegative_int(field, f"{type(value).__name__}.{name}")
-        object.__setattr__(value, name, int(field))
+def store_ints(value, **bounds) -> None:
+    """Check each named integer field of `value` against its bounds, a
+    lowest value or a (low, high) range, and store it as a Python int
+    (`check_int`). Fields are checked in the order given, so a bound may
+    be an earlier field's value: it is compared only once that field passed."""
+    for name, bound in bounds.items():
+        bound = bound if isinstance(bound, tuple) else (bound,)
+        object.__setattr__(value, name, check_int(getattr(value, name),
+                                                  f"{type(value).__name__}.{name}", *bound))
 
 
 def _frozen(arr: np.ndarray) -> bool:
@@ -251,8 +241,7 @@ class ModuloFrame(_Raster):
     counted_by: EncoderConfig | None = None
 
     def __post_init__(self):
-        store_ints(self, "bit_depth")
-        check_bit_depth(self.bit_depth, "ModuloFrame.bit_depth")
+        store_ints(self, bit_depth=(1, 16))
         if self.counted_by is not None:
             _check_type(self.counted_by, EncoderConfig, "ModuloFrame.counted_by")
             if self.counted_by.bit_depth != self.bit_depth:
@@ -290,10 +279,10 @@ class SpikeStream:
     packed: np.ndarray  # (R, C, plane_bytes) uint8, read-only
 
     def __post_init__(self):
-        store_ints(self, "height", "width", "channels", "frame_count", "readout_rate_hz")
-        check_positive(self.frame_count, "SpikeStream.frame_count")
-        check_positive(self.readout_rate_hz, "SpikeStream.readout_rate_hz")
-        check_geometry(self.height, self.width, self.channels, "SpikeStream")
+        geometry = check_geometry(self.height, self.width, self.channels, "SpikeStream")
+        for name, size in zip(("height", "width", "channels"), geometry):
+            object.__setattr__(self, name, size)
+        store_ints(self, frame_count=1, readout_rate_hz=1)
         packed = np.asarray(self.packed)
         check_codes(packed, 8, "SpikeStream.packed")
         packed = _freeze(packed, np.uint8, "SpikeStream.packed")
@@ -319,8 +308,8 @@ class SpikeStream:
     def bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Unpack frames [start, stop) to a (n, H, W, C) uint8 array of {0,1}."""
         stop = self.frame_count if stop is None else stop
-        _check_nonnegative_int(start, "SpikeStream.bits.start")
-        _check_nonnegative_int(stop, "SpikeStream.bits.stop")
+        start = check_int(start, "SpikeStream.bits.start")
+        stop = check_int(stop, "SpikeStream.bits.stop")
         packed = self.packed[start:stop]
         flat = np.unpackbits(packed, axis=-1, count=self.height * self.width,
                              bitorder="little")
@@ -349,13 +338,12 @@ class SensorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        store_ints(self, "micro_intervals", "rng_seed")
+        store_ints(self, micro_intervals=1, rng_seed=(0, math.inf))  # numpy takes any seed >= 0
         flag = self.shot_noise
         if not isinstance(flag, (bool, np.bool_)):  # a string such as "no" is truthy
             raise ValidationError(f"SensorConfig.shot_noise: must be a bool, got {flag!r}")
         object.__setattr__(self, "shot_noise", bool(flag))
-        for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s",
-                     "micro_intervals"):
+        for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s"):
             check_positive(getattr(self, name), f"SensorConfig.{name}")
         if self.readout_rate_hz % 1:
             raise ValidationError("SensorConfig.readout_rate_hz: must be a whole number of "
@@ -387,10 +375,8 @@ class EncoderConfig:
     bit_depth: int = 8
 
     def __post_init__(self):
-        store_ints(self, "window", "stride", "bit_depth")
-        check_stride(self.stride, self.window, "EncoderConfig")
+        store_ints(self, window=1, stride=(1, self.window), bit_depth=(1, 16))
         check_positive(self.gain, "EncoderConfig.gain")
-        check_bit_depth(self.bit_depth, "EncoderConfig.bit_depth")
 
     @property
     def modulus(self) -> int:
@@ -415,7 +401,6 @@ class QuerySpec:
     digital_gain: float = 1.0
 
     def __post_init__(self):
-        store_ints(self, "window", "stride")
-        check_stride(self.stride, self.window, "QuerySpec")
+        store_ints(self, window=1, stride=(1, self.window))
         check_positive(self.digital_gain, "QuerySpec.digital_gain")
 

@@ -208,11 +208,14 @@ def _lattice_table(cfg: EncoderConfig) -> np.ndarray | None:
 
     Each pre-wrap value v of `cfg.prewrap_values()`, the expression the
     encoder wraps, sits at its code v mod 2^N. The table is built only when
-    those codes are distinct and v < 2^(31+N), the range of the Poisson
+    those codes are distinct, which needs a window below 2^N and is checked
+    first, and v < 2^(31+N), the range of the Poisson
     decoder's int32 wrap counts, where v is exact in float64 and `_width`'s
     int64 holds 4 * v + m/2. Built on first use of a config and kept; at
     most 32 entries of at most 2^N * 8 bytes.
     """
+    if cfg.window >= cfg.modulus:  # W + 1 values, 2^N codes: some code repeats
+        return None
     values = cfg.prewrap_values()
     if not values[-1] < 2.0 ** (31 + cfg.bit_depth):  # values rise with the count
         return None

@@ -275,7 +275,7 @@ def test_pipeline_size_below_one_fails_with_one_error_line(capsys, tmp_path, fie
 
 
 @pytest.mark.parametrize("flags, error", [
-    (("--height", "0"), "pipeline.height: must be positive and finite, got 0"),
+    (("--height", "0"), "pipeline.height: must be in 1..1.7976931348623157e+308, got 0"),
     (("--motion", "bogus"), "motion: unknown component 'bogus'"),
     (("--bits", "17"), "EncoderConfig.bit_depth: must be in 1..16, got 17"),
     (("--scene", "nope.lhdr"), "No such file or directory"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import reference_unwrap
@@ -105,6 +107,23 @@ def test_adjointness_of_gradient_and_divergence():
     lhs = np.sum(gf.gx * gx) + np.sum(gf.gy * gy)
     rhs = -np.sum(x * divergence(GradientField(gx=gx, gy=gy)))
     assert np.isclose(lhs, rhs, atol=1e-10)
+
+
+def test_divergence_makes_one_float64_copy_of_an_integer_field():
+    # the cast and the -0.0-clearing + 0 are one pass: gx's copy, gy's cast
+    # and the result, where int32 input used to peak at 4 rasters
+    gx, gy = (np.arange(160 * 160 * 3, dtype=np.int32).reshape(160, 160, 3) % 97 for _ in "xy")
+    field = GradientField(gx=gx, gy=gy)
+    raster = gx.size * 8
+    divergence(field)  # warm
+    tracemalloc.start()
+    try:
+        div = divergence(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * raster, peak / raster
+    assert np.array_equal(div, divergence(GradientField(gx.astype(float), gy.astype(float))))
 
 
 # --------------------------------------------------------------- laplacian

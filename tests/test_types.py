@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,7 +183,8 @@ def test_encoder_config_default_regime_is_valid():
 
 
 def test_encoder_config_stride_exceeds_window():
-    with pytest.raises(ValidationError, match="stride exceeds window"):
+    with pytest.raises(ValidationError,
+                       match=r"^EncoderConfig\.stride: must be in 1\.\.10, got 20$"):
         EncoderConfig(window=10, stride=20)
 
 
@@ -260,8 +262,8 @@ def _clip_of(samples):
     (SpikeStream, (5, -1, 1, 2, 100, np.zeros((2, 1, 0), dtype=np.uint8)), "SpikeStream.width"),
     (ModuloSequence, ((), 4, 0, 1.0), "ModuloSequence.stride"),
     (frame_capacity, (10, 5, 0), "stride"),
-    (frame_capacity, (10, 0, 1), "frame_capacity.stride: stride exceeds window"),
-    (frame_capacity, (10, -3, 1), "frame_capacity.stride: stride exceeds window"),
+    (frame_capacity, (10, 0, 1), r"frame_capacity\.window: must be in 1\.\."),
+    (frame_capacity, (10, -3, 1), r"frame_capacity\.window: must be in 1\.\."),
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, EncoderConfig(bit_depth=12)),
      "counted_by.bit_depth"),
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, "W25/P20"), "counted_by"),
@@ -360,7 +362,7 @@ _SIZED = {
 def test_a_geometry_without_samples_is_rejected_by_name(owner, shape, field):
     # a sensor frame always has pixels: a zero height or width is refused
     # where the value is built, so no layer needs an empty-raster path
-    with pytest.raises(ValidationError, match=rf"^{owner}\.{field}: must be positive"):
+    with pytest.raises(ValidationError, match=rf"^{owner}\.{field}: must be in 1\.\."):
         _SIZED[owner](*shape)
     _SIZED[owner](1, 1, shape[2])  # one sample is enough
 
@@ -419,6 +421,95 @@ def test_numbers_past_the_float_range_are_refused_where_they_enter(build, field)
     # encoder, the ideal counts, the warp or lar raised a raw OverflowError
     with pytest.raises(ValidationError, match=field):
         build()
+
+
+_HUGE = 10 ** 400  # past the largest float
+_STREAM = SpikeStream(2, 3, 1, 2, 100, np.zeros((2, 1, 1), np.uint8))
+
+
+def _encoder(**given):
+    kw = dict(height=2, width=3, channels=1, cfg=EncoderConfig(), source_rate_hz=200)
+    return ChunkedEncoder(**{**kw, **given})
+
+
+def _report(**given):
+    kw = dict(height=4, width=6, channels=3, readout_rate_hz=200, bit_depth=8, stride=20)
+    return bandwidth_report(**{**kw, **given}, mosaic=False)
+
+
+def _spikes(**given):
+    kw = dict(height=2, width=3, channels=1, frame_count=2, readout_rate_hz=100)
+    return SpikeStream(**{**kw, **given}, packed=np.zeros((2, 1, 1), np.uint8))
+
+
+# every integer field of every value, config and checked function: (the
+# name its refusal gives, a build with the field set to v, a valid value,
+# a value below its low, a value past its high or None when it has none,
+# the stored value or the result read back from what was built)
+_INT_FIELDS = [
+    ("ModuloFrame.bit_depth", lambda v: ModuloFrame(np.zeros((2, 2), np.uint8), v), 8, 0, 17,
+     lambda r: r.bit_depth),
+    *[(f"SpikeStream.{name}", lambda v, name=name: _spikes(**{name: v}), good, below, past,
+       lambda r, name=name: getattr(r, name))
+      for name, good, below, past in (("height", 2, 0, _HUGE), ("width", 3, 0, _HUGE),
+                                      ("channels", 1, 0, 4), ("frame_count", 2, 0, _HUGE),
+                                      ("readout_rate_hz", 100, 0, _HUGE))],
+    ("SpikeStream.bits.start", lambda v: _STREAM.bits(v), 1, -1, _HUGE, len),
+    ("SpikeStream.bits.stop", lambda v: _STREAM.bits(0, v), 1, -1, _HUGE, len),
+    ("SensorConfig.micro_intervals",
+     lambda v: SensorConfig(readout_rate_hz=2000.0, micro_intervals=v), 200, 0, _HUGE,
+     lambda r: r.micro_intervals),
+    ("SensorConfig.rng_seed", lambda v: SensorConfig(rng_seed=v), 5, -1, None,
+     lambda r: r.rng_seed),
+    ("EncoderConfig.window", lambda v: EncoderConfig(window=v, stride=1), 25, 0, _HUGE,
+     lambda r: r.window),
+    ("EncoderConfig.stride", lambda v: EncoderConfig(window=25, stride=v), 20, 0, 26,
+     lambda r: r.stride),
+    ("EncoderConfig.bit_depth", lambda v: EncoderConfig(bit_depth=v), 8, 0, 17,
+     lambda r: r.bit_depth),
+    ("QuerySpec.window", lambda v: QuerySpec(window=v, stride=1), 25, 0, _HUGE,
+     lambda r: r.window),
+    ("QuerySpec.stride", lambda v: QuerySpec(window=25, stride=v), 20, 0, 26,
+     lambda r: r.stride),
+    ("ModuloSequence.window", lambda v: ModuloSequence((_FRAME,), v, 1, 1.0), 4, 0, _HUGE,
+     lambda r: r.window),
+    ("ModuloSequence.stride", lambda v: ModuloSequence((_FRAME,), 4, v, 1.0), 2, 0, 5,
+     lambda r: r.stride),
+    ("ModuloSequence.source_rate_hz", lambda v: ModuloSequence((_FRAME,), 4, 2, 1.0, v), 200,
+     -1, _HUGE, lambda r: r.source_rate_hz),
+    *[(f"ChunkedEncoder.{name}", lambda v, name=name: _encoder(**{name: v}), good, below, past,
+       lambda r, i=i: (*r._shape, r._source_rate_hz)[i])
+      for i, (name, good, below, past) in enumerate((
+          ("height", 2, 0, _HUGE), ("width", 3, 0, _HUGE), ("channels", 1, 0, 4),
+          ("source_rate_hz", 200, -1, _HUGE)))],
+    ("frame_capacity.source_frames", lambda v: frame_capacity(v, 25, 20), 45, -1, _HUGE, int),
+    ("frame_capacity.window", lambda v: frame_capacity(45, v, 1), 25, 0, _HUGE, int),
+    ("frame_capacity.stride", lambda v: frame_capacity(45, 25, v), 20, 0, 26, int),
+    *[(f"bandwidth_report.{name}", lambda v, name=name: _report(**{name: v}), good, 0, past,
+       lambda r: r.raw_bps)
+      for name, good, past in (("height", 4, _HUGE), ("width", 6, _HUGE), ("channels", 3, 4))],
+    *[(name, lambda v, name=name: _report(**{name: v}), good, 0, past, lambda r: r.raw_bps)
+      for name, good, past in (("readout_rate_hz", 200, _HUGE), ("bit_depth", 8, 17),
+                               ("stride", 20, _HUGE))],
+]
+
+
+@pytest.mark.parametrize("field, build, good, below, past, read", _INT_FIELDS,
+                         ids=[row[0] for row in _INT_FIELDS])
+def test_every_integer_field_is_refused_by_name_outside_its_bounds(field, build, good, below,
+                                                                  past, read):
+    # a window or source rate past the largest float used to be taken
+    # silently, and effective_rate_hz then raised a raw OverflowError; the
+    # checked functions used to compute with numpy integers as given, so
+    # bandwidth_report's uint8 products overflowed
+    for bad in (True, float(good), below, past):
+        if bad is not None:
+            with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: "):
+                build(bad)
+    want = read(build(good))
+    for kind in (np.int64, np.uint8):
+        got = read(build(kind(good)))
+        assert type(got) is int and got == want, (field, kind)
 
 
 @pytest.mark.parametrize("build, field", [
