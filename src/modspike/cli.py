@@ -194,10 +194,10 @@ def _cmd_pipeline(args) -> int:
     stream = integrate_and_fire(clip, cfg)
     seq = encode_stream(stream, enc_cfg)
     # reference: ideal windowed digital counts, aligned with the encoder
-    # windows (gain g corresponds to digital gain g*q/threshold)
+    # windows (gain g corresponds to digital gain g/threshold)
     sub = clip.micro_intervals // cfg.readout_frames
     spec = QuerySpec(window=enc_cfg.window * sub, stride=enc_cfg.stride * sub,
-                     digital_gain=enc_cfg.gain * cfg.conversion_gain / cfg.threshold)
+                     digital_gain=enc_cfg.gain / cfg.threshold)
     truth = ideal_window_counts(clip, spec)
 
     out_dir = Path(args.out_dir)

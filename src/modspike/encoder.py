@@ -21,6 +21,7 @@ of readout_rate/stride.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .simulate import IrradianceClip
 from .types import (EncoderConfig, ModuloFrame, QuerySpec, SpikeStream, ValidationError,
-                    _check_type, check_bits, check_dims, check_geometry, check_int,
-                    check_positive, sample_dtype, store_ints)
+                    _check_type, check_bits, check_dims, check_geometry, check_float,
+                    check_int, sample_dtype, store_ints)
 
 _UNPACK_SAMPLES = 2 ** 20  # spike samples encode_stream unpacks per push: 1 MiB of {0,1} bytes
 
@@ -47,19 +48,20 @@ class ModuloSequence:
 
     def __post_init__(self):
         store_ints(self, window=1, stride=(1, self.window), source_rate_hz=0)
-        check_positive(self.gain, "ModuloSequence.gain")
+        check_float(self.gain, "ModuloSequence.gain", math.ulp(0.0))
         frames = tuple(self.frames)
         check_int(len(frames), "ModuloSequence.frames", 1)
-        for i, f in enumerate(frames):  # frame 0 sets the (H, W, C, N) and config of the rest
+        config = self.window, self.stride, self.gain
+        for i, f in enumerate(frames):  # frame 0 sets the (H, W, C, N) of the rest
             _check_type(f, ModuloFrame, f"ModuloSequence.frames[{i}]")
             if i == 0:
                 dims = f.data.shape + (f.bit_depth,)
-                cfg = EncoderConfig(self.window, self.stride, self.gain, f.bit_depth)
             check_dims(f.data.shape + (f.bit_depth,), dims,
                        "ModuloSequence.frames (H, W, C, bit_depth)")
-            if f.counted_by not in (None, cfg):
-                raise ValidationError(
-                    f"ModuloSequence.frames: frame {i} was counted by {f.counted_by}, not {cfg}")
+            # a counting config's N is its frame's, which ModuloFrame checks
+            if (by := f.counted_by) is not None and (by.window, by.stride, by.gain) != config:
+                raise ValidationError(f"ModuloSequence.frames: frame {i} was counted by {by}, "
+                                      "not window={}, stride={}, gain={}".format(*config))
         object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:

@@ -13,11 +13,12 @@ mosaic layout halves each spatial dimension and yields three channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .types import HdrImage, ValidationError, check_dims, check_geometry, check_int, check_positive
+from .types import HdrImage, ValidationError, check_dims, check_float, check_geometry, check_int
 
 DEFAULT_MU = 5000.0
 DEFAULT_PEAK = float(2 ** 12 - 1)  # 12-bit ground truth convention
@@ -31,9 +32,10 @@ def _check_peak(peak, value=None, name: str = "peak") -> float:
     """`value` (peak * peak when not given), a constant a metric squares or
     multiplies out of `peak` (or `mu`), if a finite, nonzero float64; past
     that PSNR reads inf, SSIM nan. `peak` is checked first, so its square
-    is taken only of a number."""
-    check_positive(peak, name)
-    value = peak * peak if value is None else value
+    is taken only of a number, and taken as a Python number: a float32's
+    would round, and compared with the largest float it overflows."""
+    peak = check_float(peak, name, math.ulp(0.0))
+    value = peak * peak if value is None else float(value)  # a checked peak is finite
     if not 0 < value <= float(np.finfo(np.float64).max):  # exact for an int, too
         raise ValidationError(f"{name}: {peak} takes the metric out of the float64 range")
     return value
@@ -42,11 +44,11 @@ def _check_peak(peak, value=None, name: str = "peak") -> float:
 def psnr_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
     """10*log10(peak^2 / MSE); +inf when the images are identical."""
     check_dims(a.data.shape, b.data.shape, "HdrImage")
-    _check_peak(peak)
+    square = _check_peak(peak)
     mse = float(np.mean((a.values() - b.values()) ** 2))
     if mse == 0.0:
         return float("inf")
-    return 10.0 * np.log10(_check_peak(peak, peak * peak / mse))
+    return 10.0 * np.log10(_check_peak(peak, square / mse))
 
 
 def _ssim_kernel() -> np.ndarray:
@@ -91,8 +93,8 @@ def ssim_linear(a: HdrImage, b: HdrImage, peak: float) -> float:
             f"HdrImage: SSIM needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got "
             f"{a.height}x{a.width}")
     kernel = _ssim_kernel()
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = (SSIM_K1 * float(peak)) ** 2  # a checked peak's square is finite
+    c2 = (SSIM_K2 * float(peak)) ** 2
     _check_peak(peak, c1 * c2)
     xs = a.values()
     ys = b.values()

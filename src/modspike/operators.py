@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ValidationError, check_dims, check_ndim, check_positive, check_real
+from .types import ValidationError, check_dims, check_float, check_ndim, check_real
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,10 @@ def lar(values, modulus: float):
     Depends only on the residue class mod `modulus`. Exact for integer
     values and modulus while |value| + modulus/2 < 2^52 (2^53 for an even
     modulus), so for every integer sample `_real` takes and any
-    power-of-two modulus up to 2^53; a modulus past 2^53 raises.
+    power-of-two modulus up to 2^53; a modulus past 2^53, where float64
+    rounds, raises.
     """
-    check_positive(modulus, "modulus")
-    if modulus > 2 ** 53:
-        raise ValidationError(f"modulus: {modulus} is past 2^53, where float64 rounds")
+    check_float(modulus, "modulus", math.ulp(0.0), 2 ** 53)
     arr = _real(values, "values").astype(np.float64, copy=False)
     half = modulus / 2.0
     return np.mod(arr + half, modulus) - half

@@ -5,12 +5,12 @@ represented by the per-interval irradiance integrals U_k (an
 `IrradianceClip`). Each pixel runs an integrate-and-fire loop over that
 sequence:
 
-    accumulator += gain * U_k          (or a Poisson draw with that mean)
+    accumulator += U_k                 (or a Poisson draw with that mean)
     while accumulator >= threshold: fire, accumulator -= threshold
 
 and the synchronous readout latches one bit per readout interval: 1 iff at
 least one firing occurred inside it. Reset-by-subtraction keeps the
-residual charge, so over any window the spike count times threshold/gain
+residual charge, so over any window the spike count times threshold
 tracks the true integral to within one quantum per pixel. When several
 firings land in one readout interval they collapse to a single bit
 (recorded count <= true firing count); at realistic readout rates this is
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .types import (HdrImage, SensorConfig, SpikeStream, ValidationError, _freeze, _frozen,
-                    check_finite, check_geometry, check_int, check_ndim, plane_bytes)
+                    check_float, check_geometry, check_int, check_ndim, plane_bytes)
 
 MOSAIC_POSITIONS = ((0, 0), (0, 1), (1, 0))  # (row, col) of R, G, B in a 2x2 block; (1, 1) unused
 
@@ -102,11 +102,9 @@ class Motion:
         if np.shape(self.translate_px) != (2,):
             raise ValidationError(
                 f"Motion.translate_px: expected 2 components (dx, dy), got {self.translate_px!r}")
-        translate = tuple(self.translate_px)
-        for value in translate:
-            check_finite(value, "Motion.translate_px")
-        check_finite(self.rotate_deg, "Motion.rotate_deg")
+        translate = tuple(check_float(value, "Motion.translate_px") for value in self.translate_px)
         object.__setattr__(self, "translate_px", translate)
+        object.__setattr__(self, "rotate_deg", check_float(self.rotate_deg, "Motion.rotate_deg"))
 
     @property
     def is_identity(self) -> bool:
@@ -286,8 +284,9 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     """Run the per-pixel integrate-and-fire loop and latch binary readouts.
 
     The clip's K micro-intervals must split evenly over the R readout
-    intervals implied by the config. With `shot_noise` the per-interval
-    drive is a Poisson draw with mean gain*U_k, seeded by `rng_seed`.
+    intervals implied by the config. The per-interval drive is the clip's
+    own integral U_k (the sensor's conversion gain is 1), or with
+    `shot_noise` a Poisson draw with mean U_k, seeded by `rng_seed`.
 
     The state is channel-first, (C, rows, W) float64, and runs one tile at
     a time: a band of rows holding about `_FIRE_TILE_SAMPLES` samples over
@@ -306,9 +305,10 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     accumulator at or above 2*threshold, a negative one left by a huge
     quotient) runs the division itself.
 
-    A drive it cannot represent, a shot-noise mean past the Poisson range
-    or (on the division path, which an infinite one takes) an accumulator
-    past float64 in thresholds, raises `ValidationError` naming the gain.
+    A drive it cannot represent raises `ValidationError` naming its cause:
+    the clip for a shot-noise mean past the Poisson range, the threshold
+    for an accumulator past float64 in thresholds (checked on the division
+    path, which an infinite quotient takes).
     """
     r_frames = cfg.readout_frames
     k_total, h, w, channels = clip.u.shape
@@ -319,7 +319,6 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
     sub = k_total // r_frames
     rng = np.random.default_rng(cfg.rng_seed) if cfg.shot_noise else None  # imports numpy.random
     eta = float(cfg.threshold)
-    q = float(cfg.conversion_gain)
     u = np.moveaxis(clip.u, 3, 1)  # (K, C, H, W)
     static = u.strides[0] == 0 and not cfg.shot_noise
     packed = np.empty((r_frames, channels, plane_bytes(h, w)), dtype=np.uint8)
@@ -333,21 +332,20 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
         fired, hit = np.empty((2,) + acc.shape, dtype=bool)
         first = top * w // 8
         if static:
-            np.multiply(tile[0], q, out=drive, dtype=np.float64)
+            np.copyto(drive, tile[0])
         nonnegative = True  # no accumulator of the tile below zero
         for r in range(r_frames):
             for j in range(sub):
                 k = r * sub + j
                 if cfg.shot_noise:
-                    mean = np.multiply(clip.u[k], q, dtype=np.float64)
                     try:
-                        draw = rng.poisson(mean)
+                        draw = rng.poisson(clip.u[k])
                     except ValueError:  # numpy's "lam value too large"
-                        raise ValidationError(f"SensorConfig.conversion_gain: {q} times the "
-                                              "irradiance is past the Poisson range") from None
+                        raise ValidationError("IrradianceClip.u: an integral is past the "
+                                              "Poisson range") from None
                     np.copyto(drive, np.moveaxis(draw, 2, 0))
                 elif not static:
-                    np.multiply(tile[k], q, out=drive, dtype=np.float64)
+                    np.copyto(drive, tile[k])
                 acc += drive
                 hits = hit if j else fired  # the first sub-step writes the latch
                 if nonnegative and acc.max() < 2 * eta:
@@ -357,8 +355,8 @@ def integrate_and_fire(clip: IrradianceClip, cfg: SensorConfig) -> SpikeStream:
                     acc -= scratch
                 else:
                     if not acc.max() / eta < math.inf:
-                        raise ValidationError(f"SensorConfig.conversion_gain: {q} times the "
-                                              f"irradiance is past float64 in thresholds of {eta}")
+                        raise ValidationError(f"SensorConfig.threshold: the irradiance is past "
+                                              f"float64 in thresholds of {eta}")
                     n = np.floor_divide(acc, eta)
                     acc -= n * eta
                     np.greater(n, 0, out=hits)

@@ -16,6 +16,9 @@ Conventions:
   * every integer field is checked once, by `check_int` against the bounds
     its owner states, and stored as a Python int; no integer setting but
     a seed exceeds the largest float
+  * every real-valued setting is checked once, by `check_float` (which
+    `check_int` builds on), against inclusive bounds: a positive one's
+    lowest value is the least positive float
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,36 +38,32 @@ class ValidationError(ValueError):
 # Field checkers: each invariant shared across the package is checked here,
 # once, and raises ValidationError naming the field.
 
-def _number(value, name: str):
-    """`value`, a Python or numpy int or float but not a bool, to compare
-    with float bounds: a string, an array or None would raise a raw
-    TypeError (or ValueError) there. A numpy float is widened to a Python
-    float, as a float32 compared with the largest float overflows."""
+def check_float(value, name: str, low: float = -sys.float_info.max,
+                high: float = sys.float_info.max) -> int | float:
+    """`value`, a Python or numpy int or float but not a bool, in low..high
+    (both inclusive), as a Python int or float: a string, an array or None
+    would raise a raw TypeError (or ValueError) in the comparison, and
+    float32 arithmetic against the largest float overflows. An int of any
+    size is compared exactly, and NaN fails. A positive setting's low is
+    `math.ulp(0.0)`, the least positive float. A refusal gives an int past
+    every float by its size: str() of one past 4,300 digits raises."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name}: must be a number, got {value!r}")
-    return float(value) if isinstance(value, np.floating) else value
-
-
-def check_positive(value, name: str) -> None:
-    """0 < value <= the largest float; exact for ints of any size, and NaN fails."""
-    if not 0 < _number(value, name) <= sys.float_info.max:
-        raise ValidationError(f"{name}: must be positive and finite, got {value}")
-
-
-def check_finite(value, name: str) -> None:
-    if not -sys.float_info.max <= _number(value, name) <= sys.float_info.max:
-        raise ValidationError(f"{name}: must be finite, got {value}")
+    number = int(value) if isinstance(value, (int, np.integer)) else float(value)
+    if not low <= number <= high:
+        bits = number.bit_length() if isinstance(number, int) else 0
+        shown = f"an integer of {bits} bits" if bits > 1024 else value
+        raise ValidationError(f"{name}: must be in {low}..{high}, got {shown}")
+    return number
 
 
 def check_int(value, name: str, low: int = 0, high: float = sys.float_info.max) -> int:
     """`value`, a Python or numpy integer but not a bool, in low..high, as a
-    Python int: 1 << np.uint8(8) is 0. The default high, the largest float,
-    keeps every float conversion of the value finite; compared exactly."""
+    Python int (`check_float`): 1 << np.uint8(8) is 0. The default high, the
+    largest float, keeps every float conversion of the value finite."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: must be an integer, got {value!r}")
-    if not low <= value <= high:
-        raise ValidationError(f"{name}: must be in {low}..{high}, got {value}")
-    return int(value)
+    return check_float(value, name, low, high)
 
 
 def _check_type(value, cls: type, name: str) -> None:
@@ -317,20 +317,22 @@ class SpikeStream:
         return np.transpose(planes, (0, 2, 3, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SensorConfig:
-    """Integrate-and-fire sensor parameters.
+    """Integrate-and-fire sensor parameters, given by keyword.
 
-    A pixel accumulates `conversion_gain` times the incident integral and
-    fires whenever the accumulator reaches `threshold`; each firing
-    subtracts one threshold, so the residual charge carries over. Firings
+    A pixel accumulates the incident integral and fires whenever the
+    accumulator reaches `threshold`; each firing subtracts one threshold,
+    so the residual charge carries over. A pixel's spikes thus depend only
+    on its integral measured in thresholds, and `threshold` alone sets that
+    scale: `conversion_gain` is the constant 1.0, not a setting. Firings
     are latched into binary frames at `readout_rate_hz`. The capture of
     `total_time_s` is resolved on `micro_intervals` sub-steps, which must
     refine the readout grid exactly.
     """
 
-    threshold: float = 1.0          # firing quantum (radiance*time units after gain)
-    conversion_gain: float = 1.0    # photoelectric gain applied to the integral
+    conversion_gain: ClassVar[float] = 1.0  # charge per unit of integral
+    threshold: float = 1.0          # firing quantum, in radiance*time units
     readout_rate_hz: float = 20_000.0  # a whole number of hertz
     total_time_s: float = 0.05
     micro_intervals: int = 1000
@@ -343,8 +345,9 @@ class SensorConfig:
         if not isinstance(flag, (bool, np.bool_)):  # a string such as "no" is truthy
             raise ValidationError(f"SensorConfig.shot_noise: must be a bool, got {flag!r}")
         object.__setattr__(self, "shot_noise", bool(flag))
-        for name in ("threshold", "conversion_gain", "readout_rate_hz", "total_time_s"):
-            check_positive(getattr(self, name), f"SensorConfig.{name}")
+        for name in ("threshold", "readout_rate_hz", "total_time_s"):  # stored as Python numbers
+            object.__setattr__(self, name, check_float(getattr(self, name),
+                                                       f"SensorConfig.{name}", math.ulp(0.0)))
         if self.readout_rate_hz % 1:
             raise ValidationError("SensorConfig.readout_rate_hz: must be a whole number of "
                                   f"hertz, got {self.readout_rate_hz}")
@@ -375,8 +378,9 @@ class EncoderConfig:
     bit_depth: int = 8
 
     def __post_init__(self):
-        store_ints(self, window=1, stride=(1, self.window), bit_depth=(1, 16))
-        check_positive(self.gain, "EncoderConfig.gain")
+        # MODQ stores a window as u16, so the counts fit uint16
+        store_ints(self, window=(1, 2 ** 16 - 1), stride=(1, self.window), bit_depth=(1, 16))
+        check_float(self.gain, "EncoderConfig.gain", math.ulp(0.0))
 
     @property
     def modulus(self) -> int:
@@ -402,5 +406,5 @@ class QuerySpec:
 
     def __post_init__(self):
         store_ints(self, window=1, stride=(1, self.window))
-        check_positive(self.digital_gain, "QuerySpec.digital_gain")
+        check_float(self.digital_gain, "QuerySpec.digital_gain", math.ulp(0.0))
 

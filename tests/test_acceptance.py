@@ -101,17 +101,17 @@ def test_criterion_4_exact_unwrap():
 def test_criterion_5_spike_count_approximation():
     # constant irradiance, at most one firing per readout interval
     k = 120
-    eta, q = 1.0, 1.0
+    eta = 1.0
     value = 0.8125  # drive per interval, dyadic, < eta
     clip = IrradianceClip(u=np.full((k, 4, 4, 1), value, dtype=np.float32))
-    cfg = SensorConfig(threshold=eta, conversion_gain=q, readout_rate_hz=k,
-                       total_time_s=1.0, micro_intervals=k)
+    cfg = SensorConfig(threshold=eta, readout_rate_hz=k, total_time_s=1.0,
+                       micro_intervals=k)
     stream = integrate_and_fire(clip, cfg)
     bits = stream.bits()[:, :, :, 0]
     for start in range(0, k - 25 + 1, 20):  # every encoder window
         counts = bits[start:start + 25].sum(axis=0)
         integral = value * 25
-        assert np.all(np.abs(counts * eta / q - integral) <= eta / q)
+        assert np.all(np.abs(counts * eta - integral) <= eta)
 
     # overdriven pixel: two quanta per interval collapse to one bit
     over = IrradianceClip(u=np.full((k, 1, 1, 1), 2.0, dtype=np.float32))
@@ -133,13 +133,13 @@ def test_criterion_6_bridge_equivalence():
                                      max_step=60).astype(np.float32)
         k = 65  # readout frames = micro-intervals
         eta = float(scene.max()) / k / 0.9  # strictly below one quantum/interval
-        cfg = SensorConfig(threshold=eta, conversion_gain=1.0, readout_rate_hz=k,
-                           total_time_s=1.0, micro_intervals=k)
+        cfg = SensorConfig(threshold=eta, readout_rate_hz=k, total_time_s=1.0,
+                           micro_intervals=k)
         clip = synthesize_clip(HdrImage(data=scene), Motion(), cfg)
         stream = integrate_and_fire(clip, cfg)
         seq = encode_stream(stream, enc_cfg)
 
-        digital_gain = gain * cfg.conversion_gain / cfg.threshold
+        digital_gain = gain / cfg.threshold
         spec = QuerySpec(window=25, stride=20, digital_gain=digital_gain)
         ideal_pre = ideal_window_counts(clip, spec)
         assert len(seq) == ideal_pre.shape[0]

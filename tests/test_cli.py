@@ -137,9 +137,11 @@ def test_simulate_accepts_config_file(capsys, tmp_path, small_scene):
 
 
 def test_simulate_rejects_unknown_config_key(capsys, tmp_path, small_scene):
-    # the seed is no config key: --seed is its one route
+    # the seed is no config key: --seed is its one route; nor is the
+    # conversion gain, a constant, as the threshold alone sets the scale
     out = tmp_path / "x.spkb"
-    for pair, key in (("volts=9", "volts"), ("rng_seed=-1", "rng_seed")):
+    for pair, key in (("volts=9", "volts"), ("rng_seed=-1", "rng_seed"),
+                      ("conversion_gain=2", "conversion_gain")):
         code, stdout, err = run_cli(capsys, "simulate", "--scene", str(small_scene),
                                     "--config", pair, "--out", str(out))
         assert code == 1 and stdout == "" and not out.exists()
@@ -252,16 +254,19 @@ def test_pipeline_negative_seed_fails_with_one_error_line(capsys, tmp_path):
     assert "rng_seed" in err
 
 
-@pytest.mark.parametrize("config", ["conversion_gain=1e300,shot_noise=true",
-                                    "conversion_gain=1e300,threshold=1e-300"])
-def test_simulate_unrepresentable_drive_fails_with_one_error_line(capsys, tmp_path,
-                                                                  small_scene, config):
-    spikes = tmp_path / "s.spkb"
-    code, out, err = run_cli(capsys, "simulate", "--scene", str(small_scene), "--config",
+@pytest.mark.parametrize("radiance, config, field", [
+    (1e30, "shot_noise=true", "IrradianceClip.u"),  # a Poisson mean of 1e27
+    (400.0, "threshold=5e-324", "SensorConfig.threshold"),  # past float64 in thresholds
+])
+def test_simulate_unrepresentable_drive_fails_with_one_error_line(capsys, tmp_path, radiance,
+                                                                  config, field):
+    scene, spikes = tmp_path / "flat.lhdr", tmp_path / "s.spkb"
+    write_hdr(scene, HdrImage(data=np.full((4, 4), radiance, np.float32)))
+    code, out, err = run_cli(capsys, "simulate", "--scene", str(scene), "--config",
                              f"{config},readout_rate_hz=1000,total_time_s=0.05",
                              "--out", str(spikes))
     assert code == 1 and out == "" and not spikes.exists()
-    assert err.startswith("modspike: error: SensorConfig.conversion_gain:")
+    assert err.startswith(f"modspike: error: {field}:")
     assert len(err.splitlines()) == 1
 
 

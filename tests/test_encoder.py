@@ -367,6 +367,18 @@ def test_chunked_encoder_rejects_bad_geometry(field, dims):
         ChunkedEncoder(*dims, EncoderConfig(window=4, stride=2))
 
 
+@pytest.mark.parametrize("window", [2 ** 16, 2 ** 40, 10 ** 300], ids=["2^16", "2^40", "10^300"])
+def test_a_window_past_modq_is_refused_by_name(window):
+    # MODQ stores a window as u16; a 2^40 window raised a raw MemoryError
+    # (8 TiB of pre-wrap values), one of 10^300 a raw ValueError from
+    # np.min_scalar_type
+    with pytest.raises(ValidationError, match=r"^EncoderConfig\.window: must be in 1\.\.65535, "):
+        ChunkedEncoder(1, 1, 1, EncoderConfig(window=window, stride=window // 2, gain=0.5))
+    # the widest window counts in uint16
+    enc = ChunkedEncoder(1, 1, 1, EncoderConfig(window=2 ** 16 - 1, stride=1, gain=0.5))
+    assert [f.data.item() for f in enc.push(np.ones((2 ** 16 - 1, 1, 1, 1), np.uint8))] == [255]
+
+
 def test_encoder_state_does_not_grow_with_the_window():
     # a window's count is the running count at its close minus a copy taken
     # at its start, so W = S = 2000 keeps two uint16 count planes; keeping
@@ -436,7 +448,7 @@ def window_and_stride(draw):
 @example(geometry=(50, 10), bit_depth=12, gain=2.3, channels=3, h=2, w=2, extra=40,
          density=1.0, seed=5, cuts=[33], per_frame=False, contiguous=True,
          dtype=np.uint8)  # 2.3 * 50 needs f64
-@example(geometry=(65536, 5000), bit_depth=16, gain=1.0, channels=1, h=1, w=1,
+@example(geometry=(65535, 5000), bit_depth=16, gain=1.0, channels=1, h=1, w=1,
          extra=10000, density=0.95, seed=4, cuts=[30000], per_frame=False, contiguous=False,
          dtype=np.uint8)
 @example(geometry=(31, 5), bit_depth=16, gain=2.0 ** 48, channels=1, h=2, w=2, extra=20,

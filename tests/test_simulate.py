@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -84,8 +86,8 @@ def test_constant_pixel_emits_exact_quanta():
     k = 40
     per_interval = 10.0 / k  # 0.25, exact in binary
     clip = _clip_from_planes(np.full((k, 2, 2), per_interval))
-    cfg = SensorConfig(threshold=1.0, conversion_gain=1.0, readout_rate_hz=40,
-                       total_time_s=1.0, micro_intervals=k)
+    cfg = SensorConfig(threshold=1.0, readout_rate_hz=40, total_time_s=1.0,
+                       micro_intervals=k)
     stream = integrate_and_fire(clip, cfg)
     counts = stream.bits().sum(axis=0)
     assert np.all(counts == 10)
@@ -271,10 +273,11 @@ def _random_clip(seed, k, h, w, c, scale, static, decades=1):
          static=False, shot_noise=True)
 def test_integrate_and_fire_matches_reference(seed, r, sub, h, w, c, scale, threshold,
                                               gain, static, shot_noise):
+    # the drive is the clip itself: `gain` divides its scale, so a step
+    # drives up to scale / gain thresholds
     clip = _random_clip(seed, r * sub, h, w, c, scale * threshold / gain, static)
-    cfg = SensorConfig(threshold=threshold, conversion_gain=gain, readout_rate_hz=r,
-                       total_time_s=1.0, micro_intervals=r * sub, shot_noise=shot_noise,
-                       rng_seed=seed)
+    cfg = SensorConfig(threshold=threshold, readout_rate_hz=r, total_time_s=1.0,
+                       micro_intervals=r * sub, shot_noise=shot_noise, rng_seed=seed)
     got = integrate_and_fire(clip, cfg)
     want = reference_simulate.integrate_and_fire(clip, cfg)
     assert got.packed.tobytes() == want.packed.tobytes()
@@ -300,13 +303,13 @@ def test_integrate_and_fire_matches_reference_after_negative_residual():
 
 
 @pytest.mark.parametrize("static", [False, True])
-@pytest.mark.parametrize("value, config", [
-    (1e15, dict(conversion_gain=1e7, shot_noise=True)),    # a Poisson mean of 1e22
-    (3e38, dict(conversion_gain=1e300)),                   # an infinite drive
-    (3e38, dict(threshold=1e300, conversion_gain=1e300)),  # the same, huge threshold
-    (1e10, dict(threshold=1e-300)),                        # 1e310 thresholds a step
-])
-def test_integrate_and_fire_rejects_a_drive_it_cannot_represent(static, value, config):
+@pytest.mark.parametrize("value, config, field", [
+    (1e22, dict(shot_noise=True), "IrradianceClip.u"),  # a Poisson mean of 1e22
+    (3e38, dict(threshold=1e-300), "SensorConfig.threshold"),  # the largest float32 step
+    (1e10, dict(threshold=1e-300), "SensorConfig.threshold"),  # 1e310 thresholds a step
+    (0.4, dict(threshold=math.ulp(0.0)), "SensorConfig.threshold"),  # the least threshold
+], ids=["poisson-1e22", "thresholds-3e38", "thresholds-1e10", "least-threshold"])
+def test_integrate_and_fire_rejects_a_drive_it_cannot_represent(static, value, config, field):
     # numpy's Poisson sampler refused the mean with a raw ValueError; an
     # accumulator past float64 in thresholds turned into NaN and the pixel
     # stopped firing, or fired once, with only RuntimeWarnings
@@ -318,7 +321,7 @@ def test_integrate_and_fire_rejects_a_drive_it_cannot_represent(static, value, c
     cfg = SensorConfig(readout_rate_hz=10, total_time_s=1.0, micro_intervals=10, **config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=r"SensorConfig\.conversion_gain"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: "):
             integrate_and_fire(clip, cfg)
 
 

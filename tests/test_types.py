@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -268,19 +270,18 @@ def _clip_of(samples):
      "counted_by.bit_depth"),
     (ModuloFrame, (np.zeros((2, 2), np.uint16), 8, "W25/P20"), "counted_by"),
     (EncoderConfig, (25, 20, math.inf), "EncoderConfig.gain"),
-    (SensorConfig, (math.inf,), "SensorConfig.threshold"),
-    (SensorConfig, (1.0, math.inf), "SensorConfig.conversion_gain"),
-    (SensorConfig, (1.0, 1.0, math.inf), "SensorConfig.readout_rate_hz"),
-    (SensorConfig, (1.0, 1.0, 20_000.0, math.inf), "SensorConfig.total_time_s"),
+    (partial(SensorConfig, threshold=math.inf), (), "SensorConfig.threshold"),
+    (partial(SensorConfig, readout_rate_hz=math.inf), (), "SensorConfig.readout_rate_hz"),
+    (partial(SensorConfig, total_time_s=math.inf), (), "SensorConfig.total_time_s"),
     (Motion, ((math.nan, 0.0),), "Motion.translate_px"),
     (Motion, ((0.0, -math.inf),), "Motion.translate_px"),
     (Motion, ((1.0,),), "Motion.translate_px"),
     (Motion, ((1.0, 2.0, 3.0),), "Motion.translate_px"),
     (Motion, ((0.0, 0.0), math.inf), "Motion.rotate_deg"),
     (Motion, ((0.0, 0.0), math.nan), "Motion.rotate_deg"),
-    (SensorConfig, (1.0, 1.0, 20_000.0, 0.05, 1000, False, -1), "SensorConfig.rng_seed"),
-    (SensorConfig, (1.0, 1.0, 20_000.0, 0.05, 1000, False, 1.5), "SensorConfig.rng_seed"),
-    (SensorConfig, (1.0, 1.0, 20_000.0, 0.05, 1000.0), "SensorConfig.micro_intervals"),
+    (partial(SensorConfig, rng_seed=-1), (), "SensorConfig.rng_seed"),
+    (partial(SensorConfig, rng_seed=1.5), (), "SensorConfig.rng_seed"),
+    (partial(SensorConfig, micro_intervals=1000.0), (), "SensorConfig.micro_intervals"),
     (EncoderConfig, (2.5, 1), "EncoderConfig.window"),
     (EncoderConfig, (25, 20.0), "EncoderConfig.stride"),
     (EncoderConfig, (25, 20, 15.0, 8.0), "EncoderConfig.bit_depth"),
@@ -324,8 +325,8 @@ def _clip_of(samples):
         "modulo_sequence-stride-0", "frame_capacity-stride-0", "frame_capacity-window-0",
         "frame_capacity-window-neg", "modulo_frame-counted-by-bits", "modulo_frame-counted-by-type",
         "encoder_config-gain-inf", "sensor_config-threshold-inf",
-        "sensor_config-conversion-gain-inf", "sensor_config-readout-rate-inf",
-        "sensor_config-total-time-inf", "motion-translate-nan", "motion-translate-neg-inf",
+        "sensor_config-readout-rate-inf", "sensor_config-total-time-inf",
+        "motion-translate-nan", "motion-translate-neg-inf",
         "motion-translate-1-component", "motion-translate-3-components", "motion-rotate-inf",
         "motion-rotate-nan", "sensor_config-seed-neg", "sensor_config-seed-float",
         "sensor_config-micro-intervals-float", "encoder_config-window-float",
@@ -541,9 +542,89 @@ def test_scalar_settings_refuse_values_that_are_not_real_numbers(build, field):
 def test_scalar_settings_take_numpy_numbers():
     # the number check is an isinstance test: numpy ints and floats pass it
     assert EncoderConfig(gain=np.float32(2.5)).gain == 2.5
-    assert SensorConfig(threshold=np.float64(0.5), conversion_gain=np.int64(2)).threshold == 0.5
+    assert SensorConfig(threshold=np.float64(0.5), total_time_s=np.int64(2),
+                        micro_intervals=40_000).threshold == 0.5
     assert Motion(translate_px=np.array([1.0, -2.0]), rotate_deg=np.float16(3)).translate_px[1] == -2
     assert lar(300.0, np.int32(256)) == 44.0
+
+
+# every real-valued setting: (the name its refusal gives, a build with the
+# setting set to v, whether it must be positive, its own upper bound or None)
+_BIG = HdrImage(data=np.ones((11, 11), dtype=np.float32))  # the least SSIM takes
+_REAL_FIELDS = [
+    ("SensorConfig.threshold", lambda v: SensorConfig(threshold=v), True, None),
+    ("SensorConfig.readout_rate_hz",
+     lambda v: SensorConfig(readout_rate_hz=v, total_time_s=1.0, micro_intervals=2), True, None),
+    ("SensorConfig.total_time_s",
+     lambda v: SensorConfig(readout_rate_hz=100.0, total_time_s=v, micro_intervals=200),
+     True, None),
+    ("EncoderConfig.gain", lambda v: EncoderConfig(gain=v), True, None),
+    ("QuerySpec.digital_gain", lambda v: QuerySpec(4, 2, digital_gain=v), True, None),
+    ("ModuloSequence.gain", lambda v: ModuloSequence((_FRAME,), 4, 2, v), True, None),
+    ("Motion.translate_px", lambda v: Motion(translate_px=(0.0, v)), False, None),
+    ("Motion.rotate_deg", lambda v: Motion(rotate_deg=v), False, None),
+    ("modulus", lambda v: lar(3.0, v), True, 2 ** 53),
+    ("mu", lambda v: mu_law(_IMG, mu=v), True, None),
+    ("peak", lambda v: psnr_linear(_IMG, _IMG, v), True, None),
+    ("peak", lambda v: ssim_linear(_BIG, _BIG, v), True, None),
+]
+
+
+@pytest.mark.parametrize("field, build, positive, high", _REAL_FIELDS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(_REAL_FIELDS)])
+def test_every_real_field_is_refused_by_name_outside_its_bounds(field, build, positive, high):
+    # one checker bounds them all, inclusive at both ends: an int of any size
+    # is compared exactly, so -10**400 stays below the lowest float
+    bad = [True, np.True_, "2", None, math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
+           10 ** 5000, -10 ** 5000]
+    bad += [0, 0.0, -1e-300] if positive else []
+    bad += [high + 1] if high else []
+    for value in bad:
+        with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: "):
+            build(value)
+    for value in (np.float32(2), np.int64(2), 2, 2.0, *([high] if high else []),
+                  *([] if positive else [0])):
+        build(value)
+
+
+def test_real_bounds_are_inclusive():
+    # the least positive float is a positive setting's lowest value
+    assert Motion(rotate_deg=-sys.float_info.max).rotate_deg == -sys.float_info.max
+    assert EncoderConfig(gain=math.ulp(0.0)).gain == math.ulp(0.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: EncoderConfig(window=10 ** 5000, stride=1), "EncoderConfig.window"),
+    (lambda: EncoderConfig(window=5, stride=5, gain=10 ** 5000), "EncoderConfig.gain"),
+    (lambda: Motion(rotate_deg=10 ** 5000), "Motion.rotate_deg"),
+    (lambda: Motion(rotate_deg=-10 ** 5000), "Motion.rotate_deg"),
+    (lambda: _STREAM.bits(-10 ** 5000), "SpikeStream.bits.start"),
+    (lambda: lar(3.0, 10 ** 5000), "modulus"),
+], ids=["window", "gain", "rotate", "rotate-neg", "bits-start", "lar-modulus"])
+def test_a_refusal_names_its_field_at_any_size(build, field):
+    # str() of an int past 4,300 digits raises a raw ValueError, so each of
+    # these escaped while its message was built; such an int is described
+    # by its size
+    with pytest.raises(ValidationError,
+                       match=rf"^{re.escape(field)}: .*, got an integer of 16610 bits$"):
+        build()
+
+
+def test_conversion_gain_is_a_constant_not_a_setting():
+    # spikes depend only on the integral measured in thresholds, so the
+    # threshold alone sets that scale
+    assert "conversion_gain" not in {f.name for f in dataclasses.fields(SensorConfig)}
+    assert SensorConfig.conversion_gain == SensorConfig().conversion_gain == 1.0
+    with pytest.raises(TypeError):
+        SensorConfig(conversion_gain=2.0)
+
+
+def test_sensor_config_is_keyword_only():
+    # an old SensorConfig(1.0, 2.0) would otherwise set readout_rate_hz to 2
+    with pytest.raises(TypeError):
+        SensorConfig(1.0, 2.0)
+    assert SensorConfig(threshold=1.0, readout_rate_hz=2.0, total_time_s=1.0,
+                        micro_intervals=2).readout_frames == 2
 
 
 @pytest.mark.parametrize("start, stop, field", [

